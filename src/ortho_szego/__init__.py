@@ -69,6 +69,7 @@ from .szego import (
     check_rel,
     geronimus_forward,
     geronimus_inverse,
+    invert_from,
     lu_check,
     map_x_to_z,
     map_z_to_x,

@@ -42,6 +42,10 @@ class InvalidEta(OrthoError):
     """A replacement circle coefficient had modulus >= 1."""
 
 
+class WrongSide(OrthoError):
+    """A perturbation spec does not apply on the chosen side of the bridge."""
+
+
 class ComplexAlpha(OrthoError):
     """A bridge operation received a Verblunsky coefficient with nonzero imaginary part."""
 

@@ -1,13 +1,21 @@
 """Perturbation families as coefficient-level transforms.
 
-Every closed-form result is implemented twice:
+Every family takes a ``path`` argument:
 
 * the CLOSED_FORM path evaluates the stated formulas verbatim;
 * the ORACLE path perturbs the coefficients first and then runs the
   generic bridge direction (brute force).
 
-The two must agree wherever both are defined; the verification suites and
-the test suite enforce that.  The single documented exception is the LU
+Where the stated formula differs from the bridge recursion (the
+co-dilation head, the symmetric co-dilation head, the circle-side
+associated and anti-associated maps, sieving and k-modification) the two
+paths are independent code, and the verification suites and the test
+suite check that they agree.  Three line-side maps have no separate
+closed form: the associated and anti-associated families
+(``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``) and the
+symmetric family (``symmetric_verblunsky``) are the bridge recursion
+``szego.invert_from`` itself, fed shifted, prepended or b == 0 data, so
+both paths run that one kernel.  The single documented exception is the LU
 shortcut for a dilation (``perturbed_v`` / ``perturbed_alpha_lu``): its
 stated prefix-preservation clashes with the genuinely perturbed LU data
 when the dilation factor differs from 1, so those two operations expose a
@@ -17,16 +25,22 @@ discrepancy report instead of a silent choice.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import InvalidEta, OrthoError, SupportViolation
+from .errors import InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from .szego import (
     VSeq,
+    _alpha_conv,
+    _emit_checked,
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
+    invert_from,
     v_from_alpha,
     v_from_recurrence,
 )
@@ -41,12 +55,6 @@ SHORTCUT = "shortcut"
 def _check_path(path: str) -> None:
     if path not in (CLOSED_FORM, ORACLE):
         raise ValueError(f"path must be {CLOSED_FORM!r} or {ORACLE!r}, got {path!r}")
-
-
-def _emit(value: float, index: int) -> float:
-    if abs(value) >= 1.0 - 1e-12:
-        raise SupportViolation(index, value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -212,43 +220,18 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     if vs is None:
         vs = geronimus_inverse(rc, n)
     alpha = vs.real_view()
-
-    def a(j: int) -> float:
-        if j == -1:
-            return -1.0
-        if j == -2:
-            return 0.0
-        return alpha[j]
-
+    am2, am1 = _alpha_conv(alpha, 2 * k - 2), _alpha_conv(alpha, 2 * k - 1)
     if k == 0:
         m_shift = 0.0
     else:
-        m_shift = 4.0 * (lam - 1.0) * rc.d_at(k) / ((1.0 - a(2 * k - 3)) * (1.0 - a(2 * k - 2) ** 2))
+        m_shift = 4.0 * (lam - 1.0) * rc.d_at(k) / ((1.0 - _alpha_conv(alpha, 2 * k - 3)) * (1.0 - am2 ** 2))
 
-    out: list[float] = list(alpha[: max(2 * k - 1, 0)])
-
-    def ah(j: int) -> float:
-        if j == -1:
-            return -1.0
-        if j == -2:
-            return 0.0
-        return out[j]
-
-    if 2 * k - 1 >= 0:
-        out.append(_emit(a(2 * k - 1) + m_shift, 2 * k - 1))
-    num = (1.0 - a(2 * k - 1)) * a(2 * k) + 2.0 * tau + m_shift * a(2 * k - 2)
-    out.append(_emit(num / (1.0 - a(2 * k - 1) - m_shift), 2 * k))
-    j = 2 * k + 1
-    while j < 2 * n:
-        if j % 2 == 1:
-            m = (j - 1) // 2
-            val = -1.0 + 4.0 * rc.d_at(m + 1) / ((1.0 - ah(2 * m - 1)) * (1.0 - ah(2 * m) ** 2))
-        else:
-            m = j // 2
-            val = (2.0 * rc.b_at(m + 1) + (1.0 + ah(2 * m - 1)) * ah(2 * m - 2)) / (1.0 - ah(2 * m - 1))
-        out.append(_emit(val, j))
-        j += 1
-    return VerblunskySeq(tuple(out[: 2 * n]))
+    head = list(alpha[: max(2 * k - 1, 0)])
+    if k > 0:
+        head.append(_emit_checked(am1 + m_shift, 2 * k - 1))
+    num = (1.0 - am1) * alpha[2 * k] + 2.0 * tau + m_shift * am2
+    head.append(_emit_checked(num / (1.0 - am1 - m_shift), 2 * k))
+    return invert_from(rc, head, n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,53 +240,27 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
 
 def assoc_oprl_to_verblunsky(rc: RealRecurrence, k: int, n: int,
                              path: str = CLOSED_FORM) -> VerblunskySeq:
-    """Circle coefficients of the order-k associated line family:
-    the inversion recursion fed with b_{n+k}, d_{n+k}."""
+    """Circle coefficients of the order-k associated line family: the
+    inversion recursion fed with b_{n+k}, d_{n+k}.
+
+    There is no separate closed form: both paths run szego.invert_from on
+    the shifted coefficients.
+    """
     _check_path(path)
-    if path == ORACLE:
-        return geronimus_inverse(shift_coefficients(rc, k), n)
-    rc.require(n + k, n + k)
-    out: list[float] = []
-
-    def ah(j: int) -> float:
-        if j == -1:
-            return -1.0
-        if j == -2:
-            return 0.0
-        return out[j]
-
-    for m in range(n):
-        even = (2.0 * rc.b_at(m + k + 1) + (1.0 + ah(2 * m - 1)) * ah(2 * m - 2)) / (1.0 - ah(2 * m - 1))
-        out.append(_emit(even, 2 * m))
-        odd = -1.0 + 4.0 * rc.d_at(m + k + 1) / ((1.0 - ah(2 * m - 1)) * (1.0 - even**2))
-        out.append(_emit(odd, 2 * m + 1))
-    return VerblunskySeq(tuple(out))
+    return geronimus_inverse(shift_coefficients(rc, k), n)
 
 
 def antiassoc_oprl_to_verblunsky(rc: RealRecurrence, pre_b, pre_d, n: int,
                                  path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients of the order-k anti-associated line family
     (k = len(pre_b)): the inversion recursion fed with the prepended window
-    for indices <= k and b_{n-k}, d_{n-k} beyond it."""
+    for indices <= k and b_{n-k}, d_{n-k} beyond it.
+
+    There is no separate closed form: both paths run szego.invert_from on
+    the prepended coefficients.
+    """
     _check_path(path)
-    if path == ORACLE:
-        return geronimus_inverse(prepend_coefficients(rc, pre_b, pre_d), n)
-    merged = prepend_coefficients(rc, pre_b, pre_d)
-    out: list[float] = []
-
-    def ah(j: int) -> float:
-        if j == -1:
-            return -1.0
-        if j == -2:
-            return 0.0
-        return out[j]
-
-    for m in range(n):
-        even = (2.0 * merged.b_at(m + 1) + (1.0 + ah(2 * m - 1)) * ah(2 * m - 2)) / (1.0 - ah(2 * m - 1))
-        out.append(_emit(even, 2 * m))
-        odd = -1.0 + 4.0 * merged.d_at(m + 1) / ((1.0 - ah(2 * m - 1)) * (1.0 - even**2))
-        out.append(_emit(odd, 2 * m + 1))
-    return VerblunskySeq(tuple(out))
+    return geronimus_inverse(prepend_coefficients(rc, pre_b, pre_d), n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +291,22 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
     if len(alpha) < need:
         raise OrthoError(f"need {need} circle coefficients, have {len(alpha)}")
 
-    def a(j: int) -> float:
-        return -1.0 if j == -1 else alpha[j]
-
     rc = geronimus_forward(vs, (len(alpha)) // 2)
     v = v_from_alpha(vs)
     b_out: list[float] = []
     d_out: list[float] = []
     if k % 2 == 1:
         m = (k + 1) // 2
-        d_out.append((1.0 + a(2 * m - 1)) / v.at(2 * m + 1) * rc.d_at(m + 1))
-        b_out.append(a(2 * m - 1))
+        d_out.append((1.0 + alpha[2 * m - 1]) / v.at(2 * m + 1) * rc.d_at(m + 1))
+        b_out.append(alpha[2 * m - 1])
         for j in range(1, n):
             d_out.append(v.at(2 * (j + m) - 1) / v.at(2 * (j + m) + 1) * rc.d_at(j + m + 1))
             b_out.append(rc.b_at(j + m + 1) + v.at(2 * (j + m) - 2) - v.at(2 * (j + m)))
     else:
         m = k // 2
-        lam = 2.0 / (1.0 - a(2 * m - 1))
+        lam = 2.0 / (1.0 - _alpha_conv(alpha, 2 * m - 1))
         d_out.append(lam * rc.d_at(m + 1))
-        b_out.append(a(2 * m) if k > 0 else rc.b_at(1))
+        b_out.append(alpha[2 * m] if k > 0 else rc.b_at(1))
         for j in range(1, n):
             d_out.append(rc.d_at(j + m + 1))
             b_out.append(rc.b_at(j + m + 1))
@@ -372,15 +326,7 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
         return geronimus_forward(prepend_verblunsky(vs, xi), n)
     if k == 0:
         return geronimus_forward(vs, n)
-    alpha = vs.real_view()
-
-    def a(j: int) -> float:
-        return -1.0 if j == -1 else alpha[j]
-
-    def x_at(j: int) -> float:
-        # xi with the same convention slot at -1 (only reached for odd k = 1)
-        return -1.0 if j == -1 else xi[j]
-
+    a = vs.real_view()
     b_out: list[float] = []
     d_out: list[float] = []
     if k % 2 == 1:
@@ -392,17 +338,17 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
                 else:
                     d_out.append(0.25 * (1.0 - xi[2 * j - 1]) * (1.0 - xi[2 * j] ** 2) * (1.0 + xi[2 * j + 1]))
             elif j == m - 1:
-                d_out.append(0.25 * (1.0 - x_at(2 * j - 1)) * (1.0 - xi[2 * j] ** 2) * (1.0 + a(2 * (j - m) + 2)))
+                d_out.append(0.25 * (1.0 - _alpha_conv(xi, 2 * j - 1)) * (1.0 - xi[2 * j] ** 2) * (1.0 + a[2 * (j - m) + 2]))
             else:
-                d_out.append(0.25 * (1.0 - a(2 * (j - m))) * (1.0 - a(2 * (j - m) + 1) ** 2) * (1.0 + a(2 * (j - m) + 2)))
+                d_out.append(0.25 * (1.0 - a[2 * (j - m)]) * (1.0 - a[2 * (j - m) + 1] ** 2) * (1.0 + a[2 * (j - m) + 2]))
             if j == 0:
                 b_out.append(xi[0])
             elif j <= m - 1:
                 b_out.append(0.5 * ((1.0 - xi[2 * j - 1]) * xi[2 * j] - (1.0 + xi[2 * j - 1]) * xi[2 * j - 2]))
             elif j == m:
-                b_out.append(0.5 * ((1.0 - a(2 * (j - m))) * a(2 * (j - m) + 1) - (1.0 + a(2 * (j - m))) * xi[2 * j - 2]))
+                b_out.append(0.5 * ((1.0 - a[2 * (j - m)]) * a[2 * (j - m) + 1] - (1.0 + a[2 * (j - m)]) * xi[2 * j - 2]))
             else:
-                b_out.append(0.5 * ((1.0 - a(2 * (j - m))) * a(2 * (j - m) + 1) - (1.0 + a(2 * (j - m))) * a(2 * (j - m) - 1)))
+                b_out.append(0.5 * ((1.0 - a[2 * (j - m)]) * a[2 * (j - m) + 1] - (1.0 + a[2 * (j - m)]) * a[2 * (j - m) - 1]))
     else:
         m = k // 2
         rc = geronimus_forward(vs, max(n - m, 1))
@@ -412,7 +358,7 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
             elif j <= m - 1:
                 d_out.append(0.25 * (1.0 - xi[2 * j - 1]) * (1.0 - xi[2 * j] ** 2) * (1.0 + xi[2 * j + 1]))
             elif j == m:
-                d_out.append(0.25 * (1.0 - xi[2 * m - 1]) * (1.0 - a(0) ** 2) * (1.0 + a(1)))
+                d_out.append(0.25 * (1.0 - xi[2 * m - 1]) * (1.0 - a[0] ** 2) * (1.0 + a[1]))
             else:
                 d_out.append(rc.d_at(j - m + 1))
             if j == 0:
@@ -420,7 +366,7 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
             elif j <= m - 1:
                 b_out.append(0.5 * ((1.0 - xi[2 * j - 1]) * xi[2 * j] - (1.0 + xi[2 * j - 1]) * xi[2 * j - 2]))
             elif j == m:
-                b_out.append(0.5 * ((1.0 - xi[2 * m - 1]) * a(0) - (1.0 + xi[2 * m - 1]) * xi[2 * m - 2]))
+                b_out.append(0.5 * ((1.0 - xi[2 * m - 1]) * a[0] - (1.0 + xi[2 * m - 1]) * xi[2 * m - 2]))
             else:
                 b_out.append(rc.b_at(j - m + 1))
     return RealRecurrence(tuple(b_out), tuple(d_out))
@@ -504,19 +450,44 @@ def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: in
     if 2 * k < 2 * n:
         den = (1.0 - alpha[2 * k - 1]) if k > 0 else 2.0
         shift = 2.0 * ((1.0 - lam) * v.at(2 * k - 1) + tau) / den
-        out.append(_emit(alpha[2 * k] + shift, 2 * k))
+        out.append(_emit_checked(alpha[2 * k] + shift, 2 * k))
     for j in range(2 * k + 1, 2 * n):
-        out.append(_emit(-1.0 + 2.0 * vt.at(j) / (1.0 - out[j - 1]), j))
+        out.append(_emit_checked(-1.0 + 2.0 * vt.at(j) / (1.0 - out[j - 1]), j))
     return VerblunskySeq(tuple(out[: 2 * n]))
+
+
+def _peel_error(b, v: VSeq) -> list[float]:
+    """Running first-order forward-error bound of each pivot of the peel
+    v_{2j} = b_{j+1} + 1 - v_{2j-1}, v_{2j+1} = d_{j+1} / v_{2j}: an even
+    pivot adds u (|b_{j+1}| + 1 + |v_{2j-1}|) of absolute error, an odd one
+    carries the relative error e_{2j} / |v_{2j}| + u."""
+    u = sys.float_info.epsilon / 2
+    out: list[float] = []
+    prev_v = prev_e = 0.0
+    for j, vj in enumerate(v.v):
+        if j % 2 == 0:
+            e = prev_e + u * (abs(b[j // 2]) + 1.0 + abs(prev_v))
+        else:
+            e = abs(vj) * (prev_e / abs(prev_v) + u)
+        out.append(e)
+        prev_v, prev_e = vj, e
+    return out
 
 
 def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
                             n: int, tol: float = 1e-11) -> PathDiscrepancy | None:
-    """Compare the two pivot paths entrywise; None when they agree to tol."""
+    """Compare the two pivot paths entrywise; None when they agree.
+
+    Entries agree when they differ by at most tol (1 + |v|) plus the
+    rounding both paths can carry (their running peel error bounds): a
+    near-zero pivot amplifies a 1-ulp difference far past tol without any
+    disagreement between the formulas.
+    """
     dv = perturbed_v(rc, k, lam, tau, n, DEFAULT)
     pv = perturbed_v(rc, k, lam, tau, n, SHORTCUT)
+    bound = [x + y for x, y in zip(_peel_error(rc.b, dv), _peel_error(rc.b, pv))]
     for j in range(n):
-        if abs(dv.at(j) - pv.at(j)) > tol * (1.0 + abs(dv.at(j))):
+        if abs(dv.at(j) - pv.at(j)) > tol * (1.0 + abs(dv.at(j))) + bound[j]:
             return PathDiscrepancy("perturbed_v", k, lam, tau, j, dv.at(j), pv.at(j))
     return None
 
@@ -545,11 +516,7 @@ def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> Rea
     alpha = vs.real_view()
     if len(alpha) < n:
         raise OrthoError(f"need {n} circle coefficients, have {len(alpha)}")
-
-    def a(j: int) -> float:
-        return -1.0 if j == -1 else alpha[j]
-
-    d = tuple(0.25 * (1.0 - a(j - 1)) * (1.0 + a(j)) for j in range(n))
+    d = tuple(0.25 * (1.0 - _alpha_conv(alpha, j - 1)) * (1.0 + alpha[j]) for j in range(n))
     return RealRecurrence((0.0,) * n, d)
 
 
@@ -575,22 +542,16 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
 
 def symmetric_verblunsky(d, n: int | None = None, path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients of a symmetric line family (b == 0):
-    even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1})."""
+    even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}).
+
+    There is no separate closed form: with b == 0 the inversion recursion
+    reduces to exactly this, so both paths run szego.invert_from.
+    """
     _check_path(path)
     d = tuple(float(x) for x in d)
     if n is None:
         n = len(d)
-    rc = RealRecurrence((0.0,) * len(d), d)
-    if path == ORACLE:
-        return geronimus_inverse(rc, n)
-    out: list[float] = []
-    prev_odd = -1.0
-    for m in range(n):
-        out.append(0.0)
-        g = -1.0 + 4.0 * rc.d_at(m + 1) / (1.0 - prev_odd)
-        out.append(_emit(g, 2 * m + 1))
-        prev_odd = g
-    return VerblunskySeq(tuple(out))
+    return geronimus_inverse(RealRecurrence((0.0,) * len(d), d), n)
 
 
 def symmetric_codilated_verblunsky(d, k: int, lam: float, n: int | None = None,
@@ -604,24 +565,120 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float, n: int | None = None,
     d = tuple(float(x) for x in d)
     if n is None:
         n = len(d)
+    rc = RealRecurrence((0.0,) * len(d), d)
     if path == ORACLE:
-        rc = coprl_apply(RealRecurrence((0.0,) * len(d), d), [CoDilated(k, lam)])
-        return geronimus_inverse(rc, n)
+        return geronimus_inverse(coprl_apply(rc, [CoDilated(k, lam)]), n)
     gamma = symmetric_verblunsky(d, n, CLOSED_FORM).real_view()
+    head = list(gamma[: 2 * k - 1])
+    if k <= n:
+        shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
+        head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
+    return invert_from(rc, head, n)
 
-    def g(j: int) -> float:
-        return -1.0 if j == -1 else gamma[j]
 
-    out: list[float] = []
-    prev_odd = -1.0
-    for m in range(n):
-        out.append(0.0)
-        if m < k - 1:
-            odd = gamma[2 * m + 1]
-        elif m == k - 1:
-            odd = gamma[2 * k - 1] + 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - g(2 * k - 3))
-        else:
-            odd = -1.0 + 4.0 * d[m] / (1.0 - prev_odd)
-        out.append(_emit(odd, 2 * m + 1))
-        prev_odd = odd
-    return VerblunskySeq(tuple(out))
+# ---------------------------------------------------------------------------
+# Spec registry: one entry per perturbation kind
+
+
+@dataclass(frozen=True)
+class SpecKind:
+    """How one perturbation kind is read, written and applied.
+
+    ``apply`` maps each side the kind applies to ("line", "circle") to
+    ``f(data, spec) -> perturbed data``.  ``paths`` maps a side to
+    ``f(data, spec) -> (order, run)``, where ``run(path=...)`` computes the
+    family through CLOSED_FORM or ORACLE on the unperturbed data, or to a
+    string saying why the side has no such pair.
+    """
+
+    read: Callable[[dict], object]
+    write: Callable[[object], dict]
+    apply: dict[str, Callable]
+    paths: dict[str, Callable]
+
+
+def _complex_from_obj(value) -> complex:
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2:
+        return complex(value[0], value[1])
+    raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+
+
+def _co_window(rc: RealRecurrence, k: int) -> int:
+    return min(len(rc), max(k + 2, 8))
+
+
+def _antiassoc_from_obj(obj: dict) -> AntiAssociated:
+    if "xi" in obj:
+        return AntiAssociated(xi=tuple(_complex_from_obj(x) for x in obj["xi"]))
+    return AntiAssociated(pre_b=tuple(float(x) for x in obj.get("pre_b", ())),
+                          pre_d=tuple(float(x) for x in obj.get("pre_d", ())))
+
+
+def _antiassoc_to_obj(spec: AntiAssociated) -> dict:
+    if spec.xi:
+        return {"kind": spec.kind, "xi": [[x.real, x.imag] for x in spec.xi]}
+    return {"kind": spec.kind, "pre_b": list(spec.pre_b), "pre_d": list(spec.pre_d)}
+
+
+def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
+    if spec.xi or not spec.pre_b:
+        raise WrongSide("anti_associated on the line side needs pre_b/pre_d")
+    return prepend_coefficients(rc, spec.pre_b, spec.pre_d)
+
+
+def _antiassoc_circle(vs: VerblunskySeq, spec: AntiAssociated) -> VerblunskySeq:
+    if spec.pre_b or (not spec.xi and spec.pre_d):
+        raise WrongSide("anti_associated on the circle side needs xi")
+    return prepend_verblunsky(vs, spec.xi)
+
+
+def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
+    if any(x.imag != 0.0 for x in spec.xi):
+        return "complex prepend has no line-side closed form"
+    return len(spec.xi), partial(antiassoc_opuc_to_recurrence, vs, [x.real for x in spec.xi],
+                                 max(len(vs) // 2 - 1, 1))
+
+
+SPECS: dict[str, SpecKind] = {
+    CoDilated.kind: SpecKind(
+        read=lambda obj: CoDilated(int(obj["k"]), float(obj["lambda"])),
+        write=lambda spec: {"kind": spec.kind, "k": spec.k, "lambda": spec.lam},
+        apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
+        paths={"line": lambda rc, spec: (spec.k, partial(
+            coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}),
+    CoRecursive.kind: SpecKind(
+        read=lambda obj: CoRecursive(int(obj["k"]), float(obj["tau"])),
+        write=lambda spec: {"kind": spec.kind, "k": spec.k, "tau": spec.tau},
+        apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
+        paths={"line": lambda rc, spec: (spec.k, partial(
+            coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}),
+    KModification.kind: SpecKind(
+        read=lambda obj: KModification(int(obj["k"]), _complex_from_obj(obj["eta"])),
+        write=lambda spec: {"kind": spec.kind, "k": spec.k,
+                            "eta": [spec.eta.real, spec.eta.imag]},
+        apply={"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)},
+        paths={}),
+    Associated.kind: SpecKind(
+        read=lambda obj: Associated(int(obj["k"])),
+        write=lambda spec: {"kind": spec.kind, "k": spec.k},
+        apply={"line": lambda rc, spec: shift_coefficients(rc, spec.k),
+               "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)},
+        paths={"line": lambda rc, spec: (spec.k, partial(
+                   assoc_oprl_to_verblunsky, rc, spec.k, min(len(rc) - spec.k, 8))),
+               "circle": lambda vs, spec: (spec.k, partial(
+                   assoc_opuc_to_recurrence, vs, spec.k, max((len(vs) - spec.k) // 2 - 1, 1)))}),
+    AntiAssociated.kind: SpecKind(
+        read=_antiassoc_from_obj,
+        write=_antiassoc_to_obj,
+        apply={"line": _antiassoc_line, "circle": _antiassoc_circle},
+        paths={"line": lambda rc, spec: (len(spec.pre_b), partial(
+                   antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
+               "circle": _antiassoc_circle_paths}),
+    Sieve.kind: SpecKind(
+        read=lambda obj: Sieve(int(obj["ell"])),
+        write=lambda spec: {"kind": spec.kind, "ell": spec.ell},
+        apply={"circle": lambda vs, spec: sieve(vs, spec.ell)},
+        paths={}),
+}

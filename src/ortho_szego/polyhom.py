@@ -74,7 +74,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_X = Poly((0, 1))
 
 
 def poly_eval(p: Poly, t: Scalar) -> Scalar:

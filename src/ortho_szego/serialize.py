@@ -18,14 +18,7 @@ import json
 from .errors import OrthoError
 from .oprl import RealRecurrence
 from .opuc import VerblunskySeq
-from .perturb import (
-    AntiAssociated,
-    Associated,
-    CoDilated,
-    CoRecursive,
-    KModification,
-    Sieve,
-)
+from .perturb import SPECS
 from .szego import VSeq
 
 
@@ -81,54 +74,20 @@ def loads_coefficients(text: str):
     raise OrthoError(f"unrecognized coefficient keys: {sorted(data)}")
 
 
-def _complex_from_obj(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
-
-
 def spec_from_obj(obj: dict):
     """One tagged perturbation object -> its dataclass."""
     kind = obj.get("kind")
-    if kind == "co_dilated":
-        return CoDilated(int(obj["k"]), float(obj["lambda"]))
-    if kind == "co_recursive":
-        return CoRecursive(int(obj["k"]), float(obj["tau"]))
-    if kind == "k_modification":
-        return KModification(int(obj["k"]), _complex_from_obj(obj["eta"]))
-    if kind == "associated":
-        return Associated(int(obj["k"]))
-    if kind == "anti_associated":
-        if "xi" in obj:
-            return AntiAssociated(xi=tuple(_complex_from_obj(x) for x in obj["xi"]))
-        return AntiAssociated(pre_b=tuple(float(x) for x in obj.get("pre_b", ())),
-                              pre_d=tuple(float(x) for x in obj.get("pre_d", ())))
-    if kind == "sieve":
-        return Sieve(int(obj["ell"]))
-    raise OrthoError(f"unknown perturbation kind: {kind!r}")
+    entry = SPECS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise OrthoError(f"unknown perturbation kind: {kind!r}")
+    return entry.read(obj)
 
 
 def spec_to_obj(spec) -> dict:
-    if isinstance(spec, CoDilated):
-        return {"kind": "co_dilated", "k": spec.k, "lambda": spec.lam}
-    if isinstance(spec, CoRecursive):
-        return {"kind": "co_recursive", "k": spec.k, "tau": spec.tau}
-    if isinstance(spec, KModification):
-        return {"kind": "k_modification", "k": spec.k,
-                "eta": [spec.eta.real, spec.eta.imag]}
-    if isinstance(spec, Associated):
-        return {"kind": "associated", "k": spec.k}
-    if isinstance(spec, AntiAssociated):
-        if spec.xi:
-            return {"kind": "anti_associated",
-                    "xi": [[x.real, x.imag] for x in spec.xi]}
-        return {"kind": "anti_associated",
-                "pre_b": list(spec.pre_b), "pre_d": list(spec.pre_d)}
-    if isinstance(spec, Sieve):
-        return {"kind": "sieve", "ell": spec.ell}
-    raise TypeError(f"cannot serialize {type(spec)!r}")
+    entry = SPECS.get(getattr(spec, "kind", None))
+    if entry is None:
+        raise TypeError(f"cannot serialize {type(spec)!r}")
+    return entry.write(spec)
 
 
 def specs_from_text(text: str) -> list:

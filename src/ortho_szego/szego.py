@@ -40,7 +40,7 @@ SUPPORT_TOL = 1e-12
 _PIVOT_TOL = 1e-13
 
 
-def _alpha_conv(alpha: tuple[float, ...], n: int) -> float:
+def _alpha_conv(alpha, n: int) -> float:
     """alpha_n with the bridge conventions at negative indices."""
     if n == -1:
         return -1.0
@@ -95,29 +95,40 @@ def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
 
 
 def geronimus_inverse(rc: RealRecurrence, n: int) -> VerblunskySeq:
-    """Circle coefficients a_0 .. a_{2n-1} of the unfolded measure.
+    """Circle coefficients a_0 .. a_{2n-1} of the unfolded measure
+    (invert_from with an empty prefix)."""
+    return invert_from(rc, (), n)
 
-    Solves the forward relations step by step, seeded with a_{-1} = -1 and
-    a_{-2} = 0.  Raises SupportViolation as soon as a coefficient leaves
-    (-1, 1): the line measure then cannot sit inside [-1, 1].
+
+def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
+    """Continue the inversion from a_{len(prefix)} up to a_{2n-1}.
+
+    prefix holds a_0 .. a_{j-1} for any j <= 2n (odd j included).  Each
+    further coefficient solves the forward relations, with a_{-1} = -1 and
+    a_{-2} = 0:
+
+        a_{2m}   = (2 b_{m+1} + (1 + a_{2m-1}) a_{2m-2}) / (1 - a_{2m-1})
+        a_{2m+1} = -1 + 4 d_{m+1} / ((1 - a_{2m-1}) (1 - a_{2m}^2))
+
+    Raises SupportViolation as soon as a coefficient leaves (-1, 1): the
+    line measure then cannot sit inside [-1, 1].
     """
     rc.require(n, n)
-    alpha: list[float] = []
-
-    def a(j: int) -> float:
-        return _alpha_conv(tuple(alpha), j)
-
-    for m in range(n):
-        den = 1.0 - a(2 * m - 1)
+    alpha = list(prefix)
+    for j in range(len(alpha), 2 * n):
+        m = j // 2
+        a_prev = _alpha_conv(alpha, 2 * m - 1)
+        den = 1.0 - a_prev
         if abs(den) < _PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
-        even = (2.0 * rc.b_at(m + 1) + (1.0 + a(2 * m - 1)) * a(2 * m - 2)) / den
-        alpha.append(_emit_checked(even, 2 * m))
-        den2 = den * (1.0 - even**2)
-        if abs(den2) < _PIVOT_TOL:
-            raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
-        odd = -1.0 + 4.0 * rc.d_at(m + 1) / den2
-        alpha.append(_emit_checked(odd, 2 * m + 1))
+        if j % 2 == 0:
+            value = (2.0 * rc.b_at(m + 1) + (1.0 + a_prev) * _alpha_conv(alpha, 2 * m - 2)) / den
+        else:
+            den2 = den * (1.0 - alpha[2 * m] ** 2)
+            if abs(den2) < _PIVOT_TOL:
+                raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
+            value = -1.0 + 4.0 * rc.d_at(m + 1) / den2
+        alpha.append(_emit_checked(value, j))
     return VerblunskySeq(tuple(alpha))
 
 

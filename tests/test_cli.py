@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -138,6 +139,15 @@ class TestPerturbCommand:
         dev = float(err.rsplit(" ", 1)[1])
         assert dev < 1e-11
 
+    def test_both_paths_empty_window_exit1(self, tmp_path, capsys):
+        src = tmp_path / "three.json"
+        src.write_text(dumps_recurrence(chebyshev_t(3)))
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "associated", "k": 3}]')
+        assert main(["perturb", "--in", str(src), "--spec", str(spec),
+                     "--side", "line", "--both-paths"]) == 1
+        assert capsys.readouterr().err == "need 1 entry in the both-paths window, have 0\n"
+
     def test_pipeline_order(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([
@@ -162,6 +172,12 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "discrepancy"]) == 0
         out = capsys.readouterr().out
         assert "default 0.25 vs shortcut 0.5" in out
+
+    def test_discrepancy_rounding_at_tiny_pivot_passes(self, capsys):
+        # seed 75382 draws a pure co-recursive case whose pivot v_6 ~ 1.4e-5
+        # amplifies a 1-ulp difference at v_4 to 3e-11 relative at v_7
+        assert main(["verify", "--suite", "discrepancy", "--seed", "75382"]) == 0
+        assert "PASS discrepancy.pure_corecursive_paths_agree" in capsys.readouterr().out
 
     def test_unknown_suite_exit4(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 4
@@ -209,3 +225,141 @@ class TestEvalCommand:
         out = tmp_path / "t.tsv"
         assert main(["eval", "--in", tfile, "--side", "line",
                      "--points", "2.0", "--out", str(out)]) == 0
+
+
+# Fixed fixtures whose CLI output bytes are pinned below: 12 line pairs and
+# 24 real circle coefficients, all well inside the admissible region.
+LINE_12 = ('{"b": [0.05, -0.03, 0.02, 0, -0.04, 0.01, 0.03, -0.02, 0, 0.015, -0.01, 0.02], '
+           '"d": [0.4, 0.22, 0.27, 0.24, 0.26, 0.23, 0.25, 0.28, 0.21, 0.25, 0.24, 0.26]}\n')
+CIRCLE_24 = '{"alpha": [' + ", ".join(f"[{x}, 0]" for x in (
+    0.3, -0.2, 0.15, 0.1, -0.25, 0.05, 0.2, -0.1, 0.12, -0.05, 0.08, 0.18,
+    -0.15, 0.02, 0.1, -0.3, 0.06, 0.04, -0.08, 0.14, 0.09, -0.11, 0.03, 0.07)) + ']}\n'
+
+# (side, spec, exit code, stderr, sha256 of the output file or None when
+# none is written) for `perturb --both-paths` on the fixtures.
+PERTURB_PINS = [
+    ('line', '{"kind": "co_dilated", "k": 2, "lambda": 0.75}',
+     0, 'both-paths co_dilated k=2: max deviation 1.110e-16\n',
+     'a8aec1ecfb0efd084212286eeef882acd821f3fc8dfc1d6e02277b0fb2cb9423'),
+    ('line', '{"kind": "co_recursive", "k": 1, "tau": 0.05}',
+     0, 'both-paths co_recursive k=1: max deviation 0.000e+00\n',
+     'ce3c4536308502ad462adb0a4bc368217da3417f74893893a16931e4bf251cc9'),
+    ('line', '{"kind": "co_recursive", "k": 0, "tau": -0.04}',
+     0, 'both-paths co_recursive k=0: max deviation 0.000e+00\n',
+     '1adf850dc244a685afc4c408a62d8da9327c4bb8d3011384bc3b21aa4809d709'),
+    ('line', '{"kind": "associated", "k": 3}',
+     0, 'both-paths associated k=3: max deviation 0.000e+00\n',
+     'b2f8ef822274b3739c585968f866dd0f66a58e4f7016a068e9364704ef2f10dc'),
+    ('line', '{"kind": "anti_associated", "pre_b": [0.1, -0.05], "pre_d": [0.3, 0.2]}',
+     0, 'both-paths anti_associated k=2: max deviation 0.000e+00\n',
+     '106fb694bc2a3c57d0edcdd9deb98547fb84f2095d93f685d55f70b28c557937'),
+    ('circle', '{"kind": "associated", "k": 3}',
+     0, 'both-paths associated k=3: max deviation 1.665e-16\n',
+     'dfbd33e6495aa99b1ccf1231df099c2522cf8714ee3378c81424405cb13642e9'),
+    ('circle', '{"kind": "associated", "k": 4}',
+     0, 'both-paths associated k=4: max deviation 5.551e-17\n',
+     '3c79a4b51e664ebf3b748b6c53b017fb83dec73aa0353fc8ff0f206a6216d7bb'),
+    ('circle', '{"kind": "anti_associated", "xi": [0.2, -0.3, 0.1]}',
+     0, 'both-paths anti_associated k=3: max deviation 0.000e+00\n',
+     'a8ecf06d5d142dd12183bfcb5d7737bee037f238ac9a1722ddfb63b43395246f'),
+    ('circle', '{"kind": "anti_associated", "xi": [0.2, -0.1]}',
+     0, 'both-paths anti_associated k=2: max deviation 0.000e+00\n',
+     'ce11b24b1b946991a5b3d9fda14e2c592b5f6baccfbc188943b73eb5b60e933b'),
+    ('circle', '{"kind": "anti_associated", "xi": [[0.2, 0.1]]}',
+     0, 'both-paths anti_associated: skipped (complex prepend has no line-side closed form)\n',
+     '0fa31ac03efb39d90697ee25b5bb7bb4f45b7726fda98215b6a61d7df75a6c34'),
+    ('circle', '{"kind": "k_modification", "k": 2, "eta": [0.3, -0.2]}',
+     0, '',
+     '790a09a56e1afacaaca5d3422f83e5b6f9ee8c62ac81548c575eeb34f0a51aba'),
+    ('circle', '{"kind": "sieve", "ell": 2}',
+     0, '',
+     '300aecb01f55f5f289c7dec3f18ac2a50f23d9acea13ee5fc84abd303e160f70'),
+    ('circle', '{"kind": "co_dilated", "k": 1, "lambda": 0.5}',
+     3, 'co_dilated does not apply on the circle side\n',
+     None),
+    ('circle', '{"kind": "co_recursive", "k": 1, "tau": 0.1}',
+     3, 'co_recursive does not apply on the circle side\n',
+     None),
+    ('line', '{"kind": "k_modification", "k": 0, "eta": 0.3}',
+     3, 'k_modification does not apply on the line side\n',
+     None),
+    ('line', '{"kind": "sieve", "ell": 2}',
+     3, 'sieve does not apply on the line side\n',
+     None),
+    ('line', '{"kind": "anti_associated", "xi": [0.2]}',
+     3, 'anti_associated on the line side needs pre_b/pre_d\n',
+     None),
+    ('circle', '{"kind": "anti_associated", "pre_b": [0.1], "pre_d": [0.3]}',
+     3, 'anti_associated on the circle side needs xi\n',
+     None),
+    ('line', '{"kind": "co_dilated", "k": 12, "lambda": 0.5}',
+     3, 'invalid perturbation for side line: need n >= k + 1 output pairs to cover the perturbed entries\n',
+     None),
+    ('line', '{"kind": "co_dilated", "k": 13, "lambda": 0.5}',
+     1, 'need 13 d coefficients, have 12\n',
+     None),
+    ('line', '{"kind": "co_recursive", "k": 12, "tau": 0.5}',
+     1, 'need 13 b coefficients, have 12\n',
+     None),
+    ('line', '{"kind": "associated", "k": 13}',
+     1, 'need 13 coefficients, have 12\n',
+     None),
+    ('line', '{"kind": "anti_associated", "pre_b": [0.1], "pre_d": [0]}',
+     3, 'invalid perturbation for side line: prepended d entries must be nonzero\n',
+     None),
+    ('line', '{"kind": "anti_associated", "pre_b": [0.1], "pre_d": [0.2, 0.3]}',
+     3, 'invalid perturbation for side line: prepended b and d lists must have equal length\n',
+     None),
+    ('circle', '{"kind": "associated", "k": 23}',
+     1, 'need 25 circle coefficients, have 24\n',
+     None),
+    ('circle', '{"kind": "anti_associated", "xi": [1.5]}',
+     3, 'invalid perturbation for side circle: |xi_0| = 1.5 >= 1\n',
+     None),
+    ('circle', '{"kind": "k_modification", "k": 2, "eta": 1.5}',
+     3, 'invalid perturbation parameters: |eta| = 1.5 >= 1\n',
+     None),
+    ('circle', '{"kind": "k_modification", "k": 30, "eta": 0.5}',
+     1, 'need 31 alpha coefficients, have 24\n',
+     None),
+    ('circle', '{"kind": "sieve", "ell": 0}',
+     3, 'invalid perturbation parameters: sieve stride must be >= 1\n',
+     None),
+    ('line', '{"kind": "nosuch"}',
+     1, "unknown perturbation kind: 'nosuch'\n",
+     None),
+]
+
+
+def _run_pinned(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return code, capsys.readouterr().err, digest
+
+
+@pytest.fixture
+def pinned_files(tmp_path):
+    line, circle = tmp_path / "l12.json", tmp_path / "c24.json"
+    line.write_text(LINE_12)
+    circle.write_text(CIRCLE_24)
+    return {"line": str(line), "circle": str(circle)}
+
+
+class TestPinnedBytes:
+    def test_geronimus_both_directions(self, pinned_files, tmp_path, capsys):
+        fwd = ["geronimus", "--direction", "fwd", "--in", pinned_files["circle"]]
+        inv = ["geronimus", "--direction", "inv", "--in", pinned_files["line"]]
+        assert _run_pinned(tmp_path, capsys, fwd) == (
+            0, "", "b014e94363b804758eacfd478eab263ae2583b0c73de1a88094056b7aa12daf8")
+        assert _run_pinned(tmp_path, capsys, inv) == (
+            0, "", "a010075172190300b8731bf639a39fb5eb12dbf2293556cba5d947d962a11ac0")
+
+    @pytest.mark.parametrize("side, spec, code, err, digest", PERTURB_PINS)
+    def test_perturb_both_paths(self, pinned_files, tmp_path, capsys,
+                                side, spec, code, err, digest):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(f"[{spec}]")
+        argv = ["perturb", "--in", pinned_files[side], "--spec", str(spec_file),
+                "--side", side, "--both-paths"]
+        assert _run_pinned(tmp_path, capsys, argv) == (code, err, digest)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,16 +20,23 @@ from ortho_szego.oprl import (
 from conftest import random_admissible_rc
 
 
-def _cofactor_det(m: np.ndarray) -> float:
-    """Brute-force determinant by first-row expansion (small N only)."""
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1) ** j * m[0, j] * _cofactor_det(minor)
-    return total
+def _exact_det(m: np.ndarray) -> float:
+    """Exact determinant of a float matrix: fraction-free Bareiss
+    elimination over the rationals, rounded once at the end."""
+    a = [[Fraction(float(x)) for x in row] for row in m]
+    n, sign, prev = len(a), 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0.0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return float(sign * a[-1][-1])
 
 
 def test_eval_initial_condition():
@@ -85,7 +93,7 @@ def test_characteristic_polynomial_is_pn(rng):
     rc = random_admissible_rc(rng, 8)
     for n in (2, 5, 8):
         for x in (2.0, -1.7, 3.5, 0.4, -2.2):
-            det = _cofactor_det(x * np.eye(n) - jacobi_matrix(rc, n).dense())
+            det = _exact_det(x * np.eye(n) - jacobi_matrix(rc, n).dense())
             pn = oprl_eval(rc, n, x)[n].real
             assert det == pytest.approx(pn, rel=1e-10, abs=1e-10)
 

@@ -20,6 +20,7 @@ from ortho_szego.szego import (
     check_rel,
     geronimus_forward,
     geronimus_inverse,
+    invert_from,
     lu_check,
     map_x_to_z,
     map_z_to_x,
@@ -132,6 +133,15 @@ class TestGeronimusInverse:
         for k in range(10):
             assert back[k] == fr[k]  # exact oracle is self-consistent
             assert vs.alpha[k].real == pytest.approx(float(fr[k]), abs=1e-12)
+
+    def test_invert_from_any_prefix_is_bit_identical(self, rng):
+        for n in (1, 4, 9):
+            rc = random_admissible_rc(rng, n)
+            full = geronimus_inverse(rc, n)
+            want = [a.real.hex() for a in full.alpha]
+            for j in range(2 * n + 1):
+                got = invert_from(rc, full.real_view()[:j], n)
+                assert [a.real.hex() for a in got.alpha] == want
 
 
 @settings(max_examples=60, deadline=None)
