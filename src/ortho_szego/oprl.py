@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
 from .polyhom import P_ONE, P_ZERO, Poly
 
@@ -106,15 +104,6 @@ class JacobiMatrix:
     order: int
     diagonal: tuple[float, ...]
     subdiagonal: tuple[float, ...]
-
-    def dense(self) -> np.ndarray:
-        m = np.zeros((self.order, self.order))
-        for i in range(self.order):
-            m[i, i] = self.diagonal[i]
-            if i + 1 < self.order:
-                m[i, i + 1] = 1.0
-                m[i + 1, i] = self.subdiagonal[i]
-        return m
 
 
 def jacobi_matrix(rc: RealRecurrence, n: int) -> JacobiMatrix:

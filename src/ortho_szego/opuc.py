@@ -121,10 +121,15 @@ def prepend_verblunsky(vs: VerblunskySeq, xi) -> VerblunskySeq:
     """Coefficients {xi_0, ..., xi_{k-1}, alpha_0, alpha_1, ...} of the
     order-k anti-associated family on the circle."""
     xi = tuple(complex(x) for x in xi)
+    check_xi(xi)
+    return VerblunskySeq(xi + vs.alpha)
+
+
+def check_xi(xi) -> None:
+    """Reject a prepended circle coefficient of modulus >= 1."""
     for i, x in enumerate(xi):
         if abs(x) >= 1.0:
             raise InvalidXi(f"|xi_{i}| = {abs(x)} >= 1")
-    return VerblunskySeq(xi + vs.alpha)
 
 
 def kappa(vs: VerblunskySeq, n: int) -> float:

@@ -30,9 +30,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InvalidEta, OrthoError, WrongSide
+from .errors import InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
-from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
+from .opuc import VerblunskySeq, check_xi, prepend_verblunsky, shift_verblunsky
 from .szego import (
     VSeq,
     _alpha_conv,
@@ -326,7 +326,10 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
         return geronimus_forward(prepend_verblunsky(vs, xi), n)
     if k == 0:
         return geronimus_forward(vs, n)
+    check_xi(xi)
     a = vs.real_view()
+    if k + len(a) < 2 * n:
+        raise InsufficientCoefficients(2 * n, k + len(a), "alpha coefficients")
     b_out: list[float] = []
     d_out: list[float] = []
     if k % 2 == 1:

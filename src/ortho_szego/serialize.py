@@ -14,6 +14,7 @@ Perturbations travel as tagged objects, e.g.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import OrthoError
 from .oprl import RealRecurrence
@@ -57,30 +58,61 @@ def dumps_coefficients(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _finite_list(values) -> tuple[float, ...]:
+    """A JSON list of finite numbers, as floats."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {values!r}")
+    for x in values:
+        if type(x) not in (int, float):  # json gives bool for true/false
+            raise TypeError(f"expected a number, got {x!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite entry {x!r}")
+    return tuple(float(x) for x in values)
+
+
 def loads_coefficients(text: str):
-    """Parse any of the three coefficient objects, detected by key."""
+    """Parse any of the three coefficient objects, detected by key.
+
+    Every entry must be a finite number (an alpha entry a [re, im] pair of
+    them): the value classes do not check finiteness, and a NaN passes
+    every ``abs(x) >= bound`` guard downstream.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise OrthoError(f"malformed coefficient file: {exc}") from exc
     if not isinstance(data, dict):
         raise OrthoError("coefficient file must hold a single object")
-    if "alpha" in data:
-        return VerblunskySeq(tuple(complex(re, im) for re, im in data["alpha"]))
-    if "b" in data and "d" in data:
-        return RealRecurrence(tuple(data["b"]), tuple(data["d"]))
-    if "v" in data:
-        return VSeq(tuple(data["v"]))
+    try:
+        if "alpha" in data:
+            pairs = [_finite_list(pair) for pair in data["alpha"]]
+            return VerblunskySeq(tuple(complex(re, im) for re, im in pairs))
+        if "b" in data and "d" in data:
+            return RealRecurrence(_finite_list(data["b"]), _finite_list(data["d"]))
+        if "v" in data:
+            return VSeq(_finite_list(data["v"]))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise OrthoError(f"malformed coefficient file: {exc}") from exc
     raise OrthoError(f"unrecognized coefficient keys: {sorted(data)}")
 
 
-def spec_from_obj(obj: dict):
-    """One tagged perturbation object -> its dataclass."""
+def spec_from_obj(obj: dict, position: int = 0):
+    """One tagged perturbation object -> its dataclass.
+
+    ``position`` is the entry's index in its file, named in the error for a
+    non-object or a missing or mistyped field.
+    """
+    if not isinstance(obj, dict):
+        raise OrthoError(f"perturbation entry {position} must be an object, got {obj!r}")
     kind = obj.get("kind")
     entry = SPECS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         raise OrthoError(f"unknown perturbation kind: {kind!r}")
-    return entry.read(obj)
+    try:
+        return entry.read(obj)
+    except (KeyError, TypeError) as exc:
+        raise OrthoError(f"perturbation entry {position} ({kind}): "
+                         f"missing or malformed field: {exc}") from exc
 
 
 def spec_to_obj(spec) -> dict:
@@ -99,4 +131,4 @@ def specs_from_text(text: str) -> list:
         data = [data]
     if not isinstance(data, list):
         raise OrthoError("perturbation file must hold an object or a list")
-    return [spec_from_obj(obj) for obj in data]
+    return [spec_from_obj(obj, i) for i, obj in enumerate(data)]

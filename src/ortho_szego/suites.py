@@ -60,6 +60,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
+from .tolerances import DEFAULT_TOLS
 
 
 @dataclass
@@ -464,17 +465,6 @@ def suite_discrepancy(seed: int, tol: float) -> SuiteReport:
     rep.record("pure_corecursive_paths_agree", 0.0 if agree == 10 else 1.0, 0.5)
     return rep
 
-
-DEFAULT_TOLS = {
-    "roundtrip": 1e-11,
-    "rel": 1e-10,
-    "bridge": 1e-8,
-    "transfer": 1e-8,
-    "conjugation": 1e-8,
-    "theorems": 1e-10,
-    "lu": 1e-11,
-    "discrepancy": 1e-11,
-}
 
 _RUNNERS = {
     "roundtrip": suite_roundtrip,

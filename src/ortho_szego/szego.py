@@ -20,8 +20,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DivisionDegenerate,
     InsufficientCoefficients,
@@ -201,26 +199,23 @@ def lu_check(rc: RealRecurrence, v: VSeq, n: int, tol: float = 1e-12) -> LuCheck
 
     L is unit lower bidiagonal with subdiagonal v_1, v_3, v_5, ...; U is
     upper bidiagonal with diagonal v_0, v_2, v_4, ... and unit superdiagonal.
+    Their product is tridiagonal: diagonal v_{2i} + v_{2i-1} (v_0 at i = 0),
+    superdiagonal 1 and subdiagonal v_{2j+1} v_{2j}, against b_{i+1} + 1, 1
+    and d_{j+1}.  Both sides are exactly 0 off the band and exactly 1 on the
+    superdiagonal, so only the diagonal and subdiagonal are compared.
     """
     if len(v) < 2 * n - 1:
         raise InsufficientCoefficients(2 * n - 1, len(v), "v entries")
-    jm = jacobi_matrix(rc, n).dense() + np.eye(n)
-    lo = np.eye(n)
-    up = np.zeros((n, n))
+    jm = jacobi_matrix(rc, n)
+    cells = []  # (row, col, got, want), row-major
     for i in range(n):
-        up[i, i] = v.at(2 * i)
-        if i + 1 < n:
-            lo[i + 1, i] = v.at(2 * i + 1)
-            up[i, i + 1] = 1.0
-    prod = lo @ up
-    diff = prod - jm
-    mism = []
-    for i in range(n):
-        for j in range(n):
-            if abs(diff[i, j]) > tol:
-                mism.append((i, j, float(prod[i, j]), float(jm[i, j])))
-    worst = float(np.max(np.abs(diff))) if n else 0.0
-    return LuCheckResult(not mism, worst, tuple(mism))
+        if i:
+            cells.append((i, i - 1, v.at(2 * i - 1) * v.at(2 * i - 2), jm.subdiagonal[i - 1]))
+        diag = v.at(2 * i) + v.at(2 * i - 1) if i else v.at(0)
+        cells.append((i, i, diag, jm.diagonal[i] + 1.0))
+    errs = [abs(got - want) for _, _, got, want in cells]
+    mism = tuple(cell for cell, err in zip(cells, errs) if not err <= tol)
+    return LuCheckResult(not mism, max(errs, default=0.0), mism)
 
 
 def map_x_to_z(x: Scalar) -> Scalar:

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from ortho_szego import suites
 from ortho_szego.cli import main
+from ortho_szego.errors import OrthoError
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.serialize import (
@@ -18,6 +23,7 @@ from ortho_szego.serialize import (
 )
 from ortho_szego.perturb import CoDilated, KModification
 from ortho_szego.szego import VSeq
+from ortho_szego.tolerances import DEFAULT_TOLS
 
 
 class TestSerialization:
@@ -48,6 +54,36 @@ class TestSerialization:
         assert lst == [CoDilated(1, 0.5)]
         one = specs_from_text('{"kind": "sieve", "ell": 2}')
         assert len(one) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"kind": "sieve", "ell": 2}, 1]', "perturbation entry 1 must be an object, got 1"),
+        ('[{"kind": "co_dilated", "lambda": 0.5}]',
+         "perturbation entry 0 (co_dilated): missing or malformed field: 'k'"),
+        ('[{"kind": "anti_associated", "xi": 3}]',
+         "perturbation entry 0 (anti_associated): missing or malformed field: "
+         "'int' object is not iterable"),
+    ])
+    def test_malformed_spec_entry_rejected(self, text, message):
+        with pytest.raises(OrthoError) as info:
+            specs_from_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"b": [0.1, 0.2], "d": [NaN, 0.2]}', "non-finite entry nan"),
+        ('{"b": [0.1, 0.2], "d": [0.3, -Infinity]}', "non-finite entry -inf"),
+        ('{"b": [0.1, 1e999], "d": [0.3, 0.2]}', "non-finite entry inf"),
+        ('{"alpha": [[0.1, NaN]]}', "non-finite entry nan"),
+        ('{"v": [Infinity]}', "non-finite entry inf"),
+        ('{"b": [0.1, "x"], "d": [0.3, 0.2]}', "expected a number, got 'x'"),
+        ('{"b": [0.1, true], "d": [0.3, 0.2]}', "expected a number, got True"),
+        ('{"b": 0.1, "d": [0.3]}', "expected a list, got 0.1"),
+        ('{"alpha": [[0.1, 0], [0.2]]}', "not enough values to unpack (expected 2, got 1)"),
+        ('{"alpha": [0.1]}', "expected a list, got 0.1"),
+    ])
+    def test_loader_rejects_malformed_entries(self, text, message):
+        with pytest.raises(OrthoError) as info:
+            loads_coefficients(text)
+        assert str(info.value) == "malformed coefficient file: " + message
 
 
 @pytest.fixture
@@ -95,6 +131,18 @@ class TestGeronimusCommand:
 
     def test_wrong_kind_exit1(self, tfile, capsys):
         assert main(["geronimus", "--direction", "fwd", "--in", tfile]) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"b": [0.1, 0.2], "d": [0.3, NaN]}',
+        '{"b": [0.1, "x"], "d": [0.3, 0.2]}',
+    ])
+    def test_malformed_entry_exit1(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert main(["geronimus", "--direction", "inv", "--in", str(src)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("malformed coefficient file: ") and err.count("\n") == 1
 
 
 class TestPerturbCommand:
@@ -148,6 +196,21 @@ class TestPerturbCommand:
                      "--side", "line", "--both-paths"]) == 1
         assert capsys.readouterr().err == "need 1 entry in the both-paths window, have 0\n"
 
+    def test_both_paths_empty_circle_file_exit1(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text('{"alpha": []}')
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "anti_associated", "xi": [0.2]}]')
+        assert main(["perturb", "--in", str(src), "--spec", str(spec),
+                     "--side", "circle", "--both-paths"]) == 1
+        assert capsys.readouterr().err == "need 2 alpha coefficients, have 1\n"
+
+    def test_non_object_spec_exit1(self, tfile, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1]")
+        assert main(["perturb", "--in", tfile, "--spec", str(spec), "--side", "line"]) == 1
+        assert capsys.readouterr().err == "perturbation entry 0 must be an object, got 1\n"
+
     def test_pipeline_order(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([
@@ -181,6 +244,10 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exit4(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 4
+
+    def test_default_tolerances_cover_every_suite(self):
+        # the CLI lists suites from DEFAULT_TOLS without importing suites
+        assert set(DEFAULT_TOLS) == set(suites._RUNNERS)
 
     def test_impossible_tolerance_exit5(self, capsys):
         assert main(["verify", "--suite", "roundtrip", "--tol", "1e-18"]) == 5
@@ -363,3 +430,15 @@ class TestPinnedBytes:
         argv = ["perturb", "--in", pinned_files[side], "--spec", str(spec_file),
                 "--side", side, "--both-paths"]
         assert _run_pinned(tmp_path, capsys, argv) == (code, err, digest)
+
+
+def test_cli_import_skips_numpy_and_suites():
+    # every CLI run pays for what importing the CLI loads; verify loads the
+    # suites on demand, and nothing in the package needs numpy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, ortho_szego.cli; "
+             "print(sorted({'numpy', 'ortho_szego.suites'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

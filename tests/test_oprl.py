@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ortho_szego.errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
@@ -20,10 +19,9 @@ from ortho_szego.oprl import (
 from conftest import random_admissible_rc
 
 
-def _exact_det(m: np.ndarray) -> float:
-    """Exact determinant of a float matrix: fraction-free Bareiss
-    elimination over the rationals, rounded once at the end."""
-    a = [[Fraction(float(x)) for x in row] for row in m]
+def _exact_det(a: list[list[Fraction]]) -> float:
+    """Exact determinant of a rational matrix: fraction-free Bareiss
+    elimination, rounded once at the end."""
     n, sign, prev = len(a), 1, Fraction(1)
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -77,23 +75,36 @@ def test_polys_match_pointwise_eval(rng):
             assert polys[k](x) == pytest.approx(vals[k], rel=1e-12, abs=1e-12)
 
 
+def _x_minus_jacobi(rc, n: int, x: float) -> list[list[Fraction]]:
+    """xI - J_n in exact rationals: diagonal x - b_i, superdiagonal -1,
+    subdiagonal -d_i."""
+    jm = jacobi_matrix(rc, n)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(x) - Fraction(jm.diagonal[i])
+        if i + 1 < n:
+            m[i][i + 1] = Fraction(-1)
+            m[i + 1][i] = -Fraction(jm.subdiagonal[i])
+    return m
+
+
 def test_jacobi_order_one():
     jm = jacobi_matrix(RealRecurrence((0.7,), (0.5,)), 1)
-    assert jm.dense().tolist() == [[0.7]]
+    assert (jm.order, jm.diagonal, jm.subdiagonal) == (1, (0.7,), ())
 
 
 def test_jacobi_chebyshev_layout():
-    jm = jacobi_matrix(chebyshev_t(), 3).dense()
-    assert jm[0, 0] == jm[1, 1] == jm[2, 2] == 0
-    assert jm[0, 1] == jm[1, 2] == 1
-    assert jm[1, 0] == 0.5 and jm[2, 1] == 0.25
+    jm = jacobi_matrix(chebyshev_t(), 3)
+    assert jm.order == 3
+    assert jm.diagonal == (0.0, 0.0, 0.0)
+    assert jm.subdiagonal == (0.5, 0.25)
 
 
 def test_characteristic_polynomial_is_pn(rng):
     rc = random_admissible_rc(rng, 8)
     for n in (2, 5, 8):
         for x in (2.0, -1.7, 3.5, 0.4, -2.2):
-            det = _exact_det(x * np.eye(n) - jacobi_matrix(rc, n).dense())
+            det = _exact_det(_x_minus_jacobi(rc, n, x))
             pn = oprl_eval(rc, n, x)[n].real
             assert det == pytest.approx(pn, rel=1e-10, abs=1e-10)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ortho_szego.errors import InvalidEta, SupportViolation
+from ortho_szego.errors import InsufficientCoefficients, InvalidEta, InvalidXi, SupportViolation
 from ortho_szego.oprl import chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import (
@@ -253,6 +253,21 @@ class TestAntiAssociatedCircle:
             th = antiassoc_opuc_to_recurrence(vs, xi, 12, path=CLOSED_FORM)
             br = antiassoc_opuc_to_recurrence(vs, xi, 12, path=ORACLE)
             assert_rc_close(th, br, 1e-10)
+
+    @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+    def test_rejects_xi_outside_disc(self, path):
+        vs = VerblunskySeq((0.1, 0.2, 0.1, 0.0))
+        with pytest.raises(InvalidXi, match=r"^\|xi_0\| = 1\.5 >= 1$"):
+            antiassoc_opuc_to_recurrence(vs, [1.5], 2, path=path)
+
+    @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+    @pytest.mark.parametrize("k, length", [(1, 0), (3, 0), (2, 1)])
+    def test_too_little_data_names_the_count(self, path, k, length):
+        # both paths need a_0 .. a_{2n-1} of the prepended sequence
+        vs = VerblunskySeq((0.1,) * length)
+        with pytest.raises(InsufficientCoefficients,
+                           match=f"^need 4 alpha coefficients, have {k + length}$"):
+            antiassoc_opuc_to_recurrence(vs, (0.2,) * k, 2, path=path)
 
 
 class TestPerturbedV:

@@ -238,11 +238,18 @@ class TestLuCheck:
 
     def test_detects_corruption(self):
         rc = chebyshev_t()
-        v = list(v_from_recurrence(rc, 8).v)
-        v[3] += 1e-3
-        res = lu_check(rc, VSeq(tuple(v)), 4)
-        assert not res
-        assert any(row == 2 and col == 1 for row, col, *_ in res.mismatches)
+        clean = v_from_recurrence(rc, 8).v
+        # v_3 enters (L U)_{2,1} = v_3 v_2 and (L U)_{2,2} = v_4 + v_3;
+        # v_6 enters only the last diagonal entry (L U)_{3,3} = v_6 + v_5
+        for k, cells in ((3, [(2, 1), (2, 2)]), (6, [(3, 3)])):
+            v = list(clean)
+            v[k] += 1e-3
+            res = lu_check(rc, VSeq(tuple(v)), 4)
+            assert not res
+            assert [(row, col) for row, col, *_ in res.mismatches] == cells
+            row, col, got, want = res.mismatches[-1]
+            assert want == 1.0 and got - want == pytest.approx(1e-3, rel=1e-9)
+            assert res.max_abs_error == pytest.approx(1e-3, rel=1e-9)
 
 
 class TestConformalMaps:
