@@ -17,8 +17,9 @@ Output is deterministic byte-for-byte for a fixed seed and job.
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import (
     EvaluationDomain,
@@ -33,10 +34,18 @@ from .errors import (
 )
 from .oprl import RealRecurrence
 from .opuc import VerblunskySeq
-from .perturb import CLOSED_FORM, ORACLE, SPECS
-from .serialize import dumps_coefficients, loads_coefficients, specs_from_text
-from .spectral import CFunctionHandle, SFunctionHandle, default_depth, f_value, s_value
-from .tolerances import DEFAULT_TOLS
+from .serialize import dumps_coefficients, fmt, loads_coefficients, specs_from_text
+from .tolerances import DEFAULT_TOLS, check_suite
+
+# The module only one command uses.  The command imports it inside its
+# function, so that no other command compiles it.  main() imports it
+# before argparse as well: compiling perturb.py from source takes ~2 MB
+# for a moment, and on top of argparse, its parser and the locale module
+# that parsing loads, that would raise the peak RSS by ~0.5 MB.
+_COMMAND_MODULES = {"perturb": "perturb", "eval": "spectral", "verify": "suites"}
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -115,6 +124,8 @@ def _deviation(closed, oracle) -> float:
 
 
 def _apply_spec(data, spec, side: str, both_paths: bool, notes: list[str]):
+    from .perturb import CLOSED_FORM, ORACLE, SPECS
+
     entry = SPECS[spec.kind]
     if side not in entry.apply:
         raise _CliExit(EXIT_SPEC_SIDE, f"{spec.kind} does not apply on the {side} side")
@@ -155,13 +166,13 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here so that the other commands do not load the suites
-    from .suites import run_suite
-
     try:
-        report = run_suite(args.suite, seed=args.seed, tol=args.tol)
+        check_suite(args.suite)
     except UnknownSuite as exc:
         raise _CliExit(EXIT_UNKNOWN_SUITE, str(exc))
+    from .suites import run_suite
+
+    report = run_suite(args.suite, seed=args.seed, tol=args.tol)
     for line in report.lines:
         print(line)
     return EXIT_OK if report.ok else EXIT_SUITE_FAILED
@@ -183,7 +194,7 @@ def _parse_points(raw: str) -> list[complex]:
 
 
 def cmd_eval(args) -> int:
-    from .serialize import fmt
+    from .spectral import CFunctionHandle, SFunctionHandle, default_depth, f_value, s_value
 
     depth = args.depth if args.depth is not None else default_depth()
     points = _parse_points(args.points)
@@ -206,6 +217,8 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # after _preload, see _COMMAND_MODULES
+
     parser = argparse.ArgumentParser(
         prog="ortho-szego",
         description="Coefficient transforms for orthogonal polynomials on the "
@@ -249,7 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _preload(argv: list[str]) -> None:
+    """Import the module that argv's command will need; a wrong guess costs
+    only time.  An unknown suite name loads no suites."""
+    module = _COMMAND_MODULES.get(argv[0] if argv else None)
+    if module == "suites" and DEFAULT_TOLS.keys().isdisjoint(argv):
+        return
+    if module is not None:
+        importlib.import_module(f".{module}", __package__)
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    _preload(argv)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

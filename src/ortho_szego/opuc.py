@@ -26,6 +26,7 @@ from .errors import (
     ZeroArgument,
 )
 from .polyhom import P_ONE, Poly
+from .tolerances import CHECK_TOL
 
 Scalar = complex
 
@@ -92,7 +93,7 @@ def opuc_polys(vs: VerblunskySeq, n: int) -> tuple[list[Poly], list[Poly]]:
     return phi, star
 
 
-def reversed_poly_check(vs: VerblunskySeq, n: int, z: Scalar, rtol: float = 1e-12) -> bool:
+def reversed_poly_check(vs: VerblunskySeq, n: int, z: Scalar, rtol: float = CHECK_TOL) -> bool:
     """Diagnostic: does Phi*_n(z) equal z^n conj(Phi_n(1/conj(z))) to rtol?"""
     if z == 0:
         raise ZeroArgument("reversed-polynomial identity needs z != 0")
@@ -126,9 +127,9 @@ def prepend_verblunsky(vs: VerblunskySeq, xi) -> VerblunskySeq:
 
 
 def check_xi(xi) -> None:
-    """Reject a prepended circle coefficient of modulus >= 1."""
+    """Reject a prepended circle coefficient of modulus >= 1 (or NaN)."""
     for i, x in enumerate(xi):
-        if abs(x) >= 1.0:
+        if not abs(x) < 1.0:
             raise InvalidXi(f"|xi_{i}| = {abs(x)} >= 1")
 
 

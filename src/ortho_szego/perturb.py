@@ -25,6 +25,8 @@ discrepancy report instead of a silent choice.
 
 from __future__ import annotations
 
+import cmath
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -102,7 +104,7 @@ class KModification:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("modification index must be >= 0")
-        if abs(self.eta) >= 1.0:
+        if not abs(self.eta) < 1.0:
             raise InvalidEta(f"|eta| = {abs(self.eta)} >= 1")
 
     kind = "k_modification"
@@ -178,7 +180,7 @@ def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
 def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
     """Replace the coefficient at index k by eta (overwrite semantics:
     eta == alpha_k is allowed and is the identity)."""
-    if abs(eta) >= 1.0:
+    if not abs(eta) < 1.0:
         raise InvalidEta(f"|eta| = {abs(eta)} >= 1")
     vs.require(k + 1)
     alpha = list(vs.alpha)
@@ -600,12 +602,31 @@ class SpecKind:
     paths: dict[str, Callable]
 
 
+def _real_from_obj(value) -> float:
+    """A spec field as a float.  NaN and infinity are rejected: no guard
+    downstream catches every one of them, and the output file would not be
+    valid JSON.  spec_from_obj turns the TypeError into a one-line
+    "malformed field" error (exit 1)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise TypeError(f"non-finite number {value!r}")
+    return x
+
+
+def _int_from_obj(value) -> int:
+    return int(_real_from_obj(value) if isinstance(value, float) else value)
+
+
 def _complex_from_obj(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+        z = complex(value)
+    elif isinstance(value, list) and len(value) == 2:
+        z = complex(value[0], value[1])
+    else:
+        raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(z):
+        raise TypeError(f"non-finite number {value!r}")
+    return z
 
 
 def _co_window(rc: RealRecurrence, k: int) -> int:
@@ -615,8 +636,8 @@ def _co_window(rc: RealRecurrence, k: int) -> int:
 def _antiassoc_from_obj(obj: dict) -> AntiAssociated:
     if "xi" in obj:
         return AntiAssociated(xi=tuple(_complex_from_obj(x) for x in obj["xi"]))
-    return AntiAssociated(pre_b=tuple(float(x) for x in obj.get("pre_b", ())),
-                          pre_d=tuple(float(x) for x in obj.get("pre_d", ())))
+    return AntiAssociated(pre_b=tuple(_real_from_obj(x) for x in obj.get("pre_b", ())),
+                          pre_d=tuple(_real_from_obj(x) for x in obj.get("pre_d", ())))
 
 
 def _antiassoc_to_obj(spec: AntiAssociated) -> dict:
@@ -646,25 +667,25 @@ def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
 
 SPECS: dict[str, SpecKind] = {
     CoDilated.kind: SpecKind(
-        read=lambda obj: CoDilated(int(obj["k"]), float(obj["lambda"])),
+        read=lambda obj: CoDilated(_int_from_obj(obj["k"]), _real_from_obj(obj["lambda"])),
         write=lambda spec: {"kind": spec.kind, "k": spec.k, "lambda": spec.lam},
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}),
     CoRecursive.kind: SpecKind(
-        read=lambda obj: CoRecursive(int(obj["k"]), float(obj["tau"])),
+        read=lambda obj: CoRecursive(_int_from_obj(obj["k"]), _real_from_obj(obj["tau"])),
         write=lambda spec: {"kind": spec.kind, "k": spec.k, "tau": spec.tau},
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}),
     KModification.kind: SpecKind(
-        read=lambda obj: KModification(int(obj["k"]), _complex_from_obj(obj["eta"])),
+        read=lambda obj: KModification(_int_from_obj(obj["k"]), _complex_from_obj(obj["eta"])),
         write=lambda spec: {"kind": spec.kind, "k": spec.k,
                             "eta": [spec.eta.real, spec.eta.imag]},
         apply={"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)},
         paths={}),
     Associated.kind: SpecKind(
-        read=lambda obj: Associated(int(obj["k"])),
+        read=lambda obj: Associated(_int_from_obj(obj["k"])),
         write=lambda spec: {"kind": spec.kind, "k": spec.k},
         apply={"line": lambda rc, spec: shift_coefficients(rc, spec.k),
                "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)},
@@ -680,7 +701,7 @@ SPECS: dict[str, SpecKind] = {
                    antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
                "circle": _antiassoc_circle_paths}),
     Sieve.kind: SpecKind(
-        read=lambda obj: Sieve(int(obj["ell"])),
+        read=lambda obj: Sieve(_int_from_obj(obj["ell"])),
         write=lambda spec: {"kind": spec.kind, "ell": spec.ell},
         apply={"circle": lambda vs, spec: sieve(vs, spec.ell)},
         paths={}),

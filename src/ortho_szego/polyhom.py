@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DenominatorVanishes
+from .tolerances import POLE_TOL
 
 Scalar = complex
-
-# Scale-aware pole guard: a homography denominator smaller than this
-# (relative to the numerator) is treated as a pole.
-TAU_DEN = 1e-13
 
 
 def _trim(coeffs) -> tuple[Scalar, ...]:
@@ -107,12 +104,12 @@ def homography_apply(m: PolyMatrix2, g: Scalar, t: Scalar) -> Scalar:
     """Return (a(t)*g + b(t)) / (c(t)*g + d(t)).
 
     Raises DenominatorVanishes when the denominator is below the
-    scale-aware tolerance TAU_DEN * (1 + |numerator|).
+    scale-aware tolerance POLE_TOL * (1 + |numerator|).
     """
     a, b, c, d = m.at(t)
     num = a * g + b
     den = c * g + d
-    if abs(den) <= TAU_DEN * (1.0 + abs(num)):
+    if abs(den) <= POLE_TOL * (1.0 + abs(num)):
         raise DenominatorVanishes(f"homography pole at t={t!r}, g={g!r}")
     return num / den
 

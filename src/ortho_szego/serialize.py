@@ -19,7 +19,6 @@ import math
 from .errors import OrthoError
 from .oprl import RealRecurrence
 from .opuc import VerblunskySeq
-from .perturb import SPECS
 from .szego import VSeq
 
 
@@ -104,6 +103,9 @@ def spec_from_obj(obj: dict, position: int = 0):
     """
     if not isinstance(obj, dict):
         raise OrthoError(f"perturbation entry {position} must be an object, got {obj!r}")
+    # imported on use: only perturb reads specs, and it needs the module anyway
+    from .perturb import SPECS
+
     kind = obj.get("kind")
     entry = SPECS.get(kind) if isinstance(kind, str) else None
     if entry is None:
@@ -116,6 +118,8 @@ def spec_from_obj(obj: dict, position: int = 0):
 
 
 def spec_to_obj(spec) -> dict:
+    from .perturb import SPECS
+
     entry = SPECS.get(getattr(spec, "kind", None))
     if entry is None:
         raise TypeError(f"cannot serialize {type(spec)!r}")

@@ -27,11 +27,11 @@ from .oprl import RealRecurrence, oprl_polys, prepend_coefficients, shift_coeffi
 from .opuc import VerblunskySeq, opuc_polys, prepend_verblunsky, second_kind
 from .polyhom import P_ONE, Poly, PolyMatrix2, homography_apply
 from .szego import geronimus_forward, geronimus_inverse
+from .tolerances import POLE_TOL
 
 Scalar = complex
 
 SUPPORT_MARGIN = 1e-6
-_POLE_TOL = 1e-13
 
 
 def default_depth() -> int:
@@ -92,7 +92,7 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
     q_prev, q_cur = 0j, 1.0 + 0j              # P'_{-1}, P'_0
     out = []
     for k in range(1, h.depth + 1):
-        if abs(p_cur) <= _POLE_TOL * (1.0 + abs(q_cur)):
+        if abs(p_cur) <= POLE_TOL * (1.0 + abs(q_cur)):
             raise PoleHit(f"convergent denominator vanished at x = {x!r} (order {k})")
         out.append(q_cur / p_cur)
         if k == h.depth:
@@ -126,7 +126,7 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
         a = h.vs.at(k)
         phi, phis = z * phi - a.conjugate() * phis, phis - a * z * phi
         om, oms = z * om + a.conjugate() * oms, oms + a * z * om
-        if abs(phis) <= _POLE_TOL * (1.0 + abs(oms)):
+        if abs(phis) <= POLE_TOL * (1.0 + abs(oms)):
             raise PoleHit(f"convergent denominator vanished at z = {z!r} (order {k + 1})")
         out.append(oms / phis)
     return out

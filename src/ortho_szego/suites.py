@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import SupportViolation, UnknownSuite
+from .errors import SupportViolation
 from .oprl import (
     chebyshev_t,
     chebyshev_u,
@@ -60,7 +60,15 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
-from .tolerances import DEFAULT_TOLS
+from .tolerances import CHECK_TOL, DEFAULT_TOLS, EXACT_TOL, check_suite
+
+
+# A property on random inputs redraws those whose route leaves the
+# admissible region (SupportViolation), up to this many times per kept
+# draw.  Over seeds 0-399 the worst was ~73 per kept draw, for the
+# line-side anti-associated draws (random prepends are rarely admissible);
+# every other property discarded at most 3 per kept draw.
+MAX_DISCARDS_PER_KEPT = 200
 
 
 @dataclass
@@ -78,6 +86,26 @@ class SuiteReport:
 
     def note(self, text: str) -> None:
         self.lines.append(text)
+
+    def record_kept(self, name: str, run, kept: int, tol: float) -> None:
+        """Record the worst residual of `kept` runs of `run()`.  A run that
+        raises SupportViolation is discarded and drawn again; after
+        MAX_DISCARDS_PER_KEPT * kept discards the property fails."""
+        worst, done, discarded = 0.0, 0, 0
+        while done < kept:
+            try:
+                err = run()
+            except SupportViolation:
+                discarded += 1
+                if discarded >= MAX_DISCARDS_PER_KEPT * kept:
+                    self.ok = False
+                    self.lines.append(f"FAIL {self.suite}.{name} discarded {discarded} "
+                                      f"draws, kept {done} of {kept}")
+                    return
+                continue
+            worst = max(worst, err)
+            done += 1
+        self.record(name, worst, tol)
 
 
 def _rand_alpha(rng: random.Random, n: int, bound: float = 0.9) -> VerblunskySeq:
@@ -305,18 +333,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
 
     got = assoc_opuc_to_recurrence(geronimus_inverse(chebyshev_u(), 14), 1, 3)
     spot = max(abs(got.d[0] - 3 / 8), abs(got.d[1] - 2 / 9), abs(got.b[1] - 1 / 12))
-    rep.record("circle_assoc_odd_spot_values", spot, 1e-13)
-
-    def race(name, runs):
-        worst, kept = 0.0, 0
-        while kept < 50:
-            try:
-                err = runs()
-            except SupportViolation:
-                continue
-            worst = max(worst, err)
-            kept += 1
-        rep.record(name, worst, tol)
+    rep.record("circle_assoc_odd_spot_values", spot, EXACT_TOL)
 
     def run_coprl():
         rc = _rand_rc(rng, depth + 4)
@@ -326,7 +343,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         br = coprl_verblunsky(rc, k, lam, tau, depth, path=ORACLE)
         return _vs_err(th, br)
 
-    race("coprl_closed_form_vs_oracle", run_coprl)
+    rep.record_kept("coprl_closed_form_vs_oracle", run_coprl, 50, tol)
 
     def run_assoc_line():
         rc = _rand_rc(rng, depth + 6)
@@ -334,7 +351,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         return _vs_err(assoc_oprl_to_verblunsky(rc, k, depth, path=CLOSED_FORM),
                        assoc_oprl_to_verblunsky(rc, k, depth, path=ORACLE))
 
-    race("line_assoc_closed_form_vs_oracle", run_assoc_line)
+    rep.record_kept("line_assoc_closed_form_vs_oracle", run_assoc_line, 50, tol)
 
     def run_antiassoc_line():
         rc = _rand_rc(rng, depth + 2)
@@ -344,7 +361,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         return _vs_err(antiassoc_oprl_to_verblunsky(rc, pb, pd, depth, path=CLOSED_FORM),
                        antiassoc_oprl_to_verblunsky(rc, pb, pd, depth, path=ORACLE))
 
-    race("line_antiassoc_closed_form_vs_oracle", run_antiassoc_line)
+    rep.record_kept("line_antiassoc_closed_form_vs_oracle", run_antiassoc_line, 50, tol)
 
     def run_assoc_circle():
         vs = _rand_alpha(rng, 2 * depth + 8)
@@ -352,7 +369,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         return _rc_err(assoc_opuc_to_recurrence(vs, k, depth, path=CLOSED_FORM),
                        assoc_opuc_to_recurrence(vs, k, depth, path=ORACLE))
 
-    race("circle_assoc_closed_form_vs_oracle", run_assoc_circle)
+    rep.record_kept("circle_assoc_closed_form_vs_oracle", run_assoc_circle, 50, tol)
 
     def run_antiassoc_circle():
         vs = _rand_alpha(rng, 2 * depth + 4)
@@ -361,7 +378,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         return _rc_err(antiassoc_opuc_to_recurrence(vs, xi, depth, path=CLOSED_FORM),
                        antiassoc_opuc_to_recurrence(vs, xi, depth, path=ORACLE))
 
-    race("circle_antiassoc_closed_form_vs_oracle", run_antiassoc_circle)
+    rep.record_kept("circle_antiassoc_closed_form_vs_oracle", run_antiassoc_circle, 50, tol)
 
     def run_symmetric():
         d = tuple(rng.uniform(0.05, 0.45) for _ in range(depth))
@@ -373,7 +390,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
                                symmetric_codilated_verblunsky(d, k, lam, path=ORACLE)))
         return err
 
-    race("symmetric_closed_form_vs_oracle", run_symmetric)
+    rep.record_kept("symmetric_closed_form_vs_oracle", run_symmetric, 50, tol)
 
     def run_sieved():
         vs = _rand_alpha(rng, depth)
@@ -385,7 +402,7 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
                                sieved_kmod_recurrence(vs, k, eta, depth, path=ORACLE)))
         return err
 
-    race("sieved_closed_form_vs_oracle", run_sieved)
+    rep.record_kept("sieved_closed_form_vs_oracle", run_sieved, 50, tol)
     return rep
 
 
@@ -400,7 +417,7 @@ def suite_lu(seed: int, tol: float) -> SuiteReport:
         worst = max(worst, res.max_abs_error)
     rc_t = chebyshev_t()
     worst = max(worst, lu_check(rc_t, v_from_recurrence(rc_t, 16), 8).max_abs_error)
-    rep.record("factorization_entrywise", worst, 1e-12)
+    rep.record("factorization_entrywise", worst, CHECK_TOL)
 
     worst = 0.0
     for _ in range(30):
@@ -411,25 +428,19 @@ def suite_lu(seed: int, tol: float) -> SuiteReport:
         worst = max(worst, max(abs(via_cf.at(k) - via_alpha.at(k)) for k in range(24)))
     rep.record("v_path_independence", worst, tol)
 
-    worst = 0.0
-    kept = 0
-    while kept < 30:
+    def run_shortcut():
         rc = _rand_rc(rng, 12, IDENTITY_BOUND)
         k = rng.randint(0, 3)
         tau = rng.uniform(-0.2, 0.2)
-        try:
-            pp = perturbed_alpha_lu(rc, k, 1.0, tau, 10, path=SHORTCUT)
-            th = coprl_verblunsky(rc, k, 1.0, tau, 10)
-        except SupportViolation:
-            continue
-        worst = max(worst, _vs_err(pp, th))
-        kept += 1
-    rep.record("lu_shortcut_agrees_at_lam1", worst, tol)
+        return _vs_err(perturbed_alpha_lu(rc, k, 1.0, tau, 10, path=SHORTCUT),
+                       coprl_verblunsky(rc, k, 1.0, tau, 10))
+
+    rep.record_kept("lu_shortcut_agrees_at_lam1", run_shortcut, 30, tol)
 
     report = path_discrepancy_report(chebyshev_t(), 1, 0.5, 0.0, 6)
     has = report is not None and report.index == 1 \
-        and abs(report.default_value - 0.25) < 1e-13 \
-        and abs(report.shortcut_value - 0.5) < 1e-13
+        and abs(report.default_value - 0.25) < EXACT_TOL \
+        and abs(report.shortcut_value - 0.5) < EXACT_TOL
     rep.record("documented_lam_discrepancy_detected", 0.0 if has else 1.0, 0.5)
     if report is not None:
         rep.note("NOTE " + report.describe())
@@ -444,8 +455,8 @@ def suite_discrepancy(seed: int, tol: float) -> SuiteReport:
         rep.record("fixture_mismatch_found", 1.0, 0.5)
         return rep
     rep.note("NOTE " + report.describe())
-    ok = report.index == 1 and abs(report.shortcut_value - 0.5) < 1e-13 \
-        and abs(report.default_value - 0.25) < 1e-13
+    ok = report.index == 1 and abs(report.shortcut_value - 0.5) < EXACT_TOL \
+        and abs(report.default_value - 0.25) < EXACT_TOL
     rep.record("fixture_mismatch_found", 0.0 if ok else 1.0, 0.5)
 
     rng = random.Random(seed)
@@ -479,8 +490,7 @@ _RUNNERS = {
 
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> SuiteReport:
-    if name not in _RUNNERS:
-        raise UnknownSuite(f"unknown suite {name!r}; pick from {sorted(_RUNNERS)}")
+    check_suite(name)
     if tol is None:
         tol = DEFAULT_TOLS[name]
     return _RUNNERS[name](seed, tol)

@@ -28,14 +28,9 @@ from .errors import (
 )
 from .oprl import RealRecurrence, jacobi_matrix, oprl_eval, orthonormal_scale
 from .opuc import VerblunskySeq, kappa, opuc_eval
+from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL
 
 Scalar = complex
-
-# A computed coefficient with |a| >= 1 - SUPPORT_TOL is rejected: downstream
-# formulas divide by 1 -/+ a, so near-boundary values are garbage anyway.
-SUPPORT_TOL = 1e-12
-
-_PIVOT_TOL = 1e-13
 
 
 def _alpha_conv(alpha, n: int) -> float:
@@ -117,13 +112,13 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         m = j // 2
         a_prev = _alpha_conv(alpha, 2 * m - 1)
         den = 1.0 - a_prev
-        if abs(den) < _PIVOT_TOL:
+        if abs(den) < PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
         if j % 2 == 0:
             value = (2.0 * rc.b_at(m + 1) + (1.0 + a_prev) * _alpha_conv(alpha, 2 * m - 2)) / den
         else:
             den2 = den * (1.0 - alpha[2 * m] ** 2)
-            if abs(den2) < _PIVOT_TOL:
+            if abs(den2) < PIVOT_TOL:
                 raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
             value = -1.0 + 4.0 * rc.d_at(m + 1) / den2
         alpha.append(_emit_checked(value, j))
@@ -150,7 +145,7 @@ def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
     alpha = []
     for k in range(n):
         den = 1.0 - prev
-        if abs(den) < _PIVOT_TOL:
+        if abs(den) < PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{k - 1} vanished")
         ak = -1.0 + 2.0 * v.at(k) / den
         alpha.append(_emit_checked(ak, k))
@@ -176,7 +171,7 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
             k = (j - 1) // 2
             piv = out[j - 1]
             dk = rc.d_at(k + 1)
-            if abs(piv) < _PIVOT_TOL * (1.0 + abs(dk)):
+            if abs(piv) < PIVOT_TOL * (1.0 + abs(dk)):
                 raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
             out.append(dk / piv)
     return VSeq(tuple(out))
@@ -194,7 +189,7 @@ class LuCheckResult:
         return self.ok
 
 
-def lu_check(rc: RealRecurrence, v: VSeq, n: int, tol: float = 1e-12) -> LuCheckResult:
+def lu_check(rc: RealRecurrence, v: VSeq, n: int, tol: float = CHECK_TOL) -> LuCheckResult:
     """Verify (J + I)_n = L_n U_n entrywise.
 
     L is unit lower bidiagonal with subdiagonal v_1, v_3, v_5, ...; U is
@@ -227,7 +222,7 @@ def map_x_to_z(x: Scalar) -> Scalar:
     x = complex(x)
     w = cmath.sqrt(x - 1.0) * cmath.sqrt(x + 1.0)
     z1, z2 = x - w, x + w
-    if abs(abs(z1) - abs(z2)) <= 1e-12 * (abs(z1) + abs(z2)):
+    if abs(abs(z1) - abs(z2)) <= CHECK_TOL * (abs(z1) + abs(z2)):
         return z1 if z1.imag >= z2.imag else z2
     return z1 if abs(z1) < abs(z2) else z2
 

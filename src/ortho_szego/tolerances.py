@@ -1,8 +1,33 @@
-"""Default tolerance of each `verify` suite.
+"""The package's numerical tolerances, in one table.
 
-Kept apart from `suites` so that the CLI can list the suite names and
-their defaults without importing the suites themselves.
+`DEFAULT_TOLS`, the default tolerance of each `verify` suite, lives here
+and not in `suites` so that the CLI can list the suite names and their
+defaults without importing the suites themselves.
 """
+
+from .errors import UnknownSuite
+
+# A computed circle coefficient with |a| >= 1 - SUPPORT_TOL is rejected:
+# downstream formulas divide by 1 -/+ a, so near-boundary values are
+# garbage anyway.
+SUPPORT_TOL = 1e-12
+
+# A divisor of the bridge recursions (1 - a, an LU pivot) below this,
+# scaled where the caller says so, counts as zero.
+PIVOT_TOL = 1e-13
+
+# A homography or convergent denominator at most POLE_TOL * (1 + |numerator|)
+# counts as a pole.
+POLE_TOL = 1e-13
+
+# Relative tolerance of the identity checks the package ships (the LU
+# factorization, the reversed polynomial) and of the tie between the two
+# roots of z^2 - 2xz + 1 on the unit circle.
+CHECK_TOL = 1e-12
+
+# Values the suites know in closed form (fixture spot values, the
+# documented path discrepancy) must be matched to this.
+EXACT_TOL = 1e-13
 
 DEFAULT_TOLS = {
     "roundtrip": 1e-11,
@@ -14,3 +39,9 @@ DEFAULT_TOLS = {
     "lu": 1e-11,
     "discrepancy": 1e-11,
 }
+
+
+def check_suite(name: str) -> None:
+    """Raise UnknownSuite unless `name` is a verify suite."""
+    if name not in DEFAULT_TOLS:
+        raise UnknownSuite(f"unknown suite {name!r}; pick from {sorted(DEFAULT_TOLS)}")

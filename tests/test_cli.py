@@ -9,7 +9,7 @@ import pytest
 
 from ortho_szego import suites
 from ortho_szego.cli import main
-from ortho_szego.errors import OrthoError
+from ortho_szego.errors import OrthoError, SupportViolation, UnknownSuite
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.serialize import (
@@ -211,6 +211,26 @@ class TestPerturbCommand:
         assert main(["perturb", "--in", tfile, "--spec", str(spec), "--side", "line"]) == 1
         assert capsys.readouterr().err == "perturbation entry 0 must be an object, got 1\n"
 
+    @pytest.mark.parametrize("side, spec, kind, number", [
+        ("circle", '[{"kind": "anti_associated", "xi": [NaN]}]', "anti_associated", "nan"),
+        ("circle", '[{"kind": "k_modification", "k": 0, "eta": NaN}]', "k_modification", "nan"),
+        ("line", '[{"kind": "co_dilated", "k": 1, "lambda": Infinity}]', "co_dilated", "inf"),
+        ("line", '[{"kind": "associated", "k": -Infinity}]', "associated", "-inf"),
+    ])
+    def test_non_finite_spec_number_exit1(self, tmp_path, capsys, side, spec, kind, number):
+        # these wrote nan/inf (not valid JSON) with exit 0; k = inf was a traceback
+        src = tmp_path / "in.json"
+        src.write_text(dumps_recurrence(chebyshev_t(4)) if side == "line"
+                       else '{"alpha": [[0.1, 0], [0.2, 0], [-0.1, 0], [0.05, 0]]}')
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec)
+        out = tmp_path / "out.json"
+        assert main(["perturb", "--in", str(src), "--spec", str(spec_file),
+                     "--side", side, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"perturbation entry 0 ({kind}): missing or "
+                                           f"malformed field: non-finite number {number}\n")
+        assert not out.exists()
+
     def test_pipeline_order(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([
@@ -222,6 +242,10 @@ class TestPerturbCommand:
                      "--side", "circle", "--out", str(out)]) == 0
         vs = loads_coefficients(out.read_text())
         assert vs.alpha[0] == 0 and vs.alpha[1] == 0.3 and vs.alpha[2] == 0
+
+
+UNKNOWN_SUITE_ERR = ("unknown suite 'nope'; pick from ['bridge', 'conjugation', "
+                     "'discrepancy', 'lu', 'rel', 'roundtrip', 'theorems', 'transfer']\n")
 
 
 class TestVerifyCommand:
@@ -244,6 +268,22 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exit4(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 4
+
+    def test_unknown_suite_library_message(self):
+        # cmd_verify and run_suite share the one message
+        with pytest.raises(UnknownSuite) as info:
+            suites.run_suite("nope")
+        assert str(info.value) == UNKNOWN_SUITE_ERR.rstrip("\n")
+
+    def test_retry_cap_reports_discards(self):
+        def never_admissible():
+            raise SupportViolation(3, 1.5)
+
+        rep = suites.SuiteReport("demo")
+        rep.record_kept("prop", never_admissible, 2, 1e-10)
+        assert not rep.ok
+        assert rep.lines == [f"FAIL demo.prop discarded {2 * suites.MAX_DISCARDS_PER_KEPT} "
+                             "draws, kept 0 of 2"]
 
     def test_default_tolerances_cover_every_suite(self):
         # the CLI lists suites from DEFAULT_TOLS without importing suites
@@ -432,13 +472,73 @@ class TestPinnedBytes:
         assert _run_pinned(tmp_path, capsys, argv) == (code, err, digest)
 
 
+def _python(probe: str, *args: str):
+    """Run `probe` in a fresh interpreter on this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+
+# Run cli.main on argv, then print its exit code and the package modules loaded.
+_MAIN_PROBE = ("import sys; from ortho_szego import cli; code = cli.main(sys.argv[1:]); "
+               "print(code, *sorted(m for m in sys.modules if m.startswith('ortho_szego.')))")
+
+
+def test_package_import_loads_no_submodule():
+    done = _python("import sys, ortho_szego; "
+                   "print(sorted(m for m in sys.modules if m.startswith('ortho_szego.')))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("geronimus", {"perturb", "spectral", "suites"}),
+    ("eval", {"perturb", "suites"}),
+    ("perturb", {"spectral", "suites"}),
+])
+def test_command_loads_only_its_modules(tmp_path, command, absent):
+    line, circle, spec = tmp_path / "l.json", tmp_path / "c.json", tmp_path / "s.json"
+    line.write_text(LINE_12)
+    circle.write_text(CIRCLE_24)
+    spec.write_text('[{"kind": "associated", "k": 1}]')
+    argv = {
+        "geronimus": ["--direction", "inv", "--in", str(line)],
+        "eval": ["--in", str(circle), "--side", "circle", "--points", "0.3", "--depth", "20"],
+        "perturb": ["--in", str(line), "--spec", str(spec), "--side", "line"],
+    }[command]
+    done = _python(_MAIN_PROBE, command, *argv, "--out", str(tmp_path / "out"))
+    code, *loaded = done.stdout.split()
+    assert (done.returncode, code, done.stderr) == (0, "0", "")
+    assert {"ortho_szego.cli", "ortho_szego.serialize"} <= set(loaded)
+    assert not {f"ortho_szego.{m}" for m in absent} & set(loaded)
+
+
+def test_unknown_suite_loads_no_suites():
+    done = _python(_MAIN_PROBE, "verify", "--suite", "nope")
+    code, *loaded = done.stdout.split()
+    assert (done.returncode, code, done.stderr) == (0, "4", UNKNOWN_SUITE_ERR)
+    assert "ortho_szego.suites" not in loaded
+
+
+def test_lazy_namespace_exports_resolve_to_their_modules():
+    import ortho_szego
+
+    assert set(ortho_szego.__all__) <= set(dir(ortho_szego))
+    for name in ortho_szego.__all__:
+        value = getattr(ortho_szego, name)
+        if name == "errors":
+            assert value is sys.modules["ortho_szego.errors"]
+            continue
+        home = f"ortho_szego.{ortho_szego._EXPORTS[name]}"
+        assert value.__module__ == home
+        assert getattr(sys.modules[home], name) is value
+    with pytest.raises(AttributeError):
+        ortho_szego.no_such_name
+
+
 def test_cli_import_skips_numpy_and_suites():
     # every CLI run pays for what importing the CLI loads; verify loads the
     # suites on demand, and nothing in the package needs numpy
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = ("import sys, ortho_szego.cli; "
-             "print(sorted({'numpy', 'ortho_szego.suites'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    done = _python("import sys, ortho_szego.cli; "
+                   "print(sorted({'numpy', 'ortho_szego.suites'} & set(sys.modules)))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
