@@ -18,6 +18,7 @@ Output is deterministic byte-for-byte for a fixed seed and job.
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -59,7 +60,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliExit(EXIT_IO, f"cannot read {path}: {exc}")
 
 
@@ -95,6 +96,8 @@ def _load_circle(path: str) -> VerblunskySeq:
 
 
 def cmd_geronimus(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise _CliExit(EXIT_IO, f"--n must be >= 0, got {args.n}")
     if args.direction == "fwd":
         vs = _load_circle(args.infile)
         n = args.n if args.n is not None else len(vs) // 2
@@ -185,9 +188,12 @@ def _parse_points(raw: str) -> list[complex]:
         if not tok:
             continue
         try:
-            pts.append(complex(tok))
+            p = complex(tok)
         except ValueError:
             raise _CliExit(EXIT_IO, f"cannot parse point {tok!r}")
+        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
+            raise _CliExit(EXIT_IO, f"non-finite point {tok!r}")
+        pts.append(p)
     if not pts:
         raise _CliExit(EXIT_IO, "no evaluation points given")
     return pts
@@ -196,7 +202,12 @@ def _parse_points(raw: str) -> list[complex]:
 def cmd_eval(args) -> int:
     from .spectral import CFunctionHandle, SFunctionHandle, default_depth, f_value, s_value
 
-    depth = args.depth if args.depth is not None else default_depth()
+    try:
+        depth = args.depth if args.depth is not None else default_depth()
+    except ValueError as exc:
+        raise _CliExit(EXIT_IO, str(exc))
+    if depth < 1:
+        raise _CliExit(EXIT_IO, f"--depth must be >= 1, got {depth}")
     points = _parse_points(args.points)
     rows = ["point_re\tpoint_im\tvalue_re\tvalue_im\tplateau_err"]
     if args.side == "line":

@@ -14,24 +14,23 @@ is never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
 from .polyhom import P_ONE, P_ZERO, Poly
 
 Scalar = complex
 
 
-@dataclass(frozen=True)
-class RealRecurrence:
+class RealRecurrence(Value):
     """Recurrence coefficient pair (b_1..b_N, d_1..d_N), both 1-based."""
 
+    __slots__ = ("b", "d")
     b: tuple[float, ...]
     d: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        object.__setattr__(self, "d", tuple(float(x) for x in self.d))
+    def __init__(self, b, d):
+        object.__setattr__(self, "b", tuple(float(x) for x in b))
+        object.__setattr__(self, "d", tuple(float(x) for x in d))
         for n, dn in enumerate(self.d, start=1):
             if dn == 0.0:
                 raise NonPositiveD(f"d_{n} = 0 is not allowed")
@@ -97,13 +96,18 @@ def oprl_polys(rc: RealRecurrence, n: int) -> list[Poly]:
     return polys
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
+class JacobiMatrix(Value):
     """Leading N x N section of the monic Jacobi matrix (superdiagonal of ones)."""
 
+    __slots__ = ("order", "diagonal", "subdiagonal")
     order: int
     diagonal: tuple[float, ...]
     subdiagonal: tuple[float, ...]
+
+    def __init__(self, order, diagonal, subdiagonal):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "subdiagonal", subdiagonal)
 
 
 def jacobi_matrix(rc: RealRecurrence, n: int) -> JacobiMatrix:

@@ -16,8 +16,8 @@ indices >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     AlphaOutOfRange,
     ComplexAlpha,
@@ -31,14 +31,14 @@ from .tolerances import CHECK_TOL
 Scalar = complex
 
 
-@dataclass(frozen=True)
-class VerblunskySeq:
+class VerblunskySeq(Value):
     """Reflection coefficients alpha_0, alpha_1, ..., each of modulus < 1."""
 
+    __slots__ = ("alpha",)
     alpha: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(complex(a) for a in self.alpha))
+    def __init__(self, alpha):
+        object.__setattr__(self, "alpha", tuple(complex(a) for a in alpha))
         for n, a in enumerate(self.alpha):
             if abs(a) >= 1.0:
                 raise AlphaOutOfRange(f"|alpha_{n}| = {abs(a)} >= 1")

@@ -29,9 +29,9 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
+from ._value import Value
 from .errors import InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, check_xi, prepend_verblunsky, shift_verblunsky
@@ -63,15 +63,17 @@ def _check_path(path: str) -> None:
 # Perturbation descriptions
 
 
-@dataclass(frozen=True)
-class CoDilated:
+class CoDilated(Value):
     """Multiply d_k by lam (k >= 1: d_0 is never used by the recurrence,
     so dilating it would be a silent no-op and is rejected)."""
 
+    __slots__ = ("k", "lam")
     k: int
     lam: float
 
-    def __post_init__(self):
+    def __init__(self, k, lam):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
         if self.k < 1:
             raise ValueError("co-dilation index must be >= 1")
         if not self.lam > 0:
@@ -80,28 +82,32 @@ class CoDilated:
     kind = "co_dilated"
 
 
-@dataclass(frozen=True)
-class CoRecursive:
+class CoRecursive(Value):
     """Add tau to b_{k+1} (k >= 0)."""
 
+    __slots__ = ("k", "tau")
     k: int
     tau: float
 
-    def __post_init__(self):
+    def __init__(self, k, tau):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "tau", tau)
         if self.k < 0:
             raise ValueError("co-recursion index must be >= 0")
 
     kind = "co_recursive"
 
 
-@dataclass(frozen=True)
-class KModification:
+class KModification(Value):
     """Replace the circle coefficient at index k by eta, |eta| < 1."""
 
+    __slots__ = ("k", "eta")
     k: int
     eta: complex
 
-    def __post_init__(self):
+    def __init__(self, k, eta):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "eta", eta)
         if self.k < 0:
             raise ValueError("modification index must be >= 0")
         if not abs(self.eta) < 1.0:
@@ -110,38 +116,45 @@ class KModification:
     kind = "k_modification"
 
 
-@dataclass(frozen=True)
-class Associated:
+class Associated(Value):
     """Drop the first k coefficient entries (index shift)."""
 
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self):
+    def __init__(self, k):
+        object.__setattr__(self, "k", k)
         if self.k < 0:
             raise ValueError("association order must be >= 0")
 
     kind = "associated"
 
 
-@dataclass(frozen=True)
-class AntiAssociated:
+class AntiAssociated(Value):
     """Prepend new coefficients: (pre_b, pre_d) on the line, xi on the circle."""
 
-    pre_b: tuple[float, ...] = ()
-    pre_d: tuple[float, ...] = ()
-    xi: tuple[complex, ...] = ()
+    __slots__ = ("pre_b", "pre_d", "xi")
+    pre_b: tuple[float, ...]
+    pre_d: tuple[float, ...]
+    xi: tuple[complex, ...]
+
+    def __init__(self, pre_b=(), pre_d=(), xi=()):
+        object.__setattr__(self, "pre_b", pre_b)
+        object.__setattr__(self, "pre_d", pre_d)
+        object.__setattr__(self, "xi", xi)
 
     kind = "anti_associated"
 
 
-@dataclass(frozen=True)
-class Sieve:
+class Sieve(Value):
     """Spread circle coefficients: original entry m-1 lands at index m*ell - 1,
     zeros elsewhere."""
 
+    __slots__ = ("ell",)
     ell: int
 
-    def __post_init__(self):
+    def __init__(self, ell):
+        object.__setattr__(self, "ell", ell)
         if self.ell < 1:
             raise ValueError("sieve stride must be >= 1")
 
@@ -381,10 +394,10 @@ def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
 # LU shortcut for single-entry line perturbations
 
 
-@dataclass(frozen=True)
-class PathDiscrepancy:
+class PathDiscrepancy(Value):
     """Structured report of a default-vs-shortcut disagreement."""
 
+    __slots__ = ("op", "k", "lam", "tau", "index", "default_value", "shortcut_value")
     op: str
     k: int
     lam: float
@@ -392,6 +405,15 @@ class PathDiscrepancy:
     index: int
     default_value: float
     shortcut_value: float
+
+    def __init__(self, op, k, lam, tau, index, default_value, shortcut_value):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "default_value", default_value)
+        object.__setattr__(self, "shortcut_value", shortcut_value)
 
     def describe(self) -> str:
         return (f"{self.op}: paths first differ at index {self.index}: "
@@ -501,11 +523,19 @@ def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
 # Sieving and symmetric families
 
 
+# Longest sieved sequence sieve() builds.  The output grows as len * ell,
+# so without a cap one small spec asks for gigabytes.
+MAX_SIEVE_LENGTH = 100_000
+
+
 def sieve(vs: VerblunskySeq, ell: int) -> VerblunskySeq:
     """Sieved coefficients: entry m-1 moves to index m*ell - 1, zeros fill
-    the gaps; ell = 1 is the identity."""
+    the gaps; ell = 1 is the identity.  At most MAX_SIEVE_LENGTH entries."""
     if ell < 1:
         raise ValueError("sieve stride must be >= 1")
+    if len(vs) * ell > MAX_SIEVE_LENGTH:
+        raise ValueError(f"sieved sequence would have {len(vs) * ell} entries, "
+                         f"more than {MAX_SIEVE_LENGTH}")
     out = []
     for n in range(len(vs) * ell):
         out.append(vs.at((n + 1) // ell - 1) if (n + 1) % ell == 0 else 0.0)
@@ -585,8 +615,7 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float, n: int | None = None,
 # Spec registry: one entry per perturbation kind
 
 
-@dataclass(frozen=True)
-class SpecKind:
+class SpecKind(Value):
     """How one perturbation kind is read, written and applied.
 
     ``apply`` maps each side the kind applies to ("line", "circle") to
@@ -596,10 +625,17 @@ class SpecKind:
     string saying why the side has no such pair.
     """
 
+    __slots__ = ("read", "write", "apply", "paths")
     read: Callable[[dict], object]
     write: Callable[[object], dict]
     apply: dict[str, Callable]
     paths: dict[str, Callable]
+
+    def __init__(self, read, write, apply, paths):
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "apply", apply)
+        object.__setattr__(self, "paths", paths)
 
 
 def _real_from_obj(value) -> float:
@@ -607,7 +643,10 @@ def _real_from_obj(value) -> float:
     downstream catches every one of them, and the output file would not be
     valid JSON.  spec_from_obj turns the TypeError into a one-line
     "malformed field" error (exit 1)."""
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise TypeError("number too large for a float") from None
     if not math.isfinite(x):
         raise TypeError(f"non-finite number {value!r}")
     return x
@@ -618,12 +657,15 @@ def _int_from_obj(value) -> int:
 
 
 def _complex_from_obj(value) -> complex:
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, list) and len(value) == 2:
-        z = complex(value[0], value[1])
-    else:
-        raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+    try:
+        if isinstance(value, (int, float)):
+            z = complex(value)
+        elif isinstance(value, list) and len(value) == 2:
+            z = complex(value[0], value[1])
+        else:
+            raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+    except OverflowError:
+        raise TypeError("number too large for a float") from None
     if not cmath.isfinite(z):
         raise TypeError(f"non-finite number {value!r}")
     return z

@@ -8,8 +8,7 @@ plain dense arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import DenominatorVanishes
 from .tolerances import POLE_TOL
 
@@ -23,14 +22,14 @@ def _trim(coeffs) -> tuple[Scalar, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Polynomial with coefficients in ascending degree; () is the zero polynomial."""
 
-    coeffs: tuple[Scalar, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @property
     def degree(self) -> int:
@@ -81,14 +80,20 @@ def poly_eval(p: Poly, t: Scalar) -> Scalar:
     return acc
 
 
-@dataclass(frozen=True)
-class PolyMatrix2:
+class PolyMatrix2(Value):
     """Row-major 2x2 matrix of polynomials acting on values by homography."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: Poly
     b: Poly
     c: Poly
     d: Poly
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def det(self) -> Poly:
         return self.a * self.d - self.b * self.c

@@ -22,6 +22,12 @@ from .opuc import VerblunskySeq
 from .szego import VSeq
 
 
+# What json.loads raises on bad text: ValueError for a syntax error
+# (JSONDecodeError) or an integer past the digit limit, RecursionError for
+# nesting too deep.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def fmt(x: float) -> str:
     """One float at 17 significant digits (exact double round-trip)."""
     return format(float(x), ".17g")
@@ -78,7 +84,7 @@ def loads_coefficients(text: str):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise OrthoError(f"malformed coefficient file: {exc}") from exc
     if not isinstance(data, dict):
         raise OrthoError("coefficient file must hold a single object")
@@ -96,7 +102,7 @@ def loads_coefficients(text: str):
 
 
 def spec_from_obj(obj: dict, position: int = 0):
-    """One tagged perturbation object -> its dataclass.
+    """One tagged perturbation object -> its spec value.
 
     ``position`` is the entry's index in its file, named in the error for a
     non-object or a missing or mistyped field.
@@ -129,7 +135,7 @@ def spec_to_obj(spec) -> dict:
 def specs_from_text(text: str) -> list:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise OrthoError(f"malformed perturbation file: {exc}") from exc
     if isinstance(data, dict):
         data = [data]

@@ -20,8 +20,8 @@ Evaluation refuses points too close to the support (within 1e-6 of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import EvaluationDomain, PoleHit
 from .oprl import RealRecurrence, oprl_polys, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, opuc_polys, prepend_verblunsky, second_kind
@@ -38,7 +38,10 @@ def default_depth() -> int:
     """Convergent order: 40 unless ORTHO_SZEGO_DEPTH says otherwise."""
     raw = os.environ.get("ORTHO_SZEGO_DEPTH", "")
     if raw:
-        depth = int(raw)
+        try:
+            depth = int(raw)
+        except ValueError:
+            raise ValueError(f"ORTHO_SZEGO_DEPTH must be an integer, got {raw!r}") from None
         if depth < 1:
             raise ValueError("ORTHO_SZEGO_DEPTH must be >= 1")
         return depth
@@ -53,31 +56,31 @@ def _segment_distance(x: Scalar) -> float:
     return min(abs(x - 1.0), abs(x + 1.0))
 
 
-@dataclass(frozen=True)
-class SFunctionHandle:
+class SFunctionHandle(Value):
     """Line-side transform evaluated through depth-th convergents."""
 
+    __slots__ = ("rc", "depth")
     rc: RealRecurrence
-    depth: int | None = None
+    depth: int
 
-    def __post_init__(self):
-        if self.depth is None:
-            object.__setattr__(self, "depth", default_depth())
+    def __init__(self, rc, depth=None):
+        object.__setattr__(self, "rc", rc)
+        object.__setattr__(self, "depth", default_depth() if depth is None else depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.rc.require(self.depth, self.depth - 1)
 
 
-@dataclass(frozen=True)
-class CFunctionHandle:
+class CFunctionHandle(Value):
     """Circle-side transform evaluated through depth-th convergents."""
 
+    __slots__ = ("vs", "depth")
     vs: VerblunskySeq
-    depth: int | None = None
+    depth: int
 
-    def __post_init__(self):
-        if self.depth is None:
-            object.__setattr__(self, "depth", default_depth())
+    def __init__(self, vs, depth=None):
+        object.__setattr__(self, "vs", vs)
+        object.__setattr__(self, "depth", default_depth() if depth is None else depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.vs.require(self.depth)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .errors import SupportViolation
 from .oprl import (
@@ -71,11 +70,11 @@ from .tolerances import CHECK_TOL, DEFAULT_TOLS, EXACT_TOL, check_suite
 MAX_DISCARDS_PER_KEPT = 200
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    lines: list[str] = field(default_factory=list)
-    ok: bool = True
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.lines: list[str] = []
+        self.ok = True
 
     def record(self, name: str, residual: float, tol: float) -> None:
         passed = residual <= tol

@@ -18,8 +18,8 @@ circle coefficients that bypasses the quadratic inversion entirely.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     DivisionDegenerate,
     InsufficientCoefficients,
@@ -48,14 +48,14 @@ def _emit_checked(value: float, index: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class VSeq:
+class VSeq(Value):
     """LU pivot sequence v_0, v_1, ...; v_{-1} = 0 is implied."""
 
+    __slots__ = ("v",)
     v: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+    def __init__(self, v):
+        object.__setattr__(self, "v", tuple(float(x) for x in v))
 
     def __len__(self) -> int:
         return len(self.v)
@@ -177,13 +177,18 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
     return VSeq(tuple(out))
 
 
-@dataclass(frozen=True)
-class LuCheckResult:
+class LuCheckResult(Value):
     """Entrywise comparison of J + I against the bidiagonal product."""
 
+    __slots__ = ("ok", "max_abs_error", "mismatches")
     ok: bool
     max_abs_error: float
     mismatches: tuple[tuple[int, int, float, float], ...]  # (row, col, got, want)
+
+    def __init__(self, ok, max_abs_error, mismatches):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "max_abs_error", max_abs_error)
+        object.__setattr__(self, "mismatches", mismatches)
 
     def __bool__(self) -> bool:
         return self.ok

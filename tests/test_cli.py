@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -62,6 +63,12 @@ class TestSerialization:
         ('[{"kind": "anti_associated", "xi": 3}]',
          "perturbation entry 0 (anti_associated): missing or malformed field: "
          "'int' object is not iterable"),
+        ('[{"kind": "co_dilated", "k": 1, "lambda": 1' + "0" * 400 + '}]',
+         "perturbation entry 0 (co_dilated): missing or malformed field: "
+         "number too large for a float"),
+        ('[{"kind": "k_modification", "k": 1, "eta": [0, 1' + "0" * 400 + ']}]',
+         "perturbation entry 0 (k_modification): missing or malformed field: "
+         "number too large for a float"),
     ])
     def test_malformed_spec_entry_rejected(self, text, message):
         with pytest.raises(OrthoError) as info:
@@ -84,6 +91,15 @@ class TestSerialization:
         with pytest.raises(OrthoError) as info:
             loads_coefficients(text)
         assert str(info.value) == "malformed coefficient file: " + message
+
+    # nesting past the recursion limit; an integer past the digit limit
+    # (Python >= 3.10.7; earlier versions parse it and reject the value)
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["nested", "digits"])
+    def test_oversized_json_rejected(self, text):
+        with pytest.raises(OrthoError):
+            loads_coefficients(text)
+        with pytest.raises(OrthoError):
+            specs_from_text(text)
 
 
 @pytest.fixture
@@ -143,6 +159,27 @@ class TestGeronimusCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("malformed coefficient file: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "cannot read "),
+        (b"[" * 100_000, "malformed coefficient file: "),
+    ], ids=["undecodable", "deeply-nested"])
+    def test_unreadable_file_exit1(self, tmp_path, capsys, content, message):
+        src = tmp_path / "bad.json"
+        src.write_bytes(content)
+        assert main(["geronimus", "--direction", "inv", "--in", str(src)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("direction", ["fwd", "inv"])
+    def test_negative_n_exit1(self, tfile, zfile, tmp_path, capsys, direction):
+        out = tmp_path / "out.json"
+        src = zfile if direction == "fwd" else tfile
+        assert main(["geronimus", "--direction", direction, "--in", src,
+                     "--n", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "--n must be >= 0, got -3\n")
+        assert not out.exists()
 
 
 class TestPerturbCommand:
@@ -243,6 +280,19 @@ class TestPerturbCommand:
         vs = loads_coefficients(out.read_text())
         assert vs.alpha[0] == 0 and vs.alpha[1] == 0.3 and vs.alpha[2] == 0
 
+    def test_huge_sieve_exit3_at_once(self, tmp_path, capsys):
+        src, spec = tmp_path / "c4.json", tmp_path / "spec.json"
+        src.write_text('{"alpha": [[0.1, 0], [0.2, 0], [0.3, 0], [0.4, 0]]}')
+        spec.write_text('[{"kind": "sieve", "ell": 10000000}]')
+        start = time.perf_counter()
+        assert main(["perturb", "--in", str(src), "--spec", str(spec), "--side", "circle",
+                     "--out", str(tmp_path / "out.json")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "invalid perturbation for side circle: sieved sequence would have "
+            "40000000 entries, more than 100000\n")
+        assert not (tmp_path / "out.json").exists()
+
 
 UNKNOWN_SUITE_ERR = ("unknown suite 'nope'; pick from ['bridge', 'conjugation', "
                      "'discrepancy', 'lu', 'rel', 'roundtrip', 'theorems', 'transfer']\n")
@@ -332,6 +382,27 @@ class TestEvalCommand:
         out = tmp_path / "t.tsv"
         assert main(["eval", "--in", tfile, "--side", "line",
                      "--points", "2.0", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_nonpositive_depth_exit1(self, tfile, capsys, depth):
+        assert main(["eval", "--in", tfile, "--side", "line",
+                     "--points", "2.0", "--depth", depth]) == 1
+        assert capsys.readouterr() == ("", f"--depth must be >= 1, got {depth}\n")
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "ORTHO_SZEGO_DEPTH must be an integer, got 'abc'"),
+        ("0", "ORTHO_SZEGO_DEPTH must be >= 1"),
+    ])
+    def test_bad_depth_env_exit1(self, tfile, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("ORTHO_SZEGO_DEPTH", raw)
+        assert main(["eval", "--in", tfile, "--side", "line", "--points", "2.0"]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "2+nanj"])
+    def test_non_finite_point_exit1(self, tfile, capsys, point):
+        assert main(["eval", "--in", tfile, "--side", "line",
+                     "--points", f"3.0,{point}", "--depth", "10"]) == 1
+        assert capsys.readouterr() == ("", f"non-finite point {point!r}\n")
 
 
 # Fixed fixtures whose CLI output bytes are pinned below: 12 line pairs and
@@ -480,9 +551,15 @@ def _python(probe: str, *args: str):
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
 
 
-# Run cli.main on argv, then print its exit code and the package modules loaded.
+# Modules no command may load: building values with `dataclasses` (which
+# imports `inspect`) would cost every run ~20 ms of start-up.
+_NEVER_LOADED = ("dataclasses", "inspect")
+
+# Run cli.main on argv, then print as its last line its exit code, the
+# package modules loaded and whichever of _NEVER_LOADED got loaded.
 _MAIN_PROBE = ("import sys; from ortho_szego import cli; code = cli.main(sys.argv[1:]); "
-               "print(code, *sorted(m for m in sys.modules if m.startswith('ortho_szego.')))")
+               "print(code, *sorted(m for m in sys.modules if m.startswith('ortho_szego.') "
+               f"or m in {_NEVER_LOADED!r}))")
 
 
 def test_package_import_loads_no_submodule():
@@ -495,6 +572,7 @@ def test_package_import_loads_no_submodule():
     ("geronimus", {"perturb", "spectral", "suites"}),
     ("eval", {"perturb", "suites"}),
     ("perturb", {"spectral", "suites"}),
+    ("verify", set()),
 ])
 def test_command_loads_only_its_modules(tmp_path, command, absent):
     line, circle, spec = tmp_path / "l.json", tmp_path / "c.json", tmp_path / "s.json"
@@ -505,12 +583,16 @@ def test_command_loads_only_its_modules(tmp_path, command, absent):
         "geronimus": ["--direction", "inv", "--in", str(line)],
         "eval": ["--in", str(circle), "--side", "circle", "--points", "0.3", "--depth", "20"],
         "perturb": ["--in", str(line), "--spec", str(spec), "--side", "line"],
+        "verify": ["--suite", "lu"],
     }[command]
-    done = _python(_MAIN_PROBE, command, *argv, "--out", str(tmp_path / "out"))
-    code, *loaded = done.stdout.split()
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    done = _python(_MAIN_PROBE, command, *argv)
+    code, *loaded = done.stdout.splitlines()[-1].split()
     assert (done.returncode, code, done.stderr) == (0, "0", "")
     assert {"ortho_szego.cli", "ortho_szego.serialize"} <= set(loaded)
     assert not {f"ortho_szego.{m}" for m in absent} & set(loaded)
+    assert not set(_NEVER_LOADED) & set(loaded)
 
 
 def test_unknown_suite_loads_no_suites():
@@ -518,6 +600,7 @@ def test_unknown_suite_loads_no_suites():
     code, *loaded = done.stdout.split()
     assert (done.returncode, code, done.stderr) == (0, "4", UNKNOWN_SUITE_ERR)
     assert "ortho_szego.suites" not in loaded
+    assert not set(_NEVER_LOADED) & set(loaded)
 
 
 def test_lazy_namespace_exports_resolve_to_their_modules():
@@ -538,7 +621,8 @@ def test_lazy_namespace_exports_resolve_to_their_modules():
 
 def test_cli_import_skips_numpy_and_suites():
     # every CLI run pays for what importing the CLI loads; verify loads the
-    # suites on demand, and nothing in the package needs numpy
+    # suites on demand, and nothing in the package needs numpy or _NEVER_LOADED
     done = _python("import sys, ortho_szego.cli; "
-                   "print(sorted({'numpy', 'ortho_szego.suites'} & set(sys.modules)))")
+                   "print(sorted({'numpy', 'ortho_szego.suites', *sys.argv[1:]} "
+                   "& set(sys.modules)))", *_NEVER_LOADED)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

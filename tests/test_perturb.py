@@ -10,6 +10,7 @@ from ortho_szego.perturb import (
     ORACLE,
     SHORTCUT,
     CLOSED_FORM,
+    MAX_SIEVE_LENGTH,
     AntiAssociated,
     Associated,
     CoDilated,
@@ -350,6 +351,13 @@ class TestSieve:
     def test_stride_three_layout(self):
         vs = VerblunskySeq((0.3, -0.2))
         assert sieve(vs, 3).alpha == (0, 0, 0.3, 0, 0, -0.2)
+
+    def test_output_length_capped(self):
+        vs = VerblunskySeq((0.3, -0.2, 0.1, 0.4))
+        ell = MAX_SIEVE_LENGTH // 4
+        assert len(sieve(vs, ell)) == MAX_SIEVE_LENGTH
+        with pytest.raises(ValueError, match="more than 100000"):
+            sieve(vs, ell + 1)
 
 
 class TestSieve2Recurrence:
