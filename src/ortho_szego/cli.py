@@ -193,6 +193,8 @@ def _parse_points(raw: str) -> list[complex]:
             raise _CliExit(EXIT_IO, f"cannot parse point {tok!r}")
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise _CliExit(EXIT_IO, f"non-finite point {tok!r}")
+        if not math.isfinite(math.hypot(p.real, p.imag)):
+            raise _CliExit(EXIT_IO, f"point {tok!r} is too large: its modulus overflows")
         pts.append(p)
     if not pts:
         raise _CliExit(EXIT_IO, "no evaluation points given")

@@ -29,11 +29,10 @@ class RealRecurrence(Value):
     d: tuple[float, ...]
 
     def __init__(self, b, d):
-        object.__setattr__(self, "b", tuple(float(x) for x in b))
-        object.__setattr__(self, "d", tuple(float(x) for x in d))
-        for n, dn in enumerate(self.d, start=1):
-            if dn == 0.0:
-                raise NonPositiveD(f"d_{n} = 0 is not allowed")
+        object.__setattr__(self, "b", tuple(map(float, b)))
+        object.__setattr__(self, "d", tuple(map(float, d)))
+        if 0.0 in self.d:
+            raise NonPositiveD(f"d_{self.d.index(0.0) + 1} = 0 is not allowed")
 
     def __len__(self) -> int:
         return min(len(self.b), len(self.d))

@@ -308,24 +308,28 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
 
     rc = geronimus_forward(vs, (len(alpha)) // 2)
     v = v_from_alpha(vs)
-    b_out: list[float] = []
-    d_out: list[float] = []
+    b, d, vv = rc.b, rc.d, v.v
     if k % 2 == 1:
         m = (k + 1) // 2
-        d_out.append((1.0 + alpha[2 * m - 1]) / v.at(2 * m + 1) * rc.d_at(m + 1))
-        b_out.append(alpha[2 * m - 1])
-        for j in range(1, n):
-            d_out.append(v.at(2 * (j + m) - 1) / v.at(2 * (j + m) + 1) * rc.d_at(j + m + 1))
-            b_out.append(rc.b_at(j + m + 1) + v.at(2 * (j + m) - 2) - v.at(2 * (j + m)))
+        d_out = [(1.0 + alpha[2 * m - 1]) / v.at(2 * m + 1) * rc.d_at(m + 1)]
+        b_out = [alpha[2 * m - 1]]
+        # Row n-1 reads v_{2(n+m)-1}, which an input of exactly 2n + k
+        # coefficients lacks.  No earlier row can fail, so raising before
+        # them gives the error the row-by-row loop gave.
+        if n > 1 and 2 * (n + m) > len(vv):
+            raise InsufficientCoefficients(2 * (n + m), len(vv), "v entries")
+        rows = range(m + 1, n + m)  # i = j + m for output rows j = 1..n-1
+        d_out += [vv[2 * i - 1] / vv[2 * i + 1] * d[i] for i in rows]
+        b_out += [b[i] + vv[2 * i - 2] - vv[2 * i] for i in rows]
     else:
         m = k // 2
         lam = 2.0 / (1.0 - _alpha_conv(alpha, 2 * m - 1))
-        d_out.append(lam * rc.d_at(m + 1))
-        b_out.append(alpha[2 * m] if k > 0 else rc.b_at(1))
-        for j in range(1, n):
-            d_out.append(rc.d_at(j + m + 1))
-            b_out.append(rc.b_at(j + m + 1))
-    return RealRecurrence(tuple(b_out), tuple(d_out))
+        d_out = [lam * rc.d_at(m + 1)]
+        b_out = [alpha[2 * m] if k > 0 else rc.b_at(1)]
+        if n > 1:
+            d_out += d[m + 1:n + m]
+            b_out += b[m + 1:n + m]
+    return RealRecurrence(b_out, d_out)
 
 
 def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
@@ -536,10 +540,9 @@ def sieve(vs: VerblunskySeq, ell: int) -> VerblunskySeq:
     if len(vs) * ell > MAX_SIEVE_LENGTH:
         raise ValueError(f"sieved sequence would have {len(vs) * ell} entries, "
                          f"more than {MAX_SIEVE_LENGTH}")
-    out = []
-    for n in range(len(vs) * ell):
-        out.append(vs.at((n + 1) // ell - 1) if (n + 1) % ell == 0 else 0.0)
-    return VerblunskySeq(tuple(out))
+    out = [0j] * (len(vs) * ell)
+    out[ell - 1::ell] = vs.alpha
+    return VerblunskySeq(out)
 
 
 def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> RealRecurrence:
@@ -551,7 +554,7 @@ def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> Rea
     alpha = vs.real_view()
     if len(alpha) < n:
         raise OrthoError(f"need {n} circle coefficients, have {len(alpha)}")
-    d = tuple(0.25 * (1.0 - _alpha_conv(alpha, j - 1)) * (1.0 + alpha[j]) for j in range(n))
+    d = [0.25 * (1.0 - prev) * (1.0 + a) for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]
     return RealRecurrence((0.0,) * n, d)
 
 
@@ -639,10 +642,13 @@ class SpecKind(Value):
 
 
 def _real_from_obj(value) -> float:
-    """A spec field as a float.  NaN and infinity are rejected: no guard
-    downstream catches every one of them, and the output file would not be
-    valid JSON.  spec_from_obj turns the TypeError into a one-line
-    "malformed field" error (exit 1)."""
+    """A spec field as a float.  Only a JSON number is accepted: a string
+    or a boolean is a malformed field, not a number to convert.  NaN and
+    infinity are rejected too: no guard downstream catches every one of
+    them, and the output file would not be valid JSON.  spec_from_obj
+    turns the TypeError into a one-line "malformed field" error (exit 1)."""
+    if type(value) not in (int, float):  # json gives bool for true/false
+        raise TypeError(f"expected a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # a JSON integer past the float range
@@ -653,17 +659,18 @@ def _real_from_obj(value) -> float:
 
 
 def _int_from_obj(value) -> int:
-    return int(_real_from_obj(value) if isinstance(value, float) else value)
+    return value if type(value) is int else int(_real_from_obj(value))
 
 
 def _complex_from_obj(value) -> complex:
     try:
-        if isinstance(value, (int, float)):
+        if type(value) in (int, float):
             z = complex(value)
-        elif isinstance(value, list) and len(value) == 2:
+        elif (isinstance(value, list) and len(value) == 2
+              and type(value[0]) in (int, float) and type(value[1]) in (int, float)):
             z = complex(value[0], value[1])
         else:
-            raise OrthoError(f"expected a number or [re, im] pair, got {value!r}")
+            raise TypeError(f"expected a number or [re, im] pair, got {value!r}")
     except OverflowError:
         raise TypeError("number too large for a float") from None
     if not cmath.isfinite(z):

@@ -20,6 +20,7 @@ Evaluation refuses points too close to the support (within 1e-6 of
 from __future__ import annotations
 
 import os
+from math import frexp, ldexp
 
 from ._value import Value
 from .errors import EvaluationDomain, PoleHit
@@ -32,6 +33,9 @@ from .tolerances import POLE_TOL
 Scalar = complex
 
 SUPPORT_MARGIN = 1e-6
+
+# Convergent states past this (over 1 + |x| on the line) are rescaled.
+_SCALE_LIMIT = 2.0 ** 960
 
 
 def default_depth() -> int:
@@ -86,22 +90,45 @@ class CFunctionHandle(Value):
         self.vs.require(self.depth)
 
 
+def _rescale(states, one: float, big: float):
+    """Scale the recurrence states and the tracked unit `one` by the same
+    power of two, bringing the largest state near 2^-4.  Power-of-two
+    scaling is exact, so every ratio of states, and every pole test made
+    against `one`, comes out as it would unscaled."""
+    s = ldexp(1.0, -frexp(big)[1] - 4)
+    return [v * s if v.__class__ is float else complex(v.real * s, v.imag * s)
+            for v in states], one * s
+
+
 def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
-    """Convergents P'_{k-1}(x)/P_k(x) for k = 1..depth."""
+    """Convergents P'_{k-1}(x)/P_k(x) for k = 1..depth.
+
+    The states grow like |x|^k and are rescaled before a step can
+    overflow; the step multiplies by up to ~2 (|x - b| + |d|), so the
+    trigger sits at 2^960 / (1 + |x|).
+    """
     if _segment_distance(x) <= SUPPORT_MARGIN:
         raise EvaluationDomain(f"x = {x!r} is within {SUPPORT_MARGIN} of [-1, 1]")
-    rc = h.rc
-    p_prev, p_cur = 1.0 + 0j, x - rc.b_at(1)  # P_0, P_1
-    q_prev, q_cur = 0j, 1.0 + 0j              # P'_{-1}, P'_0
+    depth = h.depth
+    b, d = h.rc.b, h.rc.d  # the handle checked len(b) >= depth, len(d) >= depth - 1
+    limit = _SCALE_LIMIT / (1.0 + abs(x))
+    one = 1.0  # 1 in the scaled units of the states
+    p_prev, p_cur = 1.0 + 0j, x - b[0]  # P_0, P_1
+    q_prev, q_cur = 0j, 1.0 + 0j        # P'_{-1}, P'_0
     out = []
-    for k in range(1, h.depth + 1):
-        if abs(p_cur) <= POLE_TOL * (1.0 + abs(q_cur)):
+    for k in range(1, depth + 1):
+        ap, aq = abs(p_cur), abs(q_cur)
+        if ap <= POLE_TOL * (one + aq):
             raise PoleHit(f"convergent denominator vanished at x = {x!r} (order {k})")
         out.append(q_cur / p_cur)
-        if k == h.depth:
+        if k == depth:
             break
-        p_prev, p_cur = p_cur, (x - rc.b_at(k + 1)) * p_cur - rc.d_at(k) * p_prev
-        q_prev, q_cur = q_cur, (x - rc.b_at(k + 1)) * q_cur - rc.d_at(k) * q_prev
+        if ap > limit or aq > limit:
+            (p_prev, p_cur, q_prev, q_cur), one = _rescale(
+                (p_prev, p_cur, q_prev, q_cur), one, max(ap, aq))
+        xb, dk = x - b[k], d[k - 1]
+        p_prev, p_cur = p_cur, xb * p_cur - dk * p_prev
+        q_prev, q_cur = q_cur, xb * q_cur - dk * q_prev
     return out
 
 
@@ -118,20 +145,29 @@ def s_value(h: SFunctionHandle, x: Scalar) -> tuple[Scalar, float]:
 
 
 def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
-    """Convergents Omega*_k(z)/Phi*_k(z) for k = 1..depth."""
+    """Convergents Omega*_k(z)/Phi*_k(z) for k = 1..depth.
+
+    Each step at most doubles the states (|z| < 1, |a| < 1), so they are
+    rescaled once the larger of Phi*_k, Omega*_k passes 2^960.  Phi_k and
+    Omega_k stay below them in modulus.
+    """
     z = complex(z)
     if abs(z) >= 1.0 - SUPPORT_MARGIN:
         raise EvaluationDomain(f"|z| = {abs(z)} is not inside the unit disc margin")
     phi, phis = 1.0 + 0j, 1.0 + 0j
     om, oms = 1.0 + 0j, 1.0 + 0j
+    one = 1.0  # 1 in the scaled units of the states
     out = []
-    for k in range(h.depth):
-        a = h.vs.at(k)
-        phi, phis = z * phi - a.conjugate() * phis, phis - a * z * phi
-        om, oms = z * om + a.conjugate() * oms, oms + a * z * om
-        if abs(phis) <= POLE_TOL * (1.0 + abs(oms)):
-            raise PoleHit(f"convergent denominator vanished at z = {z!r} (order {k + 1})")
+    for k, a in enumerate(h.vs.alpha[:h.depth], start=1):  # the handle checked the length
+        ac, az = a.conjugate(), a * z
+        phi, phis = z * phi - ac * phis, phis - az * phi
+        om, oms = z * om + ac * oms, oms + az * om
+        aphis, aoms = abs(phis), abs(oms)
+        if aphis <= POLE_TOL * (one + aoms):
+            raise PoleHit(f"convergent denominator vanished at z = {z!r} (order {k})")
         out.append(oms / phis)
+        if aphis > _SCALE_LIMIT or aoms > _SCALE_LIMIT:
+            (phi, phis, om, oms), one = _rescale((phi, phis, om, oms), one, max(aphis, aoms))
     return out
 
 

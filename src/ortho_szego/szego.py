@@ -43,7 +43,7 @@ def _alpha_conv(alpha, n: int) -> float:
 
 
 def _emit_checked(value: float, index: int) -> float:
-    if abs(value) >= 1.0 - SUPPORT_TOL:
+    if not abs(value) < 1.0 - SUPPORT_TOL:  # written so that NaN fails too
         raise SupportViolation(index, value)
     return value
 
@@ -55,7 +55,7 @@ class VSeq(Value):
     v: tuple[float, ...]
 
     def __init__(self, v):
-        object.__setattr__(self, "v", tuple(float(x) for x in v))
+        object.__setattr__(self, "v", tuple(map(float, v)))
 
     def __len__(self) -> int:
         return len(self.v)
@@ -68,6 +68,12 @@ class VSeq(Value):
         return self.v[k]
 
 
+# The loops below read the coefficient tuples directly and carry the
+# previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
+# each guard is written `not abs(x) < bound` (or `not abs(x) >= bound`) so
+# that a NaN fails it at the first coefficient it reaches.
+
+
 def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
     """Recurrence pairs (b_1..b_n, d_1..d_n) of the folded measure on [-1, 1].
 
@@ -77,14 +83,13 @@ def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
     if len(alpha) < 2 * n:
         raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")
     b, d = [], []
+    am2, am1 = 0.0, -1.0  # a_{2m-2}, a_{2m-1}
     for m in range(n):
-        am1 = _alpha_conv(alpha, 2 * m - 1)
-        am2 = _alpha_conv(alpha, 2 * m - 2)
-        a_even = _alpha_conv(alpha, 2 * m)
-        a_next = _alpha_conv(alpha, 2 * m + 1)
+        a_even, a_next = alpha[2 * m], alpha[2 * m + 1]
         d.append(0.25 * (1.0 - am1) * (1.0 - a_even**2) * (1.0 + a_next))
         b.append(0.5 * (a_even * (1.0 - am1) - am2 * (1.0 + am1)))
-    return RealRecurrence(tuple(b), tuple(d))
+        am2, am1 = a_even, a_next
+    return RealRecurrence(b, d)
 
 
 def geronimus_inverse(rc: RealRecurrence, n: int) -> VerblunskySeq:
@@ -108,21 +113,34 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
     """
     rc.require(n, n)
     alpha = list(prefix)
-    for j in range(len(alpha), 2 * n):
-        m = j // 2
-        a_prev = _alpha_conv(alpha, 2 * m - 1)
-        den = 1.0 - a_prev
-        if abs(den) < PIVOT_TOL:
+    j = len(alpha)
+    b, d = rc.b, rc.d
+    bound = 1.0 - SUPPORT_TOL
+    m = j // 2
+    am2, am1 = (alpha[2 * m - 2], alpha[2 * m - 1]) if m else (0.0, -1.0)
+    given_even = j % 2  # the prefix ends inside pair m, after a_{2m}
+    if given_even:
+        a_even = alpha[j - 1]
+    for m in range(m, n):
+        den = 1.0 - am1
+        if not abs(den) >= PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
-        if j % 2 == 0:
-            value = (2.0 * rc.b_at(m + 1) + (1.0 + a_prev) * _alpha_conv(alpha, 2 * m - 2)) / den
+        if given_even:
+            given_even = 0
         else:
-            den2 = den * (1.0 - alpha[2 * m] ** 2)
-            if abs(den2) < PIVOT_TOL:
-                raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
-            value = -1.0 + 4.0 * rc.d_at(m + 1) / den2
-        alpha.append(_emit_checked(value, j))
-    return VerblunskySeq(tuple(alpha))
+            a_even = (2.0 * b[m] + (1.0 + am1) * am2) / den
+            if not abs(a_even) < bound:
+                raise SupportViolation(2 * m, a_even)
+            alpha.append(a_even)
+        den2 = den * (1.0 - a_even**2)
+        if not abs(den2) >= PIVOT_TOL:
+            raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
+        a_odd = -1.0 + 4.0 * d[m] / den2
+        if not abs(a_odd) < bound:
+            raise SupportViolation(2 * m + 1, a_odd)
+        alpha.append(a_odd)
+        am2, am1 = a_even, a_odd
+    return VerblunskySeq(alpha)
 
 
 def v_from_alpha(vs: VerblunskySeq, n: int | None = None) -> VSeq:
@@ -132,25 +150,30 @@ def v_from_alpha(vs: VerblunskySeq, n: int | None = None) -> VSeq:
         n = len(alpha)
     if len(alpha) < n:
         raise InsufficientCoefficients(n, len(alpha), "alpha coefficients")
-    return VSeq(tuple(
-        0.5 * (1.0 + alpha[k]) * (1.0 - _alpha_conv(alpha, k - 1)) for k in range(n)
-    ))
+    return VSeq([0.5 * (1.0 + a) * (1.0 - prev)
+                 for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)])
 
 
 def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
     """Invert v_from_alpha: a_k = -1 + 2 v_k / (1 - a_{k-1}), a_{-1} = -1."""
+    vals = v.v
     if n is None:
-        n = len(v)
+        n = len(vals)
+    bound = 1.0 - SUPPORT_TOL
     prev = -1.0
     alpha = []
-    for k in range(n):
+    for k, vk in enumerate(vals[:max(n, 0)]):
         den = 1.0 - prev
-        if abs(den) < PIVOT_TOL:
+        if not abs(den) >= PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{k - 1} vanished")
-        ak = -1.0 + 2.0 * v.at(k) / den
-        alpha.append(_emit_checked(ak, k))
-        prev = ak
-    return VerblunskySeq(tuple(alpha))
+        prev = -1.0 + 2.0 * vk / den
+        if not abs(prev) < bound:
+            raise SupportViolation(k, prev)
+        alpha.append(prev)
+    if n > len(vals):
+        # the next divisor 1 - a_{k-1} > SUPPORT_TOL > PIVOT_TOL: its guard cannot fire first
+        raise InsufficientCoefficients(len(vals) + 1, len(vals), "v entries")
+    return VerblunskySeq(alpha)
 
 
 def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
@@ -161,20 +184,26 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
     DivisionDegenerate signals a vanishing pivot, i.e. J + I has no LU
     factorization and the support is not admissible.
     """
+    b, d = rc.b, rc.d
+    # pairs (v_{2k}, v_{2k+1}) that both n and the data cover
+    pairs = max(min(n // 2, len(b), len(d)), 0)
     out: list[float] = []
-    for j in range(n):
-        if j % 2 == 0:
-            k = j // 2
-            prev_odd = out[j - 1] if j >= 1 else 0.0
-            out.append(rc.b_at(k + 1) + 1.0 - prev_odd)
-        else:
-            k = (j - 1) // 2
-            piv = out[j - 1]
-            dk = rc.d_at(k + 1)
-            if abs(piv) < PIVOT_TOL * (1.0 + abs(dk)):
-                raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
-            out.append(dk / piv)
-    return VSeq(tuple(out))
+    v_odd = 0.0  # v_{2k-1}
+    for k in range(pairs):
+        v_even = b[k] + 1.0 - v_odd
+        dk = d[k]
+        if not abs(v_even) >= PIVOT_TOL * (1.0 + abs(dk)):
+            raise DivisionDegenerate(f"pivot v_{2 * k} vanished")
+        v_odd = dk / v_even
+        out += (v_even, v_odd)
+    # at most one more even entry, or the first entry the data cannot give
+    if 2 * pairs < n:
+        if pairs >= len(b):
+            raise InsufficientCoefficients(pairs + 1, len(b), "b coefficients")
+        out.append(b[pairs] + 1.0 - v_odd)
+        if 2 * pairs + 1 < n:
+            raise InsufficientCoefficients(pairs + 1, len(d), "d coefficients")
+    return VSeq(out)
 
 
 class LuCheckResult(Value):

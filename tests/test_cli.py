@@ -268,6 +268,36 @@ class TestPerturbCommand:
                                            f"malformed field: non-finite number {number}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, kind, message", [
+        ('{"kind": "associated", "k": "2"}', "associated", "expected a number, got '2'"),
+        ('{"kind": "co_dilated", "k": 1, "lambda": "x"}', "co_dilated",
+         "expected a number, got 'x'"),
+        ('{"kind": "co_recursive", "k": true, "tau": 0.1}', "co_recursive",
+         "expected a number, got True"),
+        ('{"kind": "anti_associated", "pre_b": ["0.1"], "pre_d": [0.2]}', "anti_associated",
+         "expected a number, got '0.1'"),
+    ])
+    def test_string_spec_field_exit1(self, tfile, tmp_path, capsys, spec, kind, message):
+        # "k": "2" ran as k = 2 (exit 0) and "lambda": "x" exited 3
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec)
+        out = tmp_path / "out.json"
+        assert main(["perturb", "--in", tfile, "--spec", str(spec_file),
+                     "--side", "line", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"perturbation entry 0 ({kind}): missing or "
+                                           f"malformed field: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["true", '"0.5"', '["0.1", 0]'])
+    def test_non_number_eta_exit1(self, zfile, tmp_path, capsys, eta):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"kind": "k_modification", "k": 0, "eta": %s}' % eta)
+        assert main(["perturb", "--in", zfile, "--spec", str(spec_file),
+                     "--side", "circle"]) == 1
+        assert capsys.readouterr().err == (
+            "perturbation entry 0 (k_modification): missing or malformed field: "
+            f"expected a number or [re, im] pair, got {json.loads(eta)!r}\n")
+
     def test_pipeline_order(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([
@@ -397,6 +427,34 @@ class TestEvalCommand:
         monkeypatch.setenv("ORTHO_SZEGO_DEPTH", raw)
         assert main(["eval", "--in", tfile, "--side", "line", "--points", "2.0"]) == 1
         assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize("point", ["1e8", "1e10", "1e200", "1e300", "-1e300", "1e300j"])
+    def test_huge_point_is_finite(self, tmp_path, point):
+        # the convergent states are rescaled before they overflow; unscaled,
+        # 1e8 already exited 1 at the default depth 40 with "convergent
+        # denominator vanished"
+        src, out = tmp_path / "t40.json", tmp_path / "t.tsv"
+        src.write_text(dumps_recurrence(chebyshev_t(40)))
+        assert main(["eval", "--in", str(src), "--side", "line", f"--points={point}",
+                     "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split("\t")
+        value = complex(float(row[2]), float(row[3]))
+        assert value == pytest.approx(1 / complex(point), rel=1e-12)
+
+    def test_deep_circle_file_is_finite(self, tmp_path):
+        src = tmp_path / "c.json"
+        src.write_text(dumps_verblunsky(VerblunskySeq((0.99, -0.99) * 1500)))
+        out = tmp_path / "t.tsv"
+        assert main(["eval", "--in", str(src), "--side", "circle", "--depth", "3000",
+                     "--points", "0.95j,-0.95", "--out", str(out)]) == 0
+        for row in out.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(field)) for field in row.split("\t"))
+
+    def test_point_with_overflowing_modulus_exit1(self, tfile, capsys):
+        point = "1.7e308+1.7e308j"
+        assert main(["eval", "--in", tfile, "--side", "line", "--points", point]) == 1
+        assert capsys.readouterr() == (
+            "", f"point {point!r} is too large: its modulus overflows\n")
 
     @pytest.mark.parametrize("point", ["nan", "inf", "2+nanj"])
     def test_non_finite_point_exit1(self, tfile, capsys, point):

@@ -9,6 +9,7 @@ so that a run of the suite does not depend on luck.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from ortho_szego.cli import main
 from ortho_szego.errors import OrthoError
-from ortho_szego.oprl import RealRecurrence
+from ortho_szego.oprl import RealRecurrence, chebyshev_t
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import SPECS
-from ortho_szego.serialize import loads_coefficients, specs_from_text
+from ortho_szego.serialize import dumps_coefficients, loads_coefficients, specs_from_text
 from ortho_szego.szego import VSeq
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -211,3 +212,55 @@ def test_cli_exits_with_a_documented_code(fuzz_dir, argv, line, circle, spec):
     assert "Traceback" not in err.getvalue()
     if code not in (0, 5):  # every error says what went wrong; 5 prints FAIL lines
         assert err.getvalue()
+
+
+def _scaled(low: int, high: int):
+    """Floats +-m * 10^e with 1 <= m < 10 and e in [low, high]."""
+    return st.builds(lambda sign, m, e: sign * float(f"{m!r}e{e}"), st.sampled_from((1.0, -1.0)),
+                     st.floats(1.0, 9.99), st.integers(low, high))
+
+
+HUGE = _scaled(4, 307)
+TINY = st.one_of(st.just(0.0), _scaled(-323, -4))
+# a huge real or imaginary part; the other part anything
+HUGE_POINTS = st.tuples(st.booleans(), HUGE, st.one_of(HUGE, TINY)).map(
+    lambda t: complex(t[1], t[2]) if t[0] else complex(t[2], t[1]))
+TINY_POINTS = st.builds(complex, TINY, TINY)
+EVAL_FUZZ = settings(FUZZ, max_examples=60)  # each example runs a whole eval
+
+
+def _eval(fuzz_dir, side: str, points) -> tuple[int, list[list[float]], str]:
+    """Run eval on a fixed admissible file; the exit code, the value
+    columns of each row, and stderr."""
+    src = fuzz_dir / f"{side}_fixed.json"
+    src.write_text(dumps_coefficients(
+        chebyshev_t(40) if side == "line" else VerblunskySeq((0.5, -0.3, 0.2, 0.1) * 10)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--in", str(src), "--side", side,
+                     "--points=" + ",".join(map(repr, points))])
+    rows = [[float(field) for field in line.split("\t")[2:4]]
+            for line in out.getvalue().splitlines()[1:]]
+    return code, rows, err.getvalue()
+
+
+@EVAL_FUZZ
+@given(st.lists(HUGE_POINTS, min_size=1, max_size=3))
+def test_eval_huge_line_points_give_one_over_x(fuzz_dir, points):
+    # S(x) = 1/x (1 + O(1/x^2)) for a measure on [-1, 1]; unscaled, the
+    # convergent states overflowed for |x| >= ~1e8
+    code, rows, err = _eval(fuzz_dir, "line", points)
+    assert (code, err) == (0, "")
+    for x, (re, im) in zip(points, rows):
+        assert complex(re, im) == pytest.approx(1 / x, rel=1e-6)
+
+
+@EVAL_FUZZ
+@given(st.lists(TINY_POINTS, min_size=1, max_size=3), st.sampled_from(["line", "circle"]))
+def test_eval_tiny_points_end_in_a_value_or_an_error(fuzz_dir, points, side):
+    code, rows, err = _eval(fuzz_dir, side, points)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert all(math.isfinite(v) for row in rows for v in row)
+    else:
+        assert err

@@ -77,6 +77,71 @@ class TestSConvergent:
         assert err < 1e-10
 
 
+def naive_s_convergent(rc, depth, x):
+    """The line-side recurrence with no rescaling, as a reference where it
+    stays finite."""
+    p_prev, p_cur, q_prev, q_cur = 1.0 + 0j, x - rc.b[0], 0j, 1.0 + 0j
+    for k in range(1, depth):
+        xb = x - rc.b[k]
+        p_prev, p_cur = p_cur, xb * p_cur - rc.d[k - 1] * p_prev
+        q_prev, q_cur = q_cur, xb * q_cur - rc.d[k - 1] * q_prev
+    return q_cur / p_cur
+
+
+def naive_f_states(vs, depth, z):
+    """Phi*_depth(z), Omega*_depth(z) and the largest state modulus seen,
+    with no rescaling."""
+    phi = phis = om = oms = 1.0 + 0j
+    top = 1.0
+    for a in vs.alpha[:depth]:
+        phi, phis = z * phi - a.conjugate() * phis, phis - a * z * phi
+        om, oms = z * om + a.conjugate() * oms, oms + a * z * om
+        top = max(top, abs(phis), abs(oms))
+    return phis, oms, top
+
+
+class TestLargeStates:
+    """The convergent states grow like |x|^k on the line and up to 2^k on
+    the circle; they are rescaled by powers of two before they overflow."""
+
+    @pytest.mark.parametrize("x", [1e8, 1e10, 1e200, 1e300, -1e300, 1e300j, 1e200 - 1e200j])
+    def test_huge_line_point_is_finite(self, x):
+        val, err = s_value(SFunctionHandle(chebyshev_t(), 40), x)
+        assert val == pytest.approx(1 / x, rel=1e-12)
+        assert err <= 1e-12 * abs(val)
+
+    def test_rescaling_keeps_every_bit(self):
+        # at x = 3e7 the states pass the rescaling trigger (~2^935) by
+        # order 38 but stay finite unscaled through order 40
+        rc = geronimus_forward(long_random_alpha(2, 120, 0.35), 60)
+        for x in (3e7, -3e7, 2e7 + 2e7j):
+            assert abs(naive_s_convergent(rc, 40, x).real) < math.inf
+            assert s_convergent(SFunctionHandle(rc, 40), x) == naive_s_convergent(rc, 40, x)
+
+    def test_circle_rescaling_keeps_every_bit(self):
+        # the states grow ~2^0.45 per step: past the trigger (2^960) near
+        # order 2130, unscaled overflow near order 2270
+        vs = VerblunskySeq((0.99, -0.99) * 1200)
+        z = 0.95j
+        checked = 0
+        for depth in range(2100, 2270, 13):
+            phis, oms, top = naive_f_states(vs, depth, z)
+            if top > 2.0 ** 960:
+                assert f_convergent(CFunctionHandle(vs, depth), z) == oms / phis
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("z", [0.95j, -0.95])
+    def test_deep_circle_data_is_finite(self, z):
+        # 3000 coefficients of modulus 0.99: unscaled, 0.95j overflowed
+        # (OverflowError) and -0.95 gave nan
+        vs = VerblunskySeq((0.99, -0.99) * 1500)
+        deep, err = f_value(CFunctionHandle(vs, 3000), z)
+        shallow = f_convergent(CFunctionHandle(vs, 700), z)
+        assert deep == pytest.approx(shallow, rel=1e-12)
+        assert err < 1e-12
+
+
 class TestFConvergent:
     def test_lebesgue_is_one(self):
         h = CFunctionHandle(VerblunskySeq((0.0,) * 25), 20)

@@ -246,6 +246,34 @@ class TestVSequence:
             v_from_recurrence(rc, 2)
 
 
+class TestNanInput:
+    """A NaN fails the first guard it reaches instead of flowing through:
+    each guard is written `not abs(x) < bound`, which NaN does not pass."""
+
+    NAN_PAIRS = RealRecurrence((math.nan,) * 3, (0.25,) * 3)
+
+    def test_inverse_raises_at_first_coefficient(self):
+        with pytest.raises(SupportViolation) as exc:
+            geronimus_inverse(self.NAN_PAIRS, 3)
+        assert exc.value.index == 0 and math.isnan(exc.value.value)
+
+    def test_invert_from_nan_d(self):
+        rc = RealRecurrence((0.0,) * 3, (0.25, math.nan, 0.25))
+        with pytest.raises(SupportViolation) as exc:
+            invert_from(rc, (0.0,), 3)
+        assert exc.value.index == 3
+
+    def test_pivot_peel_raises_at_first_pivot(self):
+        # a NaN pivot is reported the way a vanished one is
+        with pytest.raises(DivisionDegenerate, match=r"pivot v_0 vanished"):
+            v_from_recurrence(self.NAN_PAIRS, 6)
+
+    def test_alpha_from_v_raises_at_first_coefficient(self):
+        with pytest.raises(SupportViolation) as exc:
+            alpha_from_v(VSeq((math.nan, 1.0)))
+        assert exc.value.index == 0
+
+
 class TestLuCheck:
     def test_chebyshev_t(self):
         rc = chebyshev_t()
