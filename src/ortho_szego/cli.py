@@ -7,10 +7,11 @@
     ortho-szego eval      --in FILE --side line|circle --points LIST
                           [--depth D] [--out FILE]
 
-Exit codes: 0 success; 1 I/O or file-format error; 2 support violation
-(offending index on stderr) or forbidden evaluation point; 3 perturbation
-spec invalid for the chosen side; 4 unknown verify suite; 5 verify suite
-failure.  ORTHO_SZEGO_DEPTH overrides the default convergent depth (40).
+Exit codes: 0 success; 1 I/O, file-format or usage error; 2 support
+violation (offending index on stderr) or forbidden evaluation point; 3
+perturbation spec invalid for the chosen side; 4 unknown verify suite; 5
+verify suite failure.  ORTHO_SZEGO_DEPTH overrides the default convergent
+depth (40).
 
 Output is deterministic byte-for-byte for a fixed seed and job.
 """
@@ -232,7 +233,13 @@ def cmd_eval(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # after _preload, see _COMMAND_MODULES
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse's own error() prints a usage block and exits 2, the code
+        # for a support violation; a usage error is an input error (exit 1)
+        def error(self, message):
+            raise _CliExit(EXIT_IO, f"{self.prog}: {message}")
+
+    parser = Parser(
         prog="ortho-szego",
         description="Coefficient transforms for orthogonal polynomials on the "
                     "real line and the unit circle, linked by the Szego map.")
@@ -289,8 +296,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     _preload(argv)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliExit as exc:
         if exc.message:

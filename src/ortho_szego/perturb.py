@@ -8,14 +8,18 @@ Every family takes a ``path`` argument:
 
 Where the stated formula differs from the bridge recursion (the
 co-dilation head, the symmetric co-dilation head, the circle-side
-associated and anti-associated maps, sieving and k-modification) the two
-paths are independent code, and the verification suites and the test
-suite check that they agree.  Three line-side maps have no separate
-closed form: the associated and anti-associated families
-(``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``) and the
-symmetric family (``symmetric_verblunsky``) are the bridge recursion
-``szego.invert_from`` itself, fed shifted, prepended or b == 0 data, so
-both paths run that one kernel.  The single documented exception is the LU
+associated map, sieving and k-modification) the two paths are
+independent code, and the verification suites and the test suite check
+that they agree.  Four maps have no separate closed form: both paths run
+one kernel, so their deviation (``perturb --both-paths``) is 0 by
+construction.  Three are line-side: the associated and anti-associated
+families (``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``)
+and the symmetric family (``symmetric_verblunsky``) are the bridge
+recursion ``szego.invert_from`` itself, fed shifted, prepended or b == 0
+data.  The fourth is the circle-side anti-associated family
+(``antiassoc_opuc_to_recurrence``): the paper's four-branch table is the
+forward relations on the prepended coefficients, so both paths run
+``szego.geronimus_forward``.  The single documented exception is the LU
 shortcut for a dilation (``perturbed_v`` / ``perturbed_alpha_lu``): its
 stated prefix-preservation clashes with the genuinely perturbed LU data
 when the dilation factor differs from 1, so those two operations expose a
@@ -34,7 +38,7 @@ from functools import partial
 from ._value import Value
 from .errors import InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
-from .opuc import VerblunskySeq, check_xi, prepend_verblunsky, shift_verblunsky
+from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from .szego import (
     VSeq,
     _alpha_conv,
@@ -335,63 +339,17 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
 def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
                                  path: str = CLOSED_FORM) -> RealRecurrence:
     """Recurrence pairs of the order-k anti-associated circle family,
-    k = len(xi), via the four-branch boundary tables (pure-prepend rows,
-    the mixed rows where the prepended window meets the original data, and
-    the stable tail)."""
+    k = len(xi): the forward relations on {xi_0, ..., xi_{k-1}, a_0, ...}.
+
+    The paper states this as a four-branch table (pure-prepend rows, the
+    mixed rows where the prepended window meets the original data, and the
+    stable tail).  The table is these forward relations with the index
+    split between xi and a written out, so there is no separate closed
+    form: both paths run geronimus_forward on the prepended sequence.
+    tests/test_perturb.py checks the table against it in exact arithmetic.
+    """
     _check_path(path)
-    xi = tuple(float(x) for x in xi)
-    k = len(xi)
-    if path == ORACLE:
-        return geronimus_forward(prepend_verblunsky(vs, xi), n)
-    if k == 0:
-        return geronimus_forward(vs, n)
-    check_xi(xi)
-    a = vs.real_view()
-    if k + len(a) < 2 * n:
-        raise InsufficientCoefficients(2 * n, k + len(a), "alpha coefficients")
-    b_out: list[float] = []
-    d_out: list[float] = []
-    if k % 2 == 1:
-        m = (k + 1) // 2
-        for j in range(n):
-            if j <= m - 2:
-                if j == 0:
-                    d_out.append(0.5 * (1.0 - xi[0] ** 2) * (1.0 + xi[1]))
-                else:
-                    d_out.append(0.25 * (1.0 - xi[2 * j - 1]) * (1.0 - xi[2 * j] ** 2) * (1.0 + xi[2 * j + 1]))
-            elif j == m - 1:
-                d_out.append(0.25 * (1.0 - _alpha_conv(xi, 2 * j - 1)) * (1.0 - xi[2 * j] ** 2) * (1.0 + a[2 * (j - m) + 2]))
-            else:
-                d_out.append(0.25 * (1.0 - a[2 * (j - m)]) * (1.0 - a[2 * (j - m) + 1] ** 2) * (1.0 + a[2 * (j - m) + 2]))
-            if j == 0:
-                b_out.append(xi[0])
-            elif j <= m - 1:
-                b_out.append(0.5 * ((1.0 - xi[2 * j - 1]) * xi[2 * j] - (1.0 + xi[2 * j - 1]) * xi[2 * j - 2]))
-            elif j == m:
-                b_out.append(0.5 * ((1.0 - a[2 * (j - m)]) * a[2 * (j - m) + 1] - (1.0 + a[2 * (j - m)]) * xi[2 * j - 2]))
-            else:
-                b_out.append(0.5 * ((1.0 - a[2 * (j - m)]) * a[2 * (j - m) + 1] - (1.0 + a[2 * (j - m)]) * a[2 * (j - m) - 1]))
-    else:
-        m = k // 2
-        rc = geronimus_forward(vs, max(n - m, 1))
-        for j in range(n):
-            if j == 0:
-                d_out.append(0.5 * (1.0 - xi[0] ** 2) * (1.0 + xi[1]))
-            elif j <= m - 1:
-                d_out.append(0.25 * (1.0 - xi[2 * j - 1]) * (1.0 - xi[2 * j] ** 2) * (1.0 + xi[2 * j + 1]))
-            elif j == m:
-                d_out.append(0.25 * (1.0 - xi[2 * m - 1]) * (1.0 - a[0] ** 2) * (1.0 + a[1]))
-            else:
-                d_out.append(rc.d_at(j - m + 1))
-            if j == 0:
-                b_out.append(xi[0])
-            elif j <= m - 1:
-                b_out.append(0.5 * ((1.0 - xi[2 * j - 1]) * xi[2 * j] - (1.0 + xi[2 * j - 1]) * xi[2 * j - 2]))
-            elif j == m:
-                b_out.append(0.5 * ((1.0 - xi[2 * m - 1]) * a[0] - (1.0 + xi[2 * m - 1]) * xi[2 * m - 2]))
-            else:
-                b_out.append(rc.b_at(j - m + 1))
-    return RealRecurrence(tuple(b_out), tuple(d_out))
+    return geronimus_forward(prepend_verblunsky(vs, tuple(float(x) for x in xi)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +617,14 @@ def _real_from_obj(value) -> float:
 
 
 def _int_from_obj(value) -> int:
-    return value if type(value) is int else int(_real_from_obj(value))
+    """A spec field as an int: a JSON integer, or a number with no
+    fractional part (2.0 reads as 2, 2.7 is a malformed field)."""
+    if type(value) is int:
+        return value
+    x = _real_from_obj(value)
+    if not x.is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(x)
 
 
 def _complex_from_obj(value) -> complex:

@@ -23,9 +23,6 @@ from .perturb import (
     ORACLE,
     SHORTCUT,
     CLOSED_FORM,
-    antiassoc_oprl_to_verblunsky,
-    antiassoc_opuc_to_recurrence,
-    assoc_oprl_to_verblunsky,
     assoc_opuc_to_recurrence,
     coprl_verblunsky,
     path_discrepancy_report,
@@ -33,7 +30,6 @@ from .perturb import (
     sieve2_recurrence,
     sieved_kmod_recurrence,
     symmetric_codilated_verblunsky,
-    symmetric_verblunsky,
 )
 from .polyhom import homography_apply
 from .spectral import (
@@ -64,9 +60,9 @@ from .tolerances import CHECK_TOL, DEFAULT_TOLS, EXACT_TOL, check_suite
 
 # A property on random inputs redraws those whose route leaves the
 # admissible region (SupportViolation), up to this many times per kept
-# draw.  Over seeds 0-399 the worst was ~73 per kept draw, for the
-# line-side anti-associated draws (random prepends are rarely admissible);
-# every other property discarded at most 3 per kept draw.
+# draw.  Over seeds 0-399 the worst was ~3 per kept draw (3.03, for
+# lu_shortcut_agrees_at_lam1 at seed 10), so the cap only stops a property
+# whose draws have stopped being admissible.
 MAX_DISCARDS_PER_KEPT = 200
 
 
@@ -344,24 +340,6 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
 
     rep.record_kept("coprl_closed_form_vs_oracle", run_coprl, 50, tol)
 
-    def run_assoc_line():
-        rc = _rand_rc(rng, depth + 6)
-        k = rng.randint(0, 4)
-        return _vs_err(assoc_oprl_to_verblunsky(rc, k, depth, path=CLOSED_FORM),
-                       assoc_oprl_to_verblunsky(rc, k, depth, path=ORACLE))
-
-    rep.record_kept("line_assoc_closed_form_vs_oracle", run_assoc_line, 50, tol)
-
-    def run_antiassoc_line():
-        rc = _rand_rc(rng, depth + 2)
-        k = rng.randint(1, 4)
-        pb = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
-        pd = tuple(rng.uniform(0.05, 0.5) for _ in range(k))
-        return _vs_err(antiassoc_oprl_to_verblunsky(rc, pb, pd, depth, path=CLOSED_FORM),
-                       antiassoc_oprl_to_verblunsky(rc, pb, pd, depth, path=ORACLE))
-
-    rep.record_kept("line_antiassoc_closed_form_vs_oracle", run_antiassoc_line, 50, tol)
-
     def run_assoc_circle():
         vs = _rand_alpha(rng, 2 * depth + 8)
         k = rng.randint(0, 5)
@@ -370,24 +348,12 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
 
     rep.record_kept("circle_assoc_closed_form_vs_oracle", run_assoc_circle, 50, tol)
 
-    def run_antiassoc_circle():
-        vs = _rand_alpha(rng, 2 * depth + 4)
-        k = rng.randint(1, 5)
-        xi = tuple(rng.uniform(-0.8, 0.8) for _ in range(k))
-        return _rc_err(antiassoc_opuc_to_recurrence(vs, xi, depth, path=CLOSED_FORM),
-                       antiassoc_opuc_to_recurrence(vs, xi, depth, path=ORACLE))
-
-    rep.record_kept("circle_antiassoc_closed_form_vs_oracle", run_antiassoc_circle, 50, tol)
-
     def run_symmetric():
         d = tuple(rng.uniform(0.05, 0.45) for _ in range(depth))
-        err = _vs_err(symmetric_verblunsky(d, path=CLOSED_FORM),
-                      symmetric_verblunsky(d, path=ORACLE))
         k = rng.randint(1, 5)
         lam = rng.uniform(0.6, 1.4)
-        err = max(err, _vs_err(symmetric_codilated_verblunsky(d, k, lam, path=CLOSED_FORM),
-                               symmetric_codilated_verblunsky(d, k, lam, path=ORACLE)))
-        return err
+        return _vs_err(symmetric_codilated_verblunsky(d, k, lam, path=CLOSED_FORM),
+                       symmetric_codilated_verblunsky(d, k, lam, path=ORACLE))
 
     rep.record_kept("symmetric_closed_form_vs_oracle", run_symmetric, 50, tol)
 

@@ -242,6 +242,30 @@ class TestPerturbCommand:
                      "--side", "circle", "--both-paths"]) == 1
         assert capsys.readouterr().err == "need 2 alpha coefficients, have 1\n"
 
+    def test_both_paths_window_inside_xi(self, tmp_path, capsys):
+        # the one compared row lies inside xi; this exited 1 ("need 2 alpha
+        # coefficients, have 1") with --both-paths and 0 without it
+        src = tmp_path / "one.json"
+        src.write_text('{"alpha": [[0.1, 0]]}')
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "anti_associated", "xi": [0.2, -0.3]}]')
+        out = tmp_path / "out.json"
+        assert main(["perturb", "--in", str(src), "--spec", str(spec), "--side", "circle",
+                     "--out", str(out), "--both-paths"]) == 0
+        assert capsys.readouterr().err == ("both-paths anti_associated k=2: "
+                                           "max deviation 0.000e+00\n")
+        assert loads_coefficients(out.read_text()).alpha == (0.2, -0.3, 0.1)
+
+    def test_integral_float_index_reads_as_int(self, tfile, tmp_path):
+        outs = []
+        for k in ("2", "2.0"):
+            spec = tmp_path / f"spec{k}.json"
+            spec.write_text('[{"kind": "associated", "k": %s}]' % k)
+            outs.append(tmp_path / f"out{k}.json")
+            assert main(["perturb", "--in", tfile, "--spec", str(spec), "--side", "line",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_non_object_spec_exit1(self, tfile, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text("[1]")
@@ -270,6 +294,7 @@ class TestPerturbCommand:
 
     @pytest.mark.parametrize("spec, kind, message", [
         ('{"kind": "associated", "k": "2"}', "associated", "expected a number, got '2'"),
+        ('{"kind": "associated", "k": 2.7}', "associated", "expected an integer, got 2.7"),
         ('{"kind": "co_dilated", "k": 1, "lambda": "x"}', "co_dilated",
          "expected a number, got 'x'"),
         ('{"kind": "co_recursive", "k": true, "tau": 0.1}', "co_recursive",
@@ -278,7 +303,7 @@ class TestPerturbCommand:
          "expected a number, got '0.1'"),
     ])
     def test_string_spec_field_exit1(self, tfile, tmp_path, capsys, spec, kind, message):
-        # "k": "2" ran as k = 2 (exit 0) and "lambda": "x" exited 3
+        # "k": "2" and "k": 2.7 ran as k = 2 (exit 0) and "lambda": "x" exited 3
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(spec)
         out = tmp_path / "out.json"
@@ -322,6 +347,28 @@ class TestPerturbCommand:
             "invalid perturbation for side circle: sieved sequence would have "
             "40000000 entries, more than 100000\n")
         assert not (tmp_path / "out.json").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, err", [
+        (["eval", "--in", "t.json", "--side", "line", "--points", "-1e300"],
+         "ortho-szego eval: argument --points: expected one argument\n"),
+        (["geronimus", "--direction", "sideways", "--in", "t.json"],
+         "ortho-szego geronimus: argument --direction: invalid choice: 'sideways'"),
+        (["verify"], "ortho-szego verify: the following arguments are required: --suite\n"),
+        ([], "ortho-szego: the following arguments are required: command\n"),
+    ], ids=["negative-point", "bad-direction", "no-suite", "no-command"])
+    def test_usage_error_exit1_one_line(self, capsys, argv, err):
+        # argparse printed a usage block and exited 2, the support-violation code
+        assert main(argv) == 1
+        out, got = capsys.readouterr()
+        assert out == "" and got.startswith(err) and got.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ortho-szego eval")
 
 
 UNKNOWN_SUITE_ERR = ("unknown suite 'nope'; pick from ['bridge', 'conjugation', "

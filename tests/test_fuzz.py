@@ -203,11 +203,10 @@ def test_cli_exits_with_a_documented_code(fuzz_dir, argv, line, circle, spec):
         (fuzz_dir / FILES[name]).write_text(text)
     argv = [str(fuzz_dir / FILES[a[1:]]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
+    # a usage error returns 1 like any input error, so no SystemExit
+    # escapes (no fuzzed argv asks for --help)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
-            code = exc.code
+        code = main(argv)
     assert code in range(6)
     assert "Traceback" not in err.getvalue()
     if code not in (0, 5):  # every error says what went wrong; 5 prints FAIL lines

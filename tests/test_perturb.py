@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ortho_szego.errors import InsufficientCoefficients, InvalidEta, InvalidXi, SupportViolation
-from ortho_szego.oprl import chebyshev_t, chebyshev_u
+from ortho_szego.errors import (
+    ComplexAlpha,
+    InsufficientCoefficients,
+    InvalidEta,
+    InvalidXi,
+    SupportViolation,
+)
+from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import (
     ORACLE,
@@ -232,6 +238,106 @@ class TestAssociatedCircle:
             assert_rc_close(th, br, 1e-10)
 
 
+def _forward(a, n):
+    """The forward relations (b_1..b_n, d_1..d_n), with a_{-1} = -1 and
+    a_{-2} = 0, written with int constants: exact on Fraction input, and
+    on floats bit-identical to szego.geronimus_forward (scaling by a power
+    of two commutes with rounding)."""
+    b, d = [], []
+    am2, am1 = 0, -1
+    for m in range(n):
+        a0, a1 = a[2 * m], a[2 * m + 1]
+        d.append((1 - am1) * (1 - a0 ** 2) * (1 + a1) / 4)
+        b.append((a0 * (1 - am1) - am2 * (1 + am1)) / 2)
+        am2, am1 = a0, a1
+    return b, d
+
+
+def _antiassoc_table(xi, a, n):
+    """The paper's table for the order-k anti-associated circle family,
+    k = len(xi): rows j = 0 .. n-1 of (b~_{j+1}, d~_{j+1}) from the prepended
+    xi and the original a, in four branches: pure-prepend rows, the mixed
+    rows where the prepended window meets a, and the tail (written in a for
+    odd k, the original pairs shifted by m for even k).  Int constants, as
+    in _forward."""
+    k = len(xi)
+    b, d = [], []
+
+    def pure_d(j):
+        if j == 0:
+            return (1 - xi[0] ** 2) * (1 + xi[1]) / 2
+        return (1 - xi[2 * j - 1]) * (1 - xi[2 * j] ** 2) * (1 + xi[2 * j + 1]) / 4
+
+    def pure_b(j):
+        if j == 0:
+            return xi[0]
+        return ((1 - xi[2 * j - 1]) * xi[2 * j] - (1 + xi[2 * j - 1]) * xi[2 * j - 2]) / 2
+
+    if k % 2 == 1:
+        m = (k + 1) // 2
+        for j in range(n):
+            i = 2 * (j - m)  # a row j >= m reads a_i, a_{i+1}, a_{i+2}
+            if j < m - 1:
+                d.append(pure_d(j))
+            elif j == m - 1:
+                prev = xi[2 * j - 1] if j else -1
+                d.append((1 - prev) * (1 - xi[2 * j] ** 2) * (1 + a[0]) / 4)
+            else:
+                d.append((1 - a[i]) * (1 - a[i + 1] ** 2) * (1 + a[i + 2]) / 4)
+            if j < m:
+                b.append(pure_b(j))
+            elif j == m:
+                b.append(((1 - a[0]) * a[1] - (1 + a[0]) * xi[2 * m - 2]) / 2)
+            else:
+                b.append(((1 - a[i]) * a[i + 1] - (1 + a[i]) * a[i - 1]) / 2)
+    else:
+        m = k // 2
+        tail_b, tail_d = _forward(a, n - m)
+        for j in range(n):
+            if j < m:
+                d.append(pure_d(j))
+                b.append(pure_b(j))
+            elif j == m:
+                d.append((1 - xi[2 * m - 1]) * (1 - a[0] ** 2) * (1 + a[1]) / 4)
+                b.append(((1 - xi[2 * m - 1]) * a[0] - (1 + xi[2 * m - 1]) * xi[2 * m - 2]) / 2)
+            else:
+                d.append(tail_d[j - m])
+                b.append(tail_b[j - m])
+    return b, d
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestAntiAssociatedCircleTable:
+    def test_table_is_the_forward_relations_exactly(self):
+        rng = random.Random(1505)
+        for k in range(1, 7):
+            m = (k + 1) // 2
+            for n in range(1, m + 5):  # pure rows only, then mixed rows, then the tail
+                for _ in range(4):
+                    xi = [Fraction(rng.uniform(-0.95, 0.95)) for _ in range(k)]
+                    a = [Fraction(rng.uniform(-0.95, 0.95)) for _ in range(max(2 * n - k, 0) + 1)]
+                    b, d = _antiassoc_table(xi, a, n)
+                    assert all(type(x) is Fraction for x in b + d)
+                    assert (b, d) == _forward(xi + a, n), (k, n)
+
+    def test_kernel_equals_table_bit_for_bit(self):
+        rng = random.Random(2015)
+        for draw in range(360):
+            k = rng.randint(1, 6)
+            n = rng.randint(1, 16)
+            bound = (0.35, 0.9, 0.999)[draw % 3]
+            xi = tuple(rng.uniform(-bound, bound) for _ in range(k))
+            length = max(2 * n - k, 0) + rng.randint(0, 3)
+            a = tuple(rng.uniform(-bound, bound) for _ in range(length))
+            b, d = _antiassoc_table(xi, a, n)
+            for path in (CLOSED_FORM, ORACLE):
+                got = antiassoc_opuc_to_recurrence(VerblunskySeq(a), xi, n, path=path)
+                assert (_bits(got.b), _bits(got.d)) == (_bits(b), _bits(d))
+
+
 class TestAntiAssociatedCircle:
     def test_spec_k2_fixture(self):
         # alpha = 0, xi = (0, -1/2): mixed row gives d~_2 = 3/8, b~_2 = 0
@@ -252,8 +358,24 @@ class TestAntiAssociatedCircle:
             k = rng.randint(1, 5)
             xi = tuple(rng.uniform(-0.8, 0.8) for _ in range(k))
             th = antiassoc_opuc_to_recurrence(vs, xi, 12, path=CLOSED_FORM)
-            br = antiassoc_opuc_to_recurrence(vs, xi, 12, path=ORACLE)
-            assert_rc_close(th, br, 1e-10)
+            b, d = _antiassoc_table(xi, vs.real_view(), 12)
+            assert (_bits(th.b), _bits(th.d)) == (_bits(b), _bits(d))
+
+    def test_window_inside_xi_same_on_both_paths(self):
+        # k = 2, n = 1: the one row lies inside xi; the closed form asked
+        # for a_0, a_1 and raised "need 2 alpha coefficients, have 1"
+        vs = VerblunskySeq((0.1,))
+        for path in (CLOSED_FORM, ORACLE):
+            got = antiassoc_opuc_to_recurrence(vs, (0.2, -0.3), 1, path=path)
+            assert got == RealRecurrence((0.2,), ((1 - 0.2 ** 2) * (1 - 0.3) / 2,))
+
+    @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+    def test_complex_base_names_its_prepended_index(self, path):
+        # the closed form named alpha_1 of the base, the oracle alpha_2 of
+        # the prepended sequence
+        vs = VerblunskySeq((0.1, 0.2 + 0.1j, 0.3, 0.1))
+        with pytest.raises(ComplexAlpha, match=r"^alpha_2 = \(0\.2\+0\.1j\) has nonzero"):
+            antiassoc_opuc_to_recurrence(vs, (0.2,), 2, path=path)
 
     @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
     def test_rejects_xi_outside_disc(self, path):
