@@ -62,8 +62,10 @@ _SOURCES = {
     "spectral": (
         "CFunctionHandle",
         "SFunctionHandle",
-        "corollary_fixtures",
-        "corollary_rows",
+        "antiassoc_order1_cfun_secondkind",
+        "antiassoc_order2_sfun_matrix",
+        "assoc_order1_cfun",
+        "assoc_order2_sfun_matrix",
         "f_convergent",
         "fs_bridge_check",
         "matrix_B_antiassoc",

@@ -11,7 +11,7 @@ Exit codes: 0 success; 1 I/O, file-format or usage error; 2 support
 violation (offending index on stderr) or forbidden evaluation point; 3
 perturbation spec invalid for the chosen side; 4 unknown verify suite; 5
 verify suite failure.  ORTHO_SZEGO_DEPTH overrides the default convergent
-depth (40).
+depth of `eval` (40); no other command reads it.
 
 Output is deterministic byte-for-byte for a fixed seed and job.
 """

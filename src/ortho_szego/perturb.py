@@ -550,17 +550,17 @@ def symmetric_verblunsky(d, n: int | None = None, path: str = CLOSED_FORM) -> Ve
     return geronimus_inverse(RealRecurrence((0.0,) * len(d), d), n)
 
 
-def symmetric_codilated_verblunsky(d, k: int, lam: float, n: int | None = None,
+def symmetric_codilated_verblunsky(d, k: int, lam: float,
                                    path: str = CLOSED_FORM) -> VerblunskySeq:
-    """Symmetric family after d_k -> lam d_k: odd entries below 2k-1 are
-    kept, g_{2k-1} shifts by 4 (lam - 1) d_k / (1 - g_{2k-3}), and every
-    later odd entry follows the symmetric recursion."""
+    """Symmetric family after d_k -> lam d_k, as 2 len(d) circle
+    coefficients: odd entries below 2k-1 are kept, g_{2k-1} shifts by
+    4 (lam - 1) d_k / (1 - g_{2k-3}), and every later odd entry follows the
+    symmetric recursion."""
     _check_path(path)
     if k < 1:
         raise ValueError("co-dilation index must be >= 1")
     d = tuple(float(x) for x in d)
-    if n is None:
-        n = len(d)
+    n = len(d)
     rc = RealRecurrence((0.0,) * len(d), d)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [CoDilated(k, lam)]), n)
@@ -577,7 +577,7 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float, n: int | None = None,
 
 
 class SpecKind(Value):
-    """How one perturbation kind is read, written and applied.
+    """How one perturbation kind is read and applied.
 
     ``apply`` maps each side the kind applies to ("line", "circle") to
     ``f(data, spec) -> perturbed data``.  ``paths`` maps a side to
@@ -586,15 +586,13 @@ class SpecKind(Value):
     string saying why the side has no such pair.
     """
 
-    __slots__ = ("read", "write", "apply", "paths")
+    __slots__ = ("read", "apply", "paths")
     read: Callable[[dict], object]
-    write: Callable[[object], dict]
     apply: dict[str, Callable]
     paths: dict[str, Callable]
 
-    def __init__(self, read, write, apply, paths):
+    def __init__(self, read, apply, paths):
         object.__setattr__(self, "read", read)
-        object.__setattr__(self, "write", write)
         object.__setattr__(self, "apply", apply)
         object.__setattr__(self, "paths", paths)
 
@@ -654,12 +652,6 @@ def _antiassoc_from_obj(obj: dict) -> AntiAssociated:
                           pre_d=tuple(_real_from_obj(x) for x in obj.get("pre_d", ())))
 
 
-def _antiassoc_to_obj(spec: AntiAssociated) -> dict:
-    if spec.xi:
-        return {"kind": spec.kind, "xi": [[x.real, x.imag] for x in spec.xi]}
-    return {"kind": spec.kind, "pre_b": list(spec.pre_b), "pre_d": list(spec.pre_d)}
-
-
 def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
     if spec.xi or not spec.pre_b:
         raise WrongSide("anti_associated on the line side needs pre_b/pre_d")
@@ -682,25 +674,20 @@ def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
 SPECS: dict[str, SpecKind] = {
     CoDilated.kind: SpecKind(
         read=lambda obj: CoDilated(_int_from_obj(obj["k"]), _real_from_obj(obj["lambda"])),
-        write=lambda spec: {"kind": spec.kind, "k": spec.k, "lambda": spec.lam},
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}),
     CoRecursive.kind: SpecKind(
         read=lambda obj: CoRecursive(_int_from_obj(obj["k"]), _real_from_obj(obj["tau"])),
-        write=lambda spec: {"kind": spec.kind, "k": spec.k, "tau": spec.tau},
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}),
     KModification.kind: SpecKind(
         read=lambda obj: KModification(_int_from_obj(obj["k"]), _complex_from_obj(obj["eta"])),
-        write=lambda spec: {"kind": spec.kind, "k": spec.k,
-                            "eta": [spec.eta.real, spec.eta.imag]},
         apply={"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)},
         paths={}),
     Associated.kind: SpecKind(
         read=lambda obj: Associated(_int_from_obj(obj["k"])),
-        write=lambda spec: {"kind": spec.kind, "k": spec.k},
         apply={"line": lambda rc, spec: shift_coefficients(rc, spec.k),
                "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)},
         paths={"line": lambda rc, spec: (spec.k, partial(
@@ -709,14 +696,12 @@ SPECS: dict[str, SpecKind] = {
                    assoc_opuc_to_recurrence, vs, spec.k, max((len(vs) - spec.k) // 2 - 1, 1)))}),
     AntiAssociated.kind: SpecKind(
         read=_antiassoc_from_obj,
-        write=_antiassoc_to_obj,
         apply={"line": _antiassoc_line, "circle": _antiassoc_circle},
         paths={"line": lambda rc, spec: (len(spec.pre_b), partial(
                    antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
                "circle": _antiassoc_circle_paths}),
     Sieve.kind: SpecKind(
         read=lambda obj: Sieve(_int_from_obj(obj["ell"])),
-        write=lambda spec: {"kind": spec.kind, "ell": spec.ell},
         apply={"circle": lambda vs, spec: sieve(vs, spec.ell)},
         paths={}),
 }

@@ -1,14 +1,14 @@
-"""Coefficient file formats.
+"""Coefficient and perturbation file formats.
 
-Structured text objects with every float rendered at 17 significant
-digits, which round-trips IEEE doubles exactly and keeps files diffable:
+Coefficient files are structured text objects with every float rendered
+at 17 significant digits, which round-trips IEEE doubles exactly and
+keeps files diffable; the key tells the two kinds apart:
 
     { "b": [...], "d": [...] }         line recurrence pairs
     { "alpha": [[re, im], ...] }       circle coefficients
-    { "v": [...] }                     LU pivot sequence
 
-Perturbations travel as tagged objects, e.g.
-{ "kind": "co_dilated", "k": 1, "lambda": 0.5 }.
+Perturbation files are read only: a tagged object, e.g.
+{ "kind": "co_dilated", "k": 1, "lambda": 0.5 }, or a list of them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from .errors import OrthoError
 from .oprl import RealRecurrence
 from .opuc import VerblunskySeq
-from .szego import VSeq
 
 
 # What json.loads raises on bad text: ValueError for a syntax error
@@ -49,17 +48,11 @@ def dumps_verblunsky(vs: VerblunskySeq) -> str:
     return '{"alpha": %s}\n' % _pair_list(vs.alpha)
 
 
-def dumps_vseq(v: VSeq) -> str:
-    return '{"v": %s}\n' % _num_list(v.v)
-
-
 def dumps_coefficients(obj) -> str:
     if isinstance(obj, RealRecurrence):
         return dumps_recurrence(obj)
     if isinstance(obj, VerblunskySeq):
         return dumps_verblunsky(obj)
-    if isinstance(obj, VSeq):
-        return dumps_vseq(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -76,7 +69,7 @@ def _finite_list(values) -> tuple[float, ...]:
 
 
 def loads_coefficients(text: str):
-    """Parse any of the three coefficient objects, detected by key.
+    """Parse either coefficient object, detected by key.
 
     Every entry must be a finite number (an alpha entry a [re, im] pair of
     them): the value classes do not check finiteness, and a NaN passes
@@ -94,8 +87,6 @@ def loads_coefficients(text: str):
             return VerblunskySeq(tuple(complex(re, im) for re, im in pairs))
         if "b" in data and "d" in data:
             return RealRecurrence(_finite_list(data["b"]), _finite_list(data["d"]))
-        if "v" in data:
-            return VSeq(_finite_list(data["v"]))
     except (ValueError, TypeError, OverflowError) as exc:
         raise OrthoError(f"malformed coefficient file: {exc}") from exc
     raise OrthoError(f"unrecognized coefficient keys: {sorted(data)}")
@@ -121,15 +112,6 @@ def spec_from_obj(obj: dict, position: int = 0):
     except (KeyError, TypeError) as exc:
         raise OrthoError(f"perturbation entry {position} ({kind}): "
                          f"missing or malformed field: {exc}") from exc
-
-
-def spec_to_obj(spec) -> dict:
-    from .perturb import SPECS
-
-    entry = SPECS.get(getattr(spec, "kind", None))
-    if entry is None:
-        raise TypeError(f"cannot serialize {type(spec)!r}")
-    return entry.write(spec)
 
 
 def specs_from_text(text: str) -> list:

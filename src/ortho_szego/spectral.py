@@ -9,9 +9,15 @@ convergents,
 
 which converge geometrically away from the support and need no moment
 pipeline.  On top of the convergents this module builds the 2x2 transfer
-matrices of the associated and anti-associated families, the generic
-conjugation check that moves a matrix across the line/circle bridge, and
-the explicit low-order corollary formulas, all validated pointwise.
+matrices of the associated and anti-associated families, the conjugation
+check that moves a matrix across the line/circle bridge, and the four
+explicit low-order corollary formulas (assoc_order1_cfun,
+antiassoc_order1_cfun_secondkind, assoc_order2_sfun_matrix,
+antiassoc_order2_sfun_matrix), all validated pointwise.
+
+The convergent depth defaults to DEFAULT_DEPTH; the library reads no
+environment variable.  default_depth() is the `eval` command's reading of
+ORTHO_SZEGO_DEPTH.
 
 Evaluation refuses points too close to the support (within 1e-6 of
 [-1, 1], or within 1e-6 of the unit circle) where convergence degrades.
@@ -37,9 +43,12 @@ SUPPORT_MARGIN = 1e-6
 # Convergent states past this (over 1 + |x| on the line) are rescaled.
 _SCALE_LIMIT = 2.0 ** 960
 
+DEFAULT_DEPTH = 40
+
 
 def default_depth() -> int:
-    """Convergent order: 40 unless ORTHO_SZEGO_DEPTH says otherwise."""
+    """Convergent order for `eval`: DEFAULT_DEPTH unless ORTHO_SZEGO_DEPTH
+    says otherwise."""
     raw = os.environ.get("ORTHO_SZEGO_DEPTH", "")
     if raw:
         try:
@@ -49,7 +58,7 @@ def default_depth() -> int:
         if depth < 1:
             raise ValueError("ORTHO_SZEGO_DEPTH must be >= 1")
         return depth
-    return 40
+    return DEFAULT_DEPTH
 
 
 def _segment_distance(x: Scalar) -> float:
@@ -67,9 +76,9 @@ class SFunctionHandle(Value):
     rc: RealRecurrence
     depth: int
 
-    def __init__(self, rc, depth=None):
+    def __init__(self, rc, depth=DEFAULT_DEPTH):
         object.__setattr__(self, "rc", rc)
-        object.__setattr__(self, "depth", default_depth() if depth is None else depth)
+        object.__setattr__(self, "depth", depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.rc.require(self.depth, self.depth - 1)
@@ -82,9 +91,9 @@ class CFunctionHandle(Value):
     vs: VerblunskySeq
     depth: int
 
-    def __init__(self, vs, depth=None):
+    def __init__(self, vs, depth=DEFAULT_DEPTH):
         object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "depth", default_depth() if depth is None else depth)
+        object.__setattr__(self, "depth", depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.vs.require(self.depth)
@@ -183,11 +192,9 @@ def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
     return tail[-1], abs(tail[-1] - back)
 
 
-def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int | None = None,
+def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,
                     vs: VerblunskySeq | None = None) -> float:
     """Residual |F(z) - (1 - z^2)/(2z) * S(x)| at z = x - sqrt(x^2 - 1)."""
-    if depth is None:
-        depth = default_depth()
     from .szego import map_x_to_z
 
     z = map_x_to_z(x)
@@ -277,26 +284,8 @@ def matrix_Upsilon_antiassoc(vs: VerblunskySeq, xi) -> PolyMatrix2:
 # Conjugation across the bridge
 
 
-def _need_vs(family, depth: int) -> VerblunskySeq:
-    """Circle data for either input kind (derived through the bridge if needed)."""
-    if isinstance(family, VerblunskySeq):
-        return family
-    if isinstance(family, RealRecurrence):
-        return geronimus_inverse(family, (depth + 1) // 2 + 1)
-    raise TypeError(f"expected RealRecurrence or VerblunskySeq, got {type(family)!r}")
-
-
-def _need_rc(family, depth: int) -> RealRecurrence:
-    """Line data for either input kind (derived through the bridge if needed)."""
-    if isinstance(family, RealRecurrence):
-        return family
-    if isinstance(family, VerblunskySeq):
-        return geronimus_forward(family, depth)
-    raise TypeError(f"expected RealRecurrence or VerblunskySeq, got {type(family)!r}")
-
-
 def szego_conjugate_check(m: PolyMatrix2, original, transformed, z: Scalar,
-                          side: str = "line", depth: int | None = None) -> float:
+                          side: str = "line", depth: int = DEFAULT_DEPTH) -> float:
     """Residual of the conjugated transfer identity at the point z (|z| < 1).
 
     side="line": m acts on weighted circle transforms with weight
@@ -309,26 +298,25 @@ def szego_conjugate_check(m: PolyMatrix2, original, transformed, z: Scalar,
 
         s S_new(x) = m(z) . (s S_orig(x)).
 
-    `original` / `transformed` may each be a RealRecurrence or a
-    VerblunskySeq; the missing half of the pair is derived through the
-    bridge.
+    `original` / `transformed` are line data (RealRecurrence) for
+    side="line" and circle data (VerblunskySeq) for side="circle"; the
+    other half of each pair is derived through the bridge.
     """
-    if depth is None:
-        depth = default_depth()
     z = complex(z)
     if z == 0 or abs(z) >= 1.0 - SUPPORT_MARGIN:
         raise EvaluationDomain(f"z = {z!r} must satisfy 0 < |z| < 1")
     x = 0.5 * (z + 1.0 / z)
     if side == "line":
         w = 2.0 * z / (1.0 - z * z)
-        f_o = f_convergent(CFunctionHandle(_need_vs(original, depth), depth), z)
-        f_n = f_convergent(CFunctionHandle(_need_vs(transformed, depth), depth), z)
+        n = (depth + 1) // 2 + 1
+        f_o = f_convergent(CFunctionHandle(geronimus_inverse(original, n), depth), z)
+        f_n = f_convergent(CFunctionHandle(geronimus_inverse(transformed, n), depth), z)
         rhs = homography_apply(m, w * f_o, x)
         return abs(w * f_n - rhs)
     if side == "circle":
         s = 0.5 * (1.0 / z - z)  # the branch with z = x - s
-        s_o = s_convergent(SFunctionHandle(_need_rc(original, depth), depth), x)
-        s_n = s_convergent(SFunctionHandle(_need_rc(transformed, depth), depth), x)
+        s_o = s_convergent(SFunctionHandle(geronimus_forward(original, depth), depth), x)
+        s_n = s_convergent(SFunctionHandle(geronimus_forward(transformed, depth), depth), x)
         rhs = homography_apply(m, s * s_o, z)
         return abs(s * s_n - rhs)
     raise ValueError(f"side must be 'line' or 'circle', got {side!r}")
@@ -338,126 +326,46 @@ def szego_conjugate_check(m: PolyMatrix2, original, transformed, z: Scalar,
 # Explicit low-order corollary formulas
 
 
-def corollary_fixtures() -> dict:
-    """The four explicit low-order formulas as evaluable closures.
-
-    assoc_order1_cfun(z, f, b1, d1)
-        Transformed circle transform of the order-1 associated line family
-        from the second-kind value 1/f:
-        [-(1-z^2)^2 / f + (1-z^2)(z^2 - 2 b1 z + 1)] / (4 d1 z^2).
-
-    antiassoc_order1_cfun_secondkind(z, f, b1_new, d1_new)
-        Reciprocal transform of the order-1 anti-associated family,
-        [4 d1_new z^2 f - (1-z^2)(z^2 - 2 b1_new z + 1)] / (-(1-z^2)^2),
-        with (b1_new, d1_new) the prepended pair.
-
-    assoc_order2_sfun_matrix(b1, alpha1)
-        Matrix [[x - b1, -1], [(lam-1)(1-x^2), (lam-1)(x + b1)]] with
-        lam = 2/(1 - alpha1): the order-2 associated circle family seen
-        from the line.
-
-    antiassoc_order2_sfun_matrix(xi0, xi1)
-        Matrix [[x + xi0, K], [x^2 - 1, K (x - xi0)]] with
-        K = (1 - xi1)/(1 + xi1): the order-2 anti-associated circle family
-        seen from the line, obtained by reducing the order-2 transfer
-        matrix with z^2 + 1 = 2xz and 1 - z^2 = 2z sqrt(x^2 - 1).
-    """
-
-    def assoc_order1_cfun(z: Scalar, f: Scalar, b1: float, d1: float) -> Scalar:
-        omega = 1.0 / f
-        top = -((1 - z * z) ** 2) * omega + (1 - z * z) * (z * z - 2 * b1 * z + 1)
-        return top / (4 * d1 * z * z)
-
-    def antiassoc_order1_cfun_secondkind(z: Scalar, f: Scalar,
-                                         b1_new: float, d1_new: float) -> Scalar:
-        top = 4 * d1_new * z * z * f - (1 - z * z) * (z * z - 2 * b1_new * z + 1)
-        return top / (-((1 - z * z) ** 2))
-
-    def assoc_order2_sfun_matrix(b1: float, alpha1: float) -> PolyMatrix2:
-        lam = 2.0 / (1.0 - alpha1)
-        return PolyMatrix2(
-            Poly((-b1, 1)),
-            P_ONE.scale(-1),
-            Poly(((lam - 1), 0, -(lam - 1))),
-            Poly(((lam - 1) * b1, lam - 1)),
-        )
-
-    def antiassoc_order2_sfun_matrix(xi0: float, xi1: float) -> PolyMatrix2:
-        kfac = (1.0 - xi1) / (1.0 + xi1)
-        return PolyMatrix2(
-            Poly((xi0, 1)),
-            Poly((kfac,)),
-            Poly((-1, 0, 1)),
-            Poly((-kfac * xi0, kfac)),
-        )
-
-    return {
-        "assoc_order1_cfun": assoc_order1_cfun,
-        "antiassoc_order1_cfun_secondkind": antiassoc_order1_cfun_secondkind,
-        "assoc_order2_sfun_matrix": assoc_order2_sfun_matrix,
-        "antiassoc_order2_sfun_matrix": antiassoc_order2_sfun_matrix,
-    }
+def assoc_order1_cfun(z: Scalar, f: Scalar, b1: float, d1: float) -> Scalar:
+    """Transformed circle transform of the order-1 associated line family
+    from the second-kind value 1/f:
+    [-(1-z^2)^2 / f + (1-z^2)(z^2 - 2 b1 z + 1)] / (4 d1 z^2)."""
+    omega = 1.0 / f
+    top = -((1 - z * z) ** 2) * omega + (1 - z * z) * (z * z - 2 * b1 * z + 1)
+    return top / (4 * d1 * z * z)
 
 
-def _row(point: Scalar, lhs: Scalar, rhs: Scalar) -> dict:
-    return {
-        "point": [point.real, point.imag],
-        "lhs": [lhs.real, lhs.imag],
-        "rhs": [rhs.real, rhs.imag],
-        "residual": abs(lhs - rhs),
-    }
+def antiassoc_order1_cfun_secondkind(z: Scalar, f: Scalar,
+                                     b1_new: float, d1_new: float) -> Scalar:
+    """Reciprocal transform of the order-1 anti-associated family,
+    [4 d1_new z^2 f - (1-z^2)(z^2 - 2 b1_new z + 1)] / (-(1-z^2)^2),
+    with (b1_new, d1_new) the prepended pair."""
+    top = 4 * d1_new * z * z * f - (1 - z * z) * (z * z - 2 * b1_new * z + 1)
+    return top / (-((1 - z * z) ** 2))
 
 
-def corollary_rows(depth: int | None = None) -> dict[str, list[dict]]:
-    """Evaluate the four explicit formulas on the Chebyshev fixtures and
-    emit comparison rows {point, lhs, rhs, residual} per fixture, with the
-    rhs always an independent convergent."""
-    from .oprl import RealRecurrence, chebyshev_t, chebyshev_u
+def assoc_order2_sfun_matrix(b1: float, alpha1: float) -> PolyMatrix2:
+    """Matrix [[x - b1, -1], [(lam-1)(1-x^2), (lam-1)(x + b1)]] with
+    lam = 2/(1 - alpha1): the order-2 associated circle family seen from
+    the line."""
+    lam = 2.0 / (1.0 - alpha1)
+    return PolyMatrix2(
+        Poly((-b1, 1)),
+        P_ONE.scale(-1),
+        Poly(((lam - 1), 0, -(lam - 1))),
+        Poly(((lam - 1) * b1, lam - 1)),
+    )
 
-    if depth is None:
-        depth = default_depth()
-    fx = corollary_fixtures()
-    rows: dict[str, list[dict]] = {}
 
-    vs_u = geronimus_inverse(chebyshev_u(depth + 1), depth + 1)
-    h_u = CFunctionHandle(vs_u, depth)
-    rows["assoc_order1_cfun"] = [
-        _row(z, fx["assoc_order1_cfun"](z, 1.0, 0.0, 0.5), f_convergent(h_u, z))
-        for z in (complex(0.05 + 0.04 * i) for i in range(10))
-    ]
-
-    pb, pd = 0.3, 0.2
-    base = chebyshev_u(depth + 2)
-    vs0 = geronimus_inverse(base, depth + 1)
-    vs_pre = geronimus_inverse(prepend_coefficients(base, (pb,), (pd,)), depth + 1)
-    h0, hp = CFunctionHandle(vs0, depth), CFunctionHandle(vs_pre, depth)
-    rows["antiassoc_order1_cfun_secondkind"] = [
-        _row(z,
-             fx["antiassoc_order1_cfun_secondkind"](z, f_convergent(h0, z), pb, pd),
-             1.0 / f_convergent(hp, z))
-        for z in (0.2 + 0j, 0.35 + 0j, -0.3 + 0j, 0.1 + 0.2j)
-    ]
-
-    vs_u2 = geronimus_inverse(chebyshev_u(depth + 2), depth + 2)
-    m2 = fx["assoc_order2_sfun_matrix"](0.0, vs_u2.at(1).real)
-    h_su = SFunctionHandle(chebyshev_u(depth + 2), depth)
-    shifted = SFunctionHandle(
-        RealRecurrence((0.0,) * (depth + 2), (1 / 3,) + (0.25,) * (depth + 1)), depth)
-    rows["assoc_order2_sfun_matrix"] = [
-        _row(x, homography_apply(m2, s_convergent(h_su, x), x),
-             s_convergent(shifted, x))
-        for x in (2.0 + 0j, -1.8 + 0j, 2.5 + 0j)
-    ]
-
-    xi0, xi1 = 0.3, -0.5
-    m3 = fx["antiassoc_order2_sfun_matrix"](xi0, xi1)
-    vs_z = VerblunskySeq((0.0,) * (2 * depth + 6))
-    h_t = SFunctionHandle(chebyshev_t(depth + 2), depth)
-    h_pre = SFunctionHandle(
-        geronimus_forward(prepend_verblunsky(vs_z, (xi0, xi1)), depth + 2), depth)
-    rows["antiassoc_order2_sfun_matrix"] = [
-        _row(x, homography_apply(m3, s_convergent(h_t, x), x),
-             s_convergent(h_pre, x))
-        for x in (2.0 + 0j, -1.8 + 0j, 2.5 + 0j)
-    ]
-    return rows
+def antiassoc_order2_sfun_matrix(xi0: float, xi1: float) -> PolyMatrix2:
+    """Matrix [[x + xi0, K], [x^2 - 1, K (x - xi0)]] with
+    K = (1 - xi1)/(1 + xi1): the order-2 anti-associated circle family seen
+    from the line, obtained by reducing the order-2 transfer matrix with
+    z^2 + 1 = 2xz and 1 - z^2 = 2z sqrt(x^2 - 1)."""
+    kfac = (1.0 - xi1) / (1.0 + xi1)
+    return PolyMatrix2(
+        Poly((xi0, 1)),
+        Poly((kfac,)),
+        Poly((-1, 0, 1)),
+        Poly((-kfac * xi0, kfac)),
+    )

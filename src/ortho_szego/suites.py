@@ -35,7 +35,8 @@ from .polyhom import homography_apply
 from .spectral import (
     CFunctionHandle,
     SFunctionHandle,
-    corollary_fixtures,
+    assoc_order1_cfun,
+    assoc_order2_sfun_matrix,
     f_convergent,
     fs_bridge_check,
     matrix_B_antiassoc,
@@ -111,9 +112,8 @@ def _rand_rc(rng: random.Random, pairs: int, bound: float = 0.9):
     return geronimus_forward(_rand_alpha(rng, 2 * pairs, bound), pairs)
 
 
-def _vs_err(a: VerblunskySeq, b: VerblunskySeq, upto: int | None = None) -> float:
-    n = min(len(a), len(b)) if upto is None else upto
-    return max((abs(a.alpha[j] - b.alpha[j]) for j in range(n)), default=0.0)
+def _vs_err(a: VerblunskySeq, b: VerblunskySeq) -> float:
+    return max((abs(x - y) for x, y in zip(a.alpha, b.alpha)), default=0.0)
 
 
 def _rc_err(a, b) -> float:
@@ -189,9 +189,10 @@ def suite_rel(seed: int, tol: float) -> SuiteReport:
     return rep
 
 
-def suite_bridge(seed: int, tol: float, depth: int = 40) -> SuiteReport:
+def suite_bridge(seed: int, tol: float) -> SuiteReport:
     rep = SuiteReport("bridge")
     rng = random.Random(seed)
+    depth = 40
     xs = (1.5, -1.5, 2.0, -2.0, 3.0)
 
     fixture = max(fs_bridge_check(chebyshev_t(), x, depth) for x in xs)
@@ -208,9 +209,10 @@ def suite_bridge(seed: int, tol: float, depth: int = 40) -> SuiteReport:
     return rep
 
 
-def suite_transfer(seed: int, tol: float, depth: int = 40) -> SuiteReport:
+def suite_transfer(seed: int, tol: float) -> SuiteReport:
     rep = SuiteReport("transfer")
     rng = random.Random(seed)
+    depth = 40
     xs = (1.8, -2.1, 2.6)
     zs = (0.45, -0.38, 0.3 + 0.25j)
 
@@ -268,9 +270,10 @@ def suite_transfer(seed: int, tol: float, depth: int = 40) -> SuiteReport:
     return rep
 
 
-def suite_conjugation(seed: int, tol: float, depth: int = 40) -> SuiteReport:
+def suite_conjugation(seed: int, tol: float) -> SuiteReport:
     rep = SuiteReport("conjugation")
     rng = random.Random(seed)
+    depth = 40
 
     rc_t = chebyshev_t()
     m = matrix_B_assoc(rc_t, 1)
@@ -300,19 +303,18 @@ def suite_conjugation(seed: int, tol: float, depth: int = 40) -> SuiteReport:
             ma, vs, prepend_verblunsky(vs, xi), z, side="circle", depth=depth))
     rep.record("random_matrices", worst, tol)
 
-    fx = corollary_fixtures()
     worst = 0.0
     vs_u41 = geronimus_inverse(chebyshev_u(), depth + 1)
     h_u = CFunctionHandle(vs_u41, depth)
     for i in range(10):
         z = 0.05 + 0.04 * i
-        pred = fx["assoc_order1_cfun"](z, 1.0, 0.0, 0.5)
+        pred = assoc_order1_cfun(z, 1.0, 0.0, 0.5)
         worst = max(worst, abs(pred - (1 - z * z)),
                     abs(pred - f_convergent(h_u, z)))
     rep.record("corollary_assoc_order1", worst, tol)
 
     vs_u42 = geronimus_inverse(chebyshev_u(), depth + 2)
-    m2 = fx["assoc_order2_sfun_matrix"](0.0, vs_u42.at(1).real)
+    m2 = assoc_order2_sfun_matrix(0.0, vs_u42.at(1).real)
     s_u = s_convergent(SFunctionHandle(chebyshev_u(), depth), 2.0)
     tail = 2 * (2 - math.sqrt(3))
     want = 1.0 / (2.0 - tail / 3.0)

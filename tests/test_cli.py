@@ -16,14 +16,10 @@ from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.serialize import (
     dumps_recurrence,
     dumps_verblunsky,
-    dumps_vseq,
     loads_coefficients,
-    spec_from_obj,
-    spec_to_obj,
     specs_from_text,
 )
 from ortho_szego.perturb import CoDilated, KModification
-from ortho_szego.szego import VSeq
 from ortho_szego.tolerances import DEFAULT_TOLS
 
 
@@ -38,23 +34,17 @@ class TestSerialization:
             complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.6, 0.6)) for _ in range(7)))
         assert loads_coefficients(dumps_verblunsky(vs)) == vs
 
-    def test_vseq_roundtrip_exact(self):
-        v = VSeq((1.0, 1 / 3, 0.2500000000000001))
-        assert loads_coefficients(dumps_vseq(v)) == v
-
     def test_files_are_valid_json(self):
         doc = json.loads(dumps_recurrence(chebyshev_t(4)))
         assert doc["d"][0] == 0.5
-
-    def test_spec_objects_roundtrip(self):
-        for spec in (CoDilated(1, 0.5), KModification(2, 0.1 + 0.2j)):
-            assert spec_from_obj(spec_to_obj(spec)) == spec
 
     def test_specs_from_text_list_and_single(self):
         lst = specs_from_text('[{"kind": "co_dilated", "k": 1, "lambda": 0.5}]')
         assert lst == [CoDilated(1, 0.5)]
         one = specs_from_text('{"kind": "sieve", "ell": 2}')
         assert len(one) == 1
+        eta = specs_from_text('{"kind": "k_modification", "k": 2, "eta": [0.1, 0.2]}')
+        assert eta == [KModification(2, 0.1 + 0.2j)]
 
     @pytest.mark.parametrize("text, message", [
         ('[{"kind": "sieve", "ell": 2}, 1]', "perturbation entry 1 must be an object, got 1"),
@@ -80,7 +70,6 @@ class TestSerialization:
         ('{"b": [0.1, 0.2], "d": [0.3, -Infinity]}', "non-finite entry -inf"),
         ('{"b": [0.1, 1e999], "d": [0.3, 0.2]}', "non-finite entry inf"),
         ('{"alpha": [[0.1, NaN]]}', "non-finite entry nan"),
-        ('{"v": [Infinity]}', "non-finite entry inf"),
         ('{"b": [0.1, "x"], "d": [0.3, 0.2]}', "expected a number, got 'x'"),
         ('{"b": [0.1, true], "d": [0.3, 0.2]}', "expected a number, got True"),
         ('{"b": 0.1, "d": [0.3]}', "expected a list, got 0.1"),
@@ -91,6 +80,16 @@ class TestSerialization:
         with pytest.raises(OrthoError) as info:
             loads_coefficients(text)
         assert str(info.value) == "malformed coefficient file: " + message
+
+    # a pivot sequence is no coefficient file; neither is half a line file
+    @pytest.mark.parametrize("text, keys", [
+        ('{"v": [Infinity]}', "['v']"),
+        ('{"b": [0.1]}', "['b']"),
+    ])
+    def test_loader_rejects_unknown_keys(self, text, keys):
+        with pytest.raises(OrthoError) as info:
+            loads_coefficients(text)
+        assert str(info.value) == "unrecognized coefficient keys: " + keys
 
     # nesting past the recursion limit; an integer past the digit limit
     # (Python >= 3.10.7; earlier versions parse it and reject the value)
@@ -147,6 +146,13 @@ class TestGeronimusCommand:
 
     def test_wrong_kind_exit1(self, tfile, capsys):
         assert main(["geronimus", "--direction", "fwd", "--in", tfile]) == 1
+
+    @pytest.mark.parametrize("direction", ["fwd", "inv"])
+    def test_pivot_file_exit1(self, tmp_path, capsys, direction):
+        src = tmp_path / "v.json"
+        src.write_text('{"v": [1, 0.5, 0.5]}\n')
+        assert main(["geronimus", "--direction", direction, "--in", str(src)]) == 1
+        assert capsys.readouterr() == ("", "unrecognized coefficient keys: ['v']\n")
 
     @pytest.mark.parametrize("text", [
         '{"b": [0.1, 0.2], "d": [0.3, NaN]}',
@@ -722,6 +728,23 @@ def test_lazy_namespace_exports_resolve_to_their_modules():
         assert getattr(sys.modules[home], name) is value
     with pytest.raises(AttributeError):
         ortho_szego.no_such_name
+
+
+def test_cli_import_loads_the_readme_common_set():
+    # the "every one" row of the README's start-up table is exactly what
+    # importing the CLI loads; each command's own modules come on top
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        row = next(line for line in fh if line.startswith("| every one"))
+    documented = {f"ortho_szego.{name}" for name in row.split("|")[2].replace("`", "")
+                  .replace(",", " ").split()}
+    assert documented == {f"ortho_szego.{m}" for m in (
+        "cli", "_value", "errors", "oprl", "opuc", "polyhom", "serialize", "tolerances")}
+    done = _python("import sys, ortho_szego.cli; "
+                   "print(*sorted(m for m in sys.modules if m.startswith('ortho_szego.')))")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert set(done.stdout.split()) == documented
 
 
 def test_cli_import_skips_numpy_and_suites():

@@ -21,7 +21,6 @@ from ortho_szego.oprl import RealRecurrence, chebyshev_t
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import SPECS
 from ortho_szego.serialize import dumps_coefficients, loads_coefficients, specs_from_text
-from ortho_szego.szego import VSeq
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -114,7 +113,7 @@ def test_loads_coefficients_returns_a_value_or_raises_ortho_error(text):
         value = loads_coefficients(text)
     except OrthoError:
         return
-    assert isinstance(value, (RealRecurrence, VerblunskySeq, VSeq))
+    assert isinstance(value, (RealRecurrence, VerblunskySeq))
 
 
 @FUZZ

@@ -10,7 +10,7 @@ from ortho_szego.errors import (
     InvalidXi,
     SupportViolation,
 )
-from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
+from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u, shift_coefficients
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import (
     ORACLE,
@@ -39,6 +39,7 @@ from ortho_szego.perturb import (
     symmetric_codilated_verblunsky,
     symmetric_verblunsky,
 )
+from ortho_szego.szego import geronimus_forward
 
 from conftest import random_admissible_rc, random_alpha
 from test_opuc import u_pattern
@@ -166,15 +167,17 @@ class TestAssociatedLine:
         assert_vs_close(got, u_pattern(24), 1e-12)
 
     def test_theorem_matches_oracle(self, rng):
+        # both paths run the inversion kernel; the forward relations, which
+        # are independent code, must give back the shifted pairs
         for _ in range(50):
             rc = random_admissible_rc(rng, 18)
             k = rng.randint(0, 4)
-            try:
-                th = assoc_oprl_to_verblunsky(rc, k, 12, path=CLOSED_FORM)
-                br = assoc_oprl_to_verblunsky(rc, k, 12, path=ORACLE)
-            except SupportViolation:
-                continue
-            assert_vs_close(th, br, 1e-10)
+            for path in (CLOSED_FORM, ORACLE):
+                try:
+                    got = assoc_oprl_to_verblunsky(rc, k, 12, path=path)
+                except SupportViolation:
+                    continue
+                assert_rc_close(geronimus_forward(got, 12), shift_coefficients(rc, k))
 
 
 class TestAntiAssociatedLine:
@@ -189,17 +192,18 @@ class TestAntiAssociatedLine:
         assert_vs_close(got, u_pattern(24), 1e-12)
 
     def test_theorem_matches_oracle(self, rng):
+        # admissible by construction: the head of admissible pairs prepended
+        # to their own tail; the forward relations must give back the pairs
         for _ in range(50):
             rc = random_admissible_rc(rng, 14)
             k = rng.randint(1, 4)
-            pb = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
-            pd = tuple(rng.uniform(0.05, 0.5) for _ in range(k))
-            try:
-                th = antiassoc_oprl_to_verblunsky(rc, pb, pd, 12, path=CLOSED_FORM)
-                br = antiassoc_oprl_to_verblunsky(rc, pb, pd, 12, path=ORACLE)
-            except SupportViolation:
-                continue
-            assert_vs_close(th, br, 1e-10)
+            tail = shift_coefficients(rc, k)
+            for path in (CLOSED_FORM, ORACLE):
+                try:
+                    got = antiassoc_oprl_to_verblunsky(tail, rc.b[:k], rc.d[:k], 12, path=path)
+                except SupportViolation:
+                    continue
+                assert_rc_close(geronimus_forward(got, 12), rc)
 
 
 class TestAssociatedCircle:
@@ -258,8 +262,9 @@ def _antiassoc_table(xi, a, n):
     k = len(xi): rows j = 0 .. n-1 of (b~_{j+1}, d~_{j+1}) from the prepended
     xi and the original a, in four branches: pure-prepend rows, the mixed
     rows where the prepended window meets a, and the tail (written in a for
-    odd k, the original pairs shifted by m for even k).  Int constants, as
-    in _forward."""
+    odd k, the original pairs shifted by m for even k).  With xi_{-1} = -1
+    and xi_{-2} = 0, k = 0 is the forward relations on a.  Int constants,
+    as in _forward."""
     k = len(xi)
     b, d = [], []
 
@@ -298,8 +303,9 @@ def _antiassoc_table(xi, a, n):
                 d.append(pure_d(j))
                 b.append(pure_b(j))
             elif j == m:
-                d.append((1 - xi[2 * m - 1]) * (1 - a[0] ** 2) * (1 + a[1]) / 4)
-                b.append(((1 - xi[2 * m - 1]) * a[0] - (1 + xi[2 * m - 1]) * xi[2 * m - 2]) / 2)
+                prev, prev2 = (xi[2 * m - 1], xi[2 * m - 2]) if m else (-1, 0)
+                d.append((1 - prev) * (1 - a[0] ** 2) * (1 + a[1]) / 4)
+                b.append(((1 - prev) * a[0] - (1 + prev) * prev2) / 2)
             else:
                 d.append(tail_d[j - m])
                 b.append(tail_b[j - m])
@@ -313,7 +319,7 @@ def _bits(values):
 class TestAntiAssociatedCircleTable:
     def test_table_is_the_forward_relations_exactly(self):
         rng = random.Random(1505)
-        for k in range(1, 7):
+        for k in range(7):
             m = (k + 1) // 2
             for n in range(1, m + 5):  # pure rows only, then mixed rows, then the tail
                 for _ in range(4):
@@ -349,8 +355,10 @@ class TestAntiAssociatedCircle:
 
     def test_empty_xi(self, rng):
         vs = random_alpha(rng, 16)
-        got = antiassoc_opuc_to_recurrence(vs, (), 8)
-        assert_rc_close(got, antiassoc_opuc_to_recurrence(vs, (), 8, path=ORACLE), 1e-13)
+        b, d = _antiassoc_table((), vs.real_view(), 8)
+        for path in (CLOSED_FORM, ORACLE):
+            got = antiassoc_opuc_to_recurrence(vs, (), 8, path=path)
+            assert (_bits(got.b), _bits(got.d)) == (_bits(b), _bits(d))
 
     def test_theorem_matches_oracle_both_parities(self, rng):
         for _ in range(50):
@@ -551,14 +559,16 @@ class TestSymmetric:
         assert got.alpha[1].real == pytest.approx(0.2, abs=1e-15)
 
     def test_theorem_matches_oracle(self, rng):
+        # both paths run the inversion kernel; the forward relations must
+        # give back b == 0 and d
         for _ in range(50):
             d = tuple(rng.uniform(0.05, 0.45) for _ in range(12))
-            try:
-                th = symmetric_verblunsky(d, path=CLOSED_FORM)
-                br = symmetric_verblunsky(d, path=ORACLE)
-            except SupportViolation:
-                continue
-            assert_vs_close(th, br, 1e-11)
+            for path in (CLOSED_FORM, ORACLE):
+                try:
+                    got = symmetric_verblunsky(d, path=path)
+                except SupportViolation:
+                    continue
+                assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, d), 1e-11)
 
 
 class TestSymmetricCoDilated:

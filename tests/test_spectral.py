@@ -16,7 +16,10 @@ from ortho_szego.polyhom import M2_IDENTITY, homography_apply
 from ortho_szego.spectral import (
     CFunctionHandle,
     SFunctionHandle,
-    corollary_fixtures,
+    antiassoc_order1_cfun_secondkind,
+    antiassoc_order2_sfun_matrix,
+    assoc_order1_cfun,
+    assoc_order2_sfun_matrix,
     default_depth,
     f_convergent,
     f_value,
@@ -298,17 +301,15 @@ class TestConjugation:
 
 class TestCorollaryFixtures:
     def test_assoc_order1_on_chebyshev_t(self):
-        fx = corollary_fixtures()["assoc_order1_cfun"]
         vs_u = geronimus_inverse(chebyshev_u(), 41)
         for i in range(10):
             z = 0.05 + 0.04 * i
-            pred = fx(z, 1.0, 0.0, 0.5)  # F of T data is 1
+            pred = assoc_order1_cfun(z, 1.0, 0.0, 0.5)  # F of T data is 1
             assert pred == pytest.approx(1 - z * z, abs=1e-9)
             direct = f_convergent(CFunctionHandle(vs_u, 40), z)
             assert abs(pred - direct) < 1e-9
 
     def test_antiassoc_order1_reciprocal_relation(self):
-        fx = corollary_fixtures()["antiassoc_order1_cfun_secondkind"]
         base = chebyshev_u()
         pb, pd = 0.3, 0.2
         vs0 = geronimus_inverse(base, 41)
@@ -316,55 +317,39 @@ class TestCorollaryFixtures:
         for z in (0.2, 0.35, -0.3, 0.1 + 0.2j):
             f0 = f_convergent(CFunctionHandle(vs0, 40), z)
             f_pre = f_convergent(CFunctionHandle(vs_pre, 40), z)
-            assert abs(fx(z, f0, pb, pd) - 1.0 / f_pre) < 1e-9
+            assert abs(antiassoc_order1_cfun_secondkind(z, f0, pb, pd) - 1.0 / f_pre) < 1e-9
 
     def test_assoc_order2_matrix_on_lebesgue(self):
         # shift of the zero sequence is the zero sequence: the homography
         # must fix the first-kind transform
-        m = corollary_fixtures()["assoc_order2_sfun_matrix"](0.0, 0.0)
+        m = assoc_order2_sfun_matrix(0.0, 0.0)
         s_t = s_convergent(SFunctionHandle(chebyshev_t(), 40), 2.0)
         assert abs(homography_apply(m, s_t, 2.0) - s_t) < 1e-9
 
     def test_assoc_order2_matrix_on_chebyshev_u(self):
         vs = geronimus_inverse(chebyshev_u(), 42)
-        m = corollary_fixtures()["assoc_order2_sfun_matrix"](0.0, vs.at(1).real)
-        s_u = s_convergent(SFunctionHandle(chebyshev_u(), 40), 2.0)
-        got = homography_apply(m, s_u, 2.0)
+        m = assoc_order2_sfun_matrix(0.0, vs.at(1).real)
+        h_u = SFunctionHandle(chebyshev_u(), 40)
         # continued-fraction oracle: 1/(2 - (1/3) * S_tail) with the all-1/4 tail
         tail = 2 * (2 - math.sqrt(3))
         want = 1.0 / (2.0 - tail / 3.0)
-        assert got.real == pytest.approx(want, abs=1e-9)
-        direct = s_convergent(
-            SFunctionHandle(RealRecurrence((0.0,) * 45, (1 / 3,) + (0.25,) * 44), 40), 2.0)
-        assert abs(got - direct) < 1e-9
+        assert homography_apply(m, s_convergent(h_u, 2.0), 2.0).real == pytest.approx(
+            want, abs=1e-9)
+        shifted = SFunctionHandle(RealRecurrence((0.0,) * 45, (1 / 3,) + (0.25,) * 44), 40)
+        for x in (2.0, -1.8, 2.5):
+            got = homography_apply(m, s_convergent(h_u, x), x)
+            assert abs(got - s_convergent(shifted, x)) < 1e-9
 
     def test_antiassoc_order2_matrix(self):
         xi0, xi1 = 0.3, -0.5
         vs0 = VerblunskySeq((0.0,) * 90)
-        m = corollary_fixtures()["antiassoc_order2_sfun_matrix"](xi0, xi1)
-        s_t = s_convergent(SFunctionHandle(chebyshev_t(), 40), 2.0)
-        got = homography_apply(m, s_t, 2.0)
+        m = antiassoc_order2_sfun_matrix(xi0, xi1)
+        h_t = SFunctionHandle(chebyshev_t(), 40)
         rc_pre = geronimus_forward(prepend_verblunsky(vs0, (xi0, xi1)), 42)
-        want = s_convergent(SFunctionHandle(rc_pre, 40), 2.0)
-        assert abs(got - want) < 1e-9
-
-
-def test_corollary_rows_shape_and_residuals():
-    from ortho_szego.spectral import corollary_rows
-
-    rows = corollary_rows(30)
-    assert set(rows) == {
-        "assoc_order1_cfun",
-        "antiassoc_order1_cfun_secondkind",
-        "assoc_order2_sfun_matrix",
-        "antiassoc_order2_sfun_matrix",
-    }
-    for name, rs in rows.items():
-        assert rs, name
-        for r in rs:
-            assert set(r) == {"point", "lhs", "rhs", "residual"}
-            assert len(r["point"]) == 2 and len(r["lhs"]) == 2
-            assert r["residual"] < 1e-9
+        h_pre = SFunctionHandle(rc_pre, 40)
+        for x in (2.0, -1.8, 2.5):
+            got = homography_apply(m, s_convergent(h_t, x), x)
+            assert abs(got - s_convergent(h_pre, x)) < 1e-9
 
 
 def test_default_depth_env(monkeypatch):
@@ -372,5 +357,5 @@ def test_default_depth_env(monkeypatch):
     assert default_depth() == 40
     monkeypatch.setenv("ORTHO_SZEGO_DEPTH", "25")
     assert default_depth() == 25
-    h = SFunctionHandle(chebyshev_t())
-    assert h.depth == 25
+    # only eval reads the variable: a handle keeps the library default
+    assert SFunctionHandle(chebyshev_t()).depth == 40
