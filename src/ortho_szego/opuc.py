@@ -32,16 +32,33 @@ Scalar = complex
 
 
 class VerblunskySeq(Value):
-    """Reflection coefficients alpha_0, alpha_1, ..., each of modulus < 1."""
+    """Reflection coefficients alpha_0, alpha_1, ..., each of modulus < 1.
+
+    Storage rule: when every entry given is a float, ``alpha`` is that
+    tuple of floats, so real data (all the bridge produces or reads) stays
+    real; otherwise every entry is coerced to complex.  Equal values
+    compare, hash and print alike in either storage.  CPython before 3.14
+    promotes a float a to complex(a, 0.0) in mixed arithmetic, so the
+    recurrences give the same bits as on complex storage.
+    """
 
     __slots__ = ("alpha",)
-    alpha: tuple[Scalar, ...]
+    alpha: tuple[float, ...] | tuple[complex, ...]
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", tuple(complex(a) for a in alpha))
-        for n, a in enumerate(self.alpha):
-            if abs(a) >= 1.0:
-                raise AlphaOutOfRange(f"|alpha_{n}| = {abs(a)} >= 1")
+        alpha = tuple(alpha)
+        if set(map(type, alpha)) != {float}:
+            alpha = tuple(map(complex, alpha))
+        object.__setattr__(self, "alpha", alpha)
+        # max skips a NaN that is not first; the sum carries it (NaN != NaN)
+        total = sum(alpha)
+        if not (max(map(abs, alpha), default=0.0) < 1.0 and total == total):
+            for n, a in enumerate(alpha):
+                if not abs(a) < 1.0:
+                    raise AlphaOutOfRange(f"|alpha_{n}| = {abs(a)} >= 1")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(alpha={tuple(map(complex, self.alpha))!r})"
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -57,6 +74,8 @@ class VerblunskySeq(Value):
 
     def real_view(self) -> tuple[float, ...]:
         """The coefficients as floats; rejects any nonzero imaginary part."""
+        if not self.alpha or type(self.alpha[0]) is float:
+            return self.alpha
         out = []
         for n, a in enumerate(self.alpha):
             if a.imag != 0.0:
@@ -121,7 +140,7 @@ def shift_verblunsky(vs: VerblunskySeq, k: int) -> VerblunskySeq:
 def prepend_verblunsky(vs: VerblunskySeq, xi) -> VerblunskySeq:
     """Coefficients {xi_0, ..., xi_{k-1}, alpha_0, alpha_1, ...} of the
     order-k anti-associated family on the circle."""
-    xi = tuple(complex(x) for x in xi)
+    xi = tuple(xi)
     check_xi(xi)
     return VerblunskySeq(xi + vs.alpha)
 

@@ -201,7 +201,7 @@ def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
         raise InvalidEta(f"|eta| = {abs(eta)} >= 1")
     vs.require(k + 1)
     alpha = list(vs.alpha)
-    alpha[k] = complex(eta)
+    alpha[k] = eta
     return VerblunskySeq(tuple(alpha))
 
 
@@ -498,7 +498,7 @@ def sieve(vs: VerblunskySeq, ell: int) -> VerblunskySeq:
     if len(vs) * ell > MAX_SIEVE_LENGTH:
         raise ValueError(f"sieved sequence would have {len(vs) * ell} entries, "
                          f"more than {MAX_SIEVE_LENGTH}")
-    out = [0j] * (len(vs) * ell)
+    out = [0.0] * (len(vs) * ell)
     out[ell - 1::ell] = vs.alpha
     return VerblunskySeq(out)
 
@@ -536,7 +536,7 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
     return RealRecurrence(base.b, tuple(d))
 
 
-def symmetric_verblunsky(d, n: int | None = None, path: str = CLOSED_FORM) -> VerblunskySeq:
+def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients of a symmetric line family (b == 0):
     even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}).
 
@@ -545,9 +545,7 @@ def symmetric_verblunsky(d, n: int | None = None, path: str = CLOSED_FORM) -> Ve
     """
     _check_path(path)
     d = tuple(float(x) for x in d)
-    if n is None:
-        n = len(d)
-    return geronimus_inverse(RealRecurrence((0.0,) * len(d), d), n)
+    return geronimus_inverse(RealRecurrence((0.0,) * len(d), d), len(d))
 
 
 def symmetric_codilated_verblunsky(d, k: int, lam: float,
@@ -564,7 +562,7 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     rc = RealRecurrence((0.0,) * len(d), d)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [CoDilated(k, lam)]), n)
-    gamma = symmetric_verblunsky(d, n, CLOSED_FORM).real_view()
+    gamma = symmetric_verblunsky(d).real_view()
     head = list(gamma[: 2 * k - 1])
     if k <= n:
         shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import pytest
 
@@ -19,6 +20,14 @@ from ortho_szego.opuc import (
     second_kind,
     shift_verblunsky,
 )
+from ortho_szego.perturb import ORACLE, copuc_apply, coprl_verblunsky, sieve
+from ortho_szego.szego import (
+    alpha_from_v,
+    geronimus_forward,
+    geronimus_inverse,
+    invert_from,
+    v_from_alpha,
+)
 
 from conftest import random_alpha
 
@@ -34,6 +43,70 @@ def u_pattern(n: int) -> VerblunskySeq:
 def test_modulus_invariant_enforced():
     with pytest.raises(AlphaOutOfRange):
         VerblunskySeq((0.2, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [
+    (math.nan, 0.2),
+    (0.2, math.nan),
+    (complex(math.nan, 0.1), 0.2),
+    (0.2, complex(0.1, math.nan)),
+    (0.2, 0.8 + 0.8j),
+], ids=["float-nan-first", "float-nan-later", "complex-nan-real", "complex-nan-imag",
+        "complex-outside"])
+def test_modulus_guard_rejects(alpha):
+    with pytest.raises(AlphaOutOfRange, match="alpha_[01]"):
+        VerblunskySeq(alpha)
+
+
+# Real input must stay float-stored through every constructor that can
+# keep it real, so that no kernel pays a complex round trip for real data.
+_REAL = VerblunskySeq((0.3, -0.2, 0.1, 0.4))
+_RC = geronimus_forward(_REAL, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: geronimus_inverse(_RC, 2),
+    lambda: invert_from(_RC, (0.3,), 2),
+    lambda: alpha_from_v(v_from_alpha(_REAL)),
+    lambda: coprl_verblunsky(_RC, 1, 0.9, 0.05, 2),
+    lambda: coprl_verblunsky(_RC, 1, 0.9, 0.05, 2, path=ORACLE),
+    lambda: sieve(_REAL, 2),
+    lambda: prepend_verblunsky(_REAL, (0.1, -0.2)),
+    lambda: copuc_apply(_REAL, 1, 0.5),
+    lambda: shift_verblunsky(_REAL, 1),
+    lambda: second_kind(_REAL),
+], ids=["geronimus_inverse", "invert_from", "alpha_from_v", "coprl_closed_form",
+        "coprl_oracle", "sieve", "prepend_verblunsky", "copuc_apply", "shift_verblunsky",
+        "second_kind"])
+def test_real_data_stays_float_stored(build):
+    vs = build()
+    assert len(vs) >= 3
+    assert all(type(a) is float for a in vs.alpha)
+    assert vs.real_view() is vs.alpha
+
+
+@pytest.mark.parametrize("build", [
+    lambda: VerblunskySeq((0.5, 0)),  # an int is not a float
+    lambda: VerblunskySeq((0.5, 0.25j)),
+    lambda: sieve(VerblunskySeq((0.5 + 0j,)), 2),
+    lambda: prepend_verblunsky(_REAL, (0.1j,)),
+    lambda: copuc_apply(_REAL, 1, 0.5 + 0j),
+], ids=["int", "complex", "sieve", "prepend_verblunsky", "copuc_apply"])
+def test_mixed_input_is_complex_stored(build):
+    assert all(type(a) is complex for a in build().alpha)
+
+
+def test_storage_kinds_compare_hash_print_and_pickle_alike():
+    real = VerblunskySeq((0.5, -0.25, 0.0))
+    cplx = VerblunskySeq((0.5 + 0j, -0.25 + 0j, 0j))
+    assert type(real.alpha[0]) is float and type(cplx.alpha[0]) is complex
+    assert real == cplx and hash(real) == hash(cplx)
+    assert repr(real) == repr(cplx) == "VerblunskySeq(alpha=((0.5+0j), (-0.25+0j), 0j))"
+    assert real.real_view() == cplx.real_view() == (0.5, -0.25, 0.0)
+    assert all(type(a) is float for a in cplx.real_view())
+    for vs in (real, cplx):
+        again = pickle.loads(pickle.dumps(vs))
+        assert again == vs and list(map(type, again.alpha)) == list(map(type, vs.alpha))
 
 
 def test_lebesgue_powers():

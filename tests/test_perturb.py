@@ -156,11 +156,12 @@ class TestCopucApply:
 
 class TestAssociatedLine:
     def test_k0_is_plain_inversion(self, rng):
+        # the forward relations must give back the unshifted pairs
         rc = random_admissible_rc(rng, 10)
-        got = assoc_oprl_to_verblunsky(rc, 0, 10)
-        want = assoc_oprl_to_verblunsky(rc, 0, 10, path=ORACLE)
-        assert_vs_close(got, want, 1e-13)
-        assert got.alpha[0].real == pytest.approx(rc.b[0], abs=1e-15)
+        for path in (CLOSED_FORM, ORACLE):
+            got = assoc_oprl_to_verblunsky(rc, 0, 10, path=path)
+            assert_rc_close(geronimus_forward(got, 10), rc)
+            assert got.alpha[0] == pytest.approx(rc.b[0], abs=1e-15)
 
     def test_chebyshev_t_shift_one(self):
         got = assoc_oprl_to_verblunsky(chebyshev_t(), 1, 12)
@@ -182,10 +183,11 @@ class TestAssociatedLine:
 
 class TestAntiAssociatedLine:
     def test_k0_is_plain_inversion(self, rng):
+        # an empty prepend: the forward relations must give back the pairs
         rc = random_admissible_rc(rng, 10)
-        got = antiassoc_oprl_to_verblunsky(rc, (), (), 10)
-        want = antiassoc_oprl_to_verblunsky(rc, (), (), 10, path=ORACLE)
-        assert_vs_close(got, want, 1e-13)
+        for path in (CLOSED_FORM, ORACLE):
+            got = antiassoc_oprl_to_verblunsky(rc, (), (), 10, path=path)
+            assert_rc_close(geronimus_forward(got, 10), rc)
 
     def test_u_prepended_with_u_pair_stays_u(self):
         got = antiassoc_oprl_to_verblunsky(chebyshev_u(), (0.0,), (0.25,), 12)
@@ -555,7 +557,7 @@ class TestSymmetric:
             assert got.alpha[2 * m + 1].real == pytest.approx(-1.0 / (m + 2), rel=1e-13)
 
     def test_single_step(self):
-        got = symmetric_verblunsky((0.6,), 1)
+        got = symmetric_verblunsky((0.6,))
         assert got.alpha[1].real == pytest.approx(0.2, abs=1e-15)
 
     def test_theorem_matches_oracle(self, rng):
