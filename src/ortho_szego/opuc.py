@@ -36,8 +36,9 @@ class VerblunskySeq(Value):
 
     Storage rule: when every entry given is a float, ``alpha`` is that
     tuple of floats, so real data (all the bridge produces or reads) stays
-    real; otherwise every entry is coerced to complex.  Equal values
-    compare, hash and print alike in either storage.  CPython before 3.14
+    real; otherwise every entry is coerced to complex.  The repr prints a
+    float entry a as complex(a), as complex storage of the same input
+    would, so the storage kind does not show.  CPython before 3.14
     promotes a float a to complex(a, 0.0) in mixed arithmetic, so the
     recurrences give the same bits as on complex storage.
     """
