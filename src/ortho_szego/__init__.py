@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 # The module each public name comes from.
 _SOURCES = {
     "oprl": (
-        "JacobiMatrix",
         "RealRecurrence",
         "chebyshev_t",
         "chebyshev_u",
-        "jacobi_matrix",
         "oprl_eval",
         "oprl_polys",
         "orthonormal_scale",
@@ -31,7 +29,6 @@ _SOURCES = {
         "opuc_eval",
         "opuc_polys",
         "prepend_verblunsky",
-        "reversed_poly_check",
         "second_kind",
         "shift_verblunsky",
     ),
@@ -58,7 +55,7 @@ _SOURCES = {
         "symmetric_codilated_verblunsky",
         "symmetric_verblunsky",
     ),
-    "polyhom": ("Poly", "PolyMatrix2", "homography_apply", "matmul2", "poly_eval"),
+    "polyhom": ("Poly", "PolyMatrix2", "homography_apply", "poly_eval"),
     "spectral": (
         "CFunctionHandle",
         "SFunctionHandle",
@@ -84,7 +81,6 @@ _SOURCES = {
         "invert_from",
         "lu_check",
         "map_x_to_z",
-        "map_z_to_x",
         "v_from_alpha",
         "v_from_recurrence",
     ),

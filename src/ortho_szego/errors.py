@@ -22,10 +22,6 @@ class PoleHit(OrthoError):
     """A convergent denominator vanished at the evaluation point."""
 
 
-class ZeroArgument(OrthoError):
-    """An argument that must be nonzero was zero."""
-
-
 class NonPositiveD(OrthoError):
     """A d-coefficient required to be positive was not."""
 

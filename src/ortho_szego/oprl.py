@@ -95,26 +95,6 @@ def oprl_polys(rc: RealRecurrence, n: int) -> list[Poly]:
     return polys
 
 
-class JacobiMatrix(Value):
-    """Leading N x N section of the monic Jacobi matrix (superdiagonal of ones)."""
-
-    __slots__ = ("order", "diagonal", "subdiagonal")
-    order: int
-    diagonal: tuple[float, ...]
-    subdiagonal: tuple[float, ...]
-
-    def __init__(self, order, diagonal, subdiagonal):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "subdiagonal", subdiagonal)
-
-
-def jacobi_matrix(rc: RealRecurrence, n: int) -> JacobiMatrix:
-    """Leading n x n section; det(xI - J_n) = P_n(x)."""
-    rc.require(n, max(n - 1, 0))
-    return JacobiMatrix(n, rc.b[:n], rc.d[: n - 1])
-
-
 def shift_coefficients(rc: RealRecurrence, k: int) -> RealRecurrence:
     """Coefficients of the order-k associated family: b_{n+k}, d_{n+k}."""
     if k < 0:

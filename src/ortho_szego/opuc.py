@@ -18,15 +18,8 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .errors import (
-    AlphaOutOfRange,
-    ComplexAlpha,
-    InsufficientCoefficients,
-    InvalidXi,
-    ZeroArgument,
-)
+from .errors import AlphaOutOfRange, ComplexAlpha, InsufficientCoefficients, InvalidXi
 from .polyhom import P_ONE, Poly
-from .tolerances import CHECK_TOL
 
 Scalar = complex
 
@@ -111,18 +104,6 @@ def opuc_polys(vs: VerblunskySeq, n: int) -> tuple[list[Poly], list[Poly]]:
         phi.append(p.shift_up() - s.scale(a.conjugate()))
         star.append(s - p.shift_up().scale(a))
     return phi, star
-
-
-def reversed_poly_check(vs: VerblunskySeq, n: int, z: Scalar, rtol: float = CHECK_TOL) -> bool:
-    """Diagnostic: does Phi*_n(z) equal z^n conj(Phi_n(1/conj(z))) to rtol?"""
-    if z == 0:
-        raise ZeroArgument("reversed-polynomial identity needs z != 0")
-    phi_at_inv, _ = opuc_eval(vs, n, 1.0 / z.conjugate() if isinstance(z, complex) else 1.0 / z)
-    _, star = opuc_eval(vs, n, z)
-    lhs = star[n]
-    rhs = z**n * phi_at_inv[n].conjugate()
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= rtol * scale
 
 
 def second_kind(vs: VerblunskySeq) -> VerblunskySeq:

@@ -36,7 +36,7 @@ from collections.abc import Callable
 from functools import partial
 
 from ._value import Value
-from .errors import InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
+from .errors import DivisionDegenerate, InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from .szego import (
@@ -50,6 +50,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
+from .tolerances import DISCREPANCY_TOL, PIVOT_TOL
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -197,6 +198,8 @@ def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
 def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
     """Replace the coefficient at index k by eta (overwrite semantics:
     eta == alpha_k is allowed and is the identity)."""
+    if k < 0:
+        raise ValueError("modification index must be >= 0")
     if not abs(eta) < 1.0:
         raise InvalidEta(f"|eta| = {abs(eta)} >= 1")
     vs.require(k + 1)
@@ -210,8 +213,7 @@ def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
 
 
 def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
-                     n: int, vs: VerblunskySeq | None = None,
-                     path: str = CLOSED_FORM) -> VerblunskySeq:
+                     n: int, path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients a-hat_0 .. a-hat_{2n-1} of the measure with
     d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau.
 
@@ -236,9 +238,7 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, specs), n)
 
-    if vs is None:
-        vs = geronimus_inverse(rc, n)
-    alpha = vs.real_view()
+    alpha = geronimus_inverse(rc, n).real_view()
     am2, am1 = _alpha_conv(alpha, 2 * k - 2), _alpha_conv(alpha, 2 * k - 1)
     if k == 0:
         m_shift = 0.0
@@ -305,6 +305,8 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
     _check_path(path)
     if path == ORACLE:
         return geronimus_forward(shift_verblunsky(vs, k), n)
+    if k < 0:
+        raise ValueError("shift order must be >= 0")
     alpha = vs.real_view()
     need = 2 * n + k
     if len(alpha) < need:
@@ -410,8 +412,10 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
     j = 2 * k + 1
     while j < n:
         if j % 2 == 1:
-            m = (j - 1) // 2
-            out.append(rc.d_at(m + 1) / out[j - 1])
+            dm, v = rc.d_at((j + 1) // 2), out[j - 1]
+            if not abs(v) >= PIVOT_TOL * (1.0 + abs(dm)):
+                raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
+            out.append(dm / v)
         else:
             m = (j - 2) // 2
             out.append(rc.b_at(m + 2) + 1.0 - out[j - 1])
@@ -464,7 +468,7 @@ def _peel_error(b, v: VSeq) -> list[float]:
 
 
 def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
-                            n: int, tol: float = 1e-11) -> PathDiscrepancy | None:
+                            n: int, tol: float = DISCREPANCY_TOL) -> PathDiscrepancy | None:
     """Compare the two pivot paths entrywise; None when they agree.
 
     Entries agree when they differ by at most tol (1 + |v|) plus the
@@ -526,6 +530,9 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
         raise InvalidEta(f"eta = {eta} outside (-1, 1)")
     if path == ORACLE:
         return geronimus_forward(sieve(copuc_apply(vs, k, eta), 2), n)
+    if k < 0:
+        raise ValueError("modification index must be >= 0")
+    vs.require(k + 1)
     base = sieve2_recurrence(vs, n, CLOSED_FORM)
     ak = vs.real_view()[k]
     d = list(base.d)
@@ -560,13 +567,14 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     d = tuple(float(x) for x in d)
     n = len(d)
     rc = RealRecurrence((0.0,) * len(d), d)
+    spec = CoDilated(k, lam)
     if path == ORACLE:
-        return geronimus_inverse(coprl_apply(rc, [CoDilated(k, lam)]), n)
+        return geronimus_inverse(coprl_apply(rc, [spec]), n)
+    rc.require(0, k)
     gamma = symmetric_verblunsky(d).real_view()
     head = list(gamma[: 2 * k - 1])
-    if k <= n:
-        shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
-        head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
+    shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
+    head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
     return invert_from(rc, head, n)
 
 

@@ -31,11 +31,6 @@ class Poly(Value):
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _trim(coeffs))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
     def __call__(self, t: Scalar) -> Scalar:
         return poly_eval(self, t)
 
@@ -47,16 +42,6 @@ class Poly(Value):
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(tuple(out))
 
     def scale(self, s: Scalar) -> "Poly":
         return Poly(tuple(s * c for c in self.coeffs))
@@ -95,14 +80,8 @@ class PolyMatrix2(Value):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def det(self) -> Poly:
-        return self.a * self.d - self.b * self.c
-
     def at(self, t: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.a(t), self.b(t), self.c(t), self.d(t))
-
-
-M2_IDENTITY = PolyMatrix2(P_ONE, P_ZERO, P_ZERO, P_ONE)
 
 
 def homography_apply(m: PolyMatrix2, g: Scalar, t: Scalar) -> Scalar:
@@ -117,13 +96,3 @@ def homography_apply(m: PolyMatrix2, g: Scalar, t: Scalar) -> Scalar:
     if abs(den) <= POLE_TOL * (1.0 + abs(num)):
         raise DenominatorVanishes(f"homography pole at t={t!r}, g={g!r}")
     return num / den
-
-
-def matmul2(m: PolyMatrix2, n: PolyMatrix2) -> PolyMatrix2:
-    """Polynomial matrix product; homography of the product composes the homographies."""
-    return PolyMatrix2(
-        m.a * n.a + m.b * n.c,
-        m.a * n.b + m.b * n.d,
-        m.c * n.a + m.d * n.c,
-        m.c * n.b + m.d * n.d,
-    )

@@ -34,11 +34,9 @@ from .oprl import RealRecurrence, oprl_polys, prepend_coefficients, shift_coeffi
 from .opuc import VerblunskySeq, opuc_polys, prepend_verblunsky, second_kind
 from .polyhom import P_ONE, Poly, PolyMatrix2, homography_apply
 from .szego import geronimus_forward, geronimus_inverse
-from .tolerances import POLE_TOL
+from .tolerances import POLE_TOL, SUPPORT_MARGIN
 
 Scalar = complex
-
-SUPPORT_MARGIN = 1e-6
 
 # Convergent states past this (over 1 + |x| on the line) are rescaled.
 _SCALE_LIMIT = 2.0 ** 960

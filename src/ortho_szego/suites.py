@@ -56,7 +56,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
-from .tolerances import CHECK_TOL, DEFAULT_TOLS, EXACT_TOL, check_suite
+from .tolerances import CHECK_TOL, COROLLARY_TOL_FLOOR, DEFAULT_TOLS, EXACT_TOL, check_suite
 
 
 # A property on random inputs redraws those whose route leaves the
@@ -319,7 +319,7 @@ def suite_conjugation(seed: int, tol: float) -> SuiteReport:
     tail = 2 * (2 - math.sqrt(3))
     want = 1.0 / (2.0 - tail / 3.0)
     got = homography_apply(m2, s_u, 2.0)
-    rep.record("corollary_assoc_order2_x2", abs(got - want), max(tol, 1e-9))
+    rep.record("corollary_assoc_order2_x2", abs(got - want), max(tol, COROLLARY_TOL_FLOOR))
     return rep
 
 

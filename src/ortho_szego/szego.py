@@ -20,13 +20,8 @@ from __future__ import annotations
 import cmath
 
 from ._value import Value
-from .errors import (
-    DivisionDegenerate,
-    InsufficientCoefficients,
-    SupportViolation,
-    ZeroArgument,
-)
-from .oprl import RealRecurrence, jacobi_matrix, oprl_eval, orthonormal_scale
+from .errors import DivisionDegenerate, InsufficientCoefficients, SupportViolation
+from .oprl import RealRecurrence, oprl_eval, orthonormal_scale
 from .opuc import VerblunskySeq, kappa, opuc_eval
 from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL
 
@@ -223,7 +218,7 @@ class LuCheckResult(Value):
         return self.ok
 
 
-def lu_check(rc: RealRecurrence, v: VSeq, n: int, tol: float = CHECK_TOL) -> LuCheckResult:
+def lu_check(rc: RealRecurrence, v: VSeq, n: int) -> LuCheckResult:
     """Verify (J + I)_n = L_n U_n entrywise.
 
     L is unit lower bidiagonal with subdiagonal v_1, v_3, v_5, ...; U is
@@ -231,19 +226,20 @@ def lu_check(rc: RealRecurrence, v: VSeq, n: int, tol: float = CHECK_TOL) -> LuC
     Their product is tridiagonal: diagonal v_{2i} + v_{2i-1} (v_0 at i = 0),
     superdiagonal 1 and subdiagonal v_{2j+1} v_{2j}, against b_{i+1} + 1, 1
     and d_{j+1}.  Both sides are exactly 0 off the band and exactly 1 on the
-    superdiagonal, so only the diagonal and subdiagonal are compared.
+    superdiagonal, so only the diagonal and subdiagonal are compared, each
+    to CHECK_TOL.
     """
     if len(v) < 2 * n - 1:
         raise InsufficientCoefficients(2 * n - 1, len(v), "v entries")
-    jm = jacobi_matrix(rc, n)
+    rc.require(n, max(n - 1, 0))
     cells = []  # (row, col, got, want), row-major
     for i in range(n):
         if i:
-            cells.append((i, i - 1, v.at(2 * i - 1) * v.at(2 * i - 2), jm.subdiagonal[i - 1]))
+            cells.append((i, i - 1, v.at(2 * i - 1) * v.at(2 * i - 2), rc.d[i - 1]))
         diag = v.at(2 * i) + v.at(2 * i - 1) if i else v.at(0)
-        cells.append((i, i, diag, jm.diagonal[i] + 1.0))
+        cells.append((i, i, diag, rc.b[i] + 1.0))
     errs = [abs(got - want) for _, _, got, want in cells]
-    mism = tuple(cell for cell, err in zip(cells, errs) if not err <= tol)
+    mism = tuple(cell for cell, err in zip(cells, errs) if not err <= CHECK_TOL)
     return LuCheckResult(not mism, max(errs, default=0.0), mism)
 
 
@@ -259,14 +255,6 @@ def map_x_to_z(x: Scalar) -> Scalar:
     if abs(abs(z1) - abs(z2)) <= CHECK_TOL * (abs(z1) + abs(z2)):
         return z1 if z1.imag >= z2.imag else z2
     return z1 if abs(z1) < abs(z2) else z2
-
-
-def map_z_to_x(z: Scalar) -> Scalar:
-    """x = (z + 1/z) / 2."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroArgument("z = 0 has no finite image")
-    return 0.5 * (z + 1.0 / z)
 
 
 def check_rel(rc: RealRecurrence, vs: VerblunskySeq, n: int, theta: float) -> float:

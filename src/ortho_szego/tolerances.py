@@ -20,14 +20,29 @@ PIVOT_TOL = 1e-13
 # counts as a pole.
 POLE_TOL = 1e-13
 
-# Relative tolerance of the identity checks the package ships (the LU
-# factorization, the reversed polynomial) and of the tie between the two
-# roots of z^2 - 2xz + 1 on the unit circle.
+# Relative tolerance of the identity check the package ships (the LU
+# factorization) and of the tie between the two roots of z^2 - 2xz + 1 on
+# the unit circle.
 CHECK_TOL = 1e-12
+
+# An evaluation point within SUPPORT_MARGIN of [-1, 1] (line side) or of
+# the unit circle (circle side) is refused: the convergents converge ever
+# more slowly as the point nears the support.
+SUPPORT_MARGIN = 1e-6
 
 # Values the suites know in closed form (fixture spot values, the
 # documented path discrepancy) must be matched to this.
 EXACT_TOL = 1e-13
+
+# The default of path_discrepancy_report and of the discrepancy suite: two
+# pivot entries agree when they differ by at most DISCREPANCY_TOL (1 + |v|)
+# plus their rounding bounds.
+DISCREPANCY_TOL = 1e-11
+
+# The conjugation suite checks the order-2 corollary at x = 2 against its
+# closed form to max(tol, COROLLARY_TOL_FLOOR): a smaller --tol does not
+# tighten that one check.
+COROLLARY_TOL_FLOOR = 1e-9
 
 DEFAULT_TOLS = {
     "roundtrip": 1e-11,
@@ -37,7 +52,7 @@ DEFAULT_TOLS = {
     "conjugation": 1e-8,
     "theorems": 1e-10,
     "lu": 1e-11,
-    "discrepancy": 1e-11,
+    "discrepancy": DISCREPANCY_TOL,
 }
 
 

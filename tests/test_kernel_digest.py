@@ -10,6 +10,7 @@ the digest; a deliberate change of output must update DIGEST and say why.
 
 import hashlib
 import random
+from functools import partial
 
 from ortho_szego import perturb
 from ortho_szego.oprl import RealRecurrence
@@ -134,7 +135,7 @@ def _perturbed(rng):
     lam, tau = rng.choice((1.0, rng.uniform(0.5, 1.5))), rng.uniform(-0.2, 0.2)
     if rng.random() < 0.5:
         path = rng.choice((perturb.CLOSED_FORM, perturb.ORACLE))
-        return perturb.coprl_verblunsky, (rc, k, lam, tau, n, None, path)
+        return partial(perturb.coprl_verblunsky, path=path), (rc, k, lam, tau, n)
     path = rng.choice((perturb.DEFAULT, perturb.SHORTCUT))
     return perturb.perturbed_alpha_lu, (rc, k, lam, tau, n, path)
 

@@ -8,7 +8,6 @@ from ortho_szego.oprl import (
     RealRecurrence,
     chebyshev_t,
     chebyshev_u,
-    jacobi_matrix,
     oprl_eval,
     oprl_polys,
     orthonormal_scale,
@@ -78,26 +77,13 @@ def test_polys_match_pointwise_eval(rng):
 def _x_minus_jacobi(rc, n: int, x: float) -> list[list[Fraction]]:
     """xI - J_n in exact rationals: diagonal x - b_i, superdiagonal -1,
     subdiagonal -d_i."""
-    jm = jacobi_matrix(rc, n)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = Fraction(x) - Fraction(jm.diagonal[i])
+        m[i][i] = Fraction(x) - Fraction(rc.b[i])
         if i + 1 < n:
             m[i][i + 1] = Fraction(-1)
-            m[i + 1][i] = -Fraction(jm.subdiagonal[i])
+            m[i + 1][i] = -Fraction(rc.d[i])
     return m
-
-
-def test_jacobi_order_one():
-    jm = jacobi_matrix(RealRecurrence((0.7,), (0.5,)), 1)
-    assert (jm.order, jm.diagonal, jm.subdiagonal) == (1, (0.7,), ())
-
-
-def test_jacobi_chebyshev_layout():
-    jm = jacobi_matrix(chebyshev_t(), 3)
-    assert jm.order == 3
-    assert jm.diagonal == (0.0, 0.0, 0.0)
-    assert jm.subdiagonal == (0.5, 0.25)
 
 
 def test_characteristic_polynomial_is_pn(rng):

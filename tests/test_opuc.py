@@ -4,19 +4,13 @@ import pickle
 
 import pytest
 
-from ortho_szego.errors import (
-    AlphaOutOfRange,
-    ComplexAlpha,
-    InvalidXi,
-    ZeroArgument,
-)
+from ortho_szego.errors import AlphaOutOfRange, ComplexAlpha, InvalidXi
 from ortho_szego.opuc import (
     VerblunskySeq,
     kappa,
     opuc_eval,
     opuc_polys,
     prepend_verblunsky,
-    reversed_poly_check,
     second_kind,
     shift_verblunsky,
 )
@@ -142,9 +136,18 @@ def test_modulus_identity_on_circle(rng):
             assert abs(phi[n]) == pytest.approx(abs(star[n]), rel=1e-12)
 
 
+def reversed_identity_holds(vs, n, z, rtol=1e-12):
+    """Phi*_n(z) = z^n conj(Phi_n(1/conj(z))), on opuc_eval's two outputs."""
+    z = complex(z)
+    phi_at_inv, _ = opuc_eval(vs, n, 1.0 / z.conjugate())
+    _, star = opuc_eval(vs, n, z)
+    lhs, rhs = star[n], z**n * phi_at_inv[n].conjugate()
+    return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs), 1.0)
+
+
 def test_reversed_poly_lebesgue():
     vs = VerblunskySeq((0.0, 0.0, 0.0))
-    assert reversed_poly_check(vs, 3, 0.7 + 0.2j)
+    assert reversed_identity_holds(vs, 3, 0.7 + 0.2j)
 
 
 def test_reversed_poly_direct_expansion():
@@ -152,7 +155,7 @@ def test_reversed_poly_direct_expansion():
     vs = VerblunskySeq((0.0, -0.5))
     _, star = opuc_eval(vs, 2, 2.0)
     assert star[2] == pytest.approx(3.0)
-    assert reversed_poly_check(vs, 2, 2.0)
+    assert reversed_identity_holds(vs, 2, 2.0)
 
 
 def test_reversed_poly_random(rng):
@@ -163,12 +166,7 @@ def test_reversed_poly_random(rng):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if z == 0:
             continue
-        assert reversed_poly_check(vs, 6, z)
-
-
-def test_reversed_poly_zero_argument():
-    with pytest.raises(ZeroArgument):
-        reversed_poly_check(VerblunskySeq((0.1,)), 1, 0.0)
+        assert reversed_identity_holds(vs, 6, z)
 
 
 def test_second_kind_negates_and_involutes():

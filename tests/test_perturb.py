@@ -5,6 +5,7 @@ import pytest
 
 from ortho_szego.errors import (
     ComplexAlpha,
+    DivisionDegenerate,
     InsufficientCoefficients,
     InvalidEta,
     InvalidXi,
@@ -16,6 +17,7 @@ from ortho_szego.perturb import (
     ORACLE,
     SHORTCUT,
     CLOSED_FORM,
+    DEFAULT,
     MAX_SIEVE_LENGTH,
     AntiAssociated,
     Associated,
@@ -152,6 +154,11 @@ class TestCopucApply:
     def test_rejects_large_eta(self):
         with pytest.raises(InvalidEta):
             copuc_apply(VerblunskySeq((0.0,)), 0, 1.0)
+
+    def test_rejects_negative_index(self):
+        # a negative k must not overwrite an entry counted from the end
+        with pytest.raises(ValueError, match="^modification index must be >= 0$"):
+            copuc_apply(VerblunskySeq((0.1, 0.2)), -1, 0.3)
 
 
 class TestAssociatedLine:
@@ -434,6 +441,16 @@ class TestPerturbedV:
         rc = random_admissible_rc(rng, 10)
         assert path_discrepancy_report(rc, 2, 1.0, 0.17, 12) is None
 
+    @pytest.mark.parametrize("path", [DEFAULT, SHORTCUT])
+    @pytest.mark.parametrize("run", [
+        lambda path: perturbed_v(chebyshev_t(), 1, 1.0, -0.5, 6, path),
+        lambda path: perturbed_alpha_lu(chebyshev_t(), 1, 1.0, -0.5, 4, path),
+    ], ids=["perturbed_v", "perturbed_alpha_lu"])
+    def test_vanishing_pivot_raises(self, run, path):
+        # T with tau = -1/2 at k = 1: the pivot v~_2 = 1/2 - 1/2 is 0
+        with pytest.raises(DivisionDegenerate, match="^pivot v_2 vanished$"):
+            run(path)
+
 
 class TestPerturbedAlphaLu:
     def test_default_equals_section4_theorem(self, rng):
@@ -596,3 +613,28 @@ class TestSymmetricCoDilated:
             except SupportViolation:
                 continue
             assert_vs_close(th, br, 1e-11)
+
+
+_VS8 = VerblunskySeq((0.1, -0.2, 0.3, -0.1, 0.2, 0.05, -0.3, 0.15))
+_D3 = (0.3, 0.25, 0.2)
+
+
+@pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+@pytest.mark.parametrize("run, exc, message", [
+    (lambda path: sieved_kmod_recurrence(_VS8, -1, 0.3, 4, path),
+     ValueError, "modification index must be >= 0"),
+    (lambda path: sieved_kmod_recurrence(_VS8, 8, 0.3, 4, path),
+     InsufficientCoefficients, "need 9 alpha coefficients, have 8"),
+    (lambda path: assoc_opuc_to_recurrence(_VS8, -1, 2, path),
+     ValueError, "shift order must be >= 0"),
+    (lambda path: symmetric_codilated_verblunsky(_D3, 5, 1.2, path),
+     InsufficientCoefficients, "need 5 d coefficients, have 3"),
+    (lambda path: symmetric_codilated_verblunsky(_D3, 2, 0.0, path),
+     ValueError, "co-dilation factor must be positive"),
+], ids=["sieved_kmod_negative_k", "sieved_kmod_k_past_end", "assoc_circle_negative_k",
+        "symmetric_codilated_k_past_end", "symmetric_codilated_zero_lam"])
+def test_out_of_range_input_raises_alike_on_both_paths(run, exc, message, path):
+    """The closed form refuses what its oracle refuses, with the same error."""
+    with pytest.raises(exc) as info:
+        run(path)
+    assert type(info.value) is exc and str(info.value) == message

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from ortho_szego.oprl import JacobiMatrix, RealRecurrence
+from ortho_szego.oprl import RealRecurrence
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import (
     AntiAssociated,
@@ -26,8 +26,6 @@ from ortho_szego.szego import LuCheckResult, VSeq
 VALUES = [
     (lambda: RealRecurrence((0, 0.5), (0.5, 0.25)),
      "RealRecurrence(b=(0.0, 0.5), d=(0.5, 0.25))"),
-    (lambda: JacobiMatrix(2, (0.0, 0.5), (0.5,)),
-     "JacobiMatrix(order=2, diagonal=(0.0, 0.5), subdiagonal=(0.5,))"),
     (lambda: VerblunskySeq((0.25, 0.5j)),
      "VerblunskySeq(alpha=((0.25+0j), 0.5j))"),
     (lambda: Poly((1, 2, 0)),
