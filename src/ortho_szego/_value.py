@@ -11,6 +11,11 @@ each decorated class would cost every CLI run ~20 ms of start-up.
 
 A subclass lists its fields, in constructor order, as ``__slots__`` and
 sets each one once in ``__init__`` with ``object.__setattr__``.
+
+``_unchecked`` builds a value without its constructor.  It is for kernel
+outputs whose own guards have already established everything the
+constructor would check and coerce; input from outside the package always
+goes through the constructor.
 """
 
 
@@ -42,3 +47,14 @@ class Value:
         # copy and pickle rebuild through the constructor: their default
         # restores slot state with setattr, which raises here
         return type(self), self._fields()
+
+
+def _unchecked(cls, *fields):
+    """An instance of ``cls`` with its slots set to ``fields``, in
+    ``__slots__`` order, without running ``__init__``.  The caller
+    guarantees that the fields are exactly what the constructor would
+    store for them."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(self, name, value)
+    return self

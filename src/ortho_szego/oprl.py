@@ -14,7 +14,7 @@ is never stored.
 
 from __future__ import annotations
 
-from ._value import Value
+from ._value import Value, _unchecked
 from .errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
 from .polyhom import P_ONE, P_ZERO, Poly
 
@@ -101,7 +101,8 @@ def shift_coefficients(rc: RealRecurrence, k: int) -> RealRecurrence:
         raise ValueError("shift order must be >= 0")
     if k > min(len(rc.b), len(rc.d)):
         raise InsufficientCoefficients(k, min(len(rc.b), len(rc.d)))
-    return RealRecurrence(rc.b[k:], rc.d[k:])
+    # slices of checked float tuples with no d == 0
+    return _unchecked(RealRecurrence, rc.b[k:], rc.d[k:])
 
 
 def prepend_coefficients(rc: RealRecurrence, pre_b, pre_d) -> RealRecurrence:
@@ -117,7 +118,8 @@ def prepend_coefficients(rc: RealRecurrence, pre_b, pre_d) -> RealRecurrence:
     for dn in pre_d:
         if dn == 0.0:
             raise InvalidPrepend("prepended d entries must be nonzero")
-    return RealRecurrence(pre_b + rc.b, pre_d + rc.d)
+    # float tuples: the new d entries were just checked nonzero, rc's were on construction
+    return _unchecked(RealRecurrence, pre_b + rc.b, pre_d + rc.d)
 
 
 def orthonormal_scale(rc: RealRecurrence, n: int) -> float:

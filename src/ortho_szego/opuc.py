@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value
+from ._value import Value, _unchecked
 from .errors import AlphaOutOfRange, ComplexAlpha, InsufficientCoefficients, InvalidXi
 from .polyhom import P_ONE, Poly
 
@@ -116,7 +116,8 @@ def shift_verblunsky(vs: VerblunskySeq, k: int) -> VerblunskySeq:
     if k < 0:
         raise ValueError("shift order must be >= 0")
     vs.require(k)
-    return VerblunskySeq(vs.alpha[k:])
+    # a slice of checked entries keeps its storage kind
+    return _unchecked(VerblunskySeq, vs.alpha[k:])
 
 
 def prepend_verblunsky(vs: VerblunskySeq, xi) -> VerblunskySeq:

@@ -35,7 +35,7 @@ import sys
 from collections.abc import Callable
 from functools import partial
 
-from ._value import Value
+from ._value import Value, _unchecked
 from .errors import DivisionDegenerate, InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
@@ -517,7 +517,8 @@ def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> Rea
     if len(alpha) < n:
         raise OrthoError(f"need {n} circle coefficients, have {len(alpha)}")
     d = [0.25 * (1.0 - prev) * (1.0 + a) for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]
-    return RealRecurrence((0.0,) * n, d)
+    # real_view gives floats in (-1, 1), so both factors of d are >= 2^-53 and d > 0
+    return _unchecked(RealRecurrence, (0.0,) * n, tuple(d))
 
 
 def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
@@ -540,7 +541,8 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
         d[k] *= (1.0 + eta) / (1.0 + ak)
     if k + 1 < n:
         d[k + 1] *= (1.0 - eta) / (1.0 - ak)
-    return RealRecurrence(base.b, tuple(d))
+    # the eta guard keeps 1 -/+ eta >= 2^-53, so both factors are positive floats
+    return _unchecked(RealRecurrence, base.b, tuple(d))
 
 
 def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:

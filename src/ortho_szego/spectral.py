@@ -43,6 +43,9 @@ _SCALE_LIMIT = 2.0 ** 960
 
 DEFAULT_DEPTH = 40
 
+# s_value and f_value estimate the error as |c_depth - c_{depth-PLATEAU}|.
+_PLATEAU = 10
+
 
 def default_depth() -> int:
     """Convergent order for `eval`: DEFAULT_DEPTH unless ORTHO_SZEGO_DEPTH
@@ -108,7 +111,9 @@ def _rescale(states, one: float, big: float):
 
 
 def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
-    """Convergents P'_{k-1}(x)/P_k(x) for k = 1..depth.
+    """Convergents P'_{k-1}(x)/P_k(x) for k = max(depth - _PLATEAU, 1)..depth,
+    the only ones s_value and s_convergent read; the pole test runs at
+    every order.
 
     The states grow like |x|^k and are rescaled before a step can
     overflow; the step multiplies by up to ~2 (|x - b| + |d|), so the
@@ -122,12 +127,14 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
     one = 1.0  # 1 in the scaled units of the states
     p_prev, p_cur = 1.0 + 0j, x - b[0]  # P_0, P_1
     q_prev, q_cur = 0j, 1.0 + 0j        # P'_{-1}, P'_0
+    first = depth - _PLATEAU
     out = []
     for k in range(1, depth + 1):
         ap, aq = abs(p_cur), abs(q_cur)
         if ap <= POLE_TOL * (one + aq):
             raise PoleHit(f"convergent denominator vanished at x = {x!r} (order {k})")
-        out.append(q_cur / p_cur)
+        if k >= first:
+            out.append(q_cur / p_cur)
         if k == depth:
             break
         if ap > limit or aq > limit:
@@ -145,14 +152,15 @@ def s_convergent(h: SFunctionHandle, x: Scalar) -> Scalar:
 
 
 def s_value(h: SFunctionHandle, x: Scalar) -> tuple[Scalar, float]:
-    """Convergent plus a plateau error estimate |c_depth - c_{depth-10}|."""
+    """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
     tail = _s_tail(h, x)
-    back = tail[max(len(tail) - 11, 0)]
-    return tail[-1], abs(tail[-1] - back)
+    return tail[-1], abs(tail[-1] - tail[0])
 
 
 def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
-    """Convergents Omega*_k(z)/Phi*_k(z) for k = 1..depth.
+    """Convergents Omega*_k(z)/Phi*_k(z) for k = max(depth - _PLATEAU, 1)..depth,
+    the only ones f_value and f_convergent read; the pole test runs at
+    every order.
 
     Each step at most doubles the states (|z| < 1, |a| < 1), so they are
     rescaled once the larger of Phi*_k, Omega*_k passes 2^960.  Phi_k and
@@ -164,6 +172,7 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
     phi, phis = 1.0 + 0j, 1.0 + 0j
     om, oms = 1.0 + 0j, 1.0 + 0j
     one = 1.0  # 1 in the scaled units of the states
+    first = h.depth - _PLATEAU
     out = []
     for k, a in enumerate(h.vs.alpha[:h.depth], start=1):  # the handle checked the length
         ac, az = a.conjugate(), a * z
@@ -172,7 +181,8 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
         aphis, aoms = abs(phis), abs(oms)
         if aphis <= POLE_TOL * (one + aoms):
             raise PoleHit(f"convergent denominator vanished at z = {z!r} (order {k})")
-        out.append(oms / phis)
+        if k >= first:
+            out.append(oms / phis)
         if aphis > _SCALE_LIMIT or aoms > _SCALE_LIMIT:
             (phi, phis, om, oms), one = _rescale((phi, phis, om, oms), one, max(aphis, aoms))
     return out
@@ -184,10 +194,9 @@ def f_convergent(h: CFunctionHandle, z: Scalar) -> Scalar:
 
 
 def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
-    """Convergent plus a plateau error estimate |c_depth - c_{depth-10}|."""
+    """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
     tail = _f_tail(h, z)
-    back = tail[max(len(tail) - 11, 0)]
-    return tail[-1], abs(tail[-1] - back)
+    return tail[-1], abs(tail[-1] - tail[0])
 
 
 def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 
-from ._value import Value
+from ._value import Value, _unchecked
 from .errors import DivisionDegenerate, InsufficientCoefficients, SupportViolation
 from .oprl import RealRecurrence, oprl_eval, orthonormal_scale
 from .opuc import VerblunskySeq, kappa, opuc_eval
@@ -84,7 +84,8 @@ def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
         d.append(0.25 * (1.0 - am1) * (1.0 - a_even**2) * (1.0 + a_next))
         b.append(0.5 * (a_even * (1.0 - am1) - am2 * (1.0 + am1)))
         am2, am1 = a_even, a_next
-    return RealRecurrence(b, d)
+    # real_view gives floats in (-1, 1), so each factor of d is >= 2^-53 and d > 0
+    return _unchecked(RealRecurrence, tuple(b), tuple(d))
 
 
 def geronimus_inverse(rc: RealRecurrence, n: int) -> VerblunskySeq:
@@ -135,6 +136,9 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
             raise SupportViolation(2 * m + 1, a_odd)
         alpha.append(a_odd)
         am2, am1 = a_even, a_odd
+    if j == 0:
+        # every entry is a float the support guard put inside (-1, 1)
+        return _unchecked(VerblunskySeq, tuple(alpha))
     return VerblunskySeq(alpha)
 
 
@@ -145,8 +149,9 @@ def v_from_alpha(vs: VerblunskySeq, n: int | None = None) -> VSeq:
         n = len(alpha)
     if len(alpha) < n:
         raise InsufficientCoefficients(n, len(alpha), "alpha coefficients")
-    return VSeq([0.5 * (1.0 + a) * (1.0 - prev)
-                 for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)])
+    # real_view gives floats, so every v_k is a float
+    return _unchecked(VSeq, tuple([0.5 * (1.0 + a) * (1.0 - prev)
+                                   for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]))
 
 
 def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
@@ -168,7 +173,8 @@ def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
     if n > len(vals):
         # the next divisor 1 - a_{k-1} > SUPPORT_TOL > PIVOT_TOL: its guard cannot fire first
         raise InsufficientCoefficients(len(vals) + 1, len(vals), "v entries")
-    return VerblunskySeq(alpha)
+    # every entry is a float the support guard put inside (-1, 1)
+    return _unchecked(VerblunskySeq, tuple(alpha))
 
 
 def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
@@ -198,7 +204,8 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
         out.append(b[pairs] + 1.0 - v_odd)
         if 2 * pairs + 1 < n:
             raise InsufficientCoefficients(pairs + 1, len(d), "d coefficients")
-    return VSeq(out)
+    # b and d are floats, so every pivot is a float
+    return _unchecked(VSeq, tuple(out))
 
 
 class LuCheckResult(Value):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ortho_szego.errors import EvaluationDomain
+from ortho_szego.errors import EvaluationDomain, PoleHit
 from ortho_szego.oprl import (
     RealRecurrence,
     chebyshev_t,
@@ -178,6 +178,41 @@ class TestFConvergent:
         val, err = f_value(CFunctionHandle(vs, 40), 0.3)
         assert val == pytest.approx(0.91, abs=1e-10)
         assert err < 1e-10
+
+
+class TestPlateauError:
+    """s_value and f_value return c_D and |c_D - c_{max(D-10, 1)}|, each
+    convergent as s_convergent / f_convergent give it on its own handle,
+    at depths the kernel digest does not reach."""
+
+    DEPTHS = (1, 10, 11, 12, 40, 60)
+
+    def test_line(self):
+        rc = geronimus_forward(long_random_alpha(23, 120, 0.8), 60)
+        for x in (1.05, -1.3 + 0.1j, 2.5):
+            for depth in self.DEPTHS:
+                val, err = s_value(SFunctionHandle(rc, depth), x)
+                back = s_convergent(SFunctionHandle(rc, max(depth - 10, 1)), x)
+                assert val == s_convergent(SFunctionHandle(rc, depth), x)
+                assert err == abs(val - back)
+                assert err > 0.0 or depth == 1
+
+    def test_circle(self):
+        vs = long_random_alpha(29, 60, 0.8)
+        for z in (0.9, -0.6 + 0.3j, 0.2j):
+            for depth in self.DEPTHS:
+                val, err = f_value(CFunctionHandle(vs, depth), z)
+                back = f_convergent(CFunctionHandle(vs, max(depth - 10, 1)), z)
+                assert val == f_convergent(CFunctionHandle(vs, depth), z)
+                assert err == abs(val - back)
+                assert err > 0.0 or depth == 1
+
+    def test_pole_below_the_kept_orders_still_raises(self):
+        # P_1(2) = 0: the order-1 denominator vanishes, 39 orders before
+        # the first convergent s_value reads
+        rc = RealRecurrence((2.0,) + (0.0,) * 39, (0.25,) * 40)
+        with pytest.raises(PoleHit, match=r"\(order 1\)"):
+            s_value(SFunctionHandle(rc, 40), 2.0)
 
 
 class TestBridge:

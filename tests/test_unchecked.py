@@ -1,0 +1,170 @@
+"""Kernel outputs built without their constructor are the constructor's values.
+
+Each kernel that returns through ``_value._unchecked`` relies on its own
+guards for what the public constructor would check and coerce.  Here every
+such output is rebuilt through the public constructor, from the entries the
+kernel computed (or, for a slice, from the input), and must come out equal,
+with the same hash and the same field types: a tuple per field, and each
+entry of the type the constructor's storage rule gives.
+"""
+
+import random
+
+import pytest
+
+from ortho_szego import perturb
+from ortho_szego.errors import OrthoError
+from ortho_szego.oprl import RealRecurrence, prepend_coefficients, shift_coefficients
+from ortho_szego.opuc import VerblunskySeq, shift_verblunsky
+from ortho_szego.szego import (
+    VSeq,
+    alpha_from_v,
+    geronimus_forward,
+    geronimus_inverse,
+    invert_from,
+    v_from_alpha,
+    v_from_recurrence,
+)
+
+from test_surface import UNCHECKED_SITES
+
+CASES = 150
+
+
+def _real_circle(rng):
+    """Real data, empty now and then, stored as floats or (about one time
+    in three) as complex."""
+    alpha = [rng.uniform(-0.9, 0.9) for _ in range(rng.choice((0, rng.randint(1, 16))))]
+    if rng.random() < 0.3:
+        return VerblunskySeq(tuple(map(complex, alpha)))
+    return VerblunskySeq(tuple(alpha))
+
+
+def _circle(rng):
+    """Complex data one time in three, real data otherwise."""
+    if rng.random() < 0.3:
+        return VerblunskySeq(tuple(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+                                   for _ in range(rng.randint(0, 16))))
+    return _real_circle(rng)
+
+
+def _line(rng):
+    vs = VerblunskySeq(tuple(rng.uniform(-0.9, 0.9) for _ in range(2 * rng.randint(0, 8))))
+    return geronimus_forward(vs, len(vs) // 2)
+
+
+def _n(rng, top):
+    return rng.choice((-1, 0, rng.randint(0, top)))
+
+
+def _prepend(rng):
+    """A window of up to 3 pairs, ints among them."""
+    k = rng.randint(0, 3)
+    pre_b = [rng.choice((0, 1, rng.uniform(-0.5, 0.5))) for _ in range(k)]
+    pre_d = [rng.choice((1, rng.uniform(0.1, 0.5))) for _ in range(k)]
+    return _line(rng), pre_b, pre_d
+
+
+def _real_seq(value):
+    """The public constructor on the kernel's entries as the real numbers
+    they are: real data is stored as floats."""
+    return VerblunskySeq([a.real for a in value.alpha])
+
+
+def _rebuilt(value):
+    """The public constructor on the value's own entries, as lists."""
+    return type(value)(*[list(getattr(value, name)) for name in value.__slots__])
+
+
+# site -> (make(rng) -> (call, args), reference(value, args) -> checked value)
+SITES = {
+    "szego.geronimus_forward": (
+        lambda rng: (geronimus_forward, (_real_circle(rng), _n(rng, 8))),
+        lambda out, args: _rebuilt(out)),
+    "szego.invert_from": (
+        lambda rng: (invert_from, (_line(rng), (), _n(rng, 9))),
+        lambda out, args: _real_seq(out)),
+    "szego.alpha_from_v": (
+        lambda rng: (alpha_from_v, (v_from_alpha(_real_circle(rng)), rng.choice((None, 0, -1)))),
+        lambda out, args: _real_seq(out)),
+    "szego.v_from_alpha": (
+        lambda rng: (v_from_alpha, (_real_circle(rng), rng.choice((None, 0, -1)))),
+        lambda out, args: _rebuilt(out)),
+    "szego.v_from_recurrence": (
+        lambda rng: (v_from_recurrence, (_line(rng), _n(rng, 16))),
+        lambda out, args: _rebuilt(out)),
+    "oprl.shift_coefficients": (
+        lambda rng: (shift_coefficients, (_line(rng), rng.randint(0, 2))),
+        lambda out, args: RealRecurrence(list(args[0].b)[args[1]:], list(args[0].d)[args[1]:])),
+    "oprl.prepend_coefficients": (
+        lambda rng: (prepend_coefficients, _prepend(rng)),
+        lambda out, args: RealRecurrence(list(args[1]) + list(args[0].b),
+                                         list(args[2]) + list(args[0].d))),
+    "opuc.shift_verblunsky": (
+        lambda rng: (shift_verblunsky, (_circle(rng), rng.randint(0, 2))),
+        lambda out, args: VerblunskySeq(list(args[0].alpha)[args[1]:])),
+    "perturb.sieve2_recurrence": (
+        lambda rng: (perturb.sieve2_recurrence, (_real_circle(rng), _n(rng, 8))),
+        lambda out, args: _rebuilt(out)),
+    "perturb.sieved_kmod_recurrence": (
+        lambda rng: (perturb.sieved_kmod_recurrence,
+                     (_real_circle(rng), rng.randint(0, 3), rng.uniform(-0.9, 0.9), _n(rng, 8))),
+        lambda out, args: _rebuilt(out)),
+}
+
+
+def test_every_unchecked_site_is_covered():
+    assert set(SITES) == set(UNCHECKED_SITES)
+
+
+def _assert_same_value(value, want):
+    assert type(value) is type(want)
+    assert value == want
+    assert hash(value) == hash(want)
+    for name in value.__slots__:
+        got, expected = getattr(value, name), getattr(want, name)
+        assert type(got) is tuple, (name, type(got))
+        assert list(map(type, got)) == list(map(type, expected)), name
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_unchecked_output_equals_the_checked_one(site):
+    make, reference = SITES[site]
+    rng = random.Random(f"unchecked:{site}")
+    built = 0
+    for _ in range(CASES):
+        call, args = make(rng)
+        try:
+            out = call(*args)
+        except OrthoError:  # the kernel's own refusal
+            continue
+        _assert_same_value(out, reference(out, args))
+        built += 1
+    assert built >= CASES // 2
+
+
+def test_edge_cases():
+    empty_line = RealRecurrence((), ())
+    complex_data = VerblunskySeq((0.25j, 0.5, -0.5 + 0.1j))
+    checks = [
+        (geronimus_forward(VerblunskySeq(()), 0), RealRecurrence([], [])),
+        (geronimus_forward(VerblunskySeq((0.5, 0.25)), -1), RealRecurrence([], [])),
+        (geronimus_inverse(empty_line, 0), VerblunskySeq([])),
+        (geronimus_inverse(empty_line, -2), VerblunskySeq([])),
+        (v_from_recurrence(empty_line, 0), VSeq([])),
+        (alpha_from_v(VSeq(()), -1), VerblunskySeq([])),
+        (v_from_alpha(VerblunskySeq(()), 0), VSeq([])),
+        (shift_coefficients(empty_line, 0), RealRecurrence([], [])),
+        (prepend_coefficients(empty_line, [1], [2]), RealRecurrence([1.0], [2.0])),
+        (shift_verblunsky(complex_data, 1), VerblunskySeq([0.5 + 0j, -0.5 + 0.1j])),
+        (shift_verblunsky(complex_data, 3), VerblunskySeq([])),
+        (shift_verblunsky(VerblunskySeq((0.5, -0.25)), 1), VerblunskySeq([-0.25])),
+        (perturb.sieve2_recurrence(VerblunskySeq(()), -1), RealRecurrence([], [])),
+        (perturb.sieved_kmod_recurrence(VerblunskySeq((0.0,)), 0, 0, 1),
+         RealRecurrence([0.0], [0.5])),
+    ]
+    for value, want in checks:
+        _assert_same_value(value, want)
+    # a complex slice stays complex, a float slice stays float
+    assert type(shift_verblunsky(complex_data, 1).alpha[0]) is complex
+    assert type(shift_verblunsky(VerblunskySeq((0.5, -0.25)), 1).alpha[0]) is float
