@@ -222,8 +222,10 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
         M = 4 (lam - 1) d_k / ((1 - a_{2k-3}) (1 - a_{2k-2}^2)),
 
     recombines a_{2k} from (a_{2k}, tau, M), and continues with the generic
-    inversion on the untouched tail.  k = 0 is the pure co-recursive case
-    and requires lam = 1.
+    inversion on the untouched tail.  It inverts only the head a_0 .. a_{2k+1}
+    of the unperturbed data and reads it up to a_{2k}, so an unperturbed
+    coefficient past a_{2k+1} that leaves (-1, 1) does not stop it.  k = 0
+    is the pure co-recursive case and requires lam = 1.
     """
     _check_path(path)
     if k == 0 and lam != 1.0:
@@ -238,7 +240,8 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, specs), n)
 
-    alpha = geronimus_inverse(rc, n).real_view()
+    rc.require(n, n)
+    alpha = geronimus_inverse(rc, k + 1).real_view()  # the head reads up to a_{2k}
     am2, am1 = _alpha_conv(alpha, 2 * k - 2), _alpha_conv(alpha, 2 * k - 1)
     if k == 0:
         m_shift = 0.0
@@ -562,7 +565,8 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     """Symmetric family after d_k -> lam d_k, as 2 len(d) circle
     coefficients: odd entries below 2k-1 are kept, g_{2k-1} shifts by
     4 (lam - 1) d_k / (1 - g_{2k-3}), and every later odd entry follows the
-    symmetric recursion."""
+    symmetric recursion.  The closed form reads only the head g_0 .. g_{2k-1}
+    of the unperturbed symmetric sequence."""
     _check_path(path)
     if k < 1:
         raise ValueError("co-dilation index must be >= 1")
@@ -573,7 +577,7 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [spec]), n)
     rc.require(0, k)
-    gamma = symmetric_verblunsky(d).real_view()
+    gamma = symmetric_verblunsky(d[:k]).real_view()  # the head reads up to g_{2k-1}
     head = list(gamma[: 2 * k - 1])
     shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
     head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))

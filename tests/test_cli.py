@@ -262,6 +262,20 @@ class TestPerturbCommand:
                                            "max deviation 0.000e+00\n")
         assert loads_coefficients(out.read_text()).alpha == (0.2, -0.3, 0.1)
 
+    def test_both_paths_codilation_past_an_inadmissible_tail(self, tmp_path, capsys):
+        # the unperturbed a_6 leaves (-1, 1) and the perturbed one does not:
+        # this exited 2 with --both-paths and 0 without it
+        src = tmp_path / "line.json"
+        src.write_text(dumps_recurrence(RealRecurrence(
+            (0.42473098610721627, -0.43896276684019947, 0.301601330614018, -0.1442824515915935),
+            (0.6506698554957292, 0.10604163639236465, 0.25779957701120076, 0.44049948814593204))))
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "co_dilated", "k": 1, "lambda": 0.5441900611295434}]')
+        out = tmp_path / "out.json"
+        assert main(["perturb", "--in", str(src), "--spec", str(spec), "--side", "line",
+                     "--out", str(out), "--both-paths"]) == 0
+        assert capsys.readouterr().err == "both-paths co_dilated k=1: max deviation 2.220e-16\n"
+
     def test_integral_float_index_reads_as_int(self, tfile, tmp_path):
         outs = []
         for k in ("2", "2.0"):

@@ -27,7 +27,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "a3b7f9fba7a205b7bc40cff948924300f3c172852333845e107ac24479d1c141"
+DIGEST = "5ee594e9ce6c39c722575bf41d6bcf022e1453ce2d88b08c74e095a05f1d94ba"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

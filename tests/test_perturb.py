@@ -41,7 +41,7 @@ from ortho_szego.perturb import (
     symmetric_codilated_verblunsky,
     symmetric_verblunsky,
 )
-from ortho_szego.szego import geronimus_forward
+from ortho_szego.szego import geronimus_forward, geronimus_inverse
 
 from conftest import random_admissible_rc, random_alpha
 from test_opuc import u_pattern
@@ -128,6 +128,20 @@ class TestCoprlVerblunsky:
             except SupportViolation:
                 continue
             assert_vs_close(th, br, 1e-10)
+
+    def test_closed_form_ignores_the_unperturbed_tail(self):
+        # the unperturbed a_6 leaves (-1, 1), the perturbed one does not;
+        # the closed form inverted all 4 unperturbed pairs and raised there
+        rc = RealRecurrence(
+            (0.42473098610721627, -0.43896276684019947, 0.301601330614018, -0.1442824515915935),
+            (0.6506698554957292, 0.10604163639236465, 0.25779957701120076, 0.44049948814593204))
+        with pytest.raises(SupportViolation):
+            geronimus_inverse(rc, 4)
+        lam = 0.5441900611295434
+        th = coprl_verblunsky(rc, 1, lam, 0.0, 4, path=CLOSED_FORM)
+        br = coprl_verblunsky(rc, 1, lam, 0.0, 4, path=ORACLE)
+        assert len(th) == len(br) == 8
+        assert_vs_close(th, br, 1e-14)
 
     def test_continuity_at_identity(self, rng):
         rc = random_admissible_rc(rng, 10, bound=0.6)
@@ -613,6 +627,17 @@ class TestSymmetricCoDilated:
             except SupportViolation:
                 continue
             assert_vs_close(th, br, 1e-11)
+
+    def test_closed_form_ignores_the_unperturbed_tail(self):
+        # unperturbed, g_5 = 1.7; after d_2 -> 0.2 d_2 it is 13/14
+        d = (0.25, 0.25, 0.9)
+        with pytest.raises(SupportViolation):
+            symmetric_verblunsky(d)
+        th = symmetric_codilated_verblunsky(d, 2, 0.2, path=CLOSED_FORM)
+        br = symmetric_codilated_verblunsky(d, 2, 0.2, path=ORACLE)
+        assert len(th) == len(br) == 6
+        assert_vs_close(th, br, 1e-15)
+        assert th.alpha[5] == pytest.approx(13 / 14, rel=1e-15)
 
 
 _VS8 = VerblunskySeq((0.1, -0.2, 0.3, -0.1, 0.2, 0.05, -0.3, 0.15))

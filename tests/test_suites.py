@@ -16,7 +16,7 @@ SUITE_DIGESTS = {
     "lu": "69c32f660d754c88e9b6bb36a1776fb4cb9d17e085dcf4b21c9397e70c3e0638",
     "rel": "c09a654044c51fa0582b6038faffe8c62b926af86cb6c0607e2ae5048a9ae609",
     "roundtrip": "7c024602a3670696bfccdb93cd358925078536b6473bd17fd048e362a5b980ec",
-    "theorems": "bf72f38682987df80a255ab6167afa60991df877c2c2d5b3d8e70c6c91b8cac6",
+    "theorems": "bd493782166b39eb6139a00fc05347e32ade82860758c52084a8af8ac7dfe87e",
     "transfer": "7ea252b8b9cd587d27303b9397faab0c9a180d85b6abe6e126f9029f0104f1a9",
 }
 
