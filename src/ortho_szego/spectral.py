@@ -43,7 +43,7 @@ _SCALE_LIMIT = 2.0 ** 960
 
 DEFAULT_DEPTH = 40
 
-# s_value and f_value estimate the error as |c_depth - c_{depth-PLATEAU}|.
+# s_value and f_value estimate the error as |c_depth - c_{max(depth - _PLATEAU, 1)}|.
 _PLATEAU = 10
 
 
