@@ -18,7 +18,6 @@ _SOURCES = {
         "chebyshev_t",
         "chebyshev_u",
         "oprl_eval",
-        "oprl_polys",
         "orthonormal_scale",
         "prepend_coefficients",
         "shift_coefficients",
@@ -27,7 +26,6 @@ _SOURCES = {
         "VerblunskySeq",
         "kappa",
         "opuc_eval",
-        "opuc_polys",
         "prepend_verblunsky",
         "second_kind",
         "shift_verblunsky",
@@ -55,7 +53,7 @@ _SOURCES = {
         "symmetric_codilated_verblunsky",
         "symmetric_verblunsky",
     ),
-    "polyhom": ("Poly", "PolyMatrix2", "homography_apply", "poly_eval"),
+    "polyhom": ("homography_apply",),
     "spectral": (
         "CFunctionHandle",
         "SFunctionHandle",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ._value import Value, _unchecked
 from .errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
-from .polyhom import P_ONE, P_ZERO, Poly
 
 Scalar = complex
 
@@ -80,19 +79,6 @@ def oprl_eval(rc: RealRecurrence, n: int, x: Scalar) -> list[Scalar]:
         vals.append(nxt)
         prev, cur = cur, nxt
     return vals
-
-
-def oprl_polys(rc: RealRecurrence, n: int) -> list[Poly]:
-    """Coefficient-form [P_0, ..., P_n] via the same recurrence."""
-    if n >= 1:
-        rc.require(n, n - 1)
-    polys = [P_ONE]
-    prev, cur = P_ZERO, P_ONE
-    for k in range(n):
-        nxt = cur.shift_up() - cur.scale(rc.b_at(k + 1)) - prev.scale(rc.d_at(k))
-        polys.append(nxt)
-        prev, cur = cur, nxt
-    return polys
 
 
 def shift_coefficients(rc: RealRecurrence, k: int) -> RealRecurrence:

@@ -19,7 +19,6 @@ import math
 
 from ._value import Value, _unchecked
 from .errors import AlphaOutOfRange, ComplexAlpha, InsufficientCoefficients, InvalidXi
-from .polyhom import P_ONE, Poly
 
 Scalar = complex
 
@@ -90,19 +89,6 @@ def opuc_eval(vs: VerblunskySeq, n: int, z: Scalar) -> tuple[list[Scalar], list[
         p, s = phi[-1], star[-1]
         phi.append(z * p - a.conjugate() * s)
         star.append(s - a * z * p)
-    return phi, star
-
-
-def opuc_polys(vs: VerblunskySeq, n: int) -> tuple[list[Poly], list[Poly]]:
-    """Coefficient-form ([Phi_0..Phi_n], [Phi*_0..Phi*_n])."""
-    vs.require(n)
-    phi = [P_ONE]
-    star = [P_ONE]
-    for k in range(n):
-        a = vs.at(k)
-        p, s = phi[-1], star[-1]
-        phi.append(p.shift_up() - s.scale(a.conjugate()))
-        star.append(s - p.shift_up().scale(a))
     return phi, star
 
 

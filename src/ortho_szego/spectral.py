@@ -13,7 +13,9 @@ matrices of the associated and anti-associated families, the conjugation
 check that moves a matrix across the line/circle bridge, and the four
 explicit low-order corollary formulas (assoc_order1_cfun,
 antiassoc_order1_cfun_secondkind, assoc_order2_sfun_matrix,
-antiassoc_order2_sfun_matrix), all validated pointwise.
+antiassoc_order2_sfun_matrix), all validated pointwise.  A transfer
+matrix is a function of the point t returning its entries (a, b, c, d)
+at t (see polyhom); a builder checks its data when called.
 
 The convergent depth defaults to DEFAULT_DEPTH; the library reads no
 environment variable.  default_depth() is the `eval` command's reading of
@@ -30,9 +32,9 @@ from math import frexp, ldexp
 
 from ._value import Value
 from .errors import EvaluationDomain, PoleHit
-from .oprl import RealRecurrence, oprl_polys, prepend_coefficients, shift_coefficients
-from .opuc import VerblunskySeq, opuc_polys, prepend_verblunsky, second_kind
-from .polyhom import P_ONE, Poly, PolyMatrix2, homography_apply
+from .oprl import RealRecurrence, oprl_eval, prepend_coefficients, shift_coefficients
+from .opuc import VerblunskySeq, opuc_eval, prepend_verblunsky, second_kind
+from .polyhom import Matrix, homography_apply
 from .szego import geronimus_forward, geronimus_inverse
 from .tolerances import POLE_TOL, SUPPORT_MARGIN
 
@@ -216,25 +218,29 @@ def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,
 # Transfer matrices
 
 
-def matrix_B_assoc(rc: RealRecurrence, k: int) -> PolyMatrix2:
+def matrix_B_assoc(rc: RealRecurrence, k: int) -> Matrix:
     """Transfer matrix of the order-k associated line family:
 
         [[ P_k,        -P'_{k-1} ],
          [ d_k P_{k-1}, -d_k P'_{k-2} ]]
 
-    with P' the order-1 associated family (P'_{-1} = 0 for k = 1).
+    with P' the order-1 associated family (P'_{-1} = 0 for k = 1), evaluated
+    at x with oprl_eval; the data are checked when the matrix is built.
     """
     if k < 1:
         raise ValueError("association order must be >= 1")
-    p = oprl_polys(rc, k)
-    p1 = oprl_polys(shift_coefficients(rc, 1), max(k - 1, 0))
+    rc.require(k, k - 1)
+    rc1 = shift_coefficients(rc, 1)
     dk = rc.d_at(k)
-    p1_km1 = p1[k - 1] if k - 1 >= 0 else Poly()
-    p1_km2 = p1[k - 2] if k - 2 >= 0 else Poly()
-    return PolyMatrix2(p[k], p1_km1.scale(-1), p[k - 1].scale(dk), p1_km2.scale(-dk))
+
+    def m(x):
+        p = oprl_eval(rc, k, x)
+        p1 = [0j] + oprl_eval(rc1, k - 1, x)  # p1[j] = P'_{j-1}
+        return p[k], -p1[k], dk * p[k - 1], -dk * p1[k - 1]
+    return m
 
 
-def matrix_B_antiassoc(rc: RealRecurrence, k: int, pre_b, pre_d) -> PolyMatrix2:
+def matrix_B_antiassoc(rc: RealRecurrence, k: int, pre_b, pre_d) -> Matrix:
     """Transfer matrix of the order-k anti-associated line family:
 
         [[ d~_k R_{k-2}, -R_{k-1} ],
@@ -244,54 +250,65 @@ def matrix_B_antiassoc(rc: RealRecurrence, k: int, pre_b, pre_d) -> PolyMatrix2:
     first associated), and d~_k the k-th entry of Q, i.e. the innermost
     prepended pair.  Derived as the adjugate of the associated-family
     relation applied to Q, and validated pointwise against convergents.
+    The order is len(pre_b); the argument k is not read.
     """
     pre_b = tuple(float(v) for v in pre_b)
     pre_d = tuple(float(v) for v in pre_d)
     k = len(pre_b)
     if k < 1:
         raise ValueError("anti-association order must be >= 1")
-    q = oprl_polys(prepend_coefficients(rc, pre_b, pre_d), k)
-    r = oprl_polys(prepend_coefficients(rc, pre_b[1:], pre_d[1:]), max(k - 1, 0))
-    dk = pre_d[-1]
-    r_km2 = r[k - 2] if k - 2 >= 0 else Poly()
-    return PolyMatrix2(r_km2.scale(dk), r[k - 1].scale(-1), q[k - 1].scale(dk), q[k].scale(-1))
+    assoc = matrix_B_assoc(prepend_coefficients(rc, pre_b, pre_d), k)
+
+    def m(x):
+        a, b, c, d = assoc(x)
+        return -d, b, c, -a
+    return m
 
 
-def matrix_Upsilon_assoc(vs: VerblunskySeq, k: int) -> PolyMatrix2:
+def matrix_Upsilon_assoc(vs: VerblunskySeq, k: int) -> Matrix:
     """Transfer matrix of the order-k associated circle family:
 
         [[ Phi_k + Phi*_k, Omega_k - Omega*_k ],
          [ Phi_k - Phi*_k, Omega_k + Omega*_k ]]
 
-    (k = 0 gives twice the identity, an identity homography).
+    (k = 0 gives twice the identity, an identity homography), evaluated at z
+    with opuc_eval; the data are checked when the matrix is built.
     """
     if k < 0:
         raise ValueError("association order must be >= 0")
-    phi, phis = opuc_polys(vs, k)
-    om, oms = opuc_polys(second_kind(vs), k)
-    return PolyMatrix2(phi[k] + phis[k], om[k] - oms[k], phi[k] - phis[k], om[k] + oms[k])
+    vs.require(k)
+    om_vs = second_kind(vs)
+
+    def m(z):
+        phi, phis = opuc_eval(vs, k, z)
+        om, oms = opuc_eval(om_vs, k, z)
+        return phi[k] + phis[k], om[k] - oms[k], phi[k] - phis[k], om[k] + oms[k]
+    return m
 
 
-def matrix_Upsilon_antiassoc(vs: VerblunskySeq, xi) -> PolyMatrix2:
+def matrix_Upsilon_antiassoc(vs: VerblunskySeq, xi) -> Matrix:
     """Transfer matrix of the order-k anti-associated circle family
     (k = len(xi)), built from the prepended sequence's own polynomials:
 
         [[ Om~_k + Om~*_k, Om~*_k - Om~_k ],
-         [ Phi~*_k - Phi~_k, Phi~_k + Phi~*_k ]].
+         [ Phi~*_k - Phi~_k, Phi~_k + Phi~*_k ]],
+
+    the adjugate of matrix_Upsilon_assoc on the prepended sequence.
     """
     xi = tuple(complex(v) for v in xi)
-    k = len(xi)
-    tilde = prepend_verblunsky(vs, xi)
-    phi, phis = opuc_polys(tilde, k)
-    om, oms = opuc_polys(second_kind(tilde), k)
-    return PolyMatrix2(om[k] + oms[k], oms[k] - om[k], phis[k] - phi[k], phi[k] + phis[k])
+    assoc = matrix_Upsilon_assoc(prepend_verblunsky(vs, xi), len(xi))
+
+    def m(z):
+        a, b, c, d = assoc(z)
+        return d, -b, -c, a
+    return m
 
 
 # ---------------------------------------------------------------------------
 # Conjugation across the bridge
 
 
-def szego_conjugate_check(m: PolyMatrix2, original, transformed, z: Scalar,
+def szego_conjugate_check(m: Matrix, original, transformed, z: Scalar,
                           side: str = "line", depth: int = DEFAULT_DEPTH) -> float:
     """Residual of the conjugated transfer identity at the point z (|z| < 1).
 
@@ -351,28 +368,18 @@ def antiassoc_order1_cfun_secondkind(z: Scalar, f: Scalar,
     return top / (-((1 - z * z) ** 2))
 
 
-def assoc_order2_sfun_matrix(b1: float, alpha1: float) -> PolyMatrix2:
+def assoc_order2_sfun_matrix(b1: float, alpha1: float) -> Matrix:
     """Matrix [[x - b1, -1], [(lam-1)(1-x^2), (lam-1)(x + b1)]] with
     lam = 2/(1 - alpha1): the order-2 associated circle family seen from
     the line."""
-    lam = 2.0 / (1.0 - alpha1)
-    return PolyMatrix2(
-        Poly((-b1, 1)),
-        P_ONE.scale(-1),
-        Poly(((lam - 1), 0, -(lam - 1))),
-        Poly(((lam - 1) * b1, lam - 1)),
-    )
+    lam1 = 2.0 / (1.0 - alpha1) - 1.0
+    return lambda x: (x - b1, -1.0, lam1 * (1.0 - x * x), lam1 * (x + b1))
 
 
-def antiassoc_order2_sfun_matrix(xi0: float, xi1: float) -> PolyMatrix2:
+def antiassoc_order2_sfun_matrix(xi0: float, xi1: float) -> Matrix:
     """Matrix [[x + xi0, K], [x^2 - 1, K (x - xi0)]] with
     K = (1 - xi1)/(1 + xi1): the order-2 anti-associated circle family seen
     from the line, obtained by reducing the order-2 transfer matrix with
     z^2 + 1 = 2xz and 1 - z^2 = 2z sqrt(x^2 - 1)."""
     kfac = (1.0 - xi1) / (1.0 + xi1)
-    return PolyMatrix2(
-        Poly((xi0, 1)),
-        Poly((kfac,)),
-        Poly((-1, 0, 1)),
-        Poly((-kfac * xi0, kfac)),
-    )
+    return lambda x: (x + xi0, kfac, x * x - 1.0, kfac * (x - xi0))

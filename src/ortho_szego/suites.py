@@ -209,23 +209,34 @@ def suite_bridge(seed: int, tol: float) -> SuiteReport:
     return rep
 
 
+def _worst_rel(m, convergent, h0, h1, points) -> float:
+    """Worst |m . c0 - c1| / |c1| over the points, c_i the convergent of h_i."""
+    worst = 0.0
+    for t in points:
+        want = convergent(h1, t)
+        worst = max(worst, abs(homography_apply(m, convergent(h0, t), t) - want) / abs(want))
+    return worst
+
+
 def suite_transfer(seed: int, tol: float) -> SuiteReport:
+    """Order-k transfer matrices at matched depths, where the identities
+    are exact but for rounding, so points near the support are checked too:
+    the original at D maps to the shifted data at D - k (both sides) and
+    to the prepended data at D + k (circle); the original at D - k maps to
+    the prepended line data at D."""
     rep = SuiteReport("transfer")
     rng = random.Random(seed)
-    depth = 40
-    xs = (1.8, -2.1, 2.6)
-    zs = (0.45, -0.38, 0.3 + 0.25j)
+    depth = 12
+    xs = (1.8, -2.1, 2.6, 1.05, -1.02)
+    zs = (0.45, -0.38, 0.3 + 0.25j, 0.95, -0.97, 0.9j)
 
     for k in (1, 2, 3):
         worst = 0.0
         for _ in range(20):
-            rc = _rand_rc(rng, depth + k + 2, bound=0.7)
-            m = matrix_B_assoc(rc, k)
-            shifted = shift_coefficients(rc, k)
-            for x in xs:
-                s0 = s_convergent(SFunctionHandle(rc, depth), x)
-                sk = s_convergent(SFunctionHandle(shifted, depth), x)
-                worst = max(worst, abs(homography_apply(m, s0, x) - sk))
+            rc = _rand_rc(rng, depth + 2, bound=0.7)
+            worst = max(worst, _worst_rel(
+                matrix_B_assoc(rc, k), s_convergent, SFunctionHandle(rc, depth),
+                SFunctionHandle(shift_coefficients(rc, k), depth - k), xs))
         rep.record(f"line_assoc_k{k}", worst, tol)
 
     for k in (1, 2, 3):
@@ -234,24 +245,18 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
             rc = _rand_rc(rng, depth + 2, bound=0.7)
             pb = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
             pd = tuple(rng.uniform(0.1, 0.5) for _ in range(k))
-            m = matrix_B_antiassoc(rc, k, pb, pd)
-            pre = prepend_coefficients(rc, pb, pd)
-            for x in xs:
-                s0 = s_convergent(SFunctionHandle(rc, depth), x)
-                sk = s_convergent(SFunctionHandle(pre, depth), x)
-                worst = max(worst, abs(homography_apply(m, s0, x) - sk))
+            worst = max(worst, _worst_rel(
+                matrix_B_antiassoc(rc, k, pb, pd), s_convergent, SFunctionHandle(rc, depth - k),
+                SFunctionHandle(prepend_coefficients(rc, pb, pd), depth), xs))
         rep.record(f"line_antiassoc_k{k}", worst, tol)
 
     for k in (1, 2, 3):
         worst = 0.0
         for _ in range(20):
-            vs = _rand_alpha(rng, depth + k + 2, bound=0.7)
-            m = matrix_Upsilon_assoc(vs, k)
-            shifted = shift_verblunsky(vs, k)
-            for z in zs:
-                f0 = f_convergent(CFunctionHandle(vs, depth), z)
-                fk = f_convergent(CFunctionHandle(shifted, depth), z)
-                worst = max(worst, abs(homography_apply(m, f0, z) - fk))
+            vs = _rand_alpha(rng, depth + 2, bound=0.7)
+            worst = max(worst, _worst_rel(
+                matrix_Upsilon_assoc(vs, k), f_convergent, CFunctionHandle(vs, depth),
+                CFunctionHandle(shift_verblunsky(vs, k), depth - k), zs))
         rep.record(f"circle_assoc_k{k}", worst, tol)
 
     for k in (1, 2, 3):
@@ -260,12 +265,9 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
             vs = _rand_alpha(rng, depth + 2, bound=0.7)
             xi = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
                        for _ in range(k))
-            m = matrix_Upsilon_antiassoc(vs, xi)
-            pre = prepend_verblunsky(vs, xi)
-            for z in zs:
-                f0 = f_convergent(CFunctionHandle(vs, depth), z)
-                fk = f_convergent(CFunctionHandle(pre, depth), z)
-                worst = max(worst, abs(homography_apply(m, f0, z) - fk))
+            worst = max(worst, _worst_rel(
+                matrix_Upsilon_antiassoc(vs, xi), f_convergent, CFunctionHandle(vs, depth),
+                CFunctionHandle(prepend_verblunsky(vs, xi), depth + k), zs))
         rep.record(f"circle_antiassoc_k{k}", worst, tol)
     return rep
 

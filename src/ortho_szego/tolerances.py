@@ -48,7 +48,7 @@ DEFAULT_TOLS = {
     "roundtrip": 1e-11,
     "rel": 1e-10,
     "bridge": 1e-8,
-    "transfer": 1e-8,
+    "transfer": 1e-9,
     "conjugation": 1e-8,
     "theorems": 1e-10,
     "lu": 1e-11,

@@ -694,9 +694,9 @@ def test_package_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("command, absent", [
-    ("geronimus", {"perturb", "spectral", "suites"}),
+    ("geronimus", {"perturb", "polyhom", "spectral", "suites"}),
     ("eval", {"perturb", "suites"}),
-    ("perturb", {"spectral", "suites"}),
+    ("perturb", {"polyhom", "spectral", "suites"}),
     ("verify", set()),
 ])
 def test_command_loads_only_its_modules(tmp_path, command, absent):
@@ -754,7 +754,7 @@ def test_cli_import_loads_the_readme_common_set():
     documented = {f"ortho_szego.{name}" for name in row.split("|")[2].replace("`", "")
                   .replace(",", " ").split()}
     assert documented == {f"ortho_szego.{m}" for m in (
-        "cli", "_value", "errors", "oprl", "opuc", "polyhom", "serialize", "tolerances")}
+        "cli", "_value", "errors", "oprl", "opuc", "serialize", "tolerances")}
     done = _python("import sys, ortho_szego.cli; "
                    "print(*sorted(m for m in sys.modules if m.startswith('ortho_szego.')))")
     assert (done.returncode, done.stderr) == (0, "")

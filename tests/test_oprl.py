@@ -9,7 +9,6 @@ from ortho_szego.oprl import (
     chebyshev_t,
     chebyshev_u,
     oprl_eval,
-    oprl_polys,
     orthonormal_scale,
     prepend_coefficients,
     shift_coefficients,
@@ -62,16 +61,6 @@ def test_monic_leading_coefficient():
     for n in (3, 5, 8):
         p1 = oprl_eval(rc, n, 1e6)[n]
         assert abs(p1 / 1e6**n - 1.0) < 1e-4
-
-
-def test_polys_match_pointwise_eval(rng):
-    rc = random_admissible_rc(rng, 6)
-    polys = oprl_polys(rc, 6)
-    for _ in range(5):
-        x = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        vals = oprl_eval(rc, 6, x)
-        for k in range(7):
-            assert polys[k](x) == pytest.approx(vals[k], rel=1e-12, abs=1e-12)
 
 
 def _x_minus_jacobi(rc, n: int, x: float) -> list[list[Fraction]]:

@@ -9,7 +9,6 @@ from ortho_szego.opuc import (
     VerblunskySeq,
     kappa,
     opuc_eval,
-    opuc_polys,
     prepend_verblunsky,
     second_kind,
     shift_verblunsky,
@@ -224,15 +223,3 @@ def test_determinant_identity(rng):
 def test_real_view_rejects_complex():
     with pytest.raises(ComplexAlpha):
         VerblunskySeq((0.1 + 0.2j,)).real_view()
-
-
-def test_polys_match_values(rng):
-    vs = VerblunskySeq(tuple(
-        complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(4)
-    ))
-    phi_p, star_p = opuc_polys(vs, 4)
-    z = 0.3 - 0.4j
-    phi_v, star_v = opuc_eval(vs, 4, z)
-    for n in range(5):
-        assert phi_p[n](z) == pytest.approx(phi_v[n], rel=1e-13, abs=1e-13)
-        assert star_p[n](z) == pytest.approx(star_v[n], rel=1e-13, abs=1e-13)

@@ -2,22 +2,27 @@
 that cannot fail."""
 
 import hashlib
+import random
 
 import pytest
 
+from ortho_szego import suites
+from ortho_szego.oprl import shift_coefficients
+from ortho_szego.polyhom import homography_apply
+from ortho_szego.spectral import SFunctionHandle, matrix_B_assoc, s_convergent
 from ortho_szego.suites import run_suite, suite_names
 
 # sha256 of run_suite(name, seed).lines, one line each, for seeds 0-3.  A
 # deliberate change of a suite's output must update its digest and say why.
 SUITE_DIGESTS = {
     "bridge": "0fe2e8776c766bc8808e0eb01a37aa4c4cfe5cb32439e68c0d9c299325c4ce08",
-    "conjugation": "4d9be91799a864f73328ecc1cc9e3fe59c0565a391e78cbfe7d7caf49d7756f0",
+    "conjugation": "bd1cccf0a2b91fa35fd8a5efbf70fc03248d19241b7feb87c2ac45ecfbc1a86d",
     "discrepancy": "dc30615d13082f9d3247d3e984c5f707d13f4e78794e084275408a800e50b9b3",
     "lu": "69c32f660d754c88e9b6bb36a1776fb4cb9d17e085dcf4b21c9397e70c3e0638",
     "rel": "c09a654044c51fa0582b6038faffe8c62b926af86cb6c0607e2ae5048a9ae609",
     "roundtrip": "7c024602a3670696bfccdb93cd358925078536b6473bd17fd048e362a5b980ec",
     "theorems": "bd493782166b39eb6139a00fc05347e32ade82860758c52084a8af8ac7dfe87e",
-    "transfer": "7ea252b8b9cd587d27303b9397faab0c9a180d85b6abe6e126f9029f0104f1a9",
+    "transfer": "6afb0f82aa7efedc822aced2c439fa163f479bb15ba27b671637855e0e77a987",
 }
 
 
@@ -45,3 +50,47 @@ def test_closed_form_vs_oracle_residuals_are_nonzero():
                 residuals[name] = float(value)
         assert residuals, report.lines
         assert all(r > 0.0 for r in residuals.values()), (seed, residuals)
+
+
+def _scaled_bottom_row(build):
+    """`build` with c and d scaled by 1 + 1e-8: the homography's value
+    moves by a relative 1e-8."""
+    def mutated(*args):
+        m = build(*args)
+
+        def at(t):
+            a, b, c, d = m(t)
+            return a, b, c * (1 + 1e-8), d * (1 + 1e-8)
+        return at
+    return mutated
+
+
+@pytest.mark.parametrize("builder, family", [
+    ("matrix_B_assoc", "line_assoc"),
+    ("matrix_B_antiassoc", "line_antiassoc"),
+    ("matrix_Upsilon_assoc", "circle_assoc"),
+    ("matrix_Upsilon_antiassoc", "circle_antiassoc"),
+])
+def test_matched_transfer_check_catches_a_scaled_row(monkeypatch, builder, family):
+    monkeypatch.setattr(suites, builder, _scaled_bottom_row(getattr(suites, builder)))
+    failed = {line.split()[1] for line in run_suite("transfer", 0).lines
+              if line.startswith("FAIL")}
+    assert failed == {f"transfer.{family}_k{k}" for k in (1, 2, 3)}
+
+
+def test_same_depth_check_misses_the_scaled_row():
+    # the comparison the transfer suite made before it matched the depths:
+    # depth-40 convergents of the original and the shifted data, absolute
+    # residual, at points far from the support, tolerance 1e-8
+    rng, depth = random.Random(0), 40
+    mutated = _scaled_bottom_row(matrix_B_assoc)
+    worst = 0.0
+    for k in (1, 2, 3):
+        for _ in range(20):
+            rc = suites._rand_rc(rng, depth + k + 2, bound=0.7)
+            m = mutated(rc, k)
+            shifted = SFunctionHandle(shift_coefficients(rc, k), depth)
+            for x in (1.8, -2.1, 2.6):
+                s0 = s_convergent(SFunctionHandle(rc, depth), x)
+                worst = max(worst, abs(homography_apply(m, s0, x) - s_convergent(shifted, x)))
+    assert 5e-9 < worst <= 1e-8

@@ -18,7 +18,6 @@ from ortho_szego.perturb import (
     PathDiscrepancy,
     Sieve,
 )
-from ortho_szego.polyhom import Poly, PolyMatrix2
 from ortho_szego.spectral import CFunctionHandle, SFunctionHandle
 from ortho_szego.szego import LuCheckResult, VSeq
 
@@ -28,13 +27,6 @@ VALUES = [
      "RealRecurrence(b=(0.0, 0.5), d=(0.5, 0.25))"),
     (lambda: VerblunskySeq((0.25, 0.5j)),
      "VerblunskySeq(alpha=((0.25+0j), 0.5j))"),
-    (lambda: Poly((1, 2, 0)),
-     "Poly(coeffs=((1+0j), (2+0j)))"),
-    (lambda: Poly(),
-     "Poly(coeffs=())"),
-    (lambda: PolyMatrix2(Poly((1,)), Poly(), Poly(), Poly((0, 1))),
-     "PolyMatrix2(a=Poly(coeffs=((1+0j),)), b=Poly(coeffs=()), c=Poly(coeffs=()), "
-     "d=Poly(coeffs=(0j, (1+0j))))"),
     (lambda: VSeq((1, 0.5)),
      "VSeq(v=(1.0, 0.5))"),
     (lambda: LuCheckResult(False, 0.25, ((1, 0, 0.5, 0.25),)),
@@ -107,6 +99,5 @@ def test_copy_and_pickle_roundtrip(make, text, roundtrip):
 def test_unequal_values_differ():
     assert RealRecurrence((0,), (0.5,)) != RealRecurrence((0,), (0.25,))
     assert CoDilated(1, 0.5) != CoDilated(2, 0.5)
-    assert Poly((1,)) != Poly((1, 1))
     # same fields, different classes
     assert Associated(1) != Sieve(1)
