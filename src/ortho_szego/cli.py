@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     EvaluationDomain,
-    InsufficientCoefficients,
     InvalidEta,
     InvalidPrepend,
     InvalidXi,
@@ -115,20 +114,8 @@ def cmd_geronimus(args) -> int:
     return EXIT_OK
 
 
-def _deviation(closed, oracle) -> float:
-    """Largest entrywise |closed - oracle| over the compared window."""
-    if isinstance(closed, VerblunskySeq):
-        parts = [(closed.alpha, oracle.alpha)]
-    else:
-        parts = [(closed.b, oracle.b), (closed.d, oracle.d)]
-    devs = [[abs(x - y) for x, y in zip(p, q)] for p, q in parts]
-    if not all(devs):
-        raise InsufficientCoefficients(1, 0, "entry in the both-paths window")
-    return max(max(dev) for dev in devs)
-
-
 def _apply_spec(data, spec, side: str, both_paths: bool, notes: list[str]):
-    from .perturb import CLOSED_FORM, ORACLE, SPECS
+    from .perturb import CLOSED_FORM, ORACLE, SPECS, max_deviation
 
     entry = SPECS[spec.kind]
     if side not in entry.apply:
@@ -141,7 +128,7 @@ def _apply_spec(data, spec, side: str, both_paths: bool, notes: list[str]):
             notes.append(f"both-paths {spec.kind}: skipped ({pair})")
         else:
             order, run = pair
-            dev = _deviation(run(path=CLOSED_FORM), run(path=ORACLE))
+            dev = max_deviation(run(path=CLOSED_FORM), run(path=ORACLE))
             notes.append(f"both-paths {spec.kind} k={order}: max deviation {dev:.3e}")
     return out
 

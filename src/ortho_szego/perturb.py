@@ -20,11 +20,12 @@ data.  The fourth is the circle-side anti-associated family
 (``antiassoc_opuc_to_recurrence``): the paper's four-branch table is the
 forward relations on the prepended coefficients, so both paths run
 ``szego.geronimus_forward``.  The single documented exception is the LU
-shortcut for a dilation (``perturbed_v`` / ``perturbed_alpha_lu``): its
-stated prefix-preservation clashes with the genuinely perturbed LU data
-when the dilation factor differs from 1, so those two operations expose a
-"default" (consistent) path and a "shortcut" path plus a structured
-discrepancy report instead of a silent choice.
+shortcut for a dilation (``perturbed_v``): its stated prefix-preservation
+clashes with the genuinely perturbed LU data when the dilation factor
+differs from 1, so the pivot update has a "default" (consistent) path and
+a "shortcut" path plus a structured discrepancy report instead of a silent
+choice.  Both paths check the same perturbation specs, and
+``perturbed_alpha_lu`` is ``szego.alpha_from_v`` of either pivot sequence.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ SHORTCUT = "shortcut"
 def _check_path(path: str) -> None:
     if path not in (CLOSED_FORM, ORACLE):
         raise ValueError(f"path must be {CLOSED_FORM!r} or {ORACLE!r}, got {path!r}")
+
+
+def max_deviation(got, want) -> float:
+    """Largest entrywise |got - want| of two circle sequences, or of the b
+    and d entries of two recurrences, over the entries both have."""
+    if isinstance(got, VerblunskySeq):
+        parts = [(got.alpha, want.alpha)]
+    else:
+        parts = [(got.b, want.b), (got.d, want.d)]
+    devs = [[abs(x - y) for x, y in zip(p, q)] for p, q in parts]
+    if not all(devs):
+        raise InsufficientCoefficients(1, 0, "entry in the both-paths window")
+    return max(max(dev) for dev in devs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +209,17 @@ def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
     return RealRecurrence(tuple(b), tuple(d))
 
 
+def _co_specs(k: int, lam: float, tau: float) -> list:
+    """The specs of d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau, checked by
+    their constructors; an identity part (lam = 1, tau = 0) adds none."""
+    specs = []
+    if lam != 1.0:
+        specs.append(CoDilated(k, lam))
+    if tau != 0.0:
+        specs.append(CoRecursive(k, tau))
+    return specs
+
+
 def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
     """Replace the coefficient at index k by eta (overwrite semantics:
     eta == alpha_k is allowed and is the identity)."""
@@ -232,11 +257,7 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
         raise ValueError("dilating d_0 never changes any polynomial; use k >= 1")
     if n < k + 1:
         raise ValueError("need n >= k + 1 output pairs to cover the perturbed entries")
-    specs = []
-    if lam != 1.0:
-        specs.append(CoDilated(k, lam))
-    if tau != 0.0:
-        specs.append(CoRecursive(k, tau))
+    specs = _co_specs(k, lam, tau)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, specs), n)
 
@@ -396,22 +417,21 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
     coefficients (always consistent with the LU factorization).  "shortcut"
     applies the closed-form pivot update: copy v_0..v_{2k-1}, set
     v~_{2k} = v_{2k} + (1 - lam) v_{2k-1} + tau, then continue the
-    two-term tail recursion.  For lam != 1 the copied prefix disagrees
-    with the perturbed LU data at index 2k-1; see path_discrepancy_report.
+    two-term tail recursion.  It peels only the unperturbed head
+    v_0..v_{2k} it reads.  Both paths build the same CoDilated/CoRecursive
+    specs, so both refuse the same (k, lam, tau).  For lam != 1 the copied
+    prefix disagrees with the perturbed LU data at index 2k-1; see
+    path_discrepancy_report.
     """
-    if path == DEFAULT:
-        specs = []
-        if lam != 1.0:
-            specs.append(CoDilated(k, lam))
-        if tau != 0.0:
-            specs.append(CoRecursive(k, tau))
-        return v_from_recurrence(coprl_apply(rc, specs), n)
-    if path != SHORTCUT:
+    if path not in (DEFAULT, SHORTCUT):
         raise ValueError(f"path must be {DEFAULT!r} or {SHORTCUT!r}, got {path!r}")
-    v = v_from_recurrence(rc, max(n, 2 * k + 1))
-    out = [v.at(j) for j in range(min(2 * k, n))]
+    specs = _co_specs(k, lam, tau)
+    if path == DEFAULT:
+        return v_from_recurrence(coprl_apply(rc, specs), n)
+    head = v_from_recurrence(rc, 2 * k + 1)
+    out = list(head.v[:min(2 * k, n)])
     if 2 * k < n:
-        out.append(v.at(2 * k) + (1.0 - lam) * v.at(2 * k - 1) + tau)
+        out.append(head.at(2 * k) + (1.0 - lam) * head.at(2 * k - 1) + tau)
     j = 2 * k + 1
     while j < n:
         if j % 2 == 1:
@@ -428,28 +448,15 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
 
 def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
                        path: str = DEFAULT) -> VerblunskySeq:
-    """Perturbed circle coefficients through the LU pivots.
+    """Perturbed circle coefficients a~_0 .. a~_{2n-1} through the LU
+    pivots: alpha_from_v of perturbed_v on either path.
 
-    "default" runs alpha_from_v on the consistent pivot sequence and always
-    agrees with coprl_verblunsky.  "shortcut" applies the closed-form update:
-    keep a_0..a_{2k-1}, shift a_{2k} by 2[(1 - lam) v_{2k-1} + tau] /
-    (1 - a_{2k-1}), then continue with the shortcut pivot tail.
+    "default" agrees with coprl_verblunsky.  On "shortcut" the step at
+    index 2k is the paper's shift a~_{2k} = a_{2k} + 2[(1 - lam) v_{2k-1}
+    + tau] / (1 - a_{2k-1}), since v~_{2k} - v_{2k} = (1 - lam) v_{2k-1}
+    + tau; it agrees with "default" when lam = 1.
     """
-    if path == DEFAULT:
-        return alpha_from_v(perturbed_v(rc, k, lam, tau, 2 * n, DEFAULT))
-    if path != SHORTCUT:
-        raise ValueError(f"path must be {DEFAULT!r} or {SHORTCUT!r}, got {path!r}")
-    alpha = geronimus_inverse(rc, n).real_view()
-    v = v_from_recurrence(rc, 2 * n)
-    vt = perturbed_v(rc, k, lam, tau, 2 * n, SHORTCUT)
-    out = list(alpha[: min(2 * k, 2 * n)])
-    if 2 * k < 2 * n:
-        den = (1.0 - alpha[2 * k - 1]) if k > 0 else 2.0
-        shift = 2.0 * ((1.0 - lam) * v.at(2 * k - 1) + tau) / den
-        out.append(_emit_checked(alpha[2 * k] + shift, 2 * k))
-    for j in range(2 * k + 1, 2 * n):
-        out.append(_emit_checked(-1.0 + 2.0 * vt.at(j) / (1.0 - out[j - 1]), j))
-    return VerblunskySeq(tuple(out[: 2 * n]))
+    return alpha_from_v(perturbed_v(rc, k, lam, tau, 2 * n, path))
 
 
 def _peel_error(b, v: VSeq) -> list[float]:

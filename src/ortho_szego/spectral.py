@@ -240,7 +240,7 @@ def matrix_B_assoc(rc: RealRecurrence, k: int) -> Matrix:
     return m
 
 
-def matrix_B_antiassoc(rc: RealRecurrence, k: int, pre_b, pre_d) -> Matrix:
+def matrix_B_antiassoc(rc: RealRecurrence, pre_b, pre_d) -> Matrix:
     """Transfer matrix of the order-k anti-associated line family:
 
         [[ d~_k R_{k-2}, -R_{k-1} ],
@@ -250,7 +250,7 @@ def matrix_B_antiassoc(rc: RealRecurrence, k: int, pre_b, pre_d) -> Matrix:
     first associated), and d~_k the k-th entry of Q, i.e. the innermost
     prepended pair.  Derived as the adjugate of the associated-family
     relation applied to Q, and validated pointwise against convergents.
-    The order is len(pre_b); the argument k is not read.
+    The order is k = len(pre_b).
     """
     pre_b = tuple(float(v) for v in pre_b)
     pre_d = tuple(float(v) for v in pre_d)

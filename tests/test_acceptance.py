@@ -294,7 +294,7 @@ def test_criterion_06_transfer_matrix_soundness():
 
             pb = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
             pd = tuple(rng.uniform(0.1, 0.5) for _ in range(k))
-            mb = matrix_B_antiassoc(rc, k, pb, pd)
+            mb = matrix_B_antiassoc(rc, pb, pd)
             pre = prepend_coefficients(rc, pb, pd)
             for x in (1.8, -2.1, 2.6):
                 s0 = s_convergent(SFunctionHandle(rc, depth), x)

@@ -465,6 +465,17 @@ class TestPerturbedV:
         with pytest.raises(DivisionDegenerate, match="^pivot v_2 vanished$"):
             run(path)
 
+    @pytest.mark.parametrize("func", [perturbed_v, perturbed_alpha_lu])
+    @pytest.mark.parametrize("k, lam, tau", [
+        (0, 0.5, 0.0), (1, -0.5, 0.0), (1, 0.0, 0.0), (-1, 1.0, 0.1)])
+    def test_shortcut_refuses_what_default_refuses(self, func, k, lam, tau):
+        errors = []
+        for path in (DEFAULT, SHORTCUT):
+            with pytest.raises(ValueError) as info:
+                func(chebyshev_t(), k, lam, tau, 6, path)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0][0] is ValueError and errors[0] == errors[1]
+
 
 class TestPerturbedAlphaLu:
     def test_default_equals_section4_theorem(self, rng):
@@ -491,6 +502,18 @@ class TestPerturbedAlphaLu:
             except SupportViolation:
                 continue
             assert_vs_close(pp, th, 1e-11)
+
+    def test_shortcut_ignores_the_unperturbed_tail(self):
+        # the unperturbed a_2 is -1.14, outside (-1, 1); the shortcut reads
+        # only the pivots v_0 .. v_2, so it answers as the default path does
+        rc = RealRecurrence((0.09744821314200613, -0.43807455694570585),
+                            (0.6671928233284088, 0.1319788231343494))
+        with pytest.raises(SupportViolation):
+            geronimus_inverse(rc, 2)
+        tau = 0.14842715909827164
+        got = perturbed_alpha_lu(rc, 1, 1.0, tau, 2, path=SHORTCUT)
+        assert_vs_close(got, perturbed_alpha_lu(rc, 1, 1.0, tau, 2), 1e-12)
+        assert len(got) == 4
 
     def test_default_dilation_fixture(self):
         got = perturbed_alpha_lu(chebyshev_t(), 1, 0.5, 0.0, 12)

@@ -251,7 +251,7 @@ class TestTransferMatrices:
         for k in (1, 2, 3):
             pb = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
             pd = tuple(rng.uniform(0.1, 0.5) for _ in range(k))
-            m = matrix_B_antiassoc(rc, k, pb, pd)
+            m = matrix_B_antiassoc(rc, pb, pd)
             a, b, c, d = m(2.0)
             assert abs(a * d - b * c) > 1e-12
             for x in (1.7, -2.4, 3.0):

@@ -97,12 +97,12 @@ def test_b_antiassoc_construction(nb, nd, k):
     pre_b, pre_d = ((0.2,), ()) if k < 0 else ((0.2,) * k, (0.4,) * k)
     want = {-1: (InvalidPrepend, "prepended b and d lists must have equal length"),
             0: (ValueError, "anti-association order must be >= 1")}.get(k)
-    assert _outcome(lambda: matrix_B_antiassoc(rc, k, pre_b, pre_d)) == want
+    assert _outcome(lambda: matrix_B_antiassoc(rc, pre_b, pre_d)) == want
 
 
 def test_b_antiassoc_zero_prepended_d():
     rc = RealRecurrence((0.1,), (0.3,))
-    assert _outcome(lambda: matrix_B_antiassoc(rc, 2, (0.2, 0.2), (0.4, 0.0))) == (
+    assert _outcome(lambda: matrix_B_antiassoc(rc, (0.2, 0.2), (0.4, 0.0))) == (
         InvalidPrepend, "prepended d entries must be nonzero")
 
 
