@@ -10,8 +10,8 @@
 Exit codes: 0 success; 1 I/O, file-format or usage error; 2 support
 violation (offending index on stderr) or forbidden evaluation point; 3
 perturbation spec invalid for the chosen side; 4 unknown verify suite; 5
-verify suite failure.  ORTHO_SZEGO_DEPTH overrides the default convergent
-depth of `eval` (40); no other command reads it.
+verify suite failure.  `eval` evaluates convergents of depth --depth, or
+of spectral.DEFAULT_DEPTH (40) without it.
 
 Output is deterministic byte-for-byte for a fixed seed and job.
 """
@@ -190,12 +190,9 @@ def _parse_points(raw: str) -> list[complex]:
 
 
 def cmd_eval(args) -> int:
-    from .spectral import CFunctionHandle, SFunctionHandle, default_depth, f_value, s_value
+    from .spectral import DEFAULT_DEPTH, CFunctionHandle, SFunctionHandle, f_value, s_value
 
-    try:
-        depth = args.depth if args.depth is not None else default_depth()
-    except ValueError as exc:
-        raise _CliExit(EXIT_IO, str(exc))
+    depth = args.depth if args.depth is not None else DEFAULT_DEPTH
     if depth < 1:
         raise _CliExit(EXIT_IO, f"--depth must be >= 1, got {depth}")
     points = _parse_points(args.points)

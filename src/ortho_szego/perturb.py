@@ -211,7 +211,10 @@ def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
 
 def _co_specs(k: int, lam: float, tau: float) -> list:
     """The specs of d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau, checked by
-    their constructors; an identity part (lam = 1, tau = 0) adds none."""
+    their constructors; an identity part (lam = 1, tau = 0) adds none, but
+    k < 0 is refused whatever lam and tau are."""
+    if k < 0:
+        raise ValueError("perturbation index must be >= 0")
     specs = []
     if lam != 1.0:
         specs.append(CoDilated(k, lam))
@@ -253,8 +256,6 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     is the pure co-recursive case and requires lam = 1.
     """
     _check_path(path)
-    if k == 0 and lam != 1.0:
-        raise ValueError("dilating d_0 never changes any polynomial; use k >= 1")
     if n < k + 1:
         raise ValueError("need n >= k + 1 output pairs to cover the perturbed entries")
     specs = _co_specs(k, lam, tau)
@@ -575,12 +576,10 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     symmetric recursion.  The closed form reads only the head g_0 .. g_{2k-1}
     of the unperturbed symmetric sequence."""
     _check_path(path)
-    if k < 1:
-        raise ValueError("co-dilation index must be >= 1")
+    spec = CoDilated(k, lam)
     d = tuple(float(x) for x in d)
     n = len(d)
     rc = RealRecurrence((0.0,) * len(d), d)
-    spec = CoDilated(k, lam)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [spec]), n)
     rc.require(0, k)

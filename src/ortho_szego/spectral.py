@@ -17,9 +17,7 @@ antiassoc_order2_sfun_matrix), all validated pointwise.  A transfer
 matrix is a function of the point t returning its entries (a, b, c, d)
 at t (see polyhom); a builder checks its data when called.
 
-The convergent depth defaults to DEFAULT_DEPTH; the library reads no
-environment variable.  default_depth() is the `eval` command's reading of
-ORTHO_SZEGO_DEPTH.
+The convergent depth defaults to DEFAULT_DEPTH.
 
 Evaluation refuses points too close to the support (within 1e-6 of
 [-1, 1], or within 1e-6 of the unit circle) where convergence degrades.
@@ -27,7 +25,6 @@ Evaluation refuses points too close to the support (within 1e-6 of
 
 from __future__ import annotations
 
-import os
 from math import frexp, ldexp
 
 from ._value import Value
@@ -47,21 +44,6 @@ DEFAULT_DEPTH = 40
 
 # s_value and f_value estimate the error as |c_depth - c_{max(depth - _PLATEAU, 1)}|.
 _PLATEAU = 10
-
-
-def default_depth() -> int:
-    """Convergent order for `eval`: DEFAULT_DEPTH unless ORTHO_SZEGO_DEPTH
-    says otherwise."""
-    raw = os.environ.get("ORTHO_SZEGO_DEPTH", "")
-    if raw:
-        try:
-            depth = int(raw)
-        except ValueError:
-            raise ValueError(f"ORTHO_SZEGO_DEPTH must be an integer, got {raw!r}") from None
-        if depth < 1:
-            raise ValueError("ORTHO_SZEGO_DEPTH must be >= 1")
-        return depth
-    return DEFAULT_DEPTH
 
 
 def _segment_distance(x: Scalar) -> float:

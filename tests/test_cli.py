@@ -474,26 +474,22 @@ class TestEvalCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_depth_env_override(self, tfile, tmp_path, monkeypatch):
+    def test_default_depth_ignores_the_environment(self, tmp_path, monkeypatch, rng):
+        src, a, b = tmp_path / "r40.json", tmp_path / "a.tsv", tmp_path / "b.tsv"
+        src.write_text(dumps_recurrence(RealRecurrence(
+            tuple(rng.uniform(-0.3, 0.3) for _ in range(40)),
+            tuple(rng.uniform(0.05, 0.25) for _ in range(40)))))
         monkeypatch.setenv("ORTHO_SZEGO_DEPTH", "12")
-        out = tmp_path / "t.tsv"
-        assert main(["eval", "--in", tfile, "--side", "line",
-                     "--points", "2.0", "--out", str(out)]) == 0
+        argv = ["eval", "--in", str(src), "--side", "line", "--points", "1.1,-1.2"]
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--depth", "40", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_nonpositive_depth_exit1(self, tfile, capsys, depth):
         assert main(["eval", "--in", tfile, "--side", "line",
                      "--points", "2.0", "--depth", depth]) == 1
         assert capsys.readouterr() == ("", f"--depth must be >= 1, got {depth}\n")
-
-    @pytest.mark.parametrize("raw, message", [
-        ("abc", "ORTHO_SZEGO_DEPTH must be an integer, got 'abc'"),
-        ("0", "ORTHO_SZEGO_DEPTH must be >= 1"),
-    ])
-    def test_bad_depth_env_exit1(self, tfile, capsys, monkeypatch, raw, message):
-        monkeypatch.setenv("ORTHO_SZEGO_DEPTH", raw)
-        assert main(["eval", "--in", tfile, "--side", "line", "--points", "2.0"]) == 1
-        assert capsys.readouterr() == ("", message + "\n")
 
     @pytest.mark.parametrize("point", ["1e8", "1e10", "1e200", "1e300", "-1e300", "1e300j"])
     def test_huge_point_is_finite(self, tmp_path, point):
@@ -726,22 +722,6 @@ def test_unknown_suite_loads_no_suites():
     assert (done.returncode, code, done.stderr) == (0, "4", UNKNOWN_SUITE_ERR)
     assert "ortho_szego.suites" not in loaded
     assert not set(_NEVER_LOADED) & set(loaded)
-
-
-def test_lazy_namespace_exports_resolve_to_their_modules():
-    import ortho_szego
-
-    assert set(ortho_szego.__all__) <= set(dir(ortho_szego))
-    for name in ortho_szego.__all__:
-        value = getattr(ortho_szego, name)
-        if name == "errors":
-            assert value is sys.modules["ortho_szego.errors"]
-            continue
-        home = f"ortho_szego.{ortho_szego._EXPORTS[name]}"
-        assert value.__module__ == home
-        assert getattr(sys.modules[home], name) is value
-    with pytest.raises(AttributeError):
-        ortho_szego.no_such_name
 
 
 def test_cli_import_loads_the_readme_common_set():

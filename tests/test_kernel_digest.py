@@ -27,7 +27,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "96df02865157eb24e7289875724f5ea6c39c3a6c75acd34658b4ec6902df94d3"
+DIGEST = "6ca9c8209fc221f7c5765409d7c26971a3220859a4142c46ca3f67dc0072108b"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -467,7 +467,7 @@ class TestPerturbedV:
 
     @pytest.mark.parametrize("func", [perturbed_v, perturbed_alpha_lu])
     @pytest.mark.parametrize("k, lam, tau", [
-        (0, 0.5, 0.0), (1, -0.5, 0.0), (1, 0.0, 0.0), (-1, 1.0, 0.1)])
+        (0, 0.5, 0.0), (1, -0.5, 0.0), (1, 0.0, 0.0), (-1, 1.0, 0.1), (-1, 1.0, 0.0)])
     def test_shortcut_refuses_what_default_refuses(self, func, k, lam, tau):
         errors = []
         for path in (DEFAULT, SHORTCUT):
@@ -679,8 +679,15 @@ _D3 = (0.3, 0.25, 0.2)
      InsufficientCoefficients, "need 5 d coefficients, have 3"),
     (lambda path: symmetric_codilated_verblunsky(_D3, 2, 0.0, path),
      ValueError, "co-dilation factor must be positive"),
+    (lambda path: symmetric_codilated_verblunsky(_D3, 0, 1.2, path),
+     ValueError, "co-dilation index must be >= 1"),
+    (lambda path: coprl_verblunsky(chebyshev_t(), -1, 1.0, 0.0, 4, path),
+     ValueError, "perturbation index must be >= 0"),
+    (lambda path: coprl_verblunsky(chebyshev_t(), 0, 0.5, 0.0, 4, path),
+     ValueError, "co-dilation index must be >= 1"),
 ], ids=["sieved_kmod_negative_k", "sieved_kmod_k_past_end", "assoc_circle_negative_k",
-        "symmetric_codilated_k_past_end", "symmetric_codilated_zero_lam"])
+        "symmetric_codilated_k_past_end", "symmetric_codilated_zero_lam",
+        "symmetric_codilated_k0", "coprl_negative_k", "coprl_dilated_d0"])
 def test_out_of_range_input_raises_alike_on_both_paths(run, exc, message, path):
     """The closed form refuses what its oracle refuses, with the same error."""
     with pytest.raises(exc) as info:

@@ -20,7 +20,6 @@ from ortho_szego.spectral import (
     antiassoc_order2_sfun_matrix,
     assoc_order1_cfun,
     assoc_order2_sfun_matrix,
-    default_depth,
     f_convergent,
     f_value,
     fs_bridge_check,
@@ -389,10 +388,6 @@ class TestCorollaryFixtures:
             assert abs(got - s_convergent(h_pre, x)) < 1e-9
 
 
-def test_default_depth_env(monkeypatch):
-    monkeypatch.delenv("ORTHO_SZEGO_DEPTH", raising=False)
-    assert default_depth() == 40
-    monkeypatch.setenv("ORTHO_SZEGO_DEPTH", "25")
-    assert default_depth() == 25
-    # only eval reads the variable: a handle keeps the library default
-    assert SFunctionHandle(chebyshev_t()).depth == 40
+def test_handles_default_to_depth_40():
+    circle = geronimus_inverse(chebyshev_t(), 64)
+    assert SFunctionHandle(chebyshev_t()).depth == CFunctionHandle(circle).depth == 40

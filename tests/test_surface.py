@@ -1,9 +1,9 @@
 """Every public name has a program path, and only kernels skip the checks.
 
-A name exported in ``ortho_szego.__all__`` must be read somewhere in the
-package's own modules (not the export table in ``__init__``) or in the
-benchmark harness: as a bare name or as an attribute, or for the
-``errors`` module as the source of a ``from ... import``.  A name that only
+Every public module-level function and class of the package (a ``def`` or
+``class`` at the top of one of its modules, named without a leading
+underscore) must be read somewhere in the package's modules or in the
+benchmark harness, as a bare name or as an attribute.  A name that only
 the tests reach is surface to delete.  The two paper corollaries below
 are the exception: they are reproduced formulas of the paper, which
 the test suite checks and no command needs.
@@ -18,8 +18,6 @@ list.
 
 import ast
 from pathlib import Path
-
-import ortho_szego
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +43,17 @@ SPEC_READERS = {"perturb._real_from_obj", "perturb._int_from_obj",
                 "perturb._complex_from_obj", "perturb._antiassoc_from_obj"}
 
 
+def _public_defs(paths) -> dict[str, str]:
+    """module.name -> name of every public module-level def and class."""
+    defs = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[f"{path.stem}.{node.name}"] = node.name
+    return defs
+
+
 def _names_read(paths) -> set[str]:
     seen = set()
     for path in paths:
@@ -53,17 +62,17 @@ def _names_read(paths) -> set[str]:
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute):
                 seen.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                seen.add(node.module.rsplit(".", 1)[-1])
     return seen
 
 
 def test_every_export_has_a_program_path():
-    package = ROOT / "src" / "ortho_szego"
-    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted((ROOT / "perfbench").glob("*.py"))
-    unread = set(ortho_szego.__all__) - _names_read(sources) - PAPER_FORMULAS
-    assert not unread, f"exported but read by no program path: {sorted(unread)}"
+    modules = sorted((ROOT / "src" / "ortho_szego").glob("*.py"))
+    defs = _public_defs(modules)
+    assert PAPER_FORMULAS <= set(defs.values())
+    read = _names_read(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    unread = {dotted for dotted, name in defs.items()
+              if name not in read and name not in PAPER_FORMULAS}
+    assert not unread, f"defined but read by no program path: {sorted(unread)}"
 
 
 def _unchecked_uses(path) -> set[str]:
