@@ -268,7 +268,7 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     if k == 0:
         m_shift = 0.0
     else:
-        m_shift = 4.0 * (lam - 1.0) * rc.d_at(k) / ((1.0 - _alpha_conv(alpha, 2 * k - 3)) * (1.0 - am2 ** 2))
+        m_shift = 4.0 * (lam - 1.0) * rc.d_at(k) / ((1.0 - _alpha_conv(alpha, 2 * k - 3)) * (1.0 - am2 * am2))
 
     head = list(alpha[: max(2 * k - 1, 0)])
     if k > 0:

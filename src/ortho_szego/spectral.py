@@ -109,8 +109,8 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
     b, d = h.rc.b, h.rc.d  # the handle checked len(b) >= depth, len(d) >= depth - 1
     limit = _SCALE_LIMIT / (1.0 + abs(x))
     one = 1.0  # 1 in the scaled units of the states
-    p_prev, p_cur = 1.0 + 0j, x - b[0]  # P_0, P_1
-    q_prev, q_cur = 0j, 1.0 + 0j        # P'_{-1}, P'_0
+    # float seeds: the states stay real for real data at a real x
+    p_prev, p_cur, q_prev, q_cur = 1.0, x - b[0], 0.0, 1.0  # P_0, P_1, P'_{-1}, P'_0
     first = depth - _PLATEAU
     out = []
     for k in range(1, depth + 1):
@@ -132,13 +132,13 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
 
 def s_convergent(h: SFunctionHandle, x: Scalar) -> Scalar:
     """The depth-th convergent of the line-side transform at x."""
-    return _s_tail(h, x)[-1]
+    return complex(_s_tail(h, x)[-1])
 
 
 def s_value(h: SFunctionHandle, x: Scalar) -> tuple[Scalar, float]:
     """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
     tail = _s_tail(h, x)
-    return tail[-1], abs(tail[-1] - tail[0])
+    return complex(tail[-1]), abs(tail[-1] - tail[0])
 
 
 def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
@@ -150,11 +150,9 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
     rescaled once the larger of Phi*_k, Omega*_k passes 2^960.  Phi_k and
     Omega_k stay below them in modulus.
     """
-    z = complex(z)
     if abs(z) >= 1.0 - SUPPORT_MARGIN:
-        raise EvaluationDomain(f"|z| = {abs(z)} is not inside the unit disc margin")
-    phi, phis = 1.0 + 0j, 1.0 + 0j
-    om, oms = 1.0 + 0j, 1.0 + 0j
+        raise EvaluationDomain(f"|z| = {abs(complex(z))} is not inside the unit disc margin")
+    phi = phis = om = oms = 1.0  # floats: the states stay real for real data at a real z
     one = 1.0  # 1 in the scaled units of the states
     first = h.depth - _PLATEAU
     out = []
@@ -164,7 +162,7 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
         om, oms = z * om + ac * oms, oms + az * om
         aphis, aoms = abs(phis), abs(oms)
         if aphis <= POLE_TOL * (one + aoms):
-            raise PoleHit(f"convergent denominator vanished at z = {z!r} (order {k})")
+            raise PoleHit(f"convergent denominator vanished at z = {complex(z)!r} (order {k})")
         if k >= first:
             out.append(oms / phis)
         if aphis > _SCALE_LIMIT or aoms > _SCALE_LIMIT:
@@ -174,13 +172,13 @@ def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
 
 def f_convergent(h: CFunctionHandle, z: Scalar) -> Scalar:
     """The depth-th convergent of the circle-side transform at z; exactly 1 at z = 0."""
-    return _f_tail(h, z)[-1]
+    return complex(_f_tail(h, z)[-1])
 
 
 def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
     """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
     tail = _f_tail(h, z)
-    return tail[-1], abs(tail[-1] - tail[0])
+    return complex(tail[-1]), abs(tail[-1] - tail[0])
 
 
 def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,

@@ -65,8 +65,8 @@ class VSeq(Value):
 
 # The loops below read the coefficient tuples directly and carry the
 # previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
-# each guard is written `not abs(x) < bound` (or `not abs(x) >= bound`) so
-# that a NaN fails it at the first coefficient it reaches.
+# each guard is written `not lo < x < hi` (or `not abs(x) >= bound`) so
+# that a NaN fails it at the first coefficient it reaches; a square is a * a.
 
 
 def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
@@ -79,9 +79,9 @@ def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
         raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")
     b, d = [], []
     am2, am1 = 0.0, -1.0  # a_{2m-2}, a_{2m-1}
-    for m in range(n):
-        a_even, a_next = alpha[2 * m], alpha[2 * m + 1]
-        d.append(0.25 * (1.0 - am1) * (1.0 - a_even**2) * (1.0 + a_next))
+    stop = 2 * max(n, 0)
+    for a_even, a_next in zip(alpha[0:stop:2], alpha[1:stop:2]):
+        d.append(0.25 * (1.0 - am1) * (1.0 - a_even * a_even) * (1.0 + a_next))
         b.append(0.5 * (a_even * (1.0 - am1) - am2 * (1.0 + am1)))
         am2, am1 = a_even, a_next
     # real_view gives floats in (-1, 1), so each factor of d is >= 2^-53 and d > 0
@@ -110,31 +110,36 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
     rc.require(n, n)
     alpha = list(prefix)
     j = len(alpha)
-    b, d = rc.b, rc.d
-    bound = 1.0 - SUPPORT_TOL
+    lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     m = j // 2
     am2, am1 = (alpha[2 * m - 2], alpha[2 * m - 1]) if m else (0.0, -1.0)
-    given_even = j % 2  # the prefix ends inside pair m, after a_{2m}
-    if given_even:
-        a_even = alpha[j - 1]
-    for m in range(m, n):
-        den = 1.0 - am1
-        if not abs(den) >= PIVOT_TOL:
+    # Only a prefix can make 1 - a_{2m-1} vanish: a computed a_{2m-1} passed
+    # the support guard, so 1 - a_{2m-1} > SUPPORT_TOL > PIVOT_TOL.
+    if m < n:
+        if not abs(1.0 - am1) >= PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
-        if given_even:
-            given_even = 0
-        else:
-            a_even = (2.0 * b[m] + (1.0 + am1) * am2) / den
-            if not abs(a_even) < bound:
-                raise SupportViolation(2 * m, a_even)
-            alpha.append(a_even)
-        den2 = den * (1.0 - a_even**2)
+        if j % 2:  # the prefix ends after a_{2m}: finish pair m
+            am2 = alpha[-1]
+            den2 = (1.0 - am1) * (1.0 - am2 * am2)
+            if not abs(den2) >= PIVOT_TOL:
+                raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
+            am1 = -1.0 + 4.0 * rc.d[m] / den2
+            if not lo < am1 < hi:
+                raise SupportViolation(2 * m + 1, am1)
+            alpha.append(am1)
+            m += 1
+    for m, bm, dm in zip(range(m, n), rc.b[m:n], rc.d[m:n]):
+        den = 1.0 - am1
+        a_even = (2.0 * bm + (1.0 + am1) * am2) / den
+        if not lo < a_even < hi:
+            raise SupportViolation(2 * m, a_even)
+        den2 = den * (1.0 - a_even * a_even)
         if not abs(den2) >= PIVOT_TOL:
             raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
-        a_odd = -1.0 + 4.0 * d[m] / den2
-        if not abs(a_odd) < bound:
+        a_odd = -1.0 + 4.0 * dm / den2
+        if not lo < a_odd < hi:
             raise SupportViolation(2 * m + 1, a_odd)
-        alpha.append(a_odd)
+        alpha += (a_even, a_odd)
         am2, am1 = a_even, a_odd
     if j == 0:
         # every entry is a float the support guard put inside (-1, 1)
@@ -159,19 +164,16 @@ def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
     vals = v.v
     if n is None:
         n = len(vals)
-    bound = 1.0 - SUPPORT_TOL
+    lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     prev = -1.0
     alpha = []
+    # no pivot guard: 1 - a_{k-1} is 2, or > SUPPORT_TOL > PIVOT_TOL by the support guard
     for k, vk in enumerate(vals[:max(n, 0)]):
-        den = 1.0 - prev
-        if not abs(den) >= PIVOT_TOL:
-            raise DivisionDegenerate(f"1 - a_{k - 1} vanished")
-        prev = -1.0 + 2.0 * vk / den
-        if not abs(prev) < bound:
+        prev = -1.0 + 2.0 * vk / (1.0 - prev)
+        if not lo < prev < hi:
             raise SupportViolation(k, prev)
         alpha.append(prev)
     if n > len(vals):
-        # the next divisor 1 - a_{k-1} > SUPPORT_TOL > PIVOT_TOL: its guard cannot fire first
         raise InsufficientCoefficients(len(vals) + 1, len(vals), "v entries")
     # every entry is a float the support guard put inside (-1, 1)
     return _unchecked(VerblunskySeq, tuple(alpha))

@@ -663,6 +663,17 @@ class TestPinnedBytes:
                 "--side", side, "--both-paths"]
         assert _run_pinned(tmp_path, capsys, argv) == (code, err, digest)
 
+    @pytest.mark.parametrize("side, points, depth, digest", [
+        ("line", "1.5,-2,-1.2-0.5j", "12",
+         "35d41d53faed8b76ea60f5a81fb324ffbc58f6d1ca66e3b10f6963018c082f4f"),
+        ("circle", "0.3+0.2j,-0.5j,0.1-0.7j", "24",
+         "ade45e9be9073b552fd31a02b60221b5576487414eb006b0f2a2f012d66a3dc4"),
+    ])
+    def test_eval(self, pinned_files, tmp_path, capsys, side, points, depth, digest):
+        argv = ["eval", "--in", pinned_files[side], "--side", side,
+                "--points", points, "--depth", depth]
+        assert _run_pinned(tmp_path, capsys, argv) == (0, "", digest)
+
 
 def _python(probe: str, *args: str):
     """Run `probe` in a fresh interpreter on this checkout's package."""

@@ -27,7 +27,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "6ca9c8209fc221f7c5765409d7c26971a3220859a4142c46ca3f67dc0072108b"
+DIGEST = "e24891cf6314ac7bc527e60bc9f25238b488f3dee548c4d79918eaa15068dbb3"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

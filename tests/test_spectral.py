@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ortho_szego import spectral
 from ortho_szego.errors import EvaluationDomain, PoleHit
 from ortho_szego.oprl import (
     RealRecurrence,
@@ -142,6 +143,49 @@ class TestLargeStates:
         shallow = f_convergent(CFunctionHandle(vs, 700), z)
         assert deep == pytest.approx(shallow, rel=1e-12)
         assert err < 1e-12
+
+
+class TestRealStates:
+    """Real data at a real point keep real convergent states; the results
+    are complex all the same, and a message prints a circle point as
+    complex(z) and a line point as given."""
+
+    def test_results_are_complex(self):
+        sh = SFunctionHandle(chebyshev_t(), 20)
+        ch = CFunctionHandle(long_random_alpha(5, 40, 0.5), 40)
+        for x in (2.0, -1.5, 3):
+            assert type(s_convergent(sh, x)) is complex
+            assert type(s_value(sh, x)[0]) is complex
+        for z in (0.3, -0.5, 0.0, 0):
+            assert type(f_convergent(ch, z)) is complex
+            assert type(f_value(ch, z)[0]) is complex
+
+    def test_imaginary_part_is_positive_zero(self):
+        rc = geronimus_forward(long_random_alpha(7, 40, 0.5), 20)
+        vs = long_random_alpha(8, 40, 0.5)
+        for depth in (1, 2, 20):
+            for x in (2.0, -2.0, -1.5, 3.0):
+                val = s_value(SFunctionHandle(rc, depth), x)[0]
+                assert math.copysign(1.0, val.imag) == 1.0, (depth, x, val)
+            for z in (0.3, -0.5, -0.9):
+                val = f_value(CFunctionHandle(vs, depth), z)[0]
+                assert math.copysign(1.0, val.imag) == 1.0, (depth, z, val)
+
+    def test_messages_print_the_point_as_given(self, monkeypatch):
+        sh = SFunctionHandle(chebyshev_t(), 10)
+        ch = CFunctionHandle(VerblunskySeq((0.2,) * 5), 3)
+        with pytest.raises(EvaluationDomain, match=r"^x = 0\.5 is within 1e-06 of \[-1, 1\]$"):
+            s_value(sh, 0.5)
+        with pytest.raises(EvaluationDomain, match=r"^\|z\| = 1\.0 is not inside"):
+            f_value(ch, 1)
+        # a pole test that always fires pins the message at order 1
+        monkeypatch.setattr(spectral, "POLE_TOL", 10.0)
+        with pytest.raises(PoleHit) as exc:
+            f_value(ch, 0.3)
+        assert str(exc.value) == "convergent denominator vanished at z = (0.3+0j) (order 1)"
+        with pytest.raises(PoleHit) as exc:
+            s_value(sh, -2)
+        assert str(exc.value) == "convergent denominator vanished at x = -2 (order 1)"
 
 
 class TestFConvergent:

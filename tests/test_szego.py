@@ -21,6 +21,7 @@ from ortho_szego.szego import (
     v_from_alpha,
     v_from_recurrence,
 )
+from ortho_szego.tolerances import PIVOT_TOL, SUPPORT_TOL
 
 from conftest import random_admissible_rc, random_alpha
 from test_opuc import u_pattern
@@ -242,7 +243,8 @@ class TestVSequence:
 
 class TestNanInput:
     """A NaN fails the first guard it reaches instead of flowing through:
-    each guard is written `not abs(x) < bound`, which NaN does not pass."""
+    each guard is written `not lo < x < hi` or `not abs(x) >= bound`, which
+    NaN does not pass."""
 
     NAN_PAIRS = RealRecurrence((math.nan,) * 3, (0.25,) * 3)
 
@@ -252,10 +254,13 @@ class TestNanInput:
         assert exc.value.index == 0 and math.isnan(exc.value.value)
 
     def test_invert_from_nan_d(self):
+        # each prefix length reaches d_2 on another path: the loop, or the
+        # step that finishes an odd prefix's last pair
         rc = RealRecurrence((0.0,) * 3, (0.25, math.nan, 0.25))
-        with pytest.raises(SupportViolation) as exc:
-            invert_from(rc, (0.0,), 3)
-        assert exc.value.index == 3
+        for prefix in ((0.0,), (0.0, 0.0), (0.0, 0.0, 0.0)):
+            with pytest.raises(SupportViolation) as exc:
+                invert_from(rc, prefix, 3)
+            assert exc.value.index == 3 and math.isnan(exc.value.value)
 
     def test_pivot_peel_raises_at_first_pivot(self):
         # a NaN pivot is reported the way a vanished one is
@@ -263,9 +268,66 @@ class TestNanInput:
             v_from_recurrence(self.NAN_PAIRS, 6)
 
     def test_alpha_from_v_raises_at_first_coefficient(self):
+        for v, index in (((math.nan, 1.0), 0), ((1.0, 0.5, math.nan, 1.0), 2)):
+            with pytest.raises(SupportViolation) as exc:
+                alpha_from_v(VSeq(v))
+            assert exc.value.index == index and math.isnan(exc.value.value)
+
+    @pytest.mark.parametrize("prefix, index", [((0.1, 0.2), 2), ((0.1, 0.2, 0.3), 4)])
+    def test_invert_from_nan_b(self, prefix, index):
+        # an odd prefix gives a_2, so b_2 is never read and b_3 is the first NaN reached
+        rc = RealRecurrence((0.0, math.nan, math.nan), (0.25,) * 3)
         with pytest.raises(SupportViolation) as exc:
-            alpha_from_v(VSeq((math.nan, 1.0)))
-        assert exc.value.index == 0
+            invert_from(rc, prefix, 3)
+        assert exc.value.index == index and math.isnan(exc.value.value)
+
+
+def test_pivot_tol_is_below_support_tol():
+    # invert_from checks 1 - a_{2m-1} only for a prefix entry, and
+    # alpha_from_v never: a computed a_{k-1} passed the support guard, so
+    # 1 - a_{k-1} > SUPPORT_TOL, and that guard could not fire
+    assert PIVOT_TOL < SUPPORT_TOL
+
+
+class TestPrefixPivotGuard:
+    """1 - a_{2m-1} is checked once, before the loop: only the last odd
+    entry of a prefix can make it vanish."""
+
+    NEAR_ONE = 1.0 - PIVOT_TOL / 2
+
+    @pytest.mark.parametrize("prefix, name", [
+        ((0.1, NEAR_ONE), "a_1"),
+        ((0.1, NEAR_ONE, 0.2), "a_1"),
+        ((0.1, 0.2, 0.3, NEAR_ONE), "a_3"),
+        ((0.1, 0.2, 0.3, NEAR_ONE, 0.4), "a_3"),
+    ])
+    def test_vanishing_divisor_raises(self, prefix, name):
+        rc = RealRecurrence((0.0,) * 3, (0.25,) * 3)
+        with pytest.raises(DivisionDegenerate) as exc:
+            invert_from(rc, prefix, 3)
+        assert str(exc.value) == f"1 - {name} vanished"
+
+    def test_not_checked_past_the_last_pair(self):
+        # nothing is left to compute, so nothing divides by 1 - a_1
+        rc = RealRecurrence((0.0,), (0.25,))
+        assert invert_from(rc, (0.1, self.NEAR_ONE), 1).real_view() == (0.1, self.NEAR_ONE)
+
+
+class TestExactSquares:
+    """The kernels square a coefficient as a * a, the correctly rounded
+    square; a**2 goes through pow, which can be an ulp off (it is at A0
+    with glibc)."""
+
+    A0 = -0.7597202166547182
+
+    def test_forward(self):
+        d = geronimus_forward(VerblunskySeq((self.A0, 0.1)), 1).d[0]
+        assert d == 0.25 * 2.0 * (1.0 - float(Fraction(self.A0) ** 2)) * 1.1
+        assert d == 0.23255385582335938
+
+    def test_inverse(self):
+        rc = RealRecurrence((self.A0,), (0.23255385582335938,))
+        assert geronimus_inverse(rc, 1).real_view() == (self.A0, 0.10000000000000009)
 
 
 class TestLuCheck:
