@@ -26,29 +26,24 @@ Scalar = complex
 class VerblunskySeq(Value):
     """Reflection coefficients alpha_0, alpha_1, ..., each of modulus < 1.
 
-    Storage rule: when every entry given is a float, ``alpha`` is that
-    tuple of floats, so real data (all the bridge produces or reads) stays
-    real; otherwise every entry is coerced to complex.  The repr prints a
-    float entry a as complex(a), as complex storage of the same input
-    would, so the storage kind does not show.  CPython before 3.14
-    promotes a float a to complex(a, 0.0) in mixed arithmetic, so the
-    recurrences give the same bits as on complex storage.
+    Storage rule (``_stored``, which the transforms that build a sequence
+    from checked entries apply too): when every entry given is a float,
+    ``alpha`` is that tuple of floats, so real data (all the bridge
+    produces or reads) stays real; otherwise every entry is coerced to
+    complex.  The repr prints a float entry a as complex(a), as complex
+    storage of the same input would, so the storage kind does not show.
+    CPython before 3.14 promotes a float a to complex(a, 0.0) in mixed
+    arithmetic, so the recurrences give the same bits as on complex
+    storage.
     """
 
     __slots__ = ("alpha",)
     alpha: tuple[float, ...] | tuple[complex, ...]
 
     def __init__(self, alpha):
-        alpha = tuple(alpha)
-        if set(map(type, alpha)) != {float}:
-            alpha = tuple(map(complex, alpha))
+        alpha = _stored(alpha)
         object.__setattr__(self, "alpha", alpha)
-        # max skips a NaN that is not first; the sum carries it (NaN != NaN)
-        total = sum(alpha)
-        if not (max(map(abs, alpha), default=0.0) < 1.0 and total == total):
-            for n, a in enumerate(alpha):
-                if not abs(a) < 1.0:
-                    raise AlphaOutOfRange(f"|alpha_{n}| = {abs(a)} >= 1")
+        _check_moduli(alpha)
 
     def __repr__(self):
         return f"{type(self).__qualname__}(alpha={tuple(map(complex, self.alpha))!r})"
@@ -77,6 +72,26 @@ class VerblunskySeq(Value):
                 raise AlphaOutOfRange(f"alpha_{n} = {a.real} outside (-1, 1)")
             out.append(a.real)
         return tuple(out)
+
+
+def _stored(alpha) -> tuple:
+    """The storage rule of VerblunskySeq: a tuple of the entries when every
+    one is a float, otherwise of every entry coerced to complex."""
+    alpha = tuple(alpha)
+    if set(map(type, alpha)) != {float}:
+        return tuple(map(complex, alpha))
+    return alpha
+
+
+def _check_moduli(alpha, start: int = 0) -> None:
+    """Raise AlphaOutOfRange at the first stored entry of modulus >= 1 or
+    NaN, naming it as alpha_{start + its position}."""
+    # max skips a NaN that is not first; the sum carries it (NaN != NaN)
+    total = sum(alpha)
+    if not (max(map(abs, alpha), default=0.0) < 1.0 and total == total):
+        for n, a in enumerate(alpha, start):
+            if not abs(a) < 1.0:
+                raise AlphaOutOfRange(f"|alpha_{n}| = {abs(a)} >= 1")
 
 
 def opuc_eval(vs: VerblunskySeq, n: int, z: Scalar) -> tuple[list[Scalar], list[Scalar]]:
@@ -111,7 +126,11 @@ def prepend_verblunsky(vs: VerblunskySeq, xi) -> VerblunskySeq:
     order-k anti-associated family on the circle."""
     xi = tuple(xi)
     check_xi(xi)
-    return VerblunskySeq(xi + vs.alpha)
+    alpha = _stored(xi + vs.alpha)
+    # vs was checked when built; check_xi read each xi_i itself, and a type
+    # that reaches modulus 1 only as a complex is caught here
+    _check_moduli(alpha[:len(xi)])
+    return _unchecked(VerblunskySeq, alpha)
 
 
 def check_xi(xi) -> None:

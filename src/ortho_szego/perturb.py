@@ -7,16 +7,18 @@ Every family takes a ``path`` argument:
   generic bridge direction (brute force).
 
 Where the stated formula differs from the bridge recursion (the
-co-dilation head, the symmetric co-dilation head, the circle-side
-associated map, sieving and k-modification) the two paths are
-independent code, and the verification suites and the test suite check
-that they agree.  Four maps have no separate closed form: both paths run
-one kernel, so their deviation (``perturb --both-paths``) is 0 by
-construction.  Three are line-side: the associated and anti-associated
-families (``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``)
-and the symmetric family (``symmetric_verblunsky``) are the bridge
-recursion ``szego.invert_from`` itself, fed shifted, prepended or b == 0
-data.  The fourth is the circle-side anti-associated family
+co-dilation head, the symmetric families, the circle-side associated
+map, sieving and k-modification) the two paths are independent code,
+and the verification suites and the test suite check that they agree.
+The symmetric closed forms run the paper's one-term odd recursion
+g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even entry 0; on
+b == 0 data that is the inversion bit for bit.  Three maps have no
+separate closed form: both paths run one kernel, so their deviation
+(``perturb --both-paths``) is 0 by construction.  Two are line-side: the
+associated and anti-associated families (``assoc_oprl_to_verblunsky``,
+``antiassoc_oprl_to_verblunsky``) are the bridge recursion
+``szego.invert_from`` itself, fed shifted or prepended data.  The third
+is the circle-side anti-associated family
 (``antiassoc_opuc_to_recurrence``): the paper's four-branch table is the
 forward relations on the prepended coefficients, so both paths run
 ``szego.geronimus_forward``.  The single documented exception is the LU
@@ -37,9 +39,16 @@ from collections.abc import Callable
 from functools import partial
 
 from ._value import Value, _unchecked
-from .errors import DivisionDegenerate, InsufficientCoefficients, InvalidEta, OrthoError, WrongSide
+from .errors import (
+    DivisionDegenerate,
+    InsufficientCoefficients,
+    InvalidEta,
+    OrthoError,
+    SupportViolation,
+    WrongSide,
+)
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
-from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
+from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
 from .szego import (
     VSeq,
     _alpha_conv,
@@ -51,7 +60,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
-from .tolerances import DISCREPANCY_TOL, PIVOT_TOL
+from .tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -233,7 +242,11 @@ def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
     vs.require(k + 1)
     alpha = list(vs.alpha)
     alpha[k] = eta
-    return VerblunskySeq(tuple(alpha))
+    alpha = _stored(alpha)
+    # vs was checked when built and the eta guard read eta itself; a type
+    # that reaches modulus 1 only as a complex is caught here
+    _check_moduli(alpha[k:k + 1], k)
+    return _unchecked(VerblunskySeq, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +526,12 @@ def sieve(vs: VerblunskySeq, ell: int) -> VerblunskySeq:
     if len(vs) * ell > MAX_SIEVE_LENGTH:
         raise ValueError(f"sieved sequence would have {len(vs) * ell} entries, "
                          f"more than {MAX_SIEVE_LENGTH}")
-    out = [0.0] * (len(vs) * ell)
-    out[ell - 1::ell] = vs.alpha
-    return VerblunskySeq(out)
+    alpha = vs.alpha
+    # zeros of the storage kind of vs, whose entries were checked when built
+    zero = 0j if alpha and type(alpha[0]) is complex else 0.0
+    out = [zero] * (len(alpha) * ell)
+    out[ell - 1::ell] = alpha
+    return _unchecked(VerblunskySeq, tuple(out))
 
 
 def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> RealRecurrence:
@@ -558,14 +574,40 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
 
 def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients of a symmetric line family (b == 0):
-    even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}).
+    even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}),
+    with g_{-1} = -1.
 
-    There is no separate closed form: with b == 0 the inversion recursion
-    reduces to exactly this, so both paths run szego.invert_from.
+    The closed form runs this one-term odd recursion; the oracle runs the
+    full two-coefficient inversion szego.invert_from on the b == 0 data.
+    The two give the same bits (see _symmetric_from).
     """
     _check_path(path)
-    d = tuple(float(x) for x in d)
-    return geronimus_inverse(RealRecurrence((0.0,) * len(d), d), len(d))
+    d = tuple(d)
+    rc = RealRecurrence((0.0,) * len(d), d)
+    if path == ORACLE:
+        return geronimus_inverse(rc, len(d))
+    return _symmetric_from(rc.d, [], len(d))
+
+
+def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
+    """Continue the symmetric sequence head = g_0 .. g_{2m-1} (a float list
+    inside (-1, 1)) up to g_{2n-1}: each later pair is 0.0 and
+    g_{2j+1} = -1 + 4 d_{j+1} / (1 - g_{2j-1}), with g_{-1} = -1.
+
+    With b == 0 this is szego.invert_from bit for bit: its even entry is
+    exactly +0.0, so its divisor (1 - g_{2j-1})(1 - 0.0) is 1 - g_{2j-1},
+    which the support guard keeps above SUPPORT_TOL > PIVOT_TOL.
+    """
+    lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
+    m = len(head) // 2
+    g = head[-1] if head else -1.0
+    for j, dj in zip(range(m, n), d[m:n]):
+        g = -1.0 + 4.0 * dj / (1.0 - g)
+        if not lo < g < hi:
+            raise SupportViolation(2 * j + 1, g)
+        head += (0.0, g)
+    # every entry is 0.0 or a float the support guard put inside (-1, 1)
+    return _unchecked(VerblunskySeq, tuple(head))
 
 
 def symmetric_codilated_verblunsky(d, k: int, lam: float,
@@ -577,17 +619,17 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     of the unperturbed symmetric sequence."""
     _check_path(path)
     spec = CoDilated(k, lam)
-    d = tuple(float(x) for x in d)
+    d = tuple(d)
     n = len(d)
-    rc = RealRecurrence((0.0,) * len(d), d)
+    rc = RealRecurrence((0.0,) * n, d)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [spec]), n)
     rc.require(0, k)
-    gamma = symmetric_verblunsky(d[:k]).real_view()  # the head reads up to g_{2k-1}
+    gamma = _symmetric_from(rc.d, [], k).alpha  # the head reads up to g_{2k-1}
     head = list(gamma[: 2 * k - 1])
-    shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
+    shift = 4.0 * (lam - 1.0) * rc.d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
     head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
-    return invert_from(rc, head, n)
+    return _symmetric_from(rc.d, head, n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import cmath
 from ._value import Value, _unchecked
 from .errors import DivisionDegenerate, InsufficientCoefficients, SupportViolation
 from .oprl import RealRecurrence, oprl_eval, orthonormal_scale
-from .opuc import VerblunskySeq, kappa, opuc_eval
+from .opuc import VerblunskySeq, _check_moduli, kappa, opuc_eval
 from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL
 
 Scalar = complex
@@ -144,7 +144,13 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
     if j == 0:
         # every entry is a float the support guard put inside (-1, 1)
         return _unchecked(VerblunskySeq, tuple(alpha))
-    return VerblunskySeq(alpha)
+    given = alpha[:j]
+    if set(map(type, given)) != {float}:
+        return VerblunskySeq(alpha)  # the storage rule makes every entry complex
+    # the computed entries are floats the support guard put inside (-1, 1);
+    # the prefix, read before it was checked, is checked here, after the loop
+    _check_moduli(given)
+    return _unchecked(VerblunskySeq, tuple(alpha))
 
 
 def v_from_alpha(vs: VerblunskySeq, n: int | None = None) -> VSeq:

@@ -1,20 +1,23 @@
 """Pinned digest of the bridge kernels' results and error messages.
 
-A seeded run of ~2000 finite cases (admissible, corrupted and too-short
-data, every prefix length) feeds the bridge, pivot, convergent and
-perturbation kernels.  The repr of every result, or the class and message
-of every exception, goes into one SHA-256 digest.  Any change to a
-computed bit, an error class, its message or the index it names changes
-the digest; a deliberate change of output must update DIGEST and say why.
+A seeded run of ~2000 cases (admissible, corrupted and too-short data,
+every prefix length, NaN and out-of-range entries) feeds the bridge,
+pivot, convergent and perturbation kernels.  The repr of every result
+(with the storage kinds of a circle sequence, which its repr hides), or
+the class and message of every exception, goes into one SHA-256 digest.
+Any change to a computed bit, a storage kind, an error class, its message
+or the index it names changes the digest; a deliberate change of output
+must update DIGEST and say why.
 """
 
 import hashlib
+import math
 import random
 from functools import partial
 
 from ortho_szego import perturb
 from ortho_szego.oprl import RealRecurrence
-from ortho_szego.opuc import VerblunskySeq
+from ortho_szego.opuc import VerblunskySeq, prepend_verblunsky
 from ortho_szego.spectral import CFunctionHandle, SFunctionHandle, f_value, s_value
 from ortho_szego.szego import (
     VSeq,
@@ -27,7 +30,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "e24891cf6314ac7bc527e60bc9f25238b488f3dee548c4d79918eaa15068dbb3"
+DIGEST = "deceaf73dd7640c6d5dfd25e8a305914e72c9548ed404c608c08cebfdf99f399"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)
@@ -119,8 +122,51 @@ def _f_value(rng):
     return f_value, (handle, rng.choice(CIRCLE_POINTS))
 
 
+def _with_kinds(func, *args):
+    """func's result and the storage kinds of its entries, which its repr
+    does not show."""
+    out = func(*args)
+    return out, sorted({type(a).__name__ for a in out.alpha})
+
+
 def _sieve(rng):
-    return perturb.sieve, (_circle_data(rng), rng.randint(0, 4))
+    return partial(_with_kinds, perturb.sieve), (_circle_data(rng), rng.randint(0, 4))
+
+
+def _circle_entry(rng):
+    """A prepended or replacing circle entry: an int, a float, a complex,
+    NaN or one of modulus >= 1."""
+    return rng.choice((0, rng.uniform(-0.95, 0.95),
+                       complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)),
+                       math.nan, rng.choice((1.0, -1.5, 1j))))
+
+
+def _prepend(rng):
+    xi = [_circle_entry(rng) for _ in range(rng.randint(0, 3))]
+    return partial(_with_kinds, prepend_verblunsky), (_circle_data(rng), xi)
+
+
+def _copuc(rng):
+    vs = _circle_data(rng)
+    return (partial(_with_kinds, perturb.copuc_apply),
+            (vs, rng.randint(-1, len(vs)), _circle_entry(rng)))
+
+
+def _symmetric(rng):
+    """Both symmetric families on both paths: the b == 0 pairs of a draw
+    with zero even entries, perhaps with a 0, NaN, negative or > 1 entry;
+    k runs one past each end and lam over nonpositive values too."""
+    pairs = rng.randint(0, 7)
+    gamma = tuple(rng.uniform(-0.95, 0.95) if j % 2 else 0.0 for j in range(2 * pairs))
+    d = list(geronimus_forward(VerblunskySeq(gamma), pairs).d)
+    if d and rng.random() < 0.4:
+        d[rng.randrange(len(d))] = rng.choice((0.0, math.nan, -0.1, 1.3, rng.uniform(0.3, 0.9)))
+    path = rng.choice((perturb.CLOSED_FORM, perturb.ORACLE))
+    if rng.random() < 0.5:
+        return partial(_with_kinds, partial(perturb.symmetric_verblunsky, path=path)), (d,)
+    lam = rng.choice((rng.uniform(0.3, 2.0), 0.0, -0.5))
+    return (partial(_with_kinds, partial(perturb.symmetric_codilated_verblunsky, path=path)),
+            (d, rng.randint(0, len(d) + 1), lam))
 
 
 def _assoc_circle(rng):
@@ -151,7 +197,7 @@ def _raise(exc):
 
 MAKERS = (_forward, _inverse, _invert_from, _invert_from, _v_from_alpha, _alpha_from_v,
           _v_from_recurrence, _s_value, _f_value, _sieve, _assoc_circle, _perturbed,
-          _constructors)
+          _constructors, _prepend, _copuc, _symmetric, _symmetric)
 
 
 def kernel_lines(seed: str, count: int):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -83,10 +84,18 @@ def test_real_data_stays_float_stored(build):
     lambda: VerblunskySeq((0.5, 0.25j)),
     lambda: sieve(VerblunskySeq((0.5 + 0j,)), 2),
     lambda: prepend_verblunsky(_REAL, (0.1j,)),
+    lambda: prepend_verblunsky(_REAL, (0,)),
     lambda: copuc_apply(_REAL, 1, 0.5 + 0j),
-], ids=["int", "complex", "sieve", "prepend_verblunsky", "copuc_apply"])
+], ids=["int", "complex", "sieve", "prepend_verblunsky", "prepend_int", "copuc_apply"])
 def test_mixed_input_is_complex_stored(build):
     assert all(type(a) is complex for a in build().alpha)
+
+
+def test_prepended_entry_of_modulus_one_once_stored_is_refused():
+    # |xi_1| < 1 as a Fraction, but 1.0 once stored as a complex
+    with pytest.raises(AlphaOutOfRange) as info:
+        prepend_verblunsky(_REAL, (0.5, -Fraction(10**20 - 1, 10**20)))
+    assert str(info.value) == "|alpha_1| = 1.0 >= 1"
 
 
 def test_storage_kinds_compare_hash_print_and_pickle_alike():

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ortho_szego.errors import (
+    AlphaOutOfRange,
     ComplexAlpha,
     DivisionDegenerate,
     InsufficientCoefficients,
     InvalidEta,
     InvalidXi,
+    OrthoError,
     SupportViolation,
 )
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u, shift_coefficients
@@ -173,6 +176,13 @@ class TestCopucApply:
         # a negative k must not overwrite an entry counted from the end
         with pytest.raises(ValueError, match="^modification index must be >= 0$"):
             copuc_apply(VerblunskySeq((0.1, 0.2)), -1, 0.3)
+
+    def test_rejects_eta_of_modulus_one_once_stored(self):
+        # |eta| < 1 as a Fraction, but 1.0 once stored as a complex
+        eta = Fraction(10**20 - 1, 10**20)
+        with pytest.raises(AlphaOutOfRange) as info:
+            copuc_apply(VerblunskySeq((0.1, -0.2, 0.3)), 1, eta)
+        assert str(info.value) == "|alpha_1| = 1.0 >= 1"
 
 
 class TestAssociatedLine:
@@ -538,6 +548,13 @@ class TestSieve:
         vs = VerblunskySeq((0.3, -0.2))
         assert sieve(vs, 3).alpha == (0, 0, 0.3, 0, 0, -0.2)
 
+    def test_zeros_take_the_storage_kind(self):
+        for alpha, zero in (((-0.3, -0.2), 0.0), ((0.3 + 0j, -0.2 + 0.1j), 0j)):
+            got = sieve(VerblunskySeq(alpha), 2)
+            assert got.alpha == (zero, alpha[0], zero, alpha[1])
+            assert {type(a) for a in got.alpha} == {type(zero)}
+            assert math.copysign(1.0, complex(got.alpha[0]).real) == 1.0
+
     def test_output_length_capped(self):
         vs = VerblunskySeq((0.3, -0.2, 0.1, 0.4))
         ell = MAX_SIEVE_LENGTH // 4
@@ -599,6 +616,17 @@ class TestSievedKMod:
             assert_rc_close(th, br, 1e-10)
 
 
+def _symmetric_draw(rng):
+    """d from 1-12 b == 0 pairs of a draw with |g| < 0.95, perhaps with one
+    entry replaced by 0, NaN, a negative value or one past 1."""
+    pairs = rng.randint(1, 12)
+    gamma = tuple(rng.uniform(-0.95, 0.95) if j % 2 else 0.0 for j in range(2 * pairs))
+    d = list(geronimus_forward(VerblunskySeq(gamma), pairs).d)
+    if rng.random() < 0.4:
+        d[rng.randrange(pairs)] = rng.choice((0.0, math.nan, -0.1, 1.3, rng.uniform(0.3, 0.9)))
+    return tuple(d)
+
+
 class TestSymmetric:
     def test_chebyshev_t_gives_zeros(self):
         got = symmetric_verblunsky((0.5,) + (0.25,) * 11)
@@ -615,8 +643,8 @@ class TestSymmetric:
         assert got.alpha[1].real == pytest.approx(0.2, abs=1e-15)
 
     def test_theorem_matches_oracle(self, rng):
-        # both paths run the inversion kernel; the forward relations must
-        # give back b == 0 and d
+        # the closed form runs the odd recursion and the oracle the full
+        # inversion; the forward relations must give back b == 0 and d
         for _ in range(50):
             d = tuple(rng.uniform(0.05, 0.45) for _ in range(12))
             for path in (CLOSED_FORM, ORACLE):
@@ -625,6 +653,25 @@ class TestSymmetric:
                 except SupportViolation:
                     continue
                 assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, d), 1e-11)
+
+    def test_closed_form_is_the_oracle_bit_for_bit(self, rng):
+        # with b == 0 the inversion's even entry is exactly +0.0 and its
+        # divisor exactly 1 - g_{2m-1}, so the two paths give the same
+        # entries, of the same type, or the same error
+        def run(d, path):
+            try:
+                vs = symmetric_verblunsky(d, path=path)
+            except OrthoError as exc:
+                return type(exc), str(exc)
+            return vs.alpha, tuple(map(type, vs.alpha))
+
+        admissible = 0
+        for _ in range(200):
+            d = _symmetric_draw(rng)
+            got = run(d, CLOSED_FORM)
+            assert got == run(d, ORACLE)
+            admissible += type(got[0]) is tuple
+        assert 50 <= admissible <= 150
 
 
 class TestSymmetricCoDilated:

@@ -33,6 +33,16 @@ UNCHECKED_SITES = frozenset({
     "oprl.shift_coefficients",
     "oprl.prepend_coefficients",
     "opuc.shift_verblunsky",
+    # check_xi reads each xi_i, vs was checked when built, and
+    # _check_moduli re-reads the prepended entries as stored
+    "opuc.prepend_verblunsky",
+    # the eta guard reads eta, vs was checked when built, and
+    # _check_moduli re-reads entry k as stored
+    "perturb.copuc_apply",
+    # the zeros and the checked entries of vs, in its storage kind
+    "perturb.sieve",
+    # the support guard on every odd entry; the even ones are 0.0
+    "perturb._symmetric_from",
     "perturb.sieve2_recurrence",
     "perturb.sieved_kmod_recurrence",
 })

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ortho_szego.errors import DivisionDegenerate, SupportViolation
+from ortho_szego.errors import AlphaOutOfRange, DivisionDegenerate, SupportViolation
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.szego import (
@@ -311,6 +311,44 @@ class TestPrefixPivotGuard:
         # nothing is left to compute, so nothing divides by 1 - a_1
         rc = RealRecurrence((0.0,), (0.25,))
         assert invert_from(rc, (0.1, self.NEAR_ONE), 1).real_view() == (0.1, self.NEAR_ONE)
+
+
+class TestPrefixCheck:
+    """A prefix is checked once, after the loop: an error of the loop comes
+    first, then AlphaOutOfRange names the first prefix entry of modulus
+    >= 1 (or NaN).  A prefix that is not all floats goes through the
+    VerblunskySeq constructor, whose storage rule makes every entry complex."""
+
+    RC = RealRecurrence((0.0, 0.1, -0.05), (0.25, 0.2, 0.22))
+    NEAR_ONE = Fraction(10**20 - 1, 10**20)  # modulus 1.0 once stored as a complex
+
+    @pytest.mark.parametrize("prefix, n, exc, message", [
+        ((1.5, -0.5), 1, AlphaOutOfRange, "|alpha_0| = 1.5 >= 1"),
+        ((0.3, 1.2), 1, AlphaOutOfRange, "|alpha_1| = 1.2 >= 1"),
+        ((0.1, math.nan), 1, AlphaOutOfRange, "|alpha_1| = nan >= 1"),
+        ((0.1, -1.0), 1, AlphaOutOfRange, "|alpha_1| = 1.0 >= 1"),
+        ((0.1, 0.2, 0.3, 0.4, 1.0), 2, AlphaOutOfRange, "|alpha_4| = 1.0 >= 1"),
+        ((NEAR_ONE, 0.2), 1, AlphaOutOfRange, "|alpha_0| = 1.0 >= 1"),
+        ((0.1, 0.2, 1.5), 2, SupportViolation, "coefficient at index 3 left (-1, 1): -1.8"),
+        ((1.5, 0.2), 2, SupportViolation,
+         "coefficient at index 2 left (-1, 1): 2.4999999999999996"),
+        ((0.5, 0.2, 1.0), 2, DivisionDegenerate, "(1 - a_1)(1 - a_2^2) vanished"),
+    ])
+    def test_bad_prefix(self, prefix, n, exc, message):
+        for given in (prefix, iter(prefix)):
+            with pytest.raises(exc) as info:
+                invert_from(self.RC, given, n)
+            assert type(info.value) is exc and str(info.value) == message
+
+    def test_prefix_not_all_floats_gives_complex_storage(self):
+        got = invert_from(self.RC, (0, 0.2), 2)
+        assert got.alpha == (0, 0.2, 0.25, 0.06666666666666665)
+        assert list(map(type, got.alpha)) == [complex] * 4
+
+    def test_float_prefix_gives_float_storage(self):
+        got = invert_from(self.RC, iter((0.0, 0.2)), 2)
+        assert got.alpha == (0.0, 0.2, 0.25, 0.06666666666666665)
+        assert list(map(type, got.alpha)) == [float] * 4
 
 
 class TestExactSquares:

@@ -15,7 +15,7 @@ import pytest
 from ortho_szego import perturb
 from ortho_szego.errors import OrthoError
 from ortho_szego.oprl import RealRecurrence, prepend_coefficients, shift_coefficients
-from ortho_szego.opuc import VerblunskySeq, shift_verblunsky
+from ortho_szego.opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from ortho_szego.szego import (
     VSeq,
     alpha_from_v,
@@ -65,6 +65,38 @@ def _prepend(rng):
     return _line(rng), pre_b, pre_d
 
 
+def _xi(rng):
+    """Up to 3 prepended entries: zeros as ints, floats, and now and then a complex."""
+    return tuple(rng.choice((0, rng.uniform(-0.9, 0.9), complex(rng.uniform(-0.5, 0.5), 0.3)))
+                 for _ in range(rng.randint(0, 3)))
+
+
+def _invert_args(rng):
+    """Line data and a float prefix of its own inversion, often empty."""
+    rc = _line(rng)
+    n = _n(rng, 9)
+    alpha = geronimus_inverse(rc, len(rc)).alpha
+    return rc, alpha[:rng.choice((0, rng.randint(0, len(alpha))))], n
+
+
+def _copuc_args(rng):
+    vs = _circle(rng)
+    eta = rng.choice((0, rng.uniform(-0.9, 0.9), complex(0.1, -0.4)))
+    return vs, rng.randint(0, max(len(vs) - 1, 0)), eta
+
+
+def _symmetric(rng):
+    """One of the symmetric closed forms on the b == 0 pairs of a real
+    draw whose even entries are 0.0."""
+    pairs = rng.randint(1, 8)
+    gamma = tuple(rng.uniform(-0.9, 0.9) if j % 2 else 0.0 for j in range(2 * pairs))
+    d = geronimus_forward(VerblunskySeq(gamma), pairs).d
+    if rng.random() < 0.5:
+        return perturb.symmetric_verblunsky, (d,)
+    return perturb.symmetric_codilated_verblunsky, (d, rng.randint(1, pairs),
+                                                     rng.uniform(0.6, 1.4))
+
+
 def _real_seq(value):
     """The public constructor on the kernel's entries as the real numbers
     they are: real data is stored as floats."""
@@ -82,7 +114,7 @@ SITES = {
         lambda rng: (geronimus_forward, (_real_circle(rng), _n(rng, 8))),
         lambda out, args: _rebuilt(out)),
     "szego.invert_from": (
-        lambda rng: (invert_from, (_line(rng), (), _n(rng, 9))),
+        lambda rng: (invert_from, _invert_args(rng)),
         lambda out, args: _real_seq(out)),
     "szego.alpha_from_v": (
         lambda rng: (alpha_from_v, (v_from_alpha(_real_circle(rng)), rng.choice((None, 0, -1)))),
@@ -103,6 +135,21 @@ SITES = {
     "opuc.shift_verblunsky": (
         lambda rng: (shift_verblunsky, (_circle(rng), rng.randint(0, 2))),
         lambda out, args: VerblunskySeq(list(args[0].alpha)[args[1]:])),
+    "opuc.prepend_verblunsky": (
+        lambda rng: (prepend_verblunsky, (_circle(rng), _xi(rng))),
+        lambda out, args: VerblunskySeq(list(args[1]) + list(args[0].alpha))),
+    "perturb.copuc_apply": (
+        lambda rng: (perturb.copuc_apply, _copuc_args(rng)),
+        lambda out, args: VerblunskySeq([args[2] if j == args[1] else a
+                                         for j, a in enumerate(args[0].alpha)])),
+    "perturb.sieve": (
+        lambda rng: (perturb.sieve, (_circle(rng), rng.randint(1, 4))),
+        lambda out, args: VerblunskySeq([args[0].alpha[(j + 1) // args[1] - 1]
+                                         if (j + 1) % args[1] == 0 else 0.0
+                                         for j in range(len(args[0]) * args[1])])),
+    "perturb._symmetric_from": (
+        _symmetric,
+        lambda out, args: _rebuilt(out)),
     "perturb.sieve2_recurrence": (
         lambda rng: (perturb.sieve2_recurrence, (_real_circle(rng), _n(rng, 8))),
         lambda out, args: _rebuilt(out)),
