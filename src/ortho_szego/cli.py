@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_SUITE_FAILED
 
 
-def _parse_points(raw: str) -> list[complex]:
+def _parse_points(raw: str) -> list[float | complex]:
     pts = []
     for tok in raw.split(","):
         tok = tok.strip()
@@ -183,7 +183,8 @@ def _parse_points(raw: str) -> list[complex]:
             raise _CliExit(EXIT_IO, f"non-finite point {tok!r}")
         if not math.isfinite(math.hypot(p.real, p.imag)):
             raise _CliExit(EXIT_IO, f"point {tok!r} is too large: its modulus overflows")
-        pts.append(p)
+        # +0.0j: a real point, kept as a float so the kernels stay real
+        pts.append(p.real if p.imag == 0.0 and math.copysign(1.0, p.imag) > 0 else p)
     if not pts:
         raise _CliExit(EXIT_IO, "no evaluation points given")
     return pts

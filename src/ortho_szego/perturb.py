@@ -43,6 +43,7 @@ from .errors import (
     DivisionDegenerate,
     InsufficientCoefficients,
     InvalidEta,
+    NonPositiveD,
     OrthoError,
     SupportViolation,
     WrongSide,
@@ -215,7 +216,16 @@ def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
             b[spec.k] += spec.tau
         else:
             raise ValueError(f"not a line-side single-entry perturbation: {spec!r}")
-    return RealRecurrence(tuple(b), tuple(d))
+    # rc was checked when built: only the touched entries are coerced and
+    # zero-checked, in the constructor's order (every b, every d, a zero d)
+    touched = sorted((issubclass(kind, CoDilated), k) for kind, k in seen)
+    for dilated, k in touched:
+        seq, i = (d, k - 1) if dilated else (b, k)
+        seq[i] = float(seq[i])
+    zeros = [k for dilated, k in touched if dilated and d[k - 1] == 0.0]
+    if zeros:
+        raise NonPositiveD(f"d_{zeros[0]} = 0 is not allowed")
+    return _unchecked(RealRecurrence, tuple(b), tuple(d))
 
 
 def _co_specs(k: int, lam: float, tau: float) -> list:
@@ -351,9 +361,10 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
         raise OrthoError(f"need {need} circle coefficients, have {len(alpha)}")
 
     rc = geronimus_forward(vs, (len(alpha)) // 2)
-    v = v_from_alpha(vs)
-    b, d, vv = rc.b, rc.d, v.v
+    b, d = rc.b, rc.d
     if k % 2 == 1:
+        v = v_from_alpha(vs)
+        vv = v.v
         m = (k + 1) // 2
         d_out = [(1.0 + alpha[2 * m - 1]) / v.at(2 * m + 1) * rc.d_at(m + 1)]
         b_out = [alpha[2 * m - 1]]
@@ -373,7 +384,8 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
         if n > 1:
             d_out += d[m + 1:n + m]
             b_out += b[m + 1:n + m]
-    return RealRecurrence(b_out, d_out)
+    # floats; a d-hat is d, or joins three of 2, 1 -/+ a, v, d (in [2^-160, 2]): > 0, finite
+    return _unchecked(RealRecurrence, tuple(b_out), tuple(d_out))
 
 
 def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
@@ -601,10 +613,10 @@ def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     m = len(head) // 2
     g = head[-1] if head else -1.0
-    for j, dj in zip(range(m, n), d[m:n]):
+    for dj in d[m:max(n, m)]:  # max(n, m): no slice from the end
         g = -1.0 + 4.0 * dj / (1.0 - g)
         if not lo < g < hi:
-            raise SupportViolation(2 * j + 1, g)
+            raise SupportViolation(len(head) + 1, g)
         head += (0.0, g)
     # every entry is 0.0 or a float the support guard put inside (-1, 1)
     return _unchecked(VerblunskySeq, tuple(head))

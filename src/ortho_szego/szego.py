@@ -128,17 +128,18 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
                 raise SupportViolation(2 * m + 1, am1)
             alpha.append(am1)
             m += 1
-    for m, bm, dm in zip(range(m, n), rc.b[m:n], rc.d[m:n]):
+    # pair m starts at a_{2m} = a_{len(alpha)}; max(n, m): no slice from the end
+    for bm, dm in zip(rc.b[m:max(n, m)], rc.d[m:max(n, m)]):
         den = 1.0 - am1
         a_even = (2.0 * bm + (1.0 + am1) * am2) / den
         if not lo < a_even < hi:
-            raise SupportViolation(2 * m, a_even)
+            raise SupportViolation(len(alpha), a_even)
         den2 = den * (1.0 - a_even * a_even)
         if not abs(den2) >= PIVOT_TOL:
-            raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
+            raise DivisionDegenerate(f"(1 - a_{len(alpha) - 1})(1 - a_{len(alpha)}^2) vanished")
         a_odd = -1.0 + 4.0 * dm / den2
         if not lo < a_odd < hi:
-            raise SupportViolation(2 * m + 1, a_odd)
+            raise SupportViolation(len(alpha) + 1, a_odd)
         alpha += (a_even, a_odd)
         am2, am1 = a_even, a_odd
     if j == 0:
@@ -174,10 +175,10 @@ def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
     prev = -1.0
     alpha = []
     # no pivot guard: 1 - a_{k-1} is 2, or > SUPPORT_TOL > PIVOT_TOL by the support guard
-    for k, vk in enumerate(vals[:max(n, 0)]):
+    for vk in vals[:max(n, 0)]:
         prev = -1.0 + 2.0 * vk / (1.0 - prev)
         if not lo < prev < hi:
-            raise SupportViolation(k, prev)
+            raise SupportViolation(len(alpha), prev)
         alpha.append(prev)
     if n > len(vals):
         raise InsufficientCoefficients(len(vals) + 1, len(vals), "v entries")

@@ -432,6 +432,13 @@ class TestVerifyCommand:
         assert rep.lines == [f"FAIL demo.prop discarded {2 * suites.MAX_DISCARDS_PER_KEPT} "
                              "draws, kept 0 of 2"]
 
+    def test_roundtrip_redraws_a_refused_forward_of_inverse_draw(self, capsys):
+        # at seed 1703 one forward_of_inverse draw leaves the support on
+        # inversion (index 39); it is redrawn instead of ending the run
+        assert main(["verify", "--suite", "roundtrip", "--seed", "1703"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("PASS roundtrip.forward_of_inverse ") for line in out)
+
     def test_default_tolerances_cover_every_suite(self):
         # the CLI lists suites from DEFAULT_TOLS without importing suites
         assert set(DEFAULT_TOLS) == set(suites._RUNNERS)
@@ -465,6 +472,22 @@ class TestEvalCommand:
     def test_forbidden_point_exit2(self, tfile, capsys):
         assert main(["eval", "--in", tfile, "--side", "line",
                      "--points", "0.5", "--depth", "10"]) == 2
+        # a point on the real axis is read as a float
+        assert capsys.readouterr() == (
+            "", "forbidden evaluation point: x = 0.5 is within 1e-06 of [-1, 1]\n")
+
+    def test_point_on_the_real_axis_is_a_float(self, tfile, tmp_path):
+        # +0j is dropped and -0j kept.  On the float path the value's zero
+        # imaginary part prints as 0; complex division gave -0 here (odd
+        # depth, x < -1) before real points were read as floats.
+        out = tmp_path / "t.tsv"
+        assert main(["eval", "--in", tfile, "--side", "line", "--points=-2,-2+0j,-2-0j",
+                     "--depth", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "-2\t0\t-0.57692307692307687\t0\t7.692e-02",
+            "-2\t0\t-0.57692307692307687\t0\t7.692e-02",
+            "-2\t-0\t-0.57692307692307687\t-0\t7.692e-02",
+        ]
 
     def test_byte_identical_runs(self, tfile, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

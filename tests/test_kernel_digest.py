@@ -13,6 +13,7 @@ must update DIGEST and say why.
 import hashlib
 import math
 import random
+from fractions import Fraction
 from functools import partial
 
 from ortho_szego import perturb
@@ -30,7 +31,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "deceaf73dd7640c6d5dfd25e8a305914e72c9548ed404c608c08cebfdf99f399"
+DIGEST = "f93d215ebc49b3df57e54e0b069bdfdc7f2be0ea3772a47d7ae0717097204628"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)
@@ -175,6 +176,53 @@ def _assoc_circle(rng):
     return perturb.assoc_opuc_to_recurrence, (vs, rng.randint(0, 5), rng.randint(-1, 6), path)
 
 
+def _with_entry_types(func, *args):
+    """func's recurrence and the types of its fields and entries, which its
+    repr does not show."""
+    out = func(*args)
+    return out, type(out.b).__name__, type(out.d).__name__, sorted(
+        {type(x).__name__ for x in out.b + out.d})
+
+
+def _apply_specs(rc, raw):
+    """coprl_apply on specs built here, so that a spec constructor's
+    refusal is a case too."""
+    return perturb.coprl_apply(rc, [cls(k, x) for cls, k, x in raw])
+
+
+def _coprl_apply(rng):
+    """Up to three co-dilations and co-recursions on line data, indices one
+    past each end and repeated; int, Fraction, float, NaN and complex lam
+    and tau, and a lam that makes d_k underflow to 0; now and then a spec
+    of another kind."""
+    rc = _line_data(rng)
+    raw = []
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(0, len(rc.b) + 1)
+        if rng.random() < 0.5:
+            lam = rng.choice((2, Fraction(1, 3), rng.uniform(0.3, 2.0), 5e-324, math.nan, 0.5j))
+            raw.append((perturb.CoDilated, k, lam))
+        else:
+            tau = rng.choice((1, Fraction(-1, 5), rng.uniform(-0.3, 0.3), math.nan, 0.5j))
+            raw.append((perturb.CoRecursive, k, tau))
+    if rng.random() < 0.05:
+        raw.append((perturb.KModification, 0, 0.1))
+    return partial(_with_entry_types, _apply_specs), (rc, raw)
+
+
+def _assoc_opuc(rng):
+    """The circle associated family on real data stored as floats or as
+    complex, with entries one ulp inside (-1, 1), k of either parity and an
+    n the data mostly covers."""
+    edge = 1.0 - 2.0 ** -53
+    alpha = [rng.choice((rng.uniform(-0.95, 0.95), edge, -edge)) for _ in range(rng.randint(0, 14))]
+    vs = VerblunskySeq(tuple(map(complex, alpha)) if rng.random() < 0.3 else tuple(alpha))
+    k = rng.randint(0, 6)
+    path = rng.choice((perturb.CLOSED_FORM, perturb.CLOSED_FORM, perturb.ORACLE))
+    return (partial(_with_entry_types, partial(perturb.assoc_opuc_to_recurrence, path=path)),
+            (vs, k, rng.randint(1, max((len(alpha) - k) // 2, 1))))
+
+
 def _perturbed(rng):
     rc = _line_data(rng)
     k, n = rng.randint(0, 3), rng.randint(1, 6)
@@ -197,7 +245,7 @@ def _raise(exc):
 
 MAKERS = (_forward, _inverse, _invert_from, _invert_from, _v_from_alpha, _alpha_from_v,
           _v_from_recurrence, _s_value, _f_value, _sieve, _assoc_circle, _perturbed,
-          _constructors, _prepend, _copuc, _symmetric, _symmetric)
+          _constructors, _prepend, _copuc, _symmetric, _symmetric, _coprl_apply, _assoc_opuc)
 
 
 def kernel_lines(seed: str, count: int):

@@ -28,6 +28,7 @@ from ortho_szego.perturb import (
     CoRecursive,
     KModification,
     Sieve,
+    _symmetric_from,
     antiassoc_oprl_to_verblunsky,
     antiassoc_opuc_to_recurrence,
     assoc_oprl_to_verblunsky,
@@ -672,6 +673,28 @@ class TestSymmetric:
             assert got == run(d, ORACLE)
             admissible += type(got[0]) is tuple
         assert 50 <= admissible <= 150
+
+
+class TestSymmetricFrom:
+    """The odd recursion names an error's index from the length of its
+    output so far, and a negative n, or one below what the head holds,
+    computes nothing: the NaN at the end of D would raise if it were read."""
+
+    D = (0.5, 0.25, math.nan)
+
+    @pytest.mark.parametrize("head, n", [
+        ([], -2), ([], -1), ([], 0), ([0.0, 0.0], -1), ([0.0, 0.0], 0), ([0.0, 0.0, 0.0, 0.0], 1),
+    ])
+    def test_short_n_computes_nothing(self, head, n):
+        assert _symmetric_from(self.D, list(head), n).alpha == tuple(head)
+
+    @pytest.mark.parametrize("head", [[], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_index_after_a_head(self, head):
+        # g_1 = g_3 = 0 on T-like d, and d_3 = 0.6 sends g_5 to 1.4
+        with pytest.raises(SupportViolation) as info:
+            _symmetric_from((0.5, 0.25, 0.6), head, 3)
+        assert str(info.value) == "coefficient at index 5 left (-1, 1): 1.4"
+        assert info.value.index == 5
 
 
 class TestSymmetricCoDilated:

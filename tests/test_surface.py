@@ -41,6 +41,12 @@ UNCHECKED_SITES = frozenset({
     "perturb.copuc_apply",
     # the zeros and the checked entries of vs, in its storage kind
     "perturb.sieve",
+    # rc was checked when built; the touched entries are coerced to float
+    # and zero-checked, in the constructor's order
+    "perturb.coprl_apply",
+    # floats from real_view and the bridge kernels; each d-hat joins at most
+    # three factors in [2^-160, 2], so it is positive and finite
+    "perturb.assoc_opuc_to_recurrence",
     # the support guard on every odd entry; the even ones are 0.0
     "perturb._symmetric_from",
     "perturb.sieve2_recurrence",

@@ -438,3 +438,59 @@ class TestRelIdentity:
             n = rng.randint(0, 6)
             theta = rng.uniform(0.05, math.pi - 0.05)
             assert check_rel(rc, vs, n, theta) < 1e-10
+
+
+class TestLoopErrors:
+    """The inversion loop names an error's index from the length of its
+    output so far.  On Chebyshev-T-like data every a_k is 0 up to the pair
+    that fails, pair 3 (a_6, a_7); it is reached from every prefix of those
+    zeros: through the loop alone from an even prefix, or through the step
+    that finishes an odd one and then the loop."""
+
+    # a_5 = 1 - 1e-11 once a_3 = a_4 = 0; then a_6 = 1 - 4e-12 makes
+    # (1 - a_5)(1 - a_6^2) ~ 8e-23, below PIVOT_TOL
+    D3 = (2 - 1e-11) / 4
+    B4 = (1 - 4e-12) * 1e-11 / 2
+
+    @pytest.mark.parametrize("b, d, exc, message", [
+        ((0.0, 0.0, 0.0, 0.6), (0.5, 0.25, 0.25, 0.25),
+         SupportViolation, "coefficient at index 6 left (-1, 1): 1.2"),
+        ((0.0,) * 4, (0.5, 0.25, 0.25, 0.6),
+         SupportViolation, "coefficient at index 7 left (-1, 1): 1.4"),
+        ((0.0, 0.0, 0.0, B4), (0.5, 0.25, D3, 0.25),
+         DivisionDegenerate, "(1 - a_5)(1 - a_6^2) vanished"),
+    ])
+    def test_index_after_each_prefix(self, b, d, exc, message):
+        rc = RealRecurrence(b, d)
+        a5 = -1.0 + 4.0 * d[2]  # the a_5 that a prefix of zeros up to a_4 gives
+        for prefix in [(0.0,) * j for j in range(6)] + [(0.0,) * 5 + (a5,)]:
+            with pytest.raises(exc) as info:
+                invert_from(rc, prefix, 4)
+            assert str(info.value) == message, prefix
+            if exc is SupportViolation:
+                assert info.value.index == int(message.split()[3])
+
+    def test_alpha_from_v_index(self):
+        # v_3 = 1 sends a_3 to 1 after a_0 = a_1 = a_2 = 0
+        with pytest.raises(SupportViolation) as info:
+            alpha_from_v(VSeq((1.0, 0.5, 0.5, 1.0, 0.5)))
+        assert info.value.index == 3 and info.value.value == 1.0
+
+
+class TestShortN:
+    """A negative n, or one below what a prefix already holds, computes no
+    entry and reads nothing from the end of the data: the NaN there would
+    raise if it were read."""
+
+    RC = RealRecurrence((0.0, 0.0, math.nan), (0.25, 0.25, math.nan))
+
+    @pytest.mark.parametrize("prefix, n", [
+        ((), -1), ((), -2), ((), 0), ((0.1,), -1), ((0.1, 0.2), -1),
+        ((0.1, 0.2, 0.3), 1), ((0.1, 0.2, 0.3, 0.4), 1), ((0.1, 0.2, 0.3, 0.4, 0.5), 2),
+    ])
+    def test_invert_from(self, prefix, n):
+        assert invert_from(self.RC, prefix, n).alpha == prefix
+
+    @pytest.mark.parametrize("n", [-2, -1, 0])
+    def test_alpha_from_v(self, n):
+        assert alpha_from_v(VSeq((0.5, 1.0, math.nan)), n).alpha == ()

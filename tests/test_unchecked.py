@@ -8,12 +8,14 @@ with the same hash and the same field types: a tuple per field, and each
 entry of the type the constructor's storage rule gives.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from ortho_szego import perturb
-from ortho_szego.errors import OrthoError
+from ortho_szego.errors import NonPositiveD, OrthoError
 from ortho_szego.oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from ortho_szego.opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from ortho_szego.szego import (
@@ -85,6 +87,43 @@ def _copuc_args(rng):
     return vs, rng.randint(0, max(len(vs) - 1, 0)), eta
 
 
+def _coprl_args(rng, taus=()):
+    """Line data and at most one co-dilation and one co-recursion per index,
+    in any order: int, Fraction and float lam and tau, and a lam of 5e-324,
+    which makes d_k underflow to 0."""
+    rc = _line(rng)
+    specs = []
+    for k in range(1, len(rc) + 1):
+        if rng.random() < 0.3:
+            lam = rng.choice((2, Fraction(1, 3), rng.uniform(0.5, 1.5), 5e-324))
+            specs.append(perturb.CoDilated(k, lam))
+        if rng.random() < 0.3:
+            tau = rng.choice((1, Fraction(-1, 5), rng.uniform(-0.2, 0.2)) + taus)
+            specs.append(perturb.CoRecursive(k - 1, tau))
+    rng.shuffle(specs)
+    return rc, specs
+
+
+def _assoc_args(rng):
+    """Real circle data stored either way, an order k of either parity and
+    an n >= 1 that the data covers (bar one v entry, now and then)."""
+    k = rng.randint(0, 5)
+    alpha = [rng.uniform(-0.9, 0.9) for _ in range(rng.randint(k + 2, 16))]
+    vs = VerblunskySeq(tuple(map(complex, alpha)) if rng.random() < 0.3 else tuple(alpha))
+    return vs, k, rng.randint(1, (len(alpha) - k) // 2)
+
+
+def _coprl_reference(rc, specs):
+    """The perturbed entries through the public constructor."""
+    b, d = list(rc.b), list(rc.d)
+    for spec in specs:
+        if isinstance(spec, perturb.CoDilated):
+            d[spec.k - 1] *= spec.lam
+        else:
+            b[spec.k] += spec.tau
+    return RealRecurrence(b, d)
+
+
 def _symmetric(rng):
     """One of the symmetric closed forms on the b == 0 pairs of a real
     draw whose even entries are 0.0."""
@@ -142,6 +181,12 @@ SITES = {
         lambda rng: (perturb.copuc_apply, _copuc_args(rng)),
         lambda out, args: VerblunskySeq([args[2] if j == args[1] else a
                                          for j, a in enumerate(args[0].alpha)])),
+    "perturb.coprl_apply": (
+        lambda rng: (perturb.coprl_apply, _coprl_args(rng)),
+        lambda out, args: _coprl_reference(*args)),
+    "perturb.assoc_opuc_to_recurrence": (
+        lambda rng: (perturb.assoc_opuc_to_recurrence, _assoc_args(rng)),
+        lambda out, args: _rebuilt(out)),
     "perturb.sieve": (
         lambda rng: (perturb.sieve, (_circle(rng), rng.randint(1, 4))),
         lambda out, args: VerblunskySeq([args[0].alpha[(j + 1) // args[1] - 1]
@@ -215,3 +260,53 @@ def test_edge_cases():
     # a complex slice stays complex, a float slice stays float
     assert type(shift_verblunsky(complex_data, 1).alpha[0]) is complex
     assert type(shift_verblunsky(VerblunskySeq((0.5, -0.25)), 1).alpha[0]) is float
+
+
+def _outcome(run, *args):
+    """run's value, or the class and message of what it raised."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_coprl_apply_refuses_what_the_constructor_refuses():
+    # coprl_apply coerces and zero-checks only the entries it touched; on
+    # draws with complex tau and underflowing lam too, it must raise what
+    # the constructor raises on the same entries
+    rng = random.Random("unchecked:coprl_apply refusals")
+    refused = set()
+    for _ in range(CASES):
+        args = _coprl_args(rng, taus=(0.5j,))
+        got = _outcome(perturb.coprl_apply, *args)
+        assert got == _outcome(_coprl_reference, *args)
+        if type(got) is tuple:
+            refused.add(got[0])
+    assert refused == {TypeError, NonPositiveD}
+
+
+@pytest.mark.parametrize("specs, want", [
+    ([("d", 2, 5e-324)], (NonPositiveD, "d_2 = 0 is not allowed")),
+    ([("d", 3, 5e-324), ("d", 1, 5e-324)], (NonPositiveD, "d_1 = 0 is not allowed")),
+    # every touched b is coerced before any d is zero-checked
+    ([("d", 1, 5e-324), ("b", 2, 0.5j)], TypeError),
+    # a duplicate spec is refused before any entry is coerced
+    ([("b", 2, 0.5j), ("b", 2, 1)], (ValueError, "duplicate perturbation for index 2")),
+])
+def test_coprl_apply_errors(specs, want):
+    rc = RealRecurrence((0.1, -0.2, 0.3), (0.25, 0.4, 0.2))
+    specs = [perturb.CoDilated(k, x) if kind == "d" else perturb.CoRecursive(k, x)
+             for kind, k, x in specs]
+    if want is TypeError:  # the constructor's own message for a complex entry
+        want = _outcome(RealRecurrence, [0.5j], [])
+    assert _outcome(perturb.coprl_apply, rc, specs) == want
+
+
+def test_assoc_opuc_closed_form_near_the_boundary():
+    # a's one ulp inside (-1, 1) give the smallest and largest d-hat factors
+    edge = 1.0 - 2.0 ** -53
+    vs = VerblunskySeq((edge, -edge, 0.5, edge, -edge, -0.5, edge, -edge))
+    for k in (0, 1, 2, 3):
+        out = perturb.assoc_opuc_to_recurrence(vs, k, 2)
+        _assert_same_value(out, _rebuilt(out))
+        assert all(0.0 < x < math.inf for x in out.d)
