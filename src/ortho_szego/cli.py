@@ -1,11 +1,5 @@
-"""Command-line front end.
-
-    ortho-szego geronimus --direction fwd|inv --in FILE --out FILE [--n N]
-    ortho-szego perturb   --in FILE --spec FILE --side line|circle
-                          [--out FILE] [--both-paths]
-    ortho-szego verify    --suite NAME [--tol T] [--seed S]
-    ortho-szego eval      --in FILE --side line|circle --points LIST
-                          [--depth D] [--out FILE]
+"""Command-line front end: the commands and their flags are the table
+_COMMANDS, which `ortho-szego [COMMAND] --help` prints.
 
 Exit codes: 0 success; 1 I/O, file-format or usage error; 2 support
 violation (offending index on stderr) or forbidden evaluation point; 3
@@ -18,10 +12,10 @@ Output is deterministic byte-for-byte for a fixed seed and job.
 
 from __future__ import annotations
 
-import importlib
 import math
+import re
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
 from .errors import (
     EvaluationDomain,
@@ -37,16 +31,6 @@ from .oprl import RealRecurrence
 from .opuc import VerblunskySeq
 from .serialize import dumps_coefficients, fmt, loads_coefficients, specs_from_text
 from .tolerances import DEFAULT_TOLS, check_suite
-
-# The module only one command uses.  The command imports it inside its
-# function, so that no other command compiles it.  main() imports it
-# before argparse as well: compiling perturb.py from source takes ~2 MB
-# for a moment, and on top of argparse, its parser and the locale module
-# that parsing loads, that would raise the peak RSS by ~0.5 MB.
-_COMMAND_MODULES = {"perturb": "perturb", "eval": "spectral", "verify": "suites"}
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -157,6 +141,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not args.tol >= 0:
+        raise _CliExit(EXIT_IO, f"--tol must be >= 0, got {args.tol}")
     try:
         check_suite(args.suite)
     except UnknownSuite as exc:
@@ -215,75 +201,124 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse  # after _preload, see _COMMAND_MODULES
-
-    class Parser(argparse.ArgumentParser):
-        # argparse's own error() prints a usage block and exits 2, the code
-        # for a support violation; a usage error is an input error (exit 1)
-        def error(self, message):
-            raise _CliExit(EXIT_IO, f"{self.prog}: {message}")
-
-    parser = Parser(
-        prog="ortho-szego",
-        description="Coefficient transforms for orthogonal polynomials on the "
-                    "real line and the unit circle, linked by the Szego map.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("geronimus", help="map coefficients across the bridge")
-    p.add_argument("--direction", choices=("fwd", "inv"), required=True,
-                   help="fwd: circle alphas -> line pairs; inv: line pairs -> alphas")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.add_argument("--n", type=int, default=None, help="output length (pairs)")
-    p.set_defaults(func=cmd_geronimus)
-
-    p = sub.add_parser("perturb", help="apply perturbation specs in order")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--spec", required=True, help="JSON file of tagged perturbations")
-    p.add_argument("--side", choices=("line", "circle"), required=True)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.add_argument("--both-paths", action="store_true",
-                   help="also report the closed-form vs brute-force deviation")
-    p.set_defaults(func=cmd_perturb)
-
-    p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", required=True,
-                   help="one of: " + ", ".join(sorted(DEFAULT_TOLS)))
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the suite default tolerance "
-                        + str(DEFAULT_TOLS))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("eval", help="evaluate transforms at points")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--side", choices=("line", "circle"), required=True)
-    p.add_argument("--points", required=True,
-                   help="comma-separated points, python complex syntax")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.set_defaults(func=cmd_eval)
-    return parser
+# command -> (handler, help, flags); a flag is (option, dest, type, required,
+# default, help), its type str, int, float, a tuple of choices or None (store true)
+_IN, _OUT = ("--in", "infile", str, True, None, ""), ("--out", "outfile", str, False, None, "")
+_SIDE = ("--side", "side", ("line", "circle"), True, None, "")
+_COMMANDS = {
+    "geronimus": (cmd_geronimus, "map coefficients across the bridge", (
+        ("--direction", "direction", ("fwd", "inv"), True, None,
+         "fwd: circle alphas -> line pairs; inv: line pairs -> alphas"),
+        _IN, _OUT, ("--n", "n", int, False, None, "output length (pairs)"))),
+    "perturb": (cmd_perturb, "apply perturbation specs in order", (
+        _IN, ("--spec", "spec", str, True, None, "JSON file of tagged perturbations"), _SIDE, _OUT,
+        ("--both-paths", "both_paths", None, False, False,
+         "also report the closed-form vs brute-force deviation"))),
+    "verify": (cmd_verify, "run a seeded verification suite", (
+        ("--suite", "suite", str, True, None, "one of: " + ", ".join(sorted(DEFAULT_TOLS))),
+        ("--tol", "tol", float, False, None,
+         "override the suite default tolerance " + str(DEFAULT_TOLS)),
+        ("--seed", "seed", int, False, 0, ""))),
+    "eval": (cmd_eval, "evaluate transforms at points", (
+        _IN, _SIDE, ("--points", "points", str, True, None,
+                     "comma-separated points, python complex syntax"),
+        ("--depth", "depth", int, False, None, ""), _OUT)),
+}
+_HELP = ("-h/--help", None, None, False, None, "show this help message and exit")
 
 
-def _preload(argv: list[str]) -> None:
-    """Import the module that argv's command will need; a wrong guess costs
-    only time.  An unknown suite name loads no suites."""
-    module = _COMMAND_MODULES.get(argv[0] if argv else None)
-    if module == "suites" and DEFAULT_TOLS.keys().isdisjoint(argv):
-        return
-    if module is not None:
-        importlib.import_module(f".{module}", __package__)
+def _token(tok: str, names, prog: str):
+    """How a parser reads tok: None for a value, else (the option, or None
+    if unknown; the value that '=' or -h attaches, or None)."""
+    name, eq, attached = tok.partition("=")
+    if tok in names or eq and name in names:
+        return (tok, None) if tok in names else (name, attached)
+    if tok[:1] != "-" or tok == "-":
+        return None
+    long = tok[1] == "-"  # a unique prefix of a long option; -hX is -h with X
+    hits = [n for n in names if n.startswith(name)] if long else ["-h"] * (tok[:2] == "-h")
+    if len(hits) > 1:
+        raise _CliExit(EXIT_IO, f"{prog}: ambiguous option: {tok} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], (attached if eq else None) if long else tok[2:]
+    # a negative number or a token with a space is a value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else (None, None)
+
+
+def _help(prog: str, flags) -> None:
+    """Print the help of a command, or of the top level (no flags); exit 0."""
+    rows = [(f[0] + ("" if f[2] is None else " {%s}" % ",".join(f[2])
+             if isinstance(f[2], tuple) else " " + f[1].upper()), f[3], f[5]) for f in flags]
+    usage = [inv if required else f"[{inv}]" for inv, required, _ in rows]
+    print(f"usage: {prog} [-h]", *usage or ["{%s} ..." % ",".join(_COMMANDS)], end="\n\n")
+    for name, _, text in [("-h, --help", 0, _HELP[5]), *rows] + [
+            (command, 0, entry[1]) for command, entry in _COMMANDS.items() if not flags]:
+        print(f"  {name:<22}{text}".rstrip())
+    raise SystemExit(0)
+
+
+def _parse_flags(prog: str, argv, flags):
+    """One parser's pass over argv: (the flag values, the tokens it left)."""
+    table = {"-h": _HELP, "--help": _HELP, **{flag[0]: flag for flag in flags}}
+    cut = argv.index("--") if "--" in argv else len(argv)
+    # every token before '--' is read first, so an ambiguous one is refused first
+    kinds = [_token(tok, table, prog) for tok in argv[:cut]] + ["--"]
+    values, extras, i = {flag[1]: flag[4] for flag in flags}, [], 0
+    while i < cut:
+        tok, kind, i = argv[i], kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            extras.append(tok)
+            continue
+        name, attached = kind
+        if name == "-h" and attached:  # -hh is -h twice; -hX is -h with X attached
+            attached = attached.lstrip("h") or None
+        option, dest, typ = table[name][:3]
+        bad = lambda msg: _CliExit(EXIT_IO, f"{prog}: argument {option}: {msg}")  # noqa: E731
+        if typ is None and attached is not None:
+            raise bad(f"ignored explicit argument {attached!r}")
+        if dest is None:
+            _help(prog, flags)
+        if typ is not None and attached is None:
+            if kinds[i] is not None:  # the next token is a flag, '--' or missing
+                raise bad("expected one argument")
+            attached, i = argv[i], i + 1
+        try:  # a choice by its index, so that both misses raise ValueError
+            values[dest] = True if typ is None else (
+                typ[typ.index(attached)] if isinstance(typ, tuple) else typ(attached))
+        except ValueError:
+            raise bad(f"invalid {typ.__name__} value: {attached!r}" if callable(typ) else
+                      f"invalid choice: {attached!r} (choose from {', '.join(map(repr, typ))})")
+    # a given required flag holds a string, and each one defaults to None
+    missing = ", ".join(flag[0] for flag in flags if flag[3] and values[flag[1]] is None)
+    if missing:
+        raise _CliExit(EXIT_IO, f"{prog}: the following arguments are required: {missing}")
+    return values, extras + argv[cut:]
+
+
+def parse_args(argv) -> tuple:
+    """(handler, flags) of argv: --flag value or --flag=value, a unique prefix
+    for a flag, the last of a repeated flag, a value starting with '-' only if
+    it reads as a negative number or holds a space."""
+    # the command is the first value, or a '--' with more after it
+    i = next((i for i, tok in enumerate(argv) if _token(tok, ("-h", "--help"), "") is None
+              or tok == "--" and i + 1 < len(argv)), None)
+    _, extras = _parse_flags("ortho-szego", argv[:i], ())  # -h, --help or unknown flags
+    if i is None or argv[i] not in _COMMANDS:
+        raise _CliExit(EXIT_IO, "ortho-szego: the following arguments are required: command"
+                       if i is None else f"ortho-szego: argument command: invalid choice: "
+                       f"{argv[i]!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, _, flags = _COMMANDS[argv[i]]
+    values, rest = _parse_flags(f"ortho-szego {argv[i]}", argv[i + 1:], flags)
+    if extras + rest:
+        raise _CliExit(EXIT_IO, f"ortho-szego: unrecognized arguments: {' '.join(extras + rest)}")
+    return handler, SimpleNamespace(command=argv[i], **values)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    _preload(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        handler, args = parse_args(argv)
+        return handler(args)
     except _CliExit as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

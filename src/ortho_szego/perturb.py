@@ -351,7 +351,7 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
         b-hat_1 = a_{2m},       b-hat_{n+1} = b_{n+m+1}.
     """
     _check_path(path)
-    if path == ORACLE:
+    if path == ORACLE or n <= 0:  # no pairs to build: the oracle's checks alone
         return geronimus_forward(shift_verblunsky(vs, k), n)
     if k < 0:
         raise ValueError("shift order must be >= 0")

@@ -377,9 +377,12 @@ class TestUsageErrors:
          "ortho-szego geronimus: argument --direction: invalid choice: 'sideways'"),
         (["verify"], "ortho-szego verify: the following arguments are required: --suite\n"),
         ([], "ortho-szego: the following arguments are required: command\n"),
-    ], ids=["negative-point", "bad-direction", "no-suite", "no-command"])
+        (["verify", "--suite", "rel", "--tol", "nan"], "--tol must be >= 0, got nan\n"),
+        (["verify", "--suite", "rel", "--tol", "-1"], "--tol must be >= 0, got -1.0\n"),
+    ], ids=["negative-point", "bad-direction", "no-suite", "no-command", "nan-tol",
+            "negative-tol"])
     def test_usage_error_exit1_one_line(self, capsys, argv, err):
-        # argparse printed a usage block and exited 2, the support-violation code
+        # a usage error is an input error: exit 1, not 2 (a support violation)
         assert main(argv) == 1
         out, got = capsys.readouterr()
         assert out == "" and got.startswith(err) and got.count("\n") == 1
@@ -445,6 +448,12 @@ class TestVerifyCommand:
 
     def test_impossible_tolerance_exit5(self, capsys):
         assert main(["verify", "--suite", "roundtrip", "--tol", "1e-18"]) == 5
+
+    @pytest.mark.parametrize("tol, code", [("0", 5), ("inf", 0)])
+    def test_zero_and_infinite_tolerance_run(self, capsys, tol, code):
+        # the bounds of what --tol accepts: 0 fails every residual, inf none
+        assert main(["verify", "--suite", "rel", "--tol", tol]) == code
+        assert "rel." in capsys.readouterr().out
 
     def test_deterministic_output(self, capsys):
         main(["verify", "--suite", "rel", "--seed", "3"])
@@ -707,12 +716,16 @@ def _python(probe: str, *args: str):
 
 
 # Modules no command may load: building values with `dataclasses` (which
-# imports `inspect`) would cost every run ~20 ms of start-up.
-_NEVER_LOADED = ("dataclasses", "inspect")
+# imports `inspect`) would cost every run ~20 ms of start-up, and argparse
+# (which imports gettext, and through it locale) ~6 ms.
+_NEVER_LOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
-# Run cli.main on argv, then print as its last line its exit code, the
-# package modules loaded and whichever of _NEVER_LOADED got loaded.
-_MAIN_PROBE = ("import sys; from ortho_szego import cli; code = cli.main(sys.argv[1:]); "
+# Run cli.main on argv, then print as its last line its exit code (the
+# SystemExit code after --help), the package modules loaded and whichever
+# of _NEVER_LOADED got loaded.
+_MAIN_PROBE = ("import sys; from ortho_szego import cli\n"
+               "try: code = cli.main(sys.argv[1:])\n"
+               "except SystemExit as exc: code = exc.code\n"
                "print(code, *sorted(m for m in sys.modules if m.startswith('ortho_szego.') "
                f"or m in {_NEVER_LOADED!r}))")
 
@@ -728,6 +741,8 @@ def test_package_import_loads_no_submodule():
     ("eval", {"perturb", "suites"}),
     ("perturb", {"polyhom", "spectral", "suites"}),
     ("verify", set()),
+    ("eval --help", {"perturb", "polyhom", "spectral", "suites"}),
+    ("usage error", {"perturb", "polyhom", "spectral", "suites"}),
 ])
 def test_command_loads_only_its_modules(tmp_path, command, absent):
     line, circle, spec = tmp_path / "l.json", tmp_path / "c.json", tmp_path / "s.json"
@@ -735,16 +750,21 @@ def test_command_loads_only_its_modules(tmp_path, command, absent):
     circle.write_text(CIRCLE_24)
     spec.write_text('[{"kind": "associated", "k": 1}]')
     argv = {
-        "geronimus": ["--direction", "inv", "--in", str(line)],
-        "eval": ["--in", str(circle), "--side", "circle", "--points", "0.3", "--depth", "20"],
-        "perturb": ["--in", str(line), "--spec", str(spec), "--side", "line"],
-        "verify": ["--suite", "lu"],
+        "geronimus": ["geronimus", "--direction", "inv", "--in", str(line)],
+        "eval": ["eval", "--in", str(circle), "--side", "circle", "--points", "0.3",
+                 "--depth", "20"],
+        "perturb": ["perturb", "--in", str(line), "--spec", str(spec), "--side", "line"],
+        "verify": ["verify", "--suite", "lu"],
+        "eval --help": ["eval", "--in", str(circle), "--help"],
+        "usage error": ["eval", "--in", str(circle), "--side", "top", "--points", "0.3"],
     }[command]
-    if command != "verify":
+    if command in ("geronimus", "eval", "perturb"):
         argv += ["--out", str(tmp_path / "out")]
-    done = _python(_MAIN_PROBE, command, *argv)
+    done = _python(_MAIN_PROBE, *argv)
     code, *loaded = done.stdout.splitlines()[-1].split()
-    assert (done.returncode, code, done.stderr) == (0, "0", "")
+    err = ("ortho-szego eval: argument --side: invalid choice: 'top' "
+           "(choose from 'line', 'circle')\n") if command == "usage error" else ""
+    assert (done.returncode, code, done.stderr) == (0, "1" if err else "0", err)
     assert {"ortho_szego.cli", "ortho_szego.serialize"} <= set(loaded)
     assert not {f"ortho_szego.{m}" for m in absent} & set(loaded)
     assert not set(_NEVER_LOADED) & set(loaded)

@@ -149,7 +149,7 @@ OPTIONS = {
 }
 # An invocation of each command with its required flags (a strategy stands
 # for a drawn value), and the flags each command accepts.  A fuzzed argv is
-# one of these plus a few flags drawn from OPTIONS; argparse keeps the last
+# one of these plus a few flags drawn from OPTIONS; the CLI keeps the last
 # value of a repeated flag, so an added flag can replace a valid one.
 INVOCATIONS = [
     ["geronimus", "--direction", "fwd", "--in", "@circle", "--n", NUMBER_ARGS],

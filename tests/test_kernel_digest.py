@@ -31,7 +31,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "f93d215ebc49b3df57e54e0b069bdfdc7f2be0ea3772a47d7ae0717097204628"
+DIGEST = "721f7ddc1b646d9cbf5e9748acd6e40f1f23158b76dc5dda8f521f36dbd374f4"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -745,6 +745,12 @@ _D3 = (0.3, 0.25, 0.2)
      InsufficientCoefficients, "need 9 alpha coefficients, have 8"),
     (lambda path: assoc_opuc_to_recurrence(_VS8, -1, 2, path),
      ValueError, "shift order must be >= 0"),
+    (lambda path: assoc_opuc_to_recurrence(VerblunskySeq((0.1, 0.2)), 4, -1, path),
+     InsufficientCoefficients, "need 4 alpha coefficients, have 2"),
+    (lambda path: assoc_opuc_to_recurrence(VerblunskySeq((0.1, 0.2)), 3, -1, path),
+     InsufficientCoefficients, "need 3 alpha coefficients, have 2"),
+    (lambda path: assoc_opuc_to_recurrence(VerblunskySeq((0.1, 0.5j)), 1, 0, path),
+     ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
     (lambda path: symmetric_codilated_verblunsky(_D3, 5, 1.2, path),
      InsufficientCoefficients, "need 5 d coefficients, have 3"),
     (lambda path: symmetric_codilated_verblunsky(_D3, 2, 0.0, path),
@@ -756,6 +762,8 @@ _D3 = (0.3, 0.25, 0.2)
     (lambda path: coprl_verblunsky(chebyshev_t(), 0, 0.5, 0.0, 4, path),
      ValueError, "co-dilation index must be >= 1"),
 ], ids=["sieved_kmod_negative_k", "sieved_kmod_k_past_end", "assoc_circle_negative_k",
+        "assoc_circle_k_past_end_n_negative", "assoc_circle_k_past_end_odd_n_negative",
+        "assoc_circle_complex_past_k_n0",
         "symmetric_codilated_k_past_end", "symmetric_codilated_zero_lam",
         "symmetric_codilated_k0", "coprl_negative_k", "coprl_dilated_d0"])
 def test_out_of_range_input_raises_alike_on_both_paths(run, exc, message, path):
@@ -763,3 +771,18 @@ def test_out_of_range_input_raises_alike_on_both_paths(run, exc, message, path):
     with pytest.raises(exc) as info:
         run(path)
     assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+@pytest.mark.parametrize("vs, k, n", [
+    (VerblunskySeq((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)), 0, 0),
+    (VerblunskySeq((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)), 1, -2),
+    (VerblunskySeq((0.1, 0.2, 0.3)), 3, 0),
+    (VerblunskySeq((0.1, 0.2, 0.3)), 2, 0),
+    (VerblunskySeq((0.5j, 0.1, 0.2)), 1, 0),
+])
+def test_assoc_circle_no_pairs_on_both_paths(vs, k, n, path):
+    # n <= 0 asks for no pairs, so no entry is read: not past the data, and
+    # not the complex a_0 before a_k
+    out = assoc_opuc_to_recurrence(vs, k, n, path)
+    assert (out.b, out.d) == ((), ())
