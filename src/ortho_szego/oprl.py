@@ -72,12 +72,12 @@ def oprl_eval(rc: RealRecurrence, n: int, x: Scalar) -> list[Scalar]:
     """Values [P_0(x), ..., P_n(x)] of the monic polynomials at x."""
     if n >= 1:
         rc.require(n, n - 1)
+    b, d = rc.b, rc.d  # require covers b_1..b_n and d_1..d_{n-1}; d_0 = 1
     vals = [1.0 + 0j]
     prev, cur = 0j, 1.0 + 0j
     for k in range(n):
-        nxt = (x - rc.b_at(k + 1)) * cur - rc.d_at(k) * prev
-        vals.append(nxt)
-        prev, cur = cur, nxt
+        prev, cur = cur, (x - b[k]) * cur - (d[k - 1] if k else 1.0) * prev
+        vals.append(cur)
     return vals
 
 

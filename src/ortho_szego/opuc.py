@@ -97,13 +97,14 @@ def _check_moduli(alpha, start: int = 0) -> None:
 def opuc_eval(vs: VerblunskySeq, n: int, z: Scalar) -> tuple[list[Scalar], list[Scalar]]:
     """Values ([Phi_0..Phi_n], [Phi*_0..Phi*_n]) at z."""
     vs.require(n)
-    phi = [1.0 + 0j]
-    star = [1.0 + 0j]
+    alpha = vs.alpha
+    p = s = 1.0 + 0j
+    phi, star = [p], [s]
     for k in range(n):
-        a = vs.at(k)
-        p, s = phi[-1], star[-1]
-        phi.append(z * p - a.conjugate() * s)
-        star.append(s - a * z * p)
+        a = alpha[k]
+        p, s = z * p - a.conjugate() * s, s - a * z * p
+        phi.append(p)
+        star.append(s)
     return phi, star
 
 

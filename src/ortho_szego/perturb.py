@@ -594,11 +594,19 @@ def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
     The two give the same bits (see _symmetric_from).
     """
     _check_path(path)
-    d = tuple(d)
-    rc = RealRecurrence((0.0,) * len(d), d)
+    rc = _symmetric_line(d)
     if path == ORACLE:
-        return geronimus_inverse(rc, len(d))
-    return _symmetric_from(rc.d, [], len(d))
+        return geronimus_inverse(rc, len(rc.d))
+    return _symmetric_from(rc.d, [], len(rc.d))
+
+
+def _symmetric_line(d) -> RealRecurrence:
+    """RealRecurrence((0.0,) * len(d), d) with only d coerced: the zeros
+    are floats already, so d is the one field to coerce and zero-check."""
+    d = tuple(map(float, d))
+    if 0.0 in d:
+        raise NonPositiveD(f"d_{d.index(0.0) + 1} = 0 is not allowed")
+    return _unchecked(RealRecurrence, (0.0,) * len(d), d)
 
 
 def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
@@ -617,7 +625,8 @@ def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
         g = -1.0 + 4.0 * dj / (1.0 - g)
         if not lo < g < hi:
             raise SupportViolation(len(head) + 1, g)
-        head += (0.0, g)
+        head.append(0.0)
+        head.append(g)
     # every entry is 0.0 or a float the support guard put inside (-1, 1)
     return _unchecked(VerblunskySeq, tuple(head))
 
@@ -631,9 +640,8 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     of the unperturbed symmetric sequence."""
     _check_path(path)
     spec = CoDilated(k, lam)
-    d = tuple(d)
-    n = len(d)
-    rc = RealRecurrence((0.0,) * n, d)
+    rc = _symmetric_line(d)
+    n = len(rc.d)
     if path == ORACLE:
         return geronimus_inverse(coprl_apply(rc, [spec]), n)
     rc.require(0, k)

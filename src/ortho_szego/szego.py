@@ -65,8 +65,9 @@ class VSeq(Value):
 
 # The loops below read the coefficient tuples directly and carry the
 # previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
-# each guard is written `not lo < x < hi` (or `not abs(x) >= bound`) so
-# that a NaN fails it at the first coefficient it reaches; a square is a * a.
+# each per-step guard is written `not lo < x < hi` (or, for a divisor,
+# `not (x >= bound or x <= -bound)`) so that a NaN, which fails every
+# comparison, fails it at the first coefficient it reaches; a square is a * a.
 
 
 def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
@@ -135,12 +136,13 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         if not lo < a_even < hi:
             raise SupportViolation(len(alpha), a_even)
         den2 = den * (1.0 - a_even * a_even)
-        if not abs(den2) >= PIVOT_TOL:
+        if not (den2 >= PIVOT_TOL or den2 <= -PIVOT_TOL):
             raise DivisionDegenerate(f"(1 - a_{len(alpha) - 1})(1 - a_{len(alpha)}^2) vanished")
         a_odd = -1.0 + 4.0 * dm / den2
         if not lo < a_odd < hi:
             raise SupportViolation(len(alpha) + 1, a_odd)
-        alpha += (a_even, a_odd)
+        alpha.append(a_even)
+        alpha.append(a_odd)
         am2, am1 = a_even, a_odd
     if j == 0:
         # every entry is a float the support guard put inside (-1, 1)
@@ -202,10 +204,12 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
     for k in range(pairs):
         v_even = b[k] + 1.0 - v_odd
         dk = d[k]
-        if not abs(v_even) >= PIVOT_TOL * (1.0 + abs(dk)):
+        tol = PIVOT_TOL * (1.0 + (dk if dk >= 0.0 else -dk))  # d may be negative
+        if not (v_even >= tol or v_even <= -tol):
             raise DivisionDegenerate(f"pivot v_{2 * k} vanished")
         v_odd = dk / v_even
-        out += (v_even, v_odd)
+        out.append(v_even)
+        out.append(v_odd)
     # at most one more even entry, or the first entry the data cannot give
     if 2 * pairs < n:
         if pairs >= len(b):

@@ -49,6 +49,8 @@ UNCHECKED_SITES = frozenset({
     "perturb.assoc_opuc_to_recurrence",
     # the support guard on every odd entry; the even ones are 0.0
     "perturb._symmetric_from",
+    # the zeros are floats; d is coerced and zero-checked as the constructor does
+    "perturb._symmetric_line",
     "perturb.sieve2_recurrence",
     "perturb.sieved_kmod_recurrence",
 })
@@ -128,3 +130,15 @@ def test_no_reader_of_outside_input_is_allowlisted():
     for site in UNCHECKED_SITES:
         assert site.split(".")[0] not in INPUT_MODULES, site
         assert site not in SPEC_READERS, site
+
+
+def test_no_list_is_extended_with_a_tuple_display():
+    # `lst += (x, y)` builds a tuple and goes through list.__iadd__ on every
+    # step; two lst.append calls are specialized instructions on CPython 3.11
+    found = []
+    for path in sorted((ROOT / "src" / "ortho_szego").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                    and isinstance(node.value, ast.Tuple)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"a list extended with a tuple display: {found}"

@@ -136,6 +136,15 @@ def _symmetric(rng):
                                                      rng.uniform(0.6, 1.4))
 
 
+def _symmetric_d(rng, odd=()):
+    """d entries as ints, Fractions and floats, now and then a zero (0,
+    0.0 or -0.0) or an entry from odd."""
+    rare = (0, 0.0, -0.0) + tuple(odd)
+    return [rng.choice(rare) if rng.random() < 0.05 else
+            rng.choice((1, Fraction(1, 3), rng.uniform(0.05, 0.5), -0.25))
+            for _ in range(rng.randint(0, 6))]
+
+
 def _real_seq(value):
     """The public constructor on the kernel's entries as the real numbers
     they are: real data is stored as floats."""
@@ -195,6 +204,9 @@ SITES = {
     "perturb._symmetric_from": (
         _symmetric,
         lambda out, args: _rebuilt(out)),
+    "perturb._symmetric_line": (
+        lambda rng: (perturb._symmetric_line, (_symmetric_d(rng),)),
+        lambda out, args: RealRecurrence([0.0] * len(args[0]), list(args[0]))),
     "perturb.sieve2_recurrence": (
         lambda rng: (perturb.sieve2_recurrence, (_real_circle(rng), _n(rng, 8))),
         lambda out, args: _rebuilt(out)),
@@ -283,6 +295,23 @@ def test_coprl_apply_refuses_what_the_constructor_refuses():
         if type(got) is tuple:
             refused.add(got[0])
     assert refused == {TypeError, NonPositiveD}
+
+
+def test_symmetric_line_refuses_what_the_constructor_refuses():
+    # _symmetric_line coerces and zero-checks only d; with complex, string
+    # and zero entries it must raise what the constructor raises on b == 0
+    rng = random.Random("unchecked:symmetric_line refusals")
+    refused = set()
+    for _ in range(CASES):
+        d = _symmetric_d(rng, odd=(0.5j, "0.25", "x", None))
+        got = _outcome(perturb._symmetric_line, d)
+        want = _outcome(RealRecurrence, [0.0] * len(d), d)
+        if type(got) is tuple:
+            assert got == want
+            refused.add(got[0])
+        else:
+            _assert_same_value(got, want)
+    assert refused == {TypeError, ValueError, NonPositiveD}
 
 
 @pytest.mark.parametrize("specs, want", [
