@@ -4,9 +4,10 @@ The three-term recurrence
 
     P_{n+1}(x) = (x - b_{n+1}) P_n(x) - d_n P_{n-1}(x),   P_{-1} = 0, P_0 = 1,
 
-with d_0 = 1 fixed by convention, is the single evaluation engine; every
-perturbed family in this package is expressed as a transform of the
-coefficient sequences (b, d) and then evaluated through it.
+with d_0 = 1 fixed by convention, evaluates every family here: each
+perturbed family is a transform of the coefficient sequences (b, d).
+``oprl_eval`` runs it as written; ``spectral._s_tail`` runs a rescaled
+copy for the convergents of the Stieltjes function at large depth.
 
 Indexing follows the recurrence exactly: b and d are 1-based, and d_0 = 1
 is never stored.

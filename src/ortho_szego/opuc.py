@@ -61,17 +61,14 @@ class VerblunskySeq(Value):
             raise InsufficientCoefficients(n, len(self.alpha), "alpha coefficients")
 
     def real_view(self) -> tuple[float, ...]:
-        """The coefficients as floats; rejects any nonzero imaginary part."""
+        """The coefficients as floats; rejects any nonzero imaginary part
+        (each stored modulus is < 1, so each real part is in (-1, 1))."""
         if not self.alpha or type(self.alpha[0]) is float:
             return self.alpha
-        out = []
         for n, a in enumerate(self.alpha):
             if a.imag != 0.0:
                 raise ComplexAlpha(f"alpha_{n} = {a} has nonzero imaginary part")
-            if not -1.0 < a.real < 1.0:
-                raise AlphaOutOfRange(f"alpha_{n} = {a.real} outside (-1, 1)")
-            out.append(a.real)
-        return tuple(out)
+        return tuple([a.real for a in self.alpha])
 
 
 def _stored(alpha) -> tuple:

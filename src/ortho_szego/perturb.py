@@ -51,7 +51,6 @@ from .errors import (
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
 from .szego import (
-    VSeq,
     _alpha_conv,
     _emit_checked,
     alpha_from_v,
@@ -61,7 +60,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
-from .tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL
+from .tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL, max_residual
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -85,7 +84,7 @@ def max_deviation(got, want) -> float:
     devs = [[abs(x - y) for x, y in zip(p, q)] for p, q in parts]
     if not all(devs):
         raise InsufficientCoefficients(1, 0, "entry in the both-paths window")
-    return max(max(dev) for dev in devs)
+    return max_residual(*(x for dev in devs for x in dev))
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +363,17 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
     b, d = rc.b, rc.d
     if k % 2 == 1:
         v = v_from_alpha(vs)
-        vv = v.v
         m = (k + 1) // 2
-        d_out = [(1.0 + alpha[2 * m - 1]) / v.at(2 * m + 1) * rc.d_at(m + 1)]
+        # Row n-1 reads v_{2(n+m)-1} (row 0 reads v_{2m+1}), which an input
+        # of exactly 2n + k coefficients lacks.  No earlier row can fail, so
+        # raising before them gives the error the row-by-row loop gave.
+        if 2 * (n + m) > len(v):
+            raise InsufficientCoefficients(2 * (n + m), len(v), "v entries")
+        d_out = [(1.0 + alpha[2 * m - 1]) / v[2 * m + 1] * rc.d_at(m + 1)]
         b_out = [alpha[2 * m - 1]]
-        # Row n-1 reads v_{2(n+m)-1}, which an input of exactly 2n + k
-        # coefficients lacks.  No earlier row can fail, so raising before
-        # them gives the error the row-by-row loop gave.
-        if n > 1 and 2 * (n + m) > len(vv):
-            raise InsufficientCoefficients(2 * (n + m), len(vv), "v entries")
         rows = range(m + 1, n + m)  # i = j + m for output rows j = 1..n-1
-        d_out += [vv[2 * i - 1] / vv[2 * i + 1] * d[i] for i in rows]
-        b_out += [b[i] + vv[2 * i - 2] - vv[2 * i] for i in rows]
+        d_out += [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows]
+        b_out += [b[i] + v[2 * i - 2] - v[2 * i] for i in rows]
     else:
         m = k // 2
         lam = 2.0 / (1.0 - _alpha_conv(alpha, 2 * m - 1))
@@ -436,7 +434,7 @@ class PathDiscrepancy(Value):
 
 
 def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
-                path: str = DEFAULT) -> VSeq:
+                path: str = DEFAULT) -> tuple[float, ...]:
     """Pivot sequence after d_k -> lam d_k, b_{k+1} -> b_{k+1} + tau.
 
     "default" peels the continued fraction of the genuinely perturbed
@@ -455,21 +453,18 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
     if path == DEFAULT:
         return v_from_recurrence(coprl_apply(rc, specs), n)
     head = v_from_recurrence(rc, 2 * k + 1)
-    out = list(head.v[:min(2 * k, n)])
+    out = list(head[:min(2 * k, max(n, 0))])  # max: no slice from the end
     if 2 * k < n:
-        out.append(head.at(2 * k) + (1.0 - lam) * head.at(2 * k - 1) + tau)
-    j = 2 * k + 1
-    while j < n:
+        out.append(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
+    for j in range(2 * k + 1, n):
         if j % 2 == 1:
             dm, v = rc.d_at((j + 1) // 2), out[j - 1]
             if not abs(v) >= PIVOT_TOL * (1.0 + abs(dm)):
                 raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
             out.append(dm / v)
         else:
-            m = (j - 2) // 2
-            out.append(rc.b_at(m + 2) + 1.0 - out[j - 1])
-        j += 1
-    return VSeq(tuple(out))
+            out.append(rc.b_at(j // 2 + 1) + 1.0 - out[j - 1])
+    return tuple(map(float, out))
 
 
 def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
@@ -485,7 +480,7 @@ def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: in
     return alpha_from_v(perturbed_v(rc, k, lam, tau, 2 * n, path))
 
 
-def _peel_error(b, v: VSeq) -> list[float]:
+def _peel_error(b, v) -> list[float]:
     """Running first-order forward-error bound of each pivot of the peel
     v_{2j} = b_{j+1} + 1 - v_{2j-1}, v_{2j+1} = d_{j+1} / v_{2j}: an even
     pivot adds u (|b_{j+1}| + 1 + |v_{2j-1}|) of absolute error, an odd one
@@ -493,7 +488,7 @@ def _peel_error(b, v: VSeq) -> list[float]:
     u = sys.float_info.epsilon / 2
     out: list[float] = []
     prev_v = prev_e = 0.0
-    for j, vj in enumerate(v.v):
+    for j, vj in enumerate(v):
         if j % 2 == 0:
             e = prev_e + u * (abs(b[j // 2]) + 1.0 + abs(prev_v))
         else:
@@ -516,8 +511,8 @@ def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
     pv = perturbed_v(rc, k, lam, tau, n, SHORTCUT)
     bound = [x + y for x, y in zip(_peel_error(rc.b, dv), _peel_error(rc.b, pv))]
     for j in range(n):
-        if abs(dv.at(j) - pv.at(j)) > tol * (1.0 + abs(dv.at(j))) + bound[j]:
-            return PathDiscrepancy("perturbed_v", k, lam, tau, j, dv.at(j), pv.at(j))
+        if abs(dv[j] - pv[j]) > tol * (1.0 + abs(dv[j])) + bound[j]:
+            return PathDiscrepancy("perturbed_v", k, lam, tau, j, dv[j], pv[j])
     return None
 
 

@@ -10,9 +10,10 @@ with the conventions a_{-1} = -1 and a_{-2} = 0 (the latter is always
 multiplied by 1 + a_{-1} = 0, so any finite value would do; 0 keeps the
 code total).  The inverse direction solves the same pair for the a's.
 
-The auxiliary sequence v_k = (1/2)(1 + a_k)(1 - a_{k-1}) carries the LU
-factorization of J + I and a continued-fraction route from (b, d) to the
-circle coefficients that bypasses the quadratic inversion entirely.
+The pivots v_k = (1/2)(1 + a_k)(1 - a_{k-1}), a plain tuple of floats
+v_0, v_1, ... (v_{-1} = 0 is implied), are the LU factorization of J + I
+and a continued-fraction route from (b, d) to the circle coefficients that
+bypasses the quadratic inversion entirely.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import cmath
 from ._value import Value, _unchecked
 from .errors import DivisionDegenerate, InsufficientCoefficients, SupportViolation
 from .oprl import RealRecurrence, oprl_eval, orthonormal_scale
-from .opuc import VerblunskySeq, _check_moduli, kappa, opuc_eval
-from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL
+from .opuc import VerblunskySeq, kappa, opuc_eval
+from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL, max_residual
 
 Scalar = complex
 
@@ -41,26 +42,6 @@ def _emit_checked(value: float, index: int) -> float:
     if not abs(value) < 1.0 - SUPPORT_TOL:  # written so that NaN fails too
         raise SupportViolation(index, value)
     return value
-
-
-class VSeq(Value):
-    """LU pivot sequence v_0, v_1, ...; v_{-1} = 0 is implied."""
-
-    __slots__ = ("v",)
-    v: tuple[float, ...]
-
-    def __init__(self, v):
-        object.__setattr__(self, "v", tuple(map(float, v)))
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-    def at(self, k: int) -> float:
-        if k == -1:
-            return 0.0
-        if not 0 <= k < len(self.v):
-            raise InsufficientCoefficients(k + 1, len(self.v), "v entries")
-        return self.v[k]
 
 
 # The loops below read the coefficient tuples directly and carry the
@@ -105,11 +86,13 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         a_{2m}   = (2 b_{m+1} + (1 + a_{2m-1}) a_{2m-2}) / (1 - a_{2m-1})
         a_{2m+1} = -1 + 4 d_{m+1} / ((1 - a_{2m-1}) (1 - a_{2m}^2))
 
-    Raises SupportViolation as soon as a coefficient leaves (-1, 1): the
-    line measure then cannot sit inside [-1, 1].
+    The prefix is read first, as VerblunskySeq(prefix).real_view() reads it
+    (AlphaOutOfRange, ComplexAlpha).  Raises SupportViolation as soon as a
+    computed coefficient leaves (-1, 1): the line measure then cannot sit
+    inside [-1, 1].
     """
+    alpha = list(VerblunskySeq(prefix).real_view()) if prefix else []
     rc.require(n, n)
-    alpha = list(prefix)
     j = len(alpha)
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     m = j // 2
@@ -144,51 +127,33 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         alpha.append(a_even)
         alpha.append(a_odd)
         am2, am1 = a_even, a_odd
-    if j == 0:
-        # every entry is a float the support guard put inside (-1, 1)
-        return _unchecked(VerblunskySeq, tuple(alpha))
-    given = alpha[:j]
-    if set(map(type, given)) != {float}:
-        return VerblunskySeq(alpha)  # the storage rule makes every entry complex
-    # the computed entries are floats the support guard put inside (-1, 1);
-    # the prefix, read before it was checked, is checked here, after the loop
-    _check_moduli(given)
+    # real_view gave the prefix as floats in (-1, 1); the support guard put
+    # every computed entry there
     return _unchecked(VerblunskySeq, tuple(alpha))
 
 
-def v_from_alpha(vs: VerblunskySeq, n: int | None = None) -> VSeq:
-    """v_k = (1/2)(1 + a_k)(1 - a_{k-1}) for k = 0..n-1 (so v_0 = 1 + a_0)."""
+def v_from_alpha(vs: VerblunskySeq) -> tuple[float, ...]:
+    """v_k = (1/2)(1 + a_k)(1 - a_{k-1}) for every k (so v_0 = 1 + a_0)."""
     alpha = vs.real_view()
-    if n is None:
-        n = len(alpha)
-    if len(alpha) < n:
-        raise InsufficientCoefficients(n, len(alpha), "alpha coefficients")
-    # real_view gives floats, so every v_k is a float
-    return _unchecked(VSeq, tuple([0.5 * (1.0 + a) * (1.0 - prev)
-                                   for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]))
+    return tuple([0.5 * (1.0 + a) * (1.0 - prev) for a, prev in zip(alpha, (-1.0,) + alpha)])
 
 
-def alpha_from_v(v: VSeq, n: int | None = None) -> VerblunskySeq:
+def alpha_from_v(v) -> VerblunskySeq:
     """Invert v_from_alpha: a_k = -1 + 2 v_k / (1 - a_{k-1}), a_{-1} = -1."""
-    vals = v.v
-    if n is None:
-        n = len(vals)
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     prev = -1.0
     alpha = []
     # no pivot guard: 1 - a_{k-1} is 2, or > SUPPORT_TOL > PIVOT_TOL by the support guard
-    for vk in vals[:max(n, 0)]:
+    for vk in v:
         prev = -1.0 + 2.0 * vk / (1.0 - prev)
         if not lo < prev < hi:
             raise SupportViolation(len(alpha), prev)
         alpha.append(prev)
-    if n > len(vals):
-        raise InsufficientCoefficients(len(vals) + 1, len(vals), "v entries")
     # every entry is a float the support guard put inside (-1, 1)
     return _unchecked(VerblunskySeq, tuple(alpha))
 
 
-def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
+def v_from_recurrence(rc: RealRecurrence, n: int) -> tuple[float, ...]:
     """v_0 .. v_{n-1} straight from (b, d) by peeling the continued fraction:
 
         v_{2k} = b_{k+1} + 1 - v_{2k-1},    v_{2k+1} = d_{k+1} / v_{2k}.
@@ -217,8 +182,7 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> VSeq:
         out.append(b[pairs] + 1.0 - v_odd)
         if 2 * pairs + 1 < n:
             raise InsufficientCoefficients(pairs + 1, len(d), "d coefficients")
-    # b and d are floats, so every pivot is a float
-    return _unchecked(VSeq, tuple(out))
+    return tuple(out)
 
 
 class LuCheckResult(Value):
@@ -238,7 +202,7 @@ class LuCheckResult(Value):
         return self.ok
 
 
-def lu_check(rc: RealRecurrence, v: VSeq, n: int) -> LuCheckResult:
+def lu_check(rc: RealRecurrence, v, n: int) -> LuCheckResult:
     """Verify (J + I)_n = L_n U_n entrywise.
 
     L is unit lower bidiagonal with subdiagonal v_1, v_3, v_5, ...; U is
@@ -255,12 +219,12 @@ def lu_check(rc: RealRecurrence, v: VSeq, n: int) -> LuCheckResult:
     cells = []  # (row, col, got, want), row-major
     for i in range(n):
         if i:
-            cells.append((i, i - 1, v.at(2 * i - 1) * v.at(2 * i - 2), rc.d[i - 1]))
-        diag = v.at(2 * i) + v.at(2 * i - 1) if i else v.at(0)
+            cells.append((i, i - 1, v[2 * i - 1] * v[2 * i - 2], rc.d[i - 1]))
+        diag = v[2 * i] + v[2 * i - 1] if i else v[0]
         cells.append((i, i, diag, rc.b[i] + 1.0))
     errs = [abs(got - want) for _, _, got, want in cells]
     mism = tuple(cell for cell, err in zip(cells, errs) if not err <= CHECK_TOL)
-    return LuCheckResult(not mism, max(errs, default=0.0), mism)
+    return LuCheckResult(not mism, max_residual(0.0, *errs), mism)
 
 
 def map_x_to_z(x: Scalar) -> Scalar:

@@ -56,6 +56,12 @@ DEFAULT_TOLS = {
 }
 
 
+def max_residual(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN: max keeps a NaN only when
+    it comes first, and a NaN residual must fail its check."""
+    return float("nan") if any(r != r for r in residuals) else max(residuals)
+
+
 def check_suite(name: str) -> None:
     """Raise UnknownSuite unless `name` is a verify suite."""
     if name not in DEFAULT_TOLS:

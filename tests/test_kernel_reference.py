@@ -10,7 +10,10 @@ reference.  On every drawn input both must give the same repr and the same
 entry types, or raise the same exception class with the same message.  The
 draws include NaN, +-inf, +-0.0, subnormal and negative d, pivots and
 divisors at and next to their guards' bounds, and prefixes of ints,
-complex numbers and out-of-range floats.
+complex numbers and out-of-range floats.  ``invert_from`` now reads its
+prefix first, as ``VerblunskySeq(prefix).real_view()`` does: a prefix that
+read refuses must raise its error, and one it accepts must give what the
+reference gives on the floats it reads.
 """
 
 import math
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from ortho_szego import perturb
 from ortho_szego._value import Value, _unchecked
 from ortho_szego.errors import (
+    ComplexAlpha,
     DivisionDegenerate,
     InsufficientCoefficients,
     OrthoError,
@@ -28,7 +32,7 @@ from ortho_szego.errors import (
 )
 from ortho_szego.oprl import RealRecurrence, oprl_eval
 from ortho_szego.opuc import VerblunskySeq, _check_moduli, opuc_eval
-from ortho_szego.szego import VSeq, geronimus_forward, invert_from, v_from_recurrence
+from ortho_szego.szego import geronimus_forward, invert_from, v_from_recurrence
 from ortho_szego.tolerances import PIVOT_TOL, SUPPORT_TOL
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True)
@@ -94,7 +98,7 @@ def v_from_recurrence_before(rc, n):
         out.append(b[pairs] + 1.0 - v_odd)
         if 2 * pairs + 1 < n:
             raise InsufficientCoefficients(pairs + 1, len(d), "d coefficients")
-    return _unchecked(VSeq, tuple(out))
+    return tuple(out)
 
 
 def symmetric_from_before(d, head, n):
@@ -278,14 +282,23 @@ def test_den2_edges_sit_on_the_bound():
 @EXAMPLES
 @given(st.one_of(inversions(), den2_edges()))
 def test_invert_from(args):
-    _same(invert_from, invert_from_before, *args)
+    rc, prefix, n = args
+    try:
+        read = list(VerblunskySeq(prefix).real_view())
+    except OrthoError as exc:
+        assert _outcome(invert_from, rc, prefix, n) == (type(exc), str(exc)), args
+        return
+    assert _outcome(invert_from, rc, prefix, n) == _outcome(invert_from_before, rc, read, n), args
 
 
 def test_invert_from_keeps_the_complex_prefix_error():
+    # the reference raised a bare TypeError from its loop; the prefix read
+    # names the entry, before the data or n are looked at
     rc = RealRecurrence((0.1, 0.0), (0.25, 0.25))
-    for prefix in ([0.5j], [0.1, 0.5j], [0.5j, 0.1]):
-        got = _same(invert_from, invert_from_before, rc, prefix, 2)
-        assert got[0] is TypeError and "complex" in got[1]
+    for prefix, index in (([0.5j], 0), ([0.1, 0.5j], 1), ([0.5j, 0.1], 0)):
+        for n in (0, 2, 5):
+            assert _outcome(invert_from, rc, prefix, n) == (
+                ComplexAlpha, f"alpha_{index} = 0.5j has nonzero imaginary part")
 
 
 @EXAMPLES
@@ -302,7 +315,7 @@ def test_v_from_recurrence_pivot_bound():
         for d1 in (tol, -tol):
             rc = RealRecurrence((0.0, -1.0), (d1, d2))
             _same(v_from_recurrence, v_from_recurrence_before, rc, 4)
-            assert v_from_recurrence(rc, 4).v[2] == -d1
+            assert v_from_recurrence(rc, 4)[2] == -d1
             rc = RealRecurrence((0.0, -1.0), (math.nextafter(d1, 0.0), d2))
             assert _same(v_from_recurrence, v_from_recurrence_before, rc, 4) == (
                 DivisionDegenerate, "pivot v_2 vanished")

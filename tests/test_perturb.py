@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ortho_szego._value import _unchecked
 from ortho_szego.errors import (
     AlphaOutOfRange,
     ComplexAlpha,
@@ -36,6 +37,7 @@ from ortho_szego.perturb import (
     coprl_apply,
     coprl_verblunsky,
     copuc_apply,
+    max_deviation,
     path_discrepancy_report,
     perturbed_alpha_lu,
     perturbed_v,
@@ -435,28 +437,45 @@ class TestAntiAssociatedCircle:
             antiassoc_opuc_to_recurrence(vs, (0.2,) * k, 2, path=path)
 
 
+def test_max_deviation_keeps_a_nan_wherever_it_comes():
+    # max keeps a NaN only when it comes first
+    want = VerblunskySeq((0.0, 0.0, 0.0))
+    for got in ((math.nan, 0.5, 0.0), (0.5, math.nan, 0.0), (0.0, 0.25, math.nan)):
+        assert math.isnan(max_deviation(_unchecked(VerblunskySeq, got), want))
+    nan_d = _unchecked(RealRecurrence, (0.0, 0.5), (0.25, math.nan))
+    assert math.isnan(max_deviation(nan_d, RealRecurrence((0.0, 0.0), (0.25, 0.25))))
+    assert max_deviation(VerblunskySeq((0.5, -0.25)), VerblunskySeq((0.0, 0.0))) == 0.5
+
+
 class TestPerturbedV:
     def test_pure_corecursive_both_paths_agree(self):
-        # T with tau = 0.1 at k = 1: v~_2 = 0.6, v~_3 = (1/4)/0.6 = 5/12
+        # T with tau = 0.1 at k = 1: v~_2 = 0.6, v~_3 = (1/4)/0.6 = 5/12;
+        # for n <= 0 neither path gives an entry
         rc = chebyshev_t()
-        dv = perturbed_v(rc, 1, 1.0, 0.1, 8)
-        pv = perturbed_v(rc, 1, 1.0, 0.1, 8, path=SHORTCUT)
-        assert dv.at(2) == pytest.approx(0.6, abs=1e-15)
-        assert dv.at(3) == pytest.approx(float(Fraction(5, 12)), rel=1e-14)
-        for j in range(8):
-            assert dv.at(j) == pytest.approx(pv.at(j), rel=1e-12)
+        for n in (-3, -1, 0, 8):
+            dv = perturbed_v(rc, 1, 1.0, 0.1, n)
+            pv = perturbed_v(rc, 1, 1.0, 0.1, n, path=SHORTCUT)
+            assert len(dv) == len(pv) == max(n, 0)
+            assert dv == pytest.approx(pv, rel=1e-12)
+        assert dv[2] == pytest.approx(0.6, abs=1e-15)
+        assert dv[3] == pytest.approx(float(Fraction(5, 12)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_no_coefficients_for_nonpositive_n_on_either_path(self, n):
+        # the shortcut sliced its head from the end: 3 coefficients at n = -1
+        for path in (DEFAULT, SHORTCUT):
+            assert perturbed_alpha_lu(chebyshev_t(8), 2, 1.0, 0.1, n, path=path).alpha == ()
 
     def test_default_path_dilation_fixture(self):
         # T, k=1, lam=1/2: the dilated matrix is the U one, whose pivots are
         # (1, 1/4, 3/4, 1/3, 2/3, 3/8)
         dv = perturbed_v(chebyshev_t(), 1, 0.5, 0.0, 6)
         expect = (1.0, 0.25, 0.75, 1 / 3, 2 / 3, 0.375)
-        for j in range(6):
-            assert dv.at(j) == pytest.approx(expect[j], rel=1e-14)
+        assert dv == pytest.approx(expect, rel=1e-14)
 
     def test_paper_path_fixture_and_discrepancy(self):
         pv = perturbed_v(chebyshev_t(), 1, 0.5, 0.0, 6, path=SHORTCUT)
-        assert pv.at(1) == pytest.approx(0.5, abs=1e-15)  # copied prefix
+        assert pv[1] == pytest.approx(0.5, abs=1e-15)  # copied prefix
         rep = path_discrepancy_report(chebyshev_t(), 1, 0.5, 0.0, 6)
         assert rep is not None and rep.index == 1
         assert rep.default_value == pytest.approx(0.25)

@@ -2,16 +2,19 @@
 that cannot fail."""
 
 import hashlib
+import math
 import random
 import sys
 
 import pytest
 
 from ortho_szego import suites
+from ortho_szego.cli import main
 from ortho_szego.oprl import shift_coefficients
 from ortho_szego.polyhom import homography_apply
 from ortho_szego.spectral import SFunctionHandle, matrix_B_assoc, s_convergent
 from ortho_szego.suites import run_suite, suite_names
+from ortho_szego.tolerances import max_residual
 
 # sha256 of run_suite(name, seed).lines, one line each, for seeds 0-3.  A
 # deliberate change of a suite's output must update its digest and say why.
@@ -54,6 +57,37 @@ def test_closed_form_vs_oracle_residuals_are_nonzero():
                 residuals[name] = float(value)
         assert residuals, report.lines
         assert all(r > 0.0 for r in residuals.values()), (seed, residuals)
+
+
+def _nan_on_call(func, call):
+    """func, except that its call-th call returns NaN."""
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return math.nan if calls == call else func(*args, **kwargs)
+    return patched
+
+
+def test_a_nan_residual_fails_its_property(monkeypatch, capsys):
+    # the third max_deviation call is the third kept co-recursive draw; max
+    # keeps a NaN only when it comes first, so it used to read PASS
+    original = suites.max_deviation
+    monkeypatch.setattr(suites, "max_deviation", _nan_on_call(original, 3))
+    report = run_suite("theorems", 0)
+    assert not report.ok
+    assert [line.split()[:3] for line in report.lines if not line.startswith("PASS")] == [
+        ["FAIL", "theorems.coprl_closed_form_vs_oracle", "max_residual"]]
+    monkeypatch.setattr(suites, "max_deviation", _nan_on_call(original, 3))
+    assert main(["verify", "--suite", "theorems", "--seed", "0"]) == 5
+    assert "FAIL theorems.coprl_closed_form_vs_oracle max_residual nan" in capsys.readouterr().out
+
+
+def test_max_residual_keeps_a_nan_wherever_it_comes():
+    assert max_residual(0.5, 0.25, 1.0) == 1.0
+    for residuals in ((math.nan, 1.0), (1.0, math.nan), (0.0, 2.0, math.nan, 1.0)):
+        assert math.isnan(max_residual(*residuals))
 
 
 def _scaled_bottom_row(build):

@@ -8,6 +8,13 @@ the tests reach is surface to delete.  The two paper corollaries below
 are the exception: they are reproduced formulas of the paper, which
 the test suite checks and no command needs.
 
+Every parameter with a default, of a public def or of a public class's
+``__init__``, must likewise be passed by some call in those files: by
+position, by keyword, or through ``functools.partial``.  An option that no
+program path sets is surface too.  The Chebyshev fixture sizes in
+FIXTURE_OPTIONS are the exception: the program always reads the default
+64 coefficients, and the tests ask for shorter fixtures.
+
 ``_value._unchecked`` builds a value without its constructor's checks.
 Only the kernels in UNCHECKED_SITES may call it, each because its own
 guards already establish what the constructor checks.  Whatever comes from
@@ -17,19 +24,20 @@ list.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 PAPER_FORMULAS = {"antiassoc_order1_cfun_secondkind", "antiassoc_order2_sfun_matrix"}
 
+FIXTURE_OPTIONS = {"oprl.chebyshev_t.n", "oprl.chebyshev_u.n"}
+
 # module.function of every caller of _value._unchecked
 UNCHECKED_SITES = frozenset({
     "szego.geronimus_forward",
     "szego.invert_from",
     "szego.alpha_from_v",
-    "szego.v_from_alpha",
-    "szego.v_from_recurrence",
     "oprl.shift_coefficients",
     "oprl.prepend_coefficients",
     "opuc.shift_verblunsky",
@@ -91,6 +99,71 @@ def test_every_export_has_a_program_path():
     unread = {dotted for dotted, name in defs.items()
               if name not in read and name not in PAPER_FORMULAS}
     assert not unread, f"defined but read by no program path: {sorted(unread)}"
+
+
+def _options(paths) -> dict[str, tuple[str, int | None]]:
+    """module.callee.param -> (callee, position or None if keyword-only) of
+    every defaulted parameter of a public module-level def, of a public
+    class's __init__ (callee: the class) and of its public methods."""
+    options = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(node.name if sub.name == "__init__" else sub.name, sub, 1)
+                        for sub in node.body if isinstance(sub, ast.FunctionDef)
+                        and (sub.name == "__init__" or not sub.name.startswith("_"))]
+            else:
+                continue
+            if node.name.startswith("_"):
+                continue
+            for callee, func, skip in defs:
+                args = func.args
+                positional = (args.posonlyargs + args.args)[skip:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                for arg in defaulted:
+                    options[f"{path.stem}.{callee}.{arg.arg}"] = (callee, positional.index(arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        options[f"{path.stem}.{callee}.{arg.arg}"] = (callee, None)
+    return options
+
+
+def _calls(paths) -> dict[str, list[tuple[int, set[str]]]]:
+    """callee name -> (positional count, keywords) of every call, with
+    functools.partial(f, ...) read as a call of f; a *args counts as every
+    later position and a **kwargs as every keyword."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "partial" and args:
+                func, args = args[0], args[1:]
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((math.inf if starred else len(args), keywords))
+    return calls
+
+
+def test_every_option_has_a_program_caller():
+    modules = sorted((ROOT / "src" / "ortho_szego").glob("*.py"))
+    options = _options(modules)
+    assert FIXTURE_OPTIONS <= set(options)
+    calls = _calls(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    unset = sorted(
+        dotted for dotted, (callee, position) in options.items()
+        if dotted not in FIXTURE_OPTIONS
+        and not any((position is not None and count > position)
+                    or dotted.rsplit(".", 1)[1] in keywords or None in keywords
+                    for count, keywords in calls.get(callee, ())))
+    assert not unset, f"options that no program path passes: {unset}"
 
 
 def _unchecked_uses(path) -> set[str]:

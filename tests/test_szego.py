@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ortho_szego.errors import AlphaOutOfRange, DivisionDegenerate, SupportViolation
+from ortho_szego.errors import AlphaOutOfRange, ComplexAlpha, DivisionDegenerate, SupportViolation
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.szego import (
-    VSeq,
     alpha_from_v,
     check_rel,
     geronimus_forward,
@@ -185,13 +184,12 @@ def test_roundtrip_forward_of_inverse(rng):
 class TestVSequence:
     def test_lebesgue(self):
         v = v_from_alpha(VerblunskySeq((0.0,) * 6))
-        assert v.v == (1.0,) + (0.5,) * 5
+        assert v == (1.0,) + (0.5,) * 5
 
     def test_u_pattern_values(self):
         v = v_from_alpha(u_pattern(6))
         expect = (1.0, 0.25, 0.75, 1 / 3, 2 / 3, 0.375)
-        for k in range(6):
-            assert v.at(k) == pytest.approx(expect[k], rel=1e-15)
+        assert v == pytest.approx(expect, rel=1e-15)
 
     def test_product_and_sum_identities(self, rng):
         # d_{k+1} = v_{2k} v_{2k+1}  and  b_{k+1} + 1 = v_{2k-1} + v_{2k}
@@ -199,12 +197,12 @@ class TestVSequence:
         v = v_from_alpha(vs)
         rc = geronimus_forward(vs, 8)
         for k in range(8):
-            assert v.at(2 * k) * v.at(2 * k + 1) == pytest.approx(rc.d[k], rel=1e-12)
-            assert v.at(2 * k - 1) + v.at(2 * k) == pytest.approx(rc.b[k] + 1, rel=1e-12)
+            assert v[2 * k] * v[2 * k + 1] == pytest.approx(rc.d[k], rel=1e-12)
+            assert (v[2 * k - 1] if k else 0.0) + v[2 * k] == pytest.approx(rc.b[k] + 1, rel=1e-12)
 
     def test_alpha_from_v_examples(self):
-        assert alpha_from_v(VSeq((1.0, 0.5, 0.5, 0.5))).alpha == (0.0,) * 4
-        vs = alpha_from_v(VSeq((1.0, 0.25, 0.75, 1 / 3)))
+        assert alpha_from_v((1.0, 0.5, 0.5, 0.5)).alpha == (0.0,) * 4
+        vs = alpha_from_v((1.0, 0.25, 0.75, 1 / 3))
         expect = (0.0, -0.5, 0.0, -1 / 3)
         for k in range(4):
             assert vs.alpha[k].real == pytest.approx(expect[k], abs=1e-15)
@@ -219,21 +217,18 @@ class TestVSequence:
 
     def test_v_from_recurrence_chebyshev(self):
         vt = v_from_recurrence(chebyshev_t(), 3)
-        assert vt.v == (1.0, 0.5, 0.5)
+        assert vt == (1.0, 0.5, 0.5)
         vu = v_from_recurrence(chebyshev_u(), 4)
-        assert vu.at(0) == 1.0
-        assert vu.at(1) == 0.25
-        assert vu.at(2) == 0.75
-        assert vu.at(3) == pytest.approx(1 / 3, rel=1e-15)
+        assert vu[:3] == (1.0, 0.25, 0.75)
+        assert vu[3] == pytest.approx(1 / 3, rel=1e-15)
 
     def test_v_path_independence(self, rng):
         for _ in range(20):
             vs = random_alpha(rng, 12)
             rc = geronimus_forward(vs, 6)
             via_cf = v_from_recurrence(rc, 12)
-            via_alpha = v_from_alpha(vs, 12)
-            for k in range(12):
-                assert via_cf.at(k) == pytest.approx(via_alpha.at(k), rel=1e-11, abs=1e-11)
+            via_alpha = v_from_alpha(vs)
+            assert via_cf == pytest.approx(via_alpha, rel=1e-11, abs=1e-11)
 
     def test_division_degenerate(self):
         rc = RealRecurrence((-1.0, 0.0), (0.25, 0.25))  # b_1 + 1 = 0 pivot
@@ -270,7 +265,7 @@ class TestNanInput:
     def test_alpha_from_v_raises_at_first_coefficient(self):
         for v, index in (((math.nan, 1.0), 0), ((1.0, 0.5, math.nan, 1.0), 2)):
             with pytest.raises(SupportViolation) as exc:
-                alpha_from_v(VSeq(v))
+                alpha_from_v(v)
             assert exc.value.index == index and math.isnan(exc.value.value)
 
     @pytest.mark.parametrize("prefix, index", [((0.1, 0.2), 2), ((0.1, 0.2, 0.3), 4)])
@@ -314,10 +309,11 @@ class TestPrefixPivotGuard:
 
 
 class TestPrefixCheck:
-    """A prefix is checked once, after the loop: an error of the loop comes
-    first, then AlphaOutOfRange names the first prefix entry of modulus
-    >= 1 (or NaN).  A prefix that is not all floats goes through the
-    VerblunskySeq constructor, whose storage rule makes every entry complex."""
+    """A prefix is read once, first, as VerblunskySeq(prefix).real_view()
+    reads it: AlphaOutOfRange names the first entry of modulus >= 1 (or
+    NaN) and ComplexAlpha the first with a nonzero imaginary part, whatever
+    n is and whatever the loop would have met.  An accepted prefix enters
+    the result as floats, whatever types its entries had."""
 
     RC = RealRecurrence((0.0, 0.1, -0.05), (0.25, 0.2, 0.22))
     NEAR_ONE = Fraction(10**20 - 1, 10**20)  # modulus 1.0 once stored as a complex
@@ -329,10 +325,9 @@ class TestPrefixCheck:
         ((0.1, -1.0), 1, AlphaOutOfRange, "|alpha_1| = 1.0 >= 1"),
         ((0.1, 0.2, 0.3, 0.4, 1.0), 2, AlphaOutOfRange, "|alpha_4| = 1.0 >= 1"),
         ((NEAR_ONE, 0.2), 1, AlphaOutOfRange, "|alpha_0| = 1.0 >= 1"),
-        ((0.1, 0.2, 1.5), 2, SupportViolation, "coefficient at index 3 left (-1, 1): -1.8"),
-        ((1.5, 0.2), 2, SupportViolation,
-         "coefficient at index 2 left (-1, 1): 2.4999999999999996"),
-        ((0.5, 0.2, 1.0), 2, DivisionDegenerate, "(1 - a_1)(1 - a_2^2) vanished"),
+        ((0.1, 0.2, 1.5), 2, AlphaOutOfRange, "|alpha_2| = 1.5 >= 1"),
+        ((1.5, 0.2), 2, AlphaOutOfRange, "|alpha_0| = 1.5 >= 1"),
+        ((0.5, 0.2, 1.0), 2, AlphaOutOfRange, "|alpha_2| = 1.0 >= 1"),
     ])
     def test_bad_prefix(self, prefix, n, exc, message):
         for given in (prefix, iter(prefix)):
@@ -340,10 +335,24 @@ class TestPrefixCheck:
                 invert_from(self.RC, given, n)
             assert type(info.value) is exc and str(info.value) == message
 
-    def test_prefix_not_all_floats_gives_complex_storage(self):
-        got = invert_from(self.RC, (0, 0.2), 2)
-        assert got.alpha == (0, 0.2, 0.25, 0.06666666666666665)
-        assert list(map(type, got.alpha)) == [complex] * 4
+    @pytest.mark.parametrize("prefix, exc, message", [
+        ((0.0, 1.5), AlphaOutOfRange, "|alpha_1| = 1.5 >= 1"),
+        ((0.5j,), ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
+        ((0.1, 0.2 + 1e-300j), ComplexAlpha, "alpha_1 = (0.2+1e-300j) has nonzero imaginary part"),
+    ], ids=["out_of_range", "complex", "barely_complex"])
+    def test_the_error_does_not_depend_on_n(self, prefix, exc, message):
+        # the loop would meet a_3 = -3.0 at n = 3, and n = 5 is beyond the data
+        rc = RealRecurrence((0.1, 0.0, 0.05), (0.25, 0.25, 0.2))
+        for n in (-1, 0, 1, 2, 3, 5):
+            with pytest.raises(exc) as info:
+                invert_from(rc, prefix, n)
+            assert type(info.value) is exc and str(info.value) == message
+
+    def test_prefix_not_all_floats_gives_float_storage(self):
+        for prefix in ((0, 0.2), (0j, 0.2 + 0j), (Fraction(0), 0.2)):
+            got = invert_from(self.RC, prefix, 2)
+            assert got.alpha == (0.0, 0.2, 0.25, 0.06666666666666665)
+            assert list(map(type, got.alpha)) == [float] * 4
 
     def test_float_prefix_gives_float_storage(self):
         got = invert_from(self.RC, iter((0.0, 0.2)), 2)
@@ -380,18 +389,26 @@ class TestLuCheck:
 
     def test_detects_corruption(self):
         rc = chebyshev_t()
-        clean = v_from_recurrence(rc, 8).v
+        clean = v_from_recurrence(rc, 8)
         # v_3 enters (L U)_{2,1} = v_3 v_2 and (L U)_{2,2} = v_4 + v_3;
         # v_6 enters only the last diagonal entry (L U)_{3,3} = v_6 + v_5
         for k, cells in ((3, [(2, 1), (2, 2)]), (6, [(3, 3)])):
             v = list(clean)
             v[k] += 1e-3
-            res = lu_check(rc, VSeq(tuple(v)), 4)
+            res = lu_check(rc, tuple(v), 4)
             assert not res
             assert [(row, col) for row, col, *_ in res.mismatches] == cells
             row, col, got, want = res.mismatches[-1]
             assert want == 1.0 and got - want == pytest.approx(1e-3, rel=1e-9)
             assert res.max_abs_error == pytest.approx(1e-3, rel=1e-9)
+
+
+    def test_nan_pivot_is_the_worst_error(self):
+        # max keeps a NaN only when it comes first; the NaN cell is the last
+        v = v_from_recurrence(chebyshev_t(), 8)[:6] + (math.nan,)
+        res = lu_check(chebyshev_t(), v, 4)
+        assert not res and math.isnan(res.max_abs_error)
+        assert [(row, col) for row, col, *_ in res.mismatches] == [(3, 3)]
 
 
 class TestConformalMaps:
@@ -473,7 +490,7 @@ class TestLoopErrors:
     def test_alpha_from_v_index(self):
         # v_3 = 1 sends a_3 to 1 after a_0 = a_1 = a_2 = 0
         with pytest.raises(SupportViolation) as info:
-            alpha_from_v(VSeq((1.0, 0.5, 0.5, 1.0, 0.5)))
+            alpha_from_v((1.0, 0.5, 0.5, 1.0, 0.5))
         assert info.value.index == 3 and info.value.value == 1.0
 
 
@@ -490,7 +507,3 @@ class TestShortN:
     ])
     def test_invert_from(self, prefix, n):
         assert invert_from(self.RC, prefix, n).alpha == prefix
-
-    @pytest.mark.parametrize("n", [-2, -1, 0])
-    def test_alpha_from_v(self, n):
-        assert alpha_from_v(VSeq((0.5, 1.0, math.nan)), n).alpha == ()

@@ -19,7 +19,6 @@ from ortho_szego.errors import NonPositiveD, OrthoError
 from ortho_szego.oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from ortho_szego.opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from ortho_szego.szego import (
-    VSeq,
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
@@ -74,11 +73,22 @@ def _xi(rng):
 
 
 def _invert_args(rng):
-    """Line data and a float prefix of its own inversion, often empty."""
+    """Line data and a prefix of its own inversion, often empty, of floats
+    or (about one time in three) of complex numbers."""
     rc = _line(rng)
     n = _n(rng, 9)
     alpha = geronimus_inverse(rc, len(rc)).alpha
-    return rc, alpha[:rng.choice((0, rng.randint(0, len(alpha))))], n
+    prefix = alpha[:rng.choice((0, rng.randint(0, len(alpha))))]
+    if rng.random() < 0.3:
+        prefix = tuple(map(complex, prefix))
+    return rc, prefix, n
+
+
+def _pivots(rng):
+    """Pivots of real data, as floats or (about one time in three) as
+    Fractions, which a library caller may pass."""
+    v = v_from_alpha(_real_circle(rng))
+    return tuple(map(Fraction, v)) if rng.random() < 0.3 else v
 
 
 def _copuc_args(rng):
@@ -165,14 +175,8 @@ SITES = {
         lambda rng: (invert_from, _invert_args(rng)),
         lambda out, args: _real_seq(out)),
     "szego.alpha_from_v": (
-        lambda rng: (alpha_from_v, (v_from_alpha(_real_circle(rng)), rng.choice((None, 0, -1)))),
+        lambda rng: (alpha_from_v, (_pivots(rng),)),
         lambda out, args: _real_seq(out)),
-    "szego.v_from_alpha": (
-        lambda rng: (v_from_alpha, (_real_circle(rng), rng.choice((None, 0, -1)))),
-        lambda out, args: _rebuilt(out)),
-    "szego.v_from_recurrence": (
-        lambda rng: (v_from_recurrence, (_line(rng), _n(rng, 16))),
-        lambda out, args: _rebuilt(out)),
     "oprl.shift_coefficients": (
         lambda rng: (shift_coefficients, (_line(rng), rng.randint(0, 2))),
         lambda out, args: RealRecurrence(list(args[0].b)[args[1]:], list(args[0].d)[args[1]:])),
@@ -255,9 +259,7 @@ def test_edge_cases():
         (geronimus_forward(VerblunskySeq((0.5, 0.25)), -1), RealRecurrence([], [])),
         (geronimus_inverse(empty_line, 0), VerblunskySeq([])),
         (geronimus_inverse(empty_line, -2), VerblunskySeq([])),
-        (v_from_recurrence(empty_line, 0), VSeq([])),
-        (alpha_from_v(VSeq(()), -1), VerblunskySeq([])),
-        (v_from_alpha(VerblunskySeq(()), 0), VSeq([])),
+        (alpha_from_v(()), VerblunskySeq([])),
         (shift_coefficients(empty_line, 0), RealRecurrence([], [])),
         (prepend_coefficients(empty_line, [1], [2]), RealRecurrence([1.0], [2.0])),
         (shift_verblunsky(complex_data, 1), VerblunskySeq([0.5 + 0j, -0.5 + 0.1j])),
@@ -269,6 +271,7 @@ def test_edge_cases():
     ]
     for value, want in checks:
         _assert_same_value(value, want)
+    assert v_from_recurrence(empty_line, 0) == v_from_alpha(VerblunskySeq(())) == ()
     # a complex slice stays complex, a float slice stays float
     assert type(shift_verblunsky(complex_data, 1).alpha[0]) is complex
     assert type(shift_verblunsky(VerblunskySeq((0.5, -0.25)), 1).alpha[0]) is float

@@ -19,7 +19,7 @@ from ortho_szego.perturb import (
     Sieve,
 )
 from ortho_szego.spectral import CFunctionHandle, SFunctionHandle
-from ortho_szego.szego import LuCheckResult, VSeq
+from ortho_szego.szego import LuCheckResult
 
 # (factory, repr); each factory call builds a fresh, equal value
 VALUES = [
@@ -27,8 +27,6 @@ VALUES = [
      "RealRecurrence(b=(0.0, 0.5), d=(0.5, 0.25))"),
     (lambda: VerblunskySeq((0.25, 0.5j)),
      "VerblunskySeq(alpha=((0.25+0j), 0.5j))"),
-    (lambda: VSeq((1, 0.5)),
-     "VSeq(v=(1.0, 0.5))"),
     (lambda: LuCheckResult(False, 0.25, ((1, 0, 0.5, 0.25),)),
      "LuCheckResult(ok=False, max_abs_error=0.25, mismatches=((1, 0, 0.5, 0.25),))"),
     (lambda: SFunctionHandle(RealRecurrence((0, 0), (0.5, 0.25)), 2),
