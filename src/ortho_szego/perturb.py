@@ -32,8 +32,6 @@ choice.  Both paths check the same perturbation specs, and
 
 from __future__ import annotations
 
-import cmath
-import math
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -50,6 +48,7 @@ from .errors import (
 )
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
+from .serialize import _complex, _integer, _list, _real
 from .szego import (
     _alpha_conv,
     _emit_checked,
@@ -672,59 +671,17 @@ class SpecKind(Value):
         object.__setattr__(self, "paths", paths)
 
 
-def _real_from_obj(value) -> float:
-    """A spec field as a float.  Only a JSON number is accepted: a string
-    or a boolean is a malformed field, not a number to convert.  NaN and
-    infinity are rejected too: no guard downstream catches every one of
-    them, and the output file would not be valid JSON.  spec_from_obj
-    turns the TypeError into a one-line "malformed field" error (exit 1)."""
-    if type(value) not in (int, float):  # json gives bool for true/false
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise TypeError("number too large for a float") from None
-    if not math.isfinite(x):
-        raise TypeError(f"non-finite number {value!r}")
-    return x
-
-
-def _int_from_obj(value) -> int:
-    """A spec field as an int: a JSON integer, or a number with no
-    fractional part (2.0 reads as 2, 2.7 is a malformed field)."""
-    if type(value) is int:
-        return value
-    x = _real_from_obj(value)
-    if not x.is_integer():
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(x)
-
-
-def _complex_from_obj(value) -> complex:
-    try:
-        if type(value) in (int, float):
-            z = complex(value)
-        elif (isinstance(value, list) and len(value) == 2
-              and type(value[0]) in (int, float) and type(value[1]) in (int, float)):
-            z = complex(value[0], value[1])
-        else:
-            raise TypeError(f"expected a number or [re, im] pair, got {value!r}")
-    except OverflowError:
-        raise TypeError("number too large for a float") from None
-    if not cmath.isfinite(z):
-        raise TypeError(f"non-finite number {value!r}")
-    return z
-
-
 def _co_window(rc: RealRecurrence, k: int) -> int:
     return min(len(rc), max(k + 2, 8))
 
 
 def _antiassoc_from_obj(obj: dict) -> AntiAssociated:
-    if "xi" in obj:
-        return AntiAssociated(xi=tuple(_complex_from_obj(x) for x in obj["xi"]))
-    return AntiAssociated(pre_b=tuple(_real_from_obj(x) for x in obj.get("pre_b", ())),
-                          pre_d=tuple(_real_from_obj(x) for x in obj.get("pre_d", ())))
+    if "xi" not in obj:
+        return AntiAssociated(pre_b=_list(obj.get("pre_b", []), _real),
+                              pre_d=_list(obj.get("pre_d", []), _real))
+    if "pre_b" in obj or "pre_d" in obj:
+        raise TypeError("xi cannot be given with pre_b/pre_d")
+    return AntiAssociated(xi=_list(obj["xi"], _complex))
 
 
 def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
@@ -748,21 +705,21 @@ def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
 
 SPECS: dict[str, SpecKind] = {
     CoDilated.kind: SpecKind(
-        read=lambda obj: CoDilated(_int_from_obj(obj["k"]), _real_from_obj(obj["lambda"])),
+        read=lambda obj: CoDilated(_integer(obj["k"]), _real(obj["lambda"])),
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}),
     CoRecursive.kind: SpecKind(
-        read=lambda obj: CoRecursive(_int_from_obj(obj["k"]), _real_from_obj(obj["tau"])),
+        read=lambda obj: CoRecursive(_integer(obj["k"]), _real(obj["tau"])),
         apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
         paths={"line": lambda rc, spec: (spec.k, partial(
             coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}),
     KModification.kind: SpecKind(
-        read=lambda obj: KModification(_int_from_obj(obj["k"]), _complex_from_obj(obj["eta"])),
+        read=lambda obj: KModification(_integer(obj["k"]), _complex(obj["eta"])),
         apply={"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)},
         paths={}),
     Associated.kind: SpecKind(
-        read=lambda obj: Associated(_int_from_obj(obj["k"])),
+        read=lambda obj: Associated(_integer(obj["k"])),
         apply={"line": lambda rc, spec: shift_coefficients(rc, spec.k),
                "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)},
         paths={"line": lambda rc, spec: (spec.k, partial(
@@ -776,7 +733,7 @@ SPECS: dict[str, SpecKind] = {
                    antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
                "circle": _antiassoc_circle_paths}),
     Sieve.kind: SpecKind(
-        read=lambda obj: Sieve(_int_from_obj(obj["ell"])),
+        read=lambda obj: Sieve(_integer(obj["ell"])),
         apply={"circle": lambda vs, spec: sieve(vs, spec.ell)},
         paths={}),
 }

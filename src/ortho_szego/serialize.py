@@ -1,4 +1,5 @@
-"""Coefficient and perturbation file formats.
+"""Coefficient and perturbation file formats, and the one rule by which
+either kind of file brings in a number.
 
 Coefficient files are structured text objects with every float rendered
 at 17 significant digits, which round-trips IEEE doubles exactly and
@@ -8,7 +9,13 @@ keeps files diffable; the key tells the two kinds apart:
     { "alpha": [[re, im], ...] }       circle coefficients
 
 Perturbation files are read only: a tagged object, e.g.
-{ "kind": "co_dilated", "k": 1, "lambda": 0.5 }, or a list of them.
+{ "kind": "co_dilated", "k": 1, "lambda": 0.5 }, or a list of them, each
+read by its kind's ``perturb.SPECS`` entry through the readers below.
+
+Every JSON number of either file goes through ``_real``, which refuses a
+bool, a string, NaN, an infinity and an integer past the float range with
+a TypeError that the file's reader reports in one line: a NaN passes every
+``abs(x) >= bound`` guard downstream.
 """
 
 from __future__ import annotations
@@ -56,25 +63,52 @@ def dumps_coefficients(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _finite_list(values) -> tuple[float, ...]:
-    """A JSON list of finite numbers, as floats."""
-    if not isinstance(values, list):
-        raise TypeError(f"expected a list, got {values!r}")
-    for x in values:
-        if type(x) not in (int, float):  # json gives bool for true/false
-            raise TypeError(f"expected a number, got {x!r}")
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite entry {x!r}")
-    return tuple(float(x) for x in values)
+def _real(x) -> float:
+    """A JSON number as a finite float."""
+    if type(x) not in (int, float):  # json gives bool for true/false
+        raise TypeError(f"expected a number, got {x!r}")
+    try:
+        y = float(x)
+    except OverflowError:  # a JSON integer past the float range
+        raise TypeError("number too large for a float") from None
+    if not math.isfinite(y):
+        raise TypeError(f"non-finite number {x!r}")
+    return y
+
+
+def _integer(x) -> int:
+    """An index field: a JSON integer, or a number with no fractional part
+    (2.0 reads as 2, 2.7 is refused)."""
+    if type(x) is not int and not _real(x).is_integer():
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _pair(x) -> complex:
+    """A ``[re, im]`` pair of numbers whose modulus is a float."""
+    if type(x) is not list or len(x) != 2:
+        raise TypeError(f"expected a [re, im] pair, got {x!r}")
+    re, im = _real(x[0]), _real(x[1])
+    if math.hypot(re, im) == math.inf:  # every check of |z| would overflow
+        raise TypeError(f"modulus too large for a float: {x!r}")
+    return complex(re, im)
+
+
+def _complex(x) -> complex:
+    """A number or a ``[re, im]`` pair, as a complex."""
+    return _pair(x) if type(x) is list else complex(_real(x))
+
+
+def _list(x, read) -> tuple:
+    """A JSON list, each entry through ``read``."""
+    if type(x) is not list:
+        raise TypeError(f"expected a list, got {x!r}")
+    return tuple([read(v) for v in x])
 
 
 def loads_coefficients(text: str):
-    """Parse either coefficient object, detected by key.
-
-    Every entry must be a finite number (an alpha entry a [re, im] pair of
-    them): the value classes do not check finiteness, and a NaN passes
-    every ``abs(x) >= bound`` guard downstream.
-    """
+    """Parse either coefficient object, detected by key; an object that
+    holds both kinds' keys is refused."""
     try:
         data = json.loads(text)
     except _JSON_ERRORS as exc:
@@ -83,38 +117,20 @@ def loads_coefficients(text: str):
         raise OrthoError("coefficient file must hold a single object")
     try:
         if "alpha" in data:
-            pairs = [_finite_list(pair) for pair in data["alpha"]]
-            return VerblunskySeq(tuple(complex(re, im) for re, im in pairs))
+            if "b" in data or "d" in data:
+                raise TypeError("alpha cannot be given with b/d")
+            return VerblunskySeq(_list(data["alpha"], _pair))
         if "b" in data and "d" in data:
-            return RealRecurrence(_finite_list(data["b"]), _finite_list(data["d"]))
-    except (ValueError, TypeError, OverflowError) as exc:
+            return RealRecurrence(_list(data["b"], _real), _list(data["d"], _real))
+    except TypeError as exc:
         raise OrthoError(f"malformed coefficient file: {exc}") from exc
     raise OrthoError(f"unrecognized coefficient keys: {sorted(data)}")
 
 
-def spec_from_obj(obj: dict, position: int = 0):
-    """One tagged perturbation object -> its spec value.
-
-    ``position`` is the entry's index in its file, named in the error for a
-    non-object or a missing or mistyped field.
-    """
-    if not isinstance(obj, dict):
-        raise OrthoError(f"perturbation entry {position} must be an object, got {obj!r}")
-    # imported on use: only perturb reads specs, and it needs the module anyway
-    from .perturb import SPECS
-
-    kind = obj.get("kind")
-    entry = SPECS.get(kind) if isinstance(kind, str) else None
-    if entry is None:
-        raise OrthoError(f"unknown perturbation kind: {kind!r}")
-    try:
-        return entry.read(obj)
-    except (KeyError, TypeError) as exc:
-        raise OrthoError(f"perturbation entry {position} ({kind}): "
-                         f"missing or malformed field: {exc}") from exc
-
-
 def specs_from_text(text: str) -> list:
+    """The specs of a perturbation file, in order.  An error names the
+    entry's position in the file for a non-object or a missing or mistyped
+    field."""
     try:
         data = json.loads(text)
     except _JSON_ERRORS as exc:
@@ -123,4 +139,21 @@ def specs_from_text(text: str) -> list:
         data = [data]
     if not isinstance(data, list):
         raise OrthoError("perturbation file must hold an object or a list")
-    return [spec_from_obj(obj, i) for i, obj in enumerate(data)]
+    # imported on use: perturb imports this module's readers, and the
+    # coefficient commands never load it
+    from .perturb import SPECS
+
+    specs = []
+    for position, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise OrthoError(f"perturbation entry {position} must be an object, got {obj!r}")
+        kind = obj.get("kind")
+        entry = SPECS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise OrthoError(f"unknown perturbation kind: {kind!r}")
+        try:
+            specs.append(entry.read(obj))
+        except (KeyError, TypeError) as exc:
+            raise OrthoError(f"perturbation entry {position} ({kind}): "
+                             f"missing or malformed field: {exc}") from exc
+    return specs

@@ -52,7 +52,13 @@ class TestSerialization:
          "perturbation entry 0 (co_dilated): missing or malformed field: 'k'"),
         ('[{"kind": "anti_associated", "xi": 3}]',
          "perturbation entry 0 (anti_associated): missing or malformed field: "
-         "'int' object is not iterable"),
+         "expected a list, got 3"),
+        ('[{"kind": "k_modification", "k": 1, "eta": [1.7e308, 1.7e308]}]',
+         "perturbation entry 0 (k_modification): missing or malformed field: "
+         "modulus too large for a float: [1.7e+308, 1.7e+308]"),
+        ('[{"kind": "anti_associated", "xi": {}}]',
+         "perturbation entry 0 (anti_associated): missing or malformed field: "
+         "expected a list, got {}"),
         ('[{"kind": "co_dilated", "k": 1, "lambda": 1' + "0" * 400 + '}]',
          "perturbation entry 0 (co_dilated): missing or malformed field: "
          "number too large for a float"),
@@ -66,15 +72,19 @@ class TestSerialization:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
-        ('{"b": [0.1, 0.2], "d": [NaN, 0.2]}', "non-finite entry nan"),
-        ('{"b": [0.1, 0.2], "d": [0.3, -Infinity]}', "non-finite entry -inf"),
-        ('{"b": [0.1, 1e999], "d": [0.3, 0.2]}', "non-finite entry inf"),
-        ('{"alpha": [[0.1, NaN]]}', "non-finite entry nan"),
+        ('{"b": [0.1, 0.2], "d": [NaN, 0.2]}', "non-finite number nan"),
+        ('{"b": [0.1, 0.2], "d": [0.3, -Infinity]}', "non-finite number -inf"),
+        ('{"b": [0.1, 1e999], "d": [0.3, 0.2]}', "non-finite number inf"),
+        ('{"alpha": [[0.1, NaN]]}', "non-finite number nan"),
         ('{"b": [0.1, "x"], "d": [0.3, 0.2]}', "expected a number, got 'x'"),
         ('{"b": [0.1, true], "d": [0.3, 0.2]}', "expected a number, got True"),
         ('{"b": 0.1, "d": [0.3]}', "expected a list, got 0.1"),
-        ('{"alpha": [[0.1, 0], [0.2]]}', "not enough values to unpack (expected 2, got 1)"),
-        ('{"alpha": [0.1]}', "expected a list, got 0.1"),
+        ('{"alpha": [[0.1, 0], [0.2]]}', "expected a [re, im] pair, got [0.2]"),
+        ('{"alpha": [0.1]}', "expected a [re, im] pair, got 0.1"),
+        ('{"alpha": [[1.7e308, 1.7e308]]}',
+         "modulus too large for a float: [1.7e+308, 1.7e+308]"),
+        ('{"alpha": [[0.1, 0], [0.2, 0]], "b": [0.5], "d": [0.3]}',
+         "alpha cannot be given with b/d"),
     ])
     def test_loader_rejects_malformed_entries(self, text, message):
         with pytest.raises(OrthoError) as info:
@@ -333,15 +343,30 @@ class TestPerturbCommand:
                                            f"malformed field: {message}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("eta", ["true", '"0.5"', '["0.1", 0]'])
-    def test_non_number_eta_exit1(self, zfile, tmp_path, capsys, eta):
+    @pytest.mark.parametrize("eta, bad", [("true", True), ('"0.5"', "0.5"), ('["0.1", 0]', "0.1")],
+                             ids=["true", '"0.5"', '["0.1", 0]'])
+    def test_non_number_eta_exit1(self, zfile, tmp_path, capsys, eta, bad):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"kind": "k_modification", "k": 0, "eta": %s}' % eta)
         assert main(["perturb", "--in", zfile, "--spec", str(spec_file),
                      "--side", "circle"]) == 1
         assert capsys.readouterr().err == (
             "perturbation entry 0 (k_modification): missing or malformed field: "
-            f"expected a number or [re, im] pair, got {json.loads(eta)!r}\n")
+            f"expected a number, got {bad!r}\n")
+
+    @pytest.mark.parametrize("side", ["line", "circle"])
+    @pytest.mark.parametrize("fields", ['"pre_b": [0.2], "pre_d": [0.2]', '"pre_d": [0.2]'])
+    def test_xi_with_line_fields_exit1(self, tfile, zfile, tmp_path, capsys, side, fields):
+        # the circle side prepended xi alone (exit 0), the line side exited 3
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"kind": "anti_associated", "xi": [0.1], %s}' % fields)
+        out = tmp_path / "out.json"
+        assert main(["perturb", "--in", tfile if side == "line" else zfile,
+                     "--spec", str(spec_file), "--side", side, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "perturbation entry 0 (anti_associated): missing or malformed field: "
+            "xi cannot be given with pre_b/pre_d\n")
+        assert not out.exists()
 
     def test_pipeline_order(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortho_szego.cli import main
-from ortho_szego.errors import OrthoError
+from ortho_szego.errors import InvalidEta, OrthoError
 from ortho_szego.oprl import RealRecurrence, chebyshev_t
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import SPECS
@@ -125,6 +125,35 @@ def test_specs_from_text_returns_specs_or_a_mapped_error(text):
     except (OrthoError, ValueError):
         return
     assert all(spec.kind in SPECS for spec in specs)
+
+
+def _refusal(read, text: str, prefix: str):
+    """The message after the file kind's prefix when ``read`` refuses a
+    number in ``text``, None when it reads it."""
+    try:
+        read(text)
+    except InvalidEta:  # the eta bound, checked on the number once read
+        return None
+    except OrthoError as exc:
+        assert str(exc).startswith(prefix), exc
+        return str(exc)[len(prefix):]
+    return None
+
+
+@FUZZ
+@given(SCALARS)
+def test_one_number_rule_in_both_file_kinds(x):
+    # the same scalar as a b entry of a line file, a tau field and the real
+    # part of an eta pair
+    verdicts = {
+        _refusal(loads_coefficients, json.dumps({"b": [x, 0.1], "d": [0.3, 0.2]}),
+                 "malformed coefficient file: "),
+        _refusal(specs_from_text, json.dumps({"kind": "co_recursive", "k": 0, "tau": x}),
+                 "perturbation entry 0 (co_recursive): missing or malformed field: "),
+        _refusal(specs_from_text, json.dumps({"kind": "k_modification", "k": 0, "eta": [x, 0]}),
+                 "perturbation entry 0 (k_modification): missing or malformed field: "),
+    }
+    assert len(verdicts) == 1, verdicts
 
 
 NUMBER_ARGS = st.sampled_from(["0", "-3", "1", "2", "5", "40", "99999999999", "abc"])

@@ -63,10 +63,8 @@ UNCHECKED_SITES = frozenset({
     "perturb.sieved_kmod_recurrence",
 })
 
-# The readers of outside input: whole modules, and the spec field readers.
+# The readers of outside input: every JSON number passes through serialize.
 INPUT_MODULES = ("serialize", "cli")
-SPEC_READERS = {"perturb._real_from_obj", "perturb._int_from_obj",
-                "perturb._complex_from_obj", "perturb._antiassoc_from_obj"}
 
 
 def _public_defs(paths) -> dict[str, str]:
@@ -202,7 +200,23 @@ def test_only_the_listed_kernels_skip_the_constructor_checks():
 def test_no_reader_of_outside_input_is_allowlisted():
     for site in UNCHECKED_SITES:
         assert site.split(".")[0] not in INPUT_MODULES, site
-        assert site not in SPEC_READERS, site
+
+
+def test_only_serialize_reads_json():
+    # one module owns the file formats and the number rule; a second json
+    # reader would bring in numbers under rules of its own
+    readers = []
+    for path in sorted((ROOT / "src" / "ortho_szego").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                readers.append(path.stem)
+    assert readers == ["serialize"], readers
 
 
 def test_no_list_is_extended_with_a_tuple_display():
