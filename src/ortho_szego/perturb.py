@@ -32,13 +32,11 @@ choice.  Both paths check the same perturbation specs, and
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 from functools import partial
 
 from ._value import Value, _unchecked
 from .errors import (
-    DivisionDegenerate,
     InsufficientCoefficients,
     InvalidEta,
     NonPositiveD,
@@ -52,6 +50,8 @@ from .serialize import _complex, _integer, _list, _real
 from .szego import (
     _alpha_conv,
     _emit_checked,
+    _peel_error,
+    _peel_from,
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
@@ -59,7 +59,7 @@ from .szego import (
     v_from_alpha,
     v_from_recurrence,
 )
-from .tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL, max_residual
+from .tolerances import DISCREPANCY_TOL, SUPPORT_TOL, max_residual
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -434,36 +434,27 @@ class PathDiscrepancy(Value):
 
 def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
                 path: str = DEFAULT) -> tuple[float, ...]:
-    """Pivot sequence after d_k -> lam d_k, b_{k+1} -> b_{k+1} + tau.
+    """Pivot sequence v~_0 .. v~_{n-1} after d_k -> lam d_k, b_{k+1} -> b_{k+1} + tau.
 
     "default" peels the continued fraction of the genuinely perturbed
     coefficients (always consistent with the LU factorization).  "shortcut"
-    applies the closed-form pivot update: copy v_0..v_{2k-1}, set
-    v~_{2k} = v_{2k} + (1 - lam) v_{2k-1} + tau, then continue the
-    two-term tail recursion.  It peels only the unperturbed head
-    v_0..v_{2k} it reads.  Both paths build the same CoDilated/CoRecursive
-    specs, so both refuse the same (k, lam, tau).  For lam != 1 the copied
-    prefix disagrees with the perturbed LU data at index 2k-1; see
-    path_discrepancy_report.
+    applies the paper's pivot update to the unperturbed peel: it peels the
+    head v_0..v_{2k}, sets v~_{2k} = v_{2k} + (1 - lam) v_{2k-1} + tau and
+    continues the same peel (szego._peel_from) from there.  Both paths build
+    the same CoDilated/CoRecursive specs, so both refuse the same
+    (k, lam, tau), and for n <= 0 both give () after the default path's
+    data checks.  For lam != 1 the copied prefix disagrees with the
+    perturbed LU data at index 2k-1; see path_discrepancy_report.
     """
     if path not in (DEFAULT, SHORTCUT):
         raise ValueError(f"path must be {DEFAULT!r} or {SHORTCUT!r}, got {path!r}")
     specs = _co_specs(k, lam, tau)
-    if path == DEFAULT:
+    if path == DEFAULT or n <= 0:
         return v_from_recurrence(coprl_apply(rc, specs), n)
-    head = v_from_recurrence(rc, 2 * k + 1)
-    out = list(head[:min(2 * k, max(n, 0))])  # max: no slice from the end
-    if 2 * k < n:
-        out.append(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
-    for j in range(2 * k + 1, n):
-        if j % 2 == 1:
-            dm, v = rc.d_at((j + 1) // 2), out[j - 1]
-            if not abs(v) >= PIVOT_TOL * (1.0 + abs(dm)):
-                raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
-            out.append(dm / v)
-        else:
-            out.append(rc.b_at(j // 2 + 1) + 1.0 - out[j - 1])
-    return tuple(map(float, out))
+    head = list(v_from_recurrence(rc, 2 * k + 1))
+    if 2 * k < n:  # float(): a complex tau is a TypeError, not a complex pivot
+        head[2 * k] = float(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
+    return _peel_from(rc, head, n)
 
 
 def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
@@ -477,24 +468,6 @@ def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: in
     + tau; it agrees with "default" when lam = 1.
     """
     return alpha_from_v(perturbed_v(rc, k, lam, tau, 2 * n, path))
-
-
-def _peel_error(b, v) -> list[float]:
-    """Running first-order forward-error bound of each pivot of the peel
-    v_{2j} = b_{j+1} + 1 - v_{2j-1}, v_{2j+1} = d_{j+1} / v_{2j}: an even
-    pivot adds u (|b_{j+1}| + 1 + |v_{2j-1}|) of absolute error, an odd one
-    carries the relative error e_{2j} / |v_{2j}| + u."""
-    u = sys.float_info.epsilon / 2
-    out: list[float] = []
-    prev_v = prev_e = 0.0
-    for j, vj in enumerate(v):
-        if j % 2 == 0:
-            e = prev_e + u * (abs(b[j // 2]) + 1.0 + abs(prev_v))
-        else:
-            e = abs(vj) * (prev_e / abs(prev_v) + u)
-        out.append(e)
-        prev_v, prev_e = vj, e
-    return out
 
 
 def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,

@@ -19,6 +19,7 @@ bypasses the quadratic inversion entirely.
 from __future__ import annotations
 
 import cmath
+import sys
 
 from ._value import Value, _unchecked
 from .errors import DivisionDegenerate, InsufficientCoefficients, SupportViolation
@@ -161,12 +162,35 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> tuple[float, ...]:
     DivisionDegenerate signals a vanishing pivot, i.e. J + I has no LU
     factorization and the support is not admissible.
     """
+    return _peel_from(rc, (), n)
+
+
+def _peel_from(rc: RealRecurrence, head, n: int) -> tuple[float, ...]:
+    """Continue the peel of v_from_recurrence from v_{len(head)} up to v_{n-1}.
+
+    head is empty or holds v_0 .. v_{2k}; an n within it gives its first n
+    entries.  Past it, v_{2k+1} comes first, under the loop's pivot guard,
+    and the loop runs on.
+    """
+    if len(head) >= n:
+        return tuple(head[:max(n, 0)])
     b, d = rc.b, rc.d
-    # pairs (v_{2k}, v_{2k+1}) that both n and the data cover
-    pairs = max(min(n // 2, len(b), len(d)), 0)
-    out: list[float] = []
+    out = list(head)
+    start = len(out) // 2
     v_odd = 0.0  # v_{2k-1}
-    for k in range(pairs):
+    if out:  # the head ends at v_{2k}, k = start: finish pair k
+        if start >= len(d):
+            raise InsufficientCoefficients(start + 1, len(d), "d coefficients")
+        v_even, dk = out[-1], d[start]
+        tol = PIVOT_TOL * (1.0 + (dk if dk >= 0.0 else -dk))
+        if not (v_even >= tol or v_even <= -tol):
+            raise DivisionDegenerate(f"pivot v_{2 * start} vanished")
+        v_odd = dk / v_even
+        out.append(v_odd)
+        start += 1
+    # pairs (v_{2k}, v_{2k+1}) that both n and the data cover
+    pairs = max(min(n // 2, len(b), len(d)), start)
+    for k in range(start, pairs):
         v_even = b[k] + 1.0 - v_odd
         dk = d[k]
         tol = PIVOT_TOL * (1.0 + (dk if dk >= 0.0 else -dk))  # d may be negative
@@ -183,6 +207,24 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> tuple[float, ...]:
         if 2 * pairs + 1 < n:
             raise InsufficientCoefficients(pairs + 1, len(d), "d coefficients")
     return tuple(out)
+
+
+def _peel_error(b, v) -> list[float]:
+    """Running first-order forward-error bound of each pivot of the peel
+    v_{2j} = b_{j+1} + 1 - v_{2j-1}, v_{2j+1} = d_{j+1} / v_{2j}: an even
+    pivot adds u (|b_{j+1}| + 1 + |v_{2j-1}|) of absolute error, an odd one
+    carries the relative error e_{2j} / |v_{2j}| + u."""
+    u = sys.float_info.epsilon / 2
+    out: list[float] = []
+    prev_v = prev_e = 0.0
+    for j, vj in enumerate(v):
+        if j % 2 == 0:
+            e = prev_e + u * (abs(b[j // 2]) + 1.0 + abs(prev_v))
+        else:
+            e = abs(vj) * (prev_e / abs(prev_v) + u)
+        out.append(e)
+        prev_v, prev_e = vj, e
+    return out
 
 
 class LuCheckResult(Value):

@@ -6,7 +6,10 @@ of ``szego.invert_from``, ``szego.v_from_recurrence``,
 they were written before their list extensions became ``append`` calls,
 their divisor guards comparisons in place of ``abs`` and the evaluation
 loops iterations over values in place of accessor calls.  They are the
-reference.  On every drawn input both must give the same repr and the same
+reference.  ``perturbed_v_shortcut_before`` is a copy of the loop that
+``perturb.perturbed_v``'s shortcut ran before it continued the peel of
+``szego.v_from_recurrence``; it peels its head with the reference above.
+On every drawn input both must give the same repr and the same
 entry types, or raise the same exception class with the same message.  The
 draws include NaN, +-inf, +-0.0, subnormal and negative d, pivots and
 divisors at and next to their guards' bounds, and prefixes of ints,
@@ -101,6 +104,23 @@ def v_from_recurrence_before(rc, n):
     return tuple(out)
 
 
+def perturbed_v_shortcut_before(rc, k, lam, tau, n):
+    perturb._co_specs(k, lam, tau)
+    head = v_from_recurrence_before(rc, 2 * k + 1)
+    out = list(head[:min(2 * k, max(n, 0))])  # max: no slice from the end
+    if 2 * k < n:
+        out.append(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
+    for j in range(2 * k + 1, n):
+        if j % 2 == 1:
+            dm, v = rc.d_at((j + 1) // 2), out[j - 1]
+            if not abs(v) >= PIVOT_TOL * (1.0 + abs(dm)):
+                raise DivisionDegenerate(f"pivot v_{j - 1} vanished")
+            out.append(dm / v)
+        else:
+            out.append(rc.b_at(j // 2 + 1) + 1.0 - out[j - 1])
+    return tuple(map(float, out))
+
+
 def symmetric_from_before(d, head, n):
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     m = len(head) // 2
@@ -142,9 +162,15 @@ def _shape(out):
     if isinstance(out, Value):
         fields = [getattr(out, name) for name in out.__slots__]
         return type(out), repr(out), [(type(f), list(map(type, f))) for f in fields]
-    if isinstance(out, tuple):  # opuc_eval's pair of lists
+    if isinstance(out, tuple) and out and isinstance(out[0], list):  # opuc_eval's pair
         return tuple(map(_shape, out))
     return repr(out), list(map(type, out))
+
+
+def test_shape_tells_float_tuples_apart():
+    # a pivot sequence is a plain tuple of floats, not opuc_eval's pair
+    assert _shape((1.0, 2.0)) == (repr((1.0, 2.0)), [float, float])
+    assert _outcome(lambda: (1.0,)) != _outcome(lambda: (2.0,))
 
 
 def _outcome(run, *args):
@@ -319,6 +345,60 @@ def test_v_from_recurrence_pivot_bound():
             rc = RealRecurrence((0.0, -1.0), (math.nextafter(d1, 0.0), d2))
             assert _same(v_from_recurrence, v_from_recurrence_before, rc, 4) == (
                 DivisionDegenerate, "pivot v_2 vanished")
+
+
+short_lines = st.builds(RealRecurrence, st.lists(reals, max_size=3), st.lists(nonzero, max_size=3))
+
+
+@st.composite
+def shortcut_runs(draw):
+    """Line data, k in 0..4, n in 1..2k + 6 and (lam, tau), the identity
+    parts lam = 1 and tau = 0 included."""
+    rc = draw(st.one_of(admissible_lines(), pivot_edges(), short_lines, first_pivots()))
+    k = draw(st.integers(0, 4))
+    lam = draw(st.one_of(st.just(1.0), st.floats(0.25, 4.0), reals))
+    tau = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5), reals))
+    return rc, k, lam, tau, draw(st.integers(1, 2 * k + 6))
+
+
+def _shortcut(rc, k, lam, tau, n):
+    return perturb.perturbed_v(rc, k, lam, tau, n, perturb.SHORTCUT)
+
+
+@EXAMPLES
+@given(shortcut_runs())
+def test_perturbed_v_shortcut(args):
+    _same(_shortcut, perturbed_v_shortcut_before, *args)
+
+
+def test_perturbed_v_shortcut_finishes_the_pair_at_the_pivot_bound():
+    # k = 1 on pivot_edges' data: v_2 = -d_1 is the head's last entry, so
+    # the continuation's own guard decides v_3, at the bound and one float in
+    for d2 in (-3.0, 2.0):
+        tol = PIVOT_TOL * (1.0 + abs(d2))
+        for d1 in (tol, -tol):
+            rc = RealRecurrence((0.0, -1.0), (d1, d2))
+            assert _same(_shortcut, perturbed_v_shortcut_before, rc, 1, 1.0, 0.0, 4)[0] == repr(
+                (1.0, d1, -d1, d2 / -d1))
+            rc = RealRecurrence((0.0, -1.0), (math.nextafter(d1, 0.0), d2))
+            assert _same(_shortcut, perturbed_v_shortcut_before, rc, 1, 1.0, 0.0, 4) == (
+                DivisionDegenerate, "pivot v_2 vanished")
+
+
+def test_perturbed_v_shortcut_refuses_a_complex_tau_first():
+    # the reference carried a complex pivot through its loop and refused it
+    # in its final float() pass, unless the loop raised first; the shortcut
+    # refuses it where it enters, so short data no longer decides the error
+    message = "float() argument must be a string or a real number, not 'complex'"
+    rc = RealRecurrence((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
+    for n in (3, 6):
+        assert _same(_shortcut, perturbed_v_shortcut_before, rc, 1, 1.0, 0.1j, n) == (
+            TypeError, message)
+    assert _outcome(_shortcut, rc, 1, 1.0, 0.1j, 8) == (TypeError, message)
+    assert _outcome(perturbed_v_shortcut_before, rc, 1, 1.0, 0.1j, 8) == (
+        InsufficientCoefficients, "need 4 b coefficients, have 3")
+    assert _same(_shortcut, perturbed_v_shortcut_before, rc, 2, 1.0, 0.1j, 4)[0] == repr(
+        (1.0, 0.5, 0.5, 0.5))
 
 
 @st.composite

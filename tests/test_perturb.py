@@ -466,6 +466,15 @@ class TestPerturbedV:
         for path in (DEFAULT, SHORTCUT):
             assert perturbed_alpha_lu(chebyshev_t(8), 2, 1.0, 0.1, n, path=path).alpha == ()
 
+    @pytest.mark.parametrize("path", [DEFAULT, SHORTCUT])
+    def test_nonpositive_n_runs_the_default_checks(self, path):
+        # the shortcut peeled v_0 .. v_{2k} whatever n was: v_0 = b_1 + 1 = 0
+        # raised DivisionDegenerate, and T's one pair asked for 2 b coefficients
+        rc = RealRecurrence((-1.0, 0.0, 0.0), (0.25,) * 3)
+        assert perturbed_v(rc, 2, 1.0, 0.1, 0, path) == ()
+        with pytest.raises(InsufficientCoefficients, match="^need 3 b coefficients, have 1$"):
+            perturbed_v(chebyshev_t(1), 2, 1.0, 0.1, 0, path)
+
     def test_default_path_dilation_fixture(self):
         # T, k=1, lam=1/2: the dilated matrix is the U one, whose pivots are
         # (1, 1/4, 3/4, 1/3, 2/3, 3/8)
