@@ -12,7 +12,9 @@ Output is deterministic byte-for-byte for a fixed seed and job.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -49,14 +51,14 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if path is None:
+            sys.stdout.write(text)
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise _CliExit(EXIT_IO, f"cannot write {path}: {exc}")
+    except OSError as exc:  # a closed stdout pipe too
+        raise _CliExit(EXIT_IO, f"cannot write {'<stdout>' if path is None else path}: {exc}")
 
 
 class _CliExit(Exception):
@@ -331,5 +333,33 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The program's entry point: run main(), then end the process with its
+    exit code.
+
+    Once the atexit callbacks have run and stdout and stderr are flushed,
+    os._exit ends the process without the interpreter's teardown, which
+    only frees memory the process is about to lose.  main() never ends the
+    process, so in-process callers keep theirs.  --help's SystemExit and an
+    unexpected exception leave the usual way.  A stdout that cannot take
+    the output gives one line and exit 1.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    note = ""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        code, note = EXIT_IO, f"cannot write <stdout>: {exc}\n"
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(note)
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -353,6 +353,13 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
         return geronimus_forward(shift_verblunsky(vs, k), n)
     if k < 0:
         raise ValueError("shift order must be >= 0")
+    first = k if k % 2 else k - 1  # the rows read a_k on, and lam (even k) reads a_{k-1}
+    if first > 0 and vs.alpha:
+        # zeros of the storage kind in place of the entries before a_first keep
+        # every index; they enter only pairs and pivots below the rows read
+        lead = min(first, len(vs))
+        zero = 0.0 if type(vs.alpha[0]) is float else 0j
+        vs = _unchecked(VerblunskySeq, (zero,) * lead + vs.alpha[lead:])
     alpha = vs.real_view()
     need = 2 * n + k
     if len(alpha) < need:

@@ -32,7 +32,6 @@ from .errors import EvaluationDomain, PoleHit
 from .oprl import RealRecurrence, oprl_eval, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, opuc_eval, prepend_verblunsky, second_kind
 from .polyhom import Matrix, homography_apply
-from .szego import geronimus_forward, geronimus_inverse
 from .tolerances import POLE_TOL, SUPPORT_MARGIN
 
 Scalar = complex
@@ -184,7 +183,7 @@ def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
 def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,
                     vs: VerblunskySeq | None = None) -> float:
     """Residual |F(z) - (1 - z^2)/(2z) * S(x)| at z = x - sqrt(x^2 - 1)."""
-    from .szego import map_x_to_z
+    from .szego import geronimus_inverse, map_x_to_z
 
     z = map_x_to_z(x)
     if vs is None:
@@ -306,6 +305,8 @@ def szego_conjugate_check(m: Matrix, original, transformed, z: Scalar,
     side="line" and circle data (VerblunskySeq) for side="circle"; the
     other half of each pair is derived through the bridge.
     """
+    from .szego import geronimus_forward, geronimus_inverse
+
     z = complex(z)
     if z == 0 or abs(z) >= 1.0 - SUPPORT_MARGIN:
         raise EvaluationDomain(f"z = {z!r} must satisfy 0 < |z| < 1")

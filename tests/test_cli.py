@@ -763,7 +763,7 @@ def test_package_import_loads_no_submodule():
 
 @pytest.mark.parametrize("command, absent", [
     ("geronimus", {"perturb", "polyhom", "spectral", "suites"}),
-    ("eval", {"perturb", "suites"}),
+    ("eval", {"perturb", "suites", "szego"}),
     ("perturb", {"polyhom", "spectral", "suites"}),
     ("verify", set()),
     ("eval --help", {"perturb", "polyhom", "spectral", "suites"}),

@@ -30,7 +30,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "b3b14bd0a336063d0d8929cdf86957acec3f2cbe2b9e9e48e102f73bcab3842b"
+DIGEST = "76ef3b243b15fc58725cb6993bc8114a6695be7e5e04709d6e623beeefb35640"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -277,6 +277,33 @@ class TestAssociatedCircle:
             br = assoc_opuc_to_recurrence(vs, k, 12, path=ORACLE)
             assert_rc_close(th, br, 1e-10)
 
+    @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+    def test_reads_nothing_before_the_rows(self, path):
+        # k = 1 reads a_1 on: a complex a_0 is no reason to refuse (the
+        # closed form raised ComplexAlpha on it)
+        vs = VerblunskySeq((0.5j, 0.1, 0.2, 0.3, 0.1))
+        assert assoc_opuc_to_recurrence(vs, 1, 1, path=path) == RealRecurrence((0.1,), (0.594,))
+
+    def test_even_k_reads_lams_entry(self):
+        # k = 2 reads a_1 on, through lam = 2 / (1 - a_1), which the oracle
+        # does not read; a complex a_0 still passes
+        vs = VerblunskySeq((0.5j, 0.4, 0.2, 0.3, 0.1, -0.2))
+        th = assoc_opuc_to_recurrence(vs, 2, 2, path=CLOSED_FORM)
+        assert_rc_close(th, assoc_opuc_to_recurrence(vs, 2, 2, path=ORACLE), 1e-15)
+        vs = VerblunskySeq((0.1, 0.4j, 0.2, 0.3, 0.1, -0.2))
+        with pytest.raises(ComplexAlpha, match=r"^alpha_1 = 0\.4j has"):
+            assoc_opuc_to_recurrence(vs, 2, 2, path=CLOSED_FORM)
+
+    def test_entries_before_the_rows_reach_no_output(self, rng):
+        for _ in range(40):
+            alpha = random_alpha(rng, 20, 0.6).alpha
+            k = rng.randint(1, 6)
+            first = k if k % 2 else k - 1
+            junk = tuple(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+                         for _ in range(first))
+            got = assoc_opuc_to_recurrence(VerblunskySeq(junk + alpha[first:]), k, 6)
+            assert got == assoc_opuc_to_recurrence(VerblunskySeq(alpha), k, 6)
+
 
 def _forward(a, n):
     """The forward relations (b_1..b_n, d_1..d_n), with a_{-1} = -1 and

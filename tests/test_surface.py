@@ -21,6 +21,10 @@ guards already establish what the constructor checks.  Whatever comes from
 outside the program (coefficient and spec files, argv) must go through the
 constructors, so the file and spec readers and the CLI are never on the
 list.
+
+Only ``cli.run``, the program's entry point, may end the process with
+``os._exit``; ``cli.main`` and every library function return to their
+caller.
 """
 
 import ast
@@ -53,7 +57,8 @@ UNCHECKED_SITES = frozenset({
     # and zero-checked, in the constructor's order
     "perturb.coprl_apply",
     # floats from real_view and the bridge kernels; each d-hat joins at most
-    # three factors in [2^-160, 2], so it is positive and finite
+    # three factors in [2^-160, 2], so it is positive and finite; the copy
+    # of vs holds zeros and checked entries of vs, in its storage kind
     "perturb.assoc_opuc_to_recurrence",
     # the support guard on every odd entry; the even ones are 0.0
     "perturb._symmetric_from",
@@ -164,10 +169,10 @@ def test_every_option_has_a_program_caller():
     assert not unset, f"options that no program path passes: {unset}"
 
 
-def _unchecked_uses(path) -> set[str]:
+def _uses(path, name: str) -> set[str]:
     """The dotted scope (module, then enclosing classes, functions and
-    lambdas) of every reference to _unchecked in one source file; an
-    import of it under another name counts as a use at its scope."""
+    lambdas) of every reference to name in one source file; an import of
+    it under another name counts as a use at its scope."""
     uses = set()
 
     def visit(node, scope):
@@ -178,11 +183,11 @@ def _unchecked_uses(path) -> set[str]:
             if isinstance(child, ast.Lambda):
                 visit(child, f"{scope}.<lambda>")
                 continue
-            if ((isinstance(child, ast.Name) and child.id == "_unchecked")
-                    or (isinstance(child, ast.Attribute) and child.attr == "_unchecked")
-                    or (isinstance(child, ast.Constant) and child.value == "_unchecked")
-                    or (isinstance(child, ast.alias) and child.name == "_unchecked"
-                        and child.asname not in (None, "_unchecked"))):
+            if ((isinstance(child, ast.Name) and child.id == name)
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.Constant) and child.value == name)
+                    or (isinstance(child, ast.alias) and child.name == name
+                        and child.asname not in (None, name))):
                 uses.add(scope)
             visit(child, scope)
 
@@ -192,9 +197,18 @@ def _unchecked_uses(path) -> set[str]:
 
 def test_only_the_listed_kernels_skip_the_constructor_checks():
     package = ROOT / "src" / "ortho_szego"
-    uses = set().union(*(_unchecked_uses(p) for p in sorted(package.glob("*.py"))))
+    uses = set().union(*(_uses(p, "_unchecked") for p in sorted(package.glob("*.py"))))
     assert uses - UNCHECKED_SITES == set(), "_unchecked used outside the allowlist"
     assert UNCHECKED_SITES - uses == set(), "allowlisted sites that no longer use _unchecked"
+
+
+def test_only_the_entry_point_ends_the_process():
+    # cli.main returns its exit code to in-process callers (the tests, the
+    # benchmark's probes, library users); os._exit anywhere else would end
+    # their process
+    package = ROOT / "src" / "ortho_szego"
+    uses = set().union(*(_uses(p, "_exit") for p in sorted(package.glob("*.py"))))
+    assert uses == {"cli.run"}
 
 
 def test_no_reader_of_outside_input_is_allowlisted():
