@@ -13,6 +13,7 @@ Output is deterministic byte-for-byte for a fixed seed and job.
 from __future__ import annotations
 
 import atexit
+import errno
 import math
 import os
 import re
@@ -51,9 +52,22 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout (path None) through its
+    binary layer until every byte is taken: unbuffered, that layer is the
+    raw file, whose write may take only part when the reader leaves."""
     try:
         if path is None:
-            sys.stdout.write(text)
+            out = sys.stdout
+            if out is None:  # the process started with no file descriptor 1
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            raw = getattr(out, "buffer", None)
+            if raw is None:  # a StringIO
+                out.write(text)
+                return
+            out.flush()
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[raw.write(data) or 0:]
             return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -152,8 +166,7 @@ def cmd_verify(args) -> int:
     from .suites import run_suite
 
     report = run_suite(args.suite, seed=args.seed, tol=args.tol)
-    for line in report.lines:
-        print(line)
+    _write(None, "".join(line + "\n" for line in report.lines))
     return EXIT_OK if report.ok else EXIT_SUITE_FAILED
 
 
@@ -252,10 +265,11 @@ def _help(prog: str, flags) -> None:
     rows = [(f[0] + ("" if f[2] is None else " {%s}" % ",".join(f[2])
              if isinstance(f[2], tuple) else " " + f[1].upper()), f[3], f[5]) for f in flags]
     usage = [inv if required else f"[{inv}]" for inv, required, _ in rows]
-    print(f"usage: {prog} [-h]", *usage or ["{%s} ..." % ",".join(_COMMANDS)], end="\n\n")
+    lines = [" ".join([f"usage: {prog} [-h]", *(usage or ["{%s} ..." % ",".join(_COMMANDS)])]), ""]
     for name, _, text in [("-h, --help", 0, _HELP[5]), *rows] + [
             (command, 0, entry[1]) for command, entry in _COMMANDS.items() if not flags]:
-        print(f"  {name:<22}{text}".rstrip())
+        lines.append(f"  {name:<22}{text}".rstrip())
+    _write(None, "\n".join(lines) + "\n")
     raise SystemExit(0)
 
 
@@ -340,11 +354,15 @@ def run() -> None:
     Once the atexit callbacks have run and stdout and stderr are flushed,
     os._exit ends the process without the interpreter's teardown, which
     only frees memory the process is about to lose.  main() never ends the
-    process, so in-process callers keep theirs.  --help's SystemExit and an
-    unexpected exception leave the usual way.  A stdout that cannot take
-    the output gives one line and exit 1.
+    process, so in-process callers keep theirs; --help ends it with
+    SystemExit(0), which ends this run the same way.  An unexpected
+    exception leaves the usual way.  A stdout that cannot take the output
+    gives one line and exit 1.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # --help
+        code = exc.code
     atexit._run_exitfuncs()
     note = ""
     try:

@@ -6,7 +6,7 @@ The three-term recurrence
 
 with d_0 = 1 fixed by convention, evaluates every family here: each
 perturbed family is a transform of the coefficient sequences (b, d).
-``oprl_eval`` runs it as written; ``spectral._s_tail`` runs a rescaled
+``oprl_eval`` runs it as written; ``spectral.s_value`` runs a rescaled
 copy for the convergents of the Stieltjes function at large depth.
 
 Indexing follows the recurrence exactly: b and d are 1-based, and d_0 = 1

@@ -93,10 +93,11 @@ def _rescale(states, one: float, big: float):
             for v in states], one * s
 
 
-def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
-    """Convergents P'_{k-1}(x)/P_k(x) for k = max(depth - _PLATEAU, 1)..depth,
-    the only ones s_value and s_convergent read; the pole test runs at
-    every order.
+def s_value(h: SFunctionHandle, x: Scalar) -> tuple[Scalar, float]:
+    """The depth-th convergent c_depth = P'_{depth-1}(x)/P_depth(x) of the
+    line-side transform at x, and the plateau error estimate
+    |c_depth - c_{max(depth - _PLATEAU, 1)}|; the pole test runs at every
+    order.
 
     The states grow like |x|^k and are rescaled before a step can
     overflow; the step multiplies by up to ~2 (|x - b| + |d|), so the
@@ -110,14 +111,13 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
     one = 1.0  # 1 in the scaled units of the states
     # float seeds: the states stay real for real data at a real x
     p_prev, p_cur, q_prev, q_cur = 1.0, x - b[0], 0.0, 1.0  # P_0, P_1, P'_{-1}, P'_0
-    first = depth - _PLATEAU
-    out = []
+    first = max(depth - _PLATEAU, 1)
     for k in range(1, depth + 1):
         ap, aq = abs(p_cur), abs(q_cur)
         if ap <= POLE_TOL * (one + aq):
             raise PoleHit(f"convergent denominator vanished at x = {x!r} (order {k})")
-        if k >= first:
-            out.append(q_cur / p_cur)
+        if k == first:
+            back = q_cur / p_cur
         if k == depth:
             break
         if ap > limit or aq > limit:
@@ -126,58 +126,38 @@ def _s_tail(h: SFunctionHandle, x: Scalar) -> list[Scalar]:
         xb, dk = x - b[k], d[k - 1]
         p_prev, p_cur = p_cur, xb * p_cur - dk * p_prev
         q_prev, q_cur = q_cur, xb * q_cur - dk * q_prev
-    return out
+    c = q_cur / p_cur
+    return complex(c), abs(c - back)
 
 
-def s_convergent(h: SFunctionHandle, x: Scalar) -> Scalar:
-    """The depth-th convergent of the line-side transform at x."""
-    return complex(_s_tail(h, x)[-1])
-
-
-def s_value(h: SFunctionHandle, x: Scalar) -> tuple[Scalar, float]:
-    """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
-    tail = _s_tail(h, x)
-    return complex(tail[-1]), abs(tail[-1] - tail[0])
-
-
-def _f_tail(h: CFunctionHandle, z: Scalar) -> list[Scalar]:
-    """Convergents Omega*_k(z)/Phi*_k(z) for k = max(depth - _PLATEAU, 1)..depth,
-    the only ones f_value and f_convergent read; the pole test runs at
-    every order.
+def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
+    """The depth-th convergent c_depth = Omega*_depth(z)/Phi*_depth(z) of the
+    circle-side transform at z (exactly 1 at z = 0), and the plateau error
+    estimate |c_depth - c_{max(depth - _PLATEAU, 1)}|; the pole test runs
+    at every order.
 
     Each step at most doubles the states (|z| < 1, |a| < 1), so they are
-    rescaled once the larger of Phi*_k, Omega*_k passes 2^960.  Phi_k and
-    Omega_k stay below them in modulus.
+    rescaled, before the next step, once the larger of Phi*_k, Omega*_k
+    passes 2^960.  Phi_k and Omega_k stay below them in modulus.
     """
     if abs(z) >= 1.0 - SUPPORT_MARGIN:
         raise EvaluationDomain(f"|z| = {abs(complex(z))} is not inside the unit disc margin")
     phi = phis = om = oms = 1.0  # floats: the states stay real for real data at a real z
-    one = 1.0  # 1 in the scaled units of the states
-    first = h.depth - _PLATEAU
-    out = []
+    one = aphis = aoms = 1.0  # 1 in the scaled units of the states, and |Phi*_0|, |Omega*_0|
+    first = max(h.depth - _PLATEAU, 1)
     for k, a in enumerate(h.vs.alpha[:h.depth], start=1):  # the handle checked the length
+        if aphis > _SCALE_LIMIT or aoms > _SCALE_LIMIT:
+            (phi, phis, om, oms), one = _rescale((phi, phis, om, oms), one, max(aphis, aoms))
         ac, az = a.conjugate(), a * z
         phi, phis = z * phi - ac * phis, phis - az * phi
         om, oms = z * om + ac * oms, oms + az * om
         aphis, aoms = abs(phis), abs(oms)
         if aphis <= POLE_TOL * (one + aoms):
             raise PoleHit(f"convergent denominator vanished at z = {complex(z)!r} (order {k})")
-        if k >= first:
-            out.append(oms / phis)
-        if aphis > _SCALE_LIMIT or aoms > _SCALE_LIMIT:
-            (phi, phis, om, oms), one = _rescale((phi, phis, om, oms), one, max(aphis, aoms))
-    return out
-
-
-def f_convergent(h: CFunctionHandle, z: Scalar) -> Scalar:
-    """The depth-th convergent of the circle-side transform at z; exactly 1 at z = 0."""
-    return complex(_f_tail(h, z)[-1])
-
-
-def f_value(h: CFunctionHandle, z: Scalar) -> tuple[Scalar, float]:
-    """Convergent plus a plateau error estimate |c_depth - c_{max(depth-10, 1)}|."""
-    tail = _f_tail(h, z)
-    return complex(tail[-1]), abs(tail[-1] - tail[0])
+        if k == first:
+            back = oms / phis
+    c = oms / phis
+    return complex(c), abs(c - back)
 
 
 def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,
@@ -188,8 +168,8 @@ def fs_bridge_check(rc: RealRecurrence, x: Scalar, depth: int = DEFAULT_DEPTH,
     z = map_x_to_z(x)
     if vs is None:
         vs = geronimus_inverse(rc, (depth + 1) // 2 + 1)
-    f = f_convergent(CFunctionHandle(vs, depth), z)
-    s = s_convergent(SFunctionHandle(rc, depth), x)
+    f = f_value(CFunctionHandle(vs, depth), z)[0]
+    s = s_value(SFunctionHandle(rc, depth), x)[0]
     return abs(f - (1.0 - z * z) / (2.0 * z) * s)
 
 
@@ -314,14 +294,14 @@ def szego_conjugate_check(m: Matrix, original, transformed, z: Scalar,
     if side == "line":
         w = 2.0 * z / (1.0 - z * z)
         n = (depth + 1) // 2 + 1
-        f_o = f_convergent(CFunctionHandle(geronimus_inverse(original, n), depth), z)
-        f_n = f_convergent(CFunctionHandle(geronimus_inverse(transformed, n), depth), z)
+        f_o = f_value(CFunctionHandle(geronimus_inverse(original, n), depth), z)[0]
+        f_n = f_value(CFunctionHandle(geronimus_inverse(transformed, n), depth), z)[0]
         rhs = homography_apply(m, w * f_o, x)
         return abs(w * f_n - rhs)
     if side == "circle":
         s = 0.5 * (1.0 / z - z)  # the branch with z = x - s
-        s_o = s_convergent(SFunctionHandle(geronimus_forward(original, depth), depth), x)
-        s_n = s_convergent(SFunctionHandle(geronimus_forward(transformed, depth), depth), x)
+        s_o = s_value(SFunctionHandle(geronimus_forward(original, depth), depth), x)[0]
+        s_n = s_value(SFunctionHandle(geronimus_forward(transformed, depth), depth), x)[0]
         rhs = homography_apply(m, s * s_o, z)
         return abs(s * s_n - rhs)
     raise ValueError(f"side must be 'line' or 'circle', got {side!r}")

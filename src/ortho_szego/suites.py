@@ -19,34 +19,6 @@ from .oprl import (
     shift_coefficients,
 )
 from .opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
-from .perturb import (
-    ORACLE,
-    SHORTCUT,
-    CLOSED_FORM,
-    assoc_opuc_to_recurrence,
-    coprl_verblunsky,
-    max_deviation,
-    path_discrepancy_report,
-    perturbed_alpha_lu,
-    sieve2_recurrence,
-    sieved_kmod_recurrence,
-    symmetric_codilated_verblunsky,
-)
-from .polyhom import homography_apply
-from .spectral import (
-    CFunctionHandle,
-    SFunctionHandle,
-    assoc_order1_cfun,
-    assoc_order2_sfun_matrix,
-    f_convergent,
-    fs_bridge_check,
-    matrix_B_antiassoc,
-    matrix_B_assoc,
-    matrix_Upsilon_antiassoc,
-    matrix_Upsilon_assoc,
-    s_convergent,
-    szego_conjugate_check,
-)
 from .szego import (
     alpha_from_v,
     check_rel,
@@ -65,6 +37,9 @@ from .tolerances import (
     check_suite,
     max_residual,
 )
+
+# Each suite imports the perturb, polyhom and spectral names it runs
+# inside itself, so that `verify` compiles only the modules its suite runs.
 
 
 # A property on random inputs redraws those whose route leaves the
@@ -133,6 +108,8 @@ IDENTITY_BOUND = 0.35
 
 
 def suite_roundtrip(seed: int, tol: float) -> SuiteReport:
+    from .perturb import max_deviation
+
     rep = SuiteReport("roundtrip")
     rng = random.Random(seed)
     depth = 20
@@ -185,6 +162,8 @@ def suite_rel(seed: int, tol: float) -> SuiteReport:
 
 
 def suite_bridge(seed: int, tol: float) -> SuiteReport:
+    from .spectral import fs_bridge_check
+
     rep = SuiteReport("bridge")
     rng = random.Random(seed)
     depth = 40
@@ -204,11 +183,14 @@ def suite_bridge(seed: int, tol: float) -> SuiteReport:
     return rep
 
 
-def _worst_rel(m, convergent, h0, h1, points) -> float:
-    """Worst |m . c0 - c1| / |c1| over the points, c_i the convergent of h_i."""
+def _worst_rel(m, value, h0, h1, points) -> float:
+    """Worst |m . c0 - c1| / |c1| over the points, c_i the convergent
+    value(h_i, t)[0]."""
+    from .polyhom import homography_apply
+
     def rel(t):
-        want = convergent(h1, t)
-        return abs(homography_apply(m, convergent(h0, t), t) - want) / abs(want)
+        want = value(h1, t)[0]
+        return abs(homography_apply(m, value(h0, t)[0], t) - want) / abs(want)
     return max_residual(0.0, *map(rel, points))
 
 
@@ -218,6 +200,10 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
     the original at D maps to the shifted data at D - k (both sides) and
     to the prepended data at D + k (circle); the original at D - k maps to
     the prepended line data at D."""
+    from .spectral import (CFunctionHandle, SFunctionHandle, f_value, matrix_B_antiassoc,
+                           matrix_B_assoc, matrix_Upsilon_antiassoc, matrix_Upsilon_assoc,
+                           s_value)
+
     rep = SuiteReport("transfer")
     rng = random.Random(seed)
     depth = 12
@@ -229,7 +215,7 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
         for _ in range(20):
             rc = _rand_rc(rng, depth + 2, bound=0.7)
             worst = max_residual(worst, _worst_rel(
-                matrix_B_assoc(rc, k), s_convergent, SFunctionHandle(rc, depth),
+                matrix_B_assoc(rc, k), s_value, SFunctionHandle(rc, depth),
                 SFunctionHandle(shift_coefficients(rc, k), depth - k), xs))
         rep.record(f"line_assoc_k{k}", worst, tol)
 
@@ -240,7 +226,7 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
             full = _rand_rc(rng, depth + 2 + k, bound=0.7)
             rc, pb, pd = shift_coefficients(full, k), full.b[:k], full.d[:k]
             worst = max_residual(worst, _worst_rel(
-                matrix_B_antiassoc(rc, pb, pd), s_convergent, SFunctionHandle(rc, depth - k),
+                matrix_B_antiassoc(rc, pb, pd), s_value, SFunctionHandle(rc, depth - k),
                 SFunctionHandle(prepend_coefficients(rc, pb, pd), depth), xs))
         rep.record(f"line_antiassoc_k{k}", worst, tol)
 
@@ -249,7 +235,7 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
         for _ in range(20):
             vs = _rand_alpha(rng, depth + 2, bound=0.7)
             worst = max_residual(worst, _worst_rel(
-                matrix_Upsilon_assoc(vs, k), f_convergent, CFunctionHandle(vs, depth),
+                matrix_Upsilon_assoc(vs, k), f_value, CFunctionHandle(vs, depth),
                 CFunctionHandle(shift_verblunsky(vs, k), depth - k), zs))
         rep.record(f"circle_assoc_k{k}", worst, tol)
 
@@ -260,13 +246,19 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
             xi = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
                        for _ in range(k))
             worst = max_residual(worst, _worst_rel(
-                matrix_Upsilon_antiassoc(vs, xi), f_convergent, CFunctionHandle(vs, depth),
+                matrix_Upsilon_antiassoc(vs, xi), f_value, CFunctionHandle(vs, depth),
                 CFunctionHandle(prepend_verblunsky(vs, xi), depth + k), zs))
         rep.record(f"circle_antiassoc_k{k}", worst, tol)
     return rep
 
 
 def suite_conjugation(seed: int, tol: float) -> SuiteReport:
+    from .polyhom import homography_apply
+    from .spectral import (CFunctionHandle, SFunctionHandle, assoc_order1_cfun,
+                           assoc_order2_sfun_matrix, f_value, matrix_B_assoc,
+                           matrix_Upsilon_antiassoc, matrix_Upsilon_assoc, s_value,
+                           szego_conjugate_check)
+
     rep = SuiteReport("conjugation")
     rng = random.Random(seed)
     depth = 40
@@ -306,12 +298,12 @@ def suite_conjugation(seed: int, tol: float) -> SuiteReport:
         z = 0.05 + 0.04 * i
         pred = assoc_order1_cfun(z, 1.0, 0.0, 0.5)
         worst = max_residual(worst, abs(pred - (1 - z * z)),
-                             abs(pred - f_convergent(h_u, z)))
+                             abs(pred - f_value(h_u, z)[0]))
     rep.record("corollary_assoc_order1", worst, tol)
 
     vs_u42 = geronimus_inverse(chebyshev_u(), depth + 2)
     m2 = assoc_order2_sfun_matrix(0.0, vs_u42.at(1).real)
-    s_u = s_convergent(SFunctionHandle(chebyshev_u(), depth), 2.0)
+    s_u = s_value(SFunctionHandle(chebyshev_u(), depth), 2.0)[0]
     tail = 2 * (2 - math.sqrt(3))
     want = 1.0 / (2.0 - tail / 3.0)
     got = homography_apply(m2, s_u, 2.0)
@@ -320,6 +312,10 @@ def suite_conjugation(seed: int, tol: float) -> SuiteReport:
 
 
 def suite_theorems(seed: int, tol: float) -> SuiteReport:
+    from .perturb import (CLOSED_FORM, ORACLE, assoc_opuc_to_recurrence, coprl_verblunsky,
+                          max_deviation, sieve2_recurrence, sieved_kmod_recurrence,
+                          symmetric_codilated_verblunsky)
+
     rep = SuiteReport("theorems")
     rng = random.Random(seed)
     depth = 12
@@ -371,6 +367,8 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
 
 
 def suite_lu(seed: int, tol: float) -> SuiteReport:
+    from .perturb import SHORTCUT, coprl_verblunsky, max_deviation, perturbed_alpha_lu
+
     rep = SuiteReport("lu")
     rng = random.Random(seed)
 
@@ -405,6 +403,8 @@ def suite_lu(seed: int, tol: float) -> SuiteReport:
 
 def suite_discrepancy(seed: int, tol: float) -> SuiteReport:
     """Expected to *find* the shortcut mismatch for lam != 1 and report it."""
+    from .perturb import path_discrepancy_report
+
     rep = SuiteReport("discrepancy")
     report = path_discrepancy_report(chebyshev_t(), 1, 0.5, 0.0, 6, tol)
     if report is None:

@@ -18,7 +18,6 @@ bypasses the quadratic inversion entirely.
 
 from __future__ import annotations
 
-import cmath
 import sys
 
 from ._value import Value, _unchecked
@@ -275,6 +274,8 @@ def map_x_to_z(x: Scalar) -> Scalar:
     On the cut x in (-1, 1) both roots sit on the circle; the one with
     nonnegative imaginary part is returned.
     """
+    import cmath
+
     x = complex(x)
     w = cmath.sqrt(x - 1.0) * cmath.sqrt(x + 1.0)
     z1, z2 = x - w, x + w
@@ -293,6 +294,8 @@ def check_rel(rc: RealRecurrence, vs: VerblunskySeq, n: int, theta: float) -> fl
     The pair (rc, vs) must describe the same measure (vs from
     geronimus_inverse(rc)); a_{-1} = -1 covers the n = 0 case.
     """
+    import cmath
+
     alpha = vs.real_view()
     if len(alpha) < 2 * n:
         raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")

@@ -765,9 +765,10 @@ def test_package_import_loads_no_submodule():
     ("geronimus", {"perturb", "polyhom", "spectral", "suites"}),
     ("eval", {"perturb", "suites", "szego"}),
     ("perturb", {"polyhom", "spectral", "suites"}),
-    ("verify", set()),
+    ("verify", {"polyhom", "spectral"}),
     ("eval --help", {"perturb", "polyhom", "spectral", "suites"}),
     ("usage error", {"perturb", "polyhom", "spectral", "suites"}),
+    ("verify --suite rel", {"perturb", "polyhom", "spectral"}),
 ])
 def test_command_loads_only_its_modules(tmp_path, command, absent):
     line, circle, spec = tmp_path / "l.json", tmp_path / "c.json", tmp_path / "s.json"
@@ -780,6 +781,7 @@ def test_command_loads_only_its_modules(tmp_path, command, absent):
                  "--depth", "20"],
         "perturb": ["perturb", "--in", str(line), "--spec", str(spec), "--side", "line"],
         "verify": ["verify", "--suite", "lu"],
+        "verify --suite rel": ["verify", "--suite", "rel"],
         "eval --help": ["eval", "--in", str(circle), "--help"],
         "usage error": ["eval", "--in", str(circle), "--side", "top", "--points", "0.3"],
     }[command]

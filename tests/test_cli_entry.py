@@ -122,25 +122,81 @@ def test_atexit_callbacks_still_run(workdir):
     assert marker.exists()
 
 
+def _env_unbuffered(unbuffered):
+    env = _env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
+def _run_closed_stdout(argv, env):
+    """(exit code, stderr) of the CLI on argv with stdout a pipe nobody reads."""
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "ortho_szego.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr.decode()
+
+
+BROKEN_PIPE = f"cannot write <stdout>: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+
+def _alpha_file(path, count):
+    pairs = ["[0.25, 0]", "[-0.125, 0]"] * (count // 2)
+    path.write_text('{"alpha": [' + ", ".join(pairs) + "]}")
+    return path
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("count", [24, 6000])
 def test_closed_stdout_is_one_line_exit_1(tmp_path, unbuffered, count):
     # 6000 coefficients print over 64 KiB, more than a pipe holds, and fail
     # while written; 24 fit in stdout's buffer, if it has one, and fail at
     # the final flush
-    infile = tmp_path / "alpha.json"
-    pairs = ["[0.25, 0]", "[-0.125, 0]"] * (count // 2)
-    infile.write_text('{"alpha": [' + ", ".join(pairs) + "]}")
-    env = _env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
-    read, write = os.pipe()
-    os.close(read)  # no reader: every write to the pipe fails with EPIPE
+    infile = _alpha_file(tmp_path / "alpha.json", count)
+    argv = ["geronimus", "--direction", "fwd", "--in", str(infile)]
+    assert _run_closed_stdout(argv, _env_unbuffered(unbuffered)) == (1, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["verify", "--suite", "lu"], ["--help"]], ids=" ".join)
+def test_closed_stdout_is_one_line_exit_1_for_verify_and_help(unbuffered, argv):
+    # unbuffered, a print() to the pipe raised BrokenPipeError out of main;
+    # buffered, --help's output failed in the interpreter's teardown
+    assert _run_closed_stdout(argv, _env_unbuffered(unbuffered)) == (1, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "lu"], ["--help"]], ids=" ".join)
+def test_no_stdout_is_one_line_exit_1(argv):
+    # started with file descriptor 1 closed, sys.stdout is None: writing to
+    # it raised AttributeError, and print() dropped --help's text with exit 0
+    done = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                           "ortho_szego.cli", *argv], stderr=subprocess.PIPE, env=_env(),
+                          timeout=60)
+    bad_fd = OSError(errno.EBADF, os.strerror(errno.EBADF))
+    assert (done.returncode, done.stderr.decode()) == (1, f"cannot write <stdout>: {bad_fd}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_leaving_mid_write_is_one_line_exit_1(tmp_path, unbuffered):
+    # 20000 coefficients print ~0.5 MB, far more than a pipe holds: the
+    # reader takes one byte and leaves while the CLI is still writing.  The
+    # unbuffered raw write then took part of the bytes, and the rest were
+    # lost without an error
+    infile = _alpha_file(tmp_path / "alpha.json", 20000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ortho_szego.cli", "geronimus", "--direction", "fwd",
+         "--in", str(infile)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_env_unbuffered(unbuffered))
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "ortho_szego.cli", "geronimus", "--direction", "fwd",
-             "--in", str(infile)], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), err) == (1, BROKEN_PIPE)
     finally:
-        os.close(write)
-    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
-    assert (done.returncode, done.stderr.decode()) == (1, f"cannot write <stdout>: {broken}\n")
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

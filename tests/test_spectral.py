@@ -21,14 +21,12 @@ from ortho_szego.spectral import (
     antiassoc_order2_sfun_matrix,
     assoc_order1_cfun,
     assoc_order2_sfun_matrix,
-    f_convergent,
     f_value,
     fs_bridge_check,
     matrix_B_antiassoc,
     matrix_B_assoc,
     matrix_Upsilon_antiassoc,
     matrix_Upsilon_assoc,
-    s_convergent,
     s_value,
     szego_conjugate_check,
 )
@@ -44,34 +42,34 @@ def long_random_alpha(seed: int, n: int = 100, bound: float = 0.6) -> Verblunsky
 class TestSConvergent:
     def test_chebyshev_t_closed_form(self):
         h = SFunctionHandle(chebyshev_t(), 30)
-        assert s_convergent(h, 2.0) == pytest.approx(1 / math.sqrt(3), abs=1e-9)
+        assert s_value(h, 2.0)[0] == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
     def test_chebyshev_u_closed_form(self):
         h = SFunctionHandle(chebyshev_u(), 30)
-        assert s_convergent(h, 2.0) == pytest.approx(2 * (2 - math.sqrt(3)), abs=1e-9)
+        assert s_value(h, 2.0)[0] == pytest.approx(2 * (2 - math.sqrt(3)), abs=1e-9)
 
     def test_depth_one(self):
         h = SFunctionHandle(RealRecurrence((0.7,), ()), 1)
-        assert s_convergent(h, 2.0) == pytest.approx(1 / 1.3, rel=1e-15)
+        assert s_value(h, 2.0)[0] == pytest.approx(1 / 1.3, rel=1e-15)
 
     def test_large_x_decay(self):
         # S ~ 1/x for a probability measure
         h = SFunctionHandle(chebyshev_t(), 40)
-        assert s_convergent(h, 1e4) == pytest.approx(1e-4, rel=1e-6)
+        assert s_value(h, 1e4)[0] == pytest.approx(1e-4, rel=1e-6)
 
     def test_forbidden_zone(self):
         h = SFunctionHandle(chebyshev_t(), 10)
         with pytest.raises(EvaluationDomain):
-            s_convergent(h, 0.5)
+            s_value(h, 0.5)
         with pytest.raises(EvaluationDomain):
-            s_convergent(h, 1.0 + 1e-9j)
+            s_value(h, 1.0 + 1e-9j)
 
     def test_plateau_stability(self):
         vs = long_random_alpha(11, 120)
         rc = geronimus_forward(vs, 60)
         for x in (1.5, -1.5, 2.0, 3.0):
-            a = s_convergent(SFunctionHandle(rc, 40), x)
-            b = s_convergent(SFunctionHandle(rc, 50), x)
+            a = s_value(SFunctionHandle(rc, 40), x)[0]
+            b = s_value(SFunctionHandle(rc, 50), x)[0]
             assert abs(a - b) < 1e-9
 
     def test_value_and_error_estimate(self):
@@ -119,7 +117,7 @@ class TestLargeStates:
         rc = geronimus_forward(long_random_alpha(2, 120, 0.35), 60)
         for x in (3e7, -3e7, 2e7 + 2e7j):
             assert abs(naive_s_convergent(rc, 40, x).real) < math.inf
-            assert s_convergent(SFunctionHandle(rc, 40), x) == naive_s_convergent(rc, 40, x)
+            assert s_value(SFunctionHandle(rc, 40), x)[0] == naive_s_convergent(rc, 40, x)
 
     def test_circle_rescaling_keeps_every_bit(self):
         # the states grow ~2^0.45 per step: past the trigger (2^960) near
@@ -130,7 +128,7 @@ class TestLargeStates:
         for depth in range(2100, 2270, 13):
             phis, oms, top = naive_f_states(vs, depth, z)
             if top > 2.0 ** 960:
-                assert f_convergent(CFunctionHandle(vs, depth), z) == oms / phis
+                assert f_value(CFunctionHandle(vs, depth), z)[0] == oms / phis
                 checked += 1
         assert checked
 
@@ -140,7 +138,7 @@ class TestLargeStates:
         # (OverflowError) and -0.95 gave nan
         vs = VerblunskySeq((0.99, -0.99) * 1500)
         deep, err = f_value(CFunctionHandle(vs, 3000), z)
-        shallow = f_convergent(CFunctionHandle(vs, 700), z)
+        shallow = f_value(CFunctionHandle(vs, 700), z)[0]
         assert deep == pytest.approx(shallow, rel=1e-12)
         assert err < 1e-12
 
@@ -154,10 +152,8 @@ class TestRealStates:
         sh = SFunctionHandle(chebyshev_t(), 20)
         ch = CFunctionHandle(long_random_alpha(5, 40, 0.5), 40)
         for x in (2.0, -1.5, 3):
-            assert type(s_convergent(sh, x)) is complex
             assert type(s_value(sh, x)[0]) is complex
         for z in (0.3, -0.5, 0.0, 0):
-            assert type(f_convergent(ch, z)) is complex
             assert type(f_value(ch, z)[0]) is complex
 
     def test_imaginary_part_is_positive_zero(self):
@@ -192,28 +188,28 @@ class TestFConvergent:
     def test_lebesgue_is_one(self):
         h = CFunctionHandle(VerblunskySeq((0.0,) * 25), 20)
         for z in (0.0, 0.4, -0.3 + 0.2j):
-            assert f_convergent(h, z) == 1.0
+            assert f_value(h, z)[0] == 1.0
 
     def test_u_pattern_closed_form(self):
         vs = geronimus_inverse(chebyshev_u(), 20)
         h = CFunctionHandle(vs, 30)
-        assert f_convergent(h, 0.3) == pytest.approx(0.91, abs=1e-9)
+        assert f_value(h, 0.3)[0] == pytest.approx(0.91, abs=1e-9)
 
     def test_value_at_origin_every_depth(self):
         vs = long_random_alpha(3, 30)
         for depth in (1, 7, 25):
-            assert f_convergent(CFunctionHandle(vs, depth), 0.0) == 1.0
+            assert f_value(CFunctionHandle(vs, depth), 0.0)[0] == 1.0
 
     def test_forbidden_zone(self):
         h = CFunctionHandle(VerblunskySeq((0.0,) * 5), 3)
         with pytest.raises(EvaluationDomain):
-            f_convergent(h, 1.0)
+            f_value(h, 1.0)
 
     def test_plateau_stability(self):
         vs = long_random_alpha(17, 120)
         for z in (0.5, -0.45, 0.3 + 0.3j):
-            a = f_convergent(CFunctionHandle(vs, 40), z)
-            b = f_convergent(CFunctionHandle(vs, 50), z)
+            a = f_value(CFunctionHandle(vs, 40), z)[0]
+            b = f_value(CFunctionHandle(vs, 50), z)[0]
             assert abs(a - b) < 1e-9
 
     def test_value_and_error_estimate(self):
@@ -225,7 +221,7 @@ class TestFConvergent:
 
 class TestPlateauError:
     """s_value and f_value return c_D and |c_D - c_{max(D-10, 1)}|, each
-    convergent as s_convergent / f_convergent give it on its own handle,
+    convergent as s_value / f_value give it on its own handle,
     at depths the kernel digest does not reach."""
 
     DEPTHS = (1, 10, 11, 12, 40, 60)
@@ -235,8 +231,8 @@ class TestPlateauError:
         for x in (1.05, -1.3 + 0.1j, 2.5):
             for depth in self.DEPTHS:
                 val, err = s_value(SFunctionHandle(rc, depth), x)
-                back = s_convergent(SFunctionHandle(rc, max(depth - 10, 1)), x)
-                assert val == s_convergent(SFunctionHandle(rc, depth), x)
+                back = s_value(SFunctionHandle(rc, max(depth - 10, 1)), x)[0]
+                assert val == s_value(SFunctionHandle(rc, depth), x)[0]
                 assert err == abs(val - back)
                 assert err > 0.0 or depth == 1
 
@@ -245,8 +241,8 @@ class TestPlateauError:
         for z in (0.9, -0.6 + 0.3j, 0.2j):
             for depth in self.DEPTHS:
                 val, err = f_value(CFunctionHandle(vs, depth), z)
-                back = f_convergent(CFunctionHandle(vs, max(depth - 10, 1)), z)
-                assert val == f_convergent(CFunctionHandle(vs, depth), z)
+                back = f_value(CFunctionHandle(vs, max(depth - 10, 1)), z)[0]
+                assert val == f_value(CFunctionHandle(vs, depth), z)[0]
                 assert err == abs(val - back)
                 assert err > 0.0 or depth == 1
 
@@ -279,8 +275,8 @@ class TestTransferMatrices:
         for k in (1, 2, 3):
             m = matrix_B_assoc(rc, k)
             for x in (1.8, -2.1, 2.5):
-                s0 = s_convergent(SFunctionHandle(rc, 40), x)
-                sk = s_convergent(SFunctionHandle(shift_coefficients(rc, k), 40), x)
+                s0 = s_value(SFunctionHandle(rc, 40), x)[0]
+                sk = s_value(SFunctionHandle(shift_coefficients(rc, k), 40), x)[0]
                 assert abs(homography_apply(m, s0, x) - sk) < 1e-8
 
     def test_b_assoc_det_nonzero(self):
@@ -298,9 +294,9 @@ class TestTransferMatrices:
             a, b, c, d = m(2.0)
             assert abs(a * d - b * c) > 1e-12
             for x in (1.7, -2.4, 3.0):
-                s0 = s_convergent(SFunctionHandle(rc, 40), x)
-                sk = s_convergent(
-                    SFunctionHandle(prepend_coefficients(rc, pb, pd), 40), x)
+                s0 = s_value(SFunctionHandle(rc, 40), x)[0]
+                sk = s_value(
+                    SFunctionHandle(prepend_coefficients(rc, pb, pd), 40), x)[0]
                 assert abs(homography_apply(m, s0, x) - sk) < 1e-8
 
     def test_upsilon_assoc_k0_is_identity_homography(self):
@@ -319,8 +315,8 @@ class TestTransferMatrices:
         for k in (1, 2, 3):
             m = matrix_Upsilon_assoc(vs, k)
             for z in (0.45, -0.38, 0.3 + 0.25j):
-                f0 = f_convergent(CFunctionHandle(vs, 40), z)
-                fk = f_convergent(CFunctionHandle(shift_verblunsky(vs, k), 40), z)
+                f0 = f_value(CFunctionHandle(vs, 40), z)[0]
+                fk = f_value(CFunctionHandle(shift_verblunsky(vs, k), 40), z)[0]
                 assert abs(homography_apply(m, f0, z) - fk) < 1e-8
 
     def test_upsilon_antiassoc_maps_convergents(self):
@@ -331,8 +327,8 @@ class TestTransferMatrices:
                        for _ in range(k))
             m = matrix_Upsilon_antiassoc(vs, xi)
             for z in (0.42, -0.31, 0.2 - 0.35j):
-                f0 = f_convergent(CFunctionHandle(vs, 40), z)
-                fk = f_convergent(CFunctionHandle(prepend_verblunsky(vs, xi), 40), z)
+                f0 = f_value(CFunctionHandle(vs, 40), z)[0]
+                fk = f_value(CFunctionHandle(prepend_verblunsky(vs, xi), 40), z)[0]
                 assert abs(homography_apply(m, f0, z) - fk) < 1e-8
 
 
@@ -386,7 +382,7 @@ class TestCorollaryFixtures:
             z = 0.05 + 0.04 * i
             pred = assoc_order1_cfun(z, 1.0, 0.0, 0.5)  # F of T data is 1
             assert pred == pytest.approx(1 - z * z, abs=1e-9)
-            direct = f_convergent(CFunctionHandle(vs_u, 40), z)
+            direct = f_value(CFunctionHandle(vs_u, 40), z)[0]
             assert abs(pred - direct) < 1e-9
 
     def test_antiassoc_order1_reciprocal_relation(self):
@@ -395,15 +391,15 @@ class TestCorollaryFixtures:
         vs0 = geronimus_inverse(base, 41)
         vs_pre = geronimus_inverse(prepend_coefficients(base, (pb,), (pd,)), 41)
         for z in (0.2, 0.35, -0.3, 0.1 + 0.2j):
-            f0 = f_convergent(CFunctionHandle(vs0, 40), z)
-            f_pre = f_convergent(CFunctionHandle(vs_pre, 40), z)
+            f0 = f_value(CFunctionHandle(vs0, 40), z)[0]
+            f_pre = f_value(CFunctionHandle(vs_pre, 40), z)[0]
             assert abs(antiassoc_order1_cfun_secondkind(z, f0, pb, pd) - 1.0 / f_pre) < 1e-9
 
     def test_assoc_order2_matrix_on_lebesgue(self):
         # shift of the zero sequence is the zero sequence: the homography
         # must fix the first-kind transform
         m = assoc_order2_sfun_matrix(0.0, 0.0)
-        s_t = s_convergent(SFunctionHandle(chebyshev_t(), 40), 2.0)
+        s_t = s_value(SFunctionHandle(chebyshev_t(), 40), 2.0)[0]
         assert abs(homography_apply(m, s_t, 2.0) - s_t) < 1e-9
 
     def test_assoc_order2_matrix_on_chebyshev_u(self):
@@ -413,12 +409,12 @@ class TestCorollaryFixtures:
         # continued-fraction oracle: 1/(2 - (1/3) * S_tail) with the all-1/4 tail
         tail = 2 * (2 - math.sqrt(3))
         want = 1.0 / (2.0 - tail / 3.0)
-        assert homography_apply(m, s_convergent(h_u, 2.0), 2.0).real == pytest.approx(
+        assert homography_apply(m, s_value(h_u, 2.0)[0], 2.0).real == pytest.approx(
             want, abs=1e-9)
         shifted = SFunctionHandle(RealRecurrence((0.0,) * 45, (1 / 3,) + (0.25,) * 44), 40)
         for x in (2.0, -1.8, 2.5):
-            got = homography_apply(m, s_convergent(h_u, x), x)
-            assert abs(got - s_convergent(shifted, x)) < 1e-9
+            got = homography_apply(m, s_value(h_u, x)[0], x)
+            assert abs(got - s_value(shifted, x)[0]) < 1e-9
 
     def test_antiassoc_order2_matrix(self):
         xi0, xi1 = 0.3, -0.5
@@ -428,8 +424,8 @@ class TestCorollaryFixtures:
         rc_pre = geronimus_forward(prepend_verblunsky(vs0, (xi0, xi1)), 42)
         h_pre = SFunctionHandle(rc_pre, 40)
         for x in (2.0, -1.8, 2.5):
-            got = homography_apply(m, s_convergent(h_t, x), x)
-            assert abs(got - s_convergent(h_pre, x)) < 1e-9
+            got = homography_apply(m, s_value(h_t, x)[0], x)
+            assert abs(got - s_value(h_pre, x)[0]) < 1e-9
 
 
 def test_handles_default_to_depth_40():
