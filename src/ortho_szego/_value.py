@@ -9,8 +9,11 @@ pickle support.  It is written out rather than taken from ``dataclasses``
 because importing that module (which imports ``inspect``) and building
 each decorated class would cost every CLI run ~20 ms of start-up.
 
-A subclass lists its fields, in constructor order, as ``__slots__`` and
-sets each one once in ``__init__`` with ``object.__setattr__``.
+A subclass lists its fields, in constructor order, as ``__slots__``.
+``Value.__init__`` takes one argument per field and sets each slot once,
+in that order; a subclass that coerces or checks its input defines its own
+``__init__``, which passes the coerced fields to ``Value.__init__`` and
+then runs its checks.
 
 ``_unchecked`` builds a value without its constructor.  It is for kernel
 outputs whose own guards have already established everything the
@@ -21,6 +24,18 @@ goes through the constructor.
 
 class Value:
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(fields)}")
+        # indexed, not zipped: for the one to seven fields a value has,
+        # building the zip costs more than the stores
+        set_slot, i = object.__setattr__, 0
+        for name in names:
+            set_slot(self, name, fields[i])
+            i += 1
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

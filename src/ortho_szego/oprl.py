@@ -29,8 +29,7 @@ class RealRecurrence(Value):
     d: tuple[float, ...]
 
     def __init__(self, b, d):
-        object.__setattr__(self, "b", tuple(map(float, b)))
-        object.__setattr__(self, "d", tuple(map(float, d)))
+        Value.__init__(self, tuple(map(float, b)), tuple(map(float, d)))
         if 0.0 in self.d:
             raise NonPositiveD(f"d_{self.d.index(0.0) + 1} = 0 is not allowed")
 

@@ -41,9 +41,8 @@ class VerblunskySeq(Value):
     alpha: tuple[float, ...] | tuple[complex, ...]
 
     def __init__(self, alpha):
-        alpha = _stored(alpha)
-        object.__setattr__(self, "alpha", alpha)
-        _check_moduli(alpha)
+        Value.__init__(self, _stored(alpha))
+        _check_moduli(self.alpha)
 
     def __repr__(self):
         return f"{type(self).__qualname__}(alpha={tuple(map(complex, self.alpha))!r})"

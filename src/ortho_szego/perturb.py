@@ -99,8 +99,7 @@ class CoDilated(Value):
     lam: float
 
     def __init__(self, k, lam):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
+        Value.__init__(self, k, lam)
         if self.k < 1:
             raise ValueError("co-dilation index must be >= 1")
         if not self.lam > 0:
@@ -117,8 +116,7 @@ class CoRecursive(Value):
     tau: float
 
     def __init__(self, k, tau):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tau", tau)
+        Value.__init__(self, k, tau)
         if self.k < 0:
             raise ValueError("co-recursion index must be >= 0")
 
@@ -133,8 +131,7 @@ class KModification(Value):
     eta: complex
 
     def __init__(self, k, eta):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "eta", eta)
+        Value.__init__(self, k, eta)
         if self.k < 0:
             raise ValueError("modification index must be >= 0")
         if not abs(self.eta) < 1.0:
@@ -150,7 +147,7 @@ class Associated(Value):
     k: int
 
     def __init__(self, k):
-        object.__setattr__(self, "k", k)
+        Value.__init__(self, k)
         if self.k < 0:
             raise ValueError("association order must be >= 0")
 
@@ -166,9 +163,7 @@ class AntiAssociated(Value):
     xi: tuple[complex, ...]
 
     def __init__(self, pre_b=(), pre_d=(), xi=()):
-        object.__setattr__(self, "pre_b", pre_b)
-        object.__setattr__(self, "pre_d", pre_d)
-        object.__setattr__(self, "xi", xi)
+        Value.__init__(self, pre_b, pre_d, xi)
 
     kind = "anti_associated"
 
@@ -181,7 +176,7 @@ class Sieve(Value):
     ell: int
 
     def __init__(self, ell):
-        object.__setattr__(self, "ell", ell)
+        Value.__init__(self, ell)
         if self.ell < 1:
             raise ValueError("sieve stride must be >= 1")
 
@@ -424,15 +419,6 @@ class PathDiscrepancy(Value):
     default_value: float
     shortcut_value: float
 
-    def __init__(self, op, k, lam, tau, index, default_value, shortcut_value):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "default_value", default_value)
-        object.__setattr__(self, "shortcut_value", shortcut_value)
-
     def describe(self) -> str:
         return (f"{self.op}: paths first differ at index {self.index}: "
                 f"default {self.default_value!r} vs shortcut {self.shortcut_value!r} "
@@ -646,9 +632,7 @@ class SpecKind(Value):
     paths: dict[str, Callable]
 
     def __init__(self, read, apply, paths):
-        object.__setattr__(self, "read", read)
-        object.__setattr__(self, "apply", apply)
-        object.__setattr__(self, "paths", paths)
+        Value.__init__(self, read, apply, paths)
 
 
 def _co_window(rc: RealRecurrence, k: int) -> int:

@@ -20,7 +20,6 @@ a TypeError that the file's reader reports in one line: a NaN passes every
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import OrthoError
@@ -106,13 +105,22 @@ def _list(x, read) -> tuple:
     return tuple([read(v) for v in x])
 
 
+def _parse(text: str, kind: str):
+    """The JSON value of a ``kind`` file's text."""
+    # imported on use: the commands that read no file (verify, and every
+    # usage error) never load json
+    import json
+
+    try:
+        return json.loads(text)
+    except _JSON_ERRORS as exc:
+        raise OrthoError(f"malformed {kind} file: {exc}") from exc
+
+
 def loads_coefficients(text: str):
     """Parse either coefficient object, detected by key; an object that
     holds both kinds' keys is refused."""
-    try:
-        data = json.loads(text)
-    except _JSON_ERRORS as exc:
-        raise OrthoError(f"malformed coefficient file: {exc}") from exc
+    data = _parse(text, "coefficient")
     if not isinstance(data, dict):
         raise OrthoError("coefficient file must hold a single object")
     try:
@@ -131,10 +139,7 @@ def specs_from_text(text: str) -> list:
     """The specs of a perturbation file, in order.  An error names the
     entry's position in the file for a non-object or a missing or mistyped
     field."""
-    try:
-        data = json.loads(text)
-    except _JSON_ERRORS as exc:
-        raise OrthoError(f"malformed perturbation file: {exc}") from exc
+    data = _parse(text, "perturbation")
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

@@ -61,8 +61,7 @@ class SFunctionHandle(Value):
     depth: int
 
     def __init__(self, rc, depth=DEFAULT_DEPTH):
-        object.__setattr__(self, "rc", rc)
-        object.__setattr__(self, "depth", depth)
+        Value.__init__(self, rc, depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.rc.require(self.depth, self.depth - 1)
@@ -76,8 +75,7 @@ class CFunctionHandle(Value):
     depth: int
 
     def __init__(self, vs, depth=DEFAULT_DEPTH):
-        object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "depth", depth)
+        Value.__init__(self, vs, depth)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         self.vs.require(self.depth)

@@ -234,11 +234,6 @@ class LuCheckResult(Value):
     max_abs_error: float
     mismatches: tuple[tuple[int, int, float, float], ...]  # (row, col, got, want)
 
-    def __init__(self, ok, max_abs_error, mismatches):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "max_abs_error", max_abs_error)
-        object.__setattr__(self, "mismatches", mismatches)
-
     def __bool__(self) -> bool:
         return self.ok
 

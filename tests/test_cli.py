@@ -805,6 +805,19 @@ def test_unknown_suite_loads_no_suites():
     assert not set(_NEVER_LOADED) & set(loaded)
 
 
+@pytest.mark.parametrize("suite, code", [("rel", "0"), ("lu", "0"), ("nope", "4")])
+def test_verify_loads_no_json(suite, code):
+    # verify reads no file, so json (~3 ms of import) waits for a file reader
+    done = _python("import sys; before = 'json' in sys.modules\n"
+                   "from ortho_szego import cli\n"
+                   "code = cli.main(sys.argv[1:])\n"
+                   "print(code, before, 'json' in sys.modules)", "verify", "--suite", suite)
+    last = done.stdout.splitlines()[-1].split()
+    if last[1] == "True":
+        pytest.skip("the interpreter loads json at start-up")
+    assert (done.returncode, last) == (0, [code, "False", "False"])
+
+
 def test_cli_import_loads_the_readme_common_set():
     # the "every one" row of the README's start-up table is exactly what
     # importing the CLI loads; each command's own modules come on top

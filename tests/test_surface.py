@@ -25,6 +25,10 @@ list.
 Only ``cli.run``, the program's entry point, may end the process with
 ``os._exit``; ``cli.main`` and every library function return to their
 caller.
+
+Only ``_value`` writes a value's slots with ``object.__setattr__``: the
+one constructor ``Value.__init__`` and ``_unchecked``.  A subclass passes
+its coerced fields to ``Value.__init__``.
 """
 
 import ast
@@ -209,6 +213,14 @@ def test_only_the_entry_point_ends_the_process():
     package = ROOT / "src" / "ortho_szego"
     uses = set().union(*(_uses(p, "_exit") for p in sorted(package.glob("*.py"))))
     assert uses == {"cli.run"}
+
+
+def test_only_value_sets_slots():
+    # a value class that set its own slots would skip Value.__init__'s
+    # field-count check and could leave a slot unset
+    package = ROOT / "src" / "ortho_szego"
+    uses = set().union(*(_uses(p, "__setattr__") for p in sorted(package.glob("*.py"))))
+    assert uses == {"_value.Value.__init__", "_value._unchecked"}
 
 
 def test_no_reader_of_outside_input_is_allowlisted():

@@ -99,3 +99,16 @@ def test_unequal_values_differ():
     assert CoDilated(1, 0.5) != CoDilated(2, 0.5)
     # same fields, different classes
     assert Associated(1) != Sieve(1)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (LuCheckResult, (True, 0.0, ())),
+    (PathDiscrepancy, ("perturbed_v", 1, 0.5, 0.0, 1, 0.25, 0.5)),
+], ids=["LuCheckResult", "PathDiscrepancy"])
+def test_wrong_field_count_raises(make, fields):
+    # Value.__init__ takes exactly one argument per field, as a written-out
+    # constructor would; a short call must not leave a slot unset
+    assert make(*fields)._fields() == fields
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match=rf"^{make.__name__}\(\) takes {len(fields)} fields "):
+            make(*wrong)
