@@ -81,17 +81,12 @@ class _CliExit(Exception):
         self.message = message
 
 
-def _load_line(path: str) -> RealRecurrence:
+def _load(path: str, cls):
+    """The coefficient file at path, which must hold a cls."""
     data = loads_coefficients(_read(path))
-    if not isinstance(data, RealRecurrence):
-        raise _CliExit(EXIT_IO, f"{path}: expected a line-side b/d file")
-    return data
-
-
-def _load_circle(path: str) -> VerblunskySeq:
-    data = loads_coefficients(_read(path))
-    if not isinstance(data, VerblunskySeq):
-        raise _CliExit(EXIT_IO, f"{path}: expected a circle-side alpha file")
+    if not isinstance(data, cls):
+        raise _CliExit(EXIT_IO, f"{path}: expected a " + (
+            "line-side b/d file" if cls is RealRecurrence else "circle-side alpha file"))
     return data
 
 
@@ -99,13 +94,13 @@ def cmd_geronimus(args) -> int:
     if args.n is not None and args.n < 0:
         raise _CliExit(EXIT_IO, f"--n must be >= 0, got {args.n}")
     if args.direction == "fwd":
-        vs = _load_circle(args.infile)
+        vs = _load(args.infile, VerblunskySeq)
         n = args.n if args.n is not None else len(vs) // 2
         from .szego import geronimus_forward
 
         out = geronimus_forward(vs, n)
     else:
-        rc = _load_line(args.infile)
+        rc = _load(args.infile, RealRecurrence)
         n = args.n if args.n is not None else len(rc)
         from .szego import geronimus_inverse
 
@@ -143,7 +138,7 @@ def cmd_perturb(args) -> int:
         raise _CliExit(EXIT_IO, str(exc))
     notes: list[str] = []
     try:
-        data = _load_line(args.infile) if args.side == "line" else _load_circle(args.infile)
+        data = _load(args.infile, RealRecurrence if args.side == "line" else VerblunskySeq)
         for spec in specs:
             data = _apply_spec(data, spec, args.side, args.both_paths, notes)
     except WrongSide as exc:
@@ -200,10 +195,10 @@ def cmd_eval(args) -> int:
     points = _parse_points(args.points)
     rows = ["point_re\tpoint_im\tvalue_re\tvalue_im\tplateau_err"]
     if args.side == "line":
-        handle = SFunctionHandle(_load_line(args.infile), depth)
+        handle = SFunctionHandle(_load(args.infile, RealRecurrence), depth)
         evaluate = lambda p: s_value(handle, p)  # noqa: E731
     else:
-        handle = CFunctionHandle(_load_circle(args.infile), depth)
+        handle = CFunctionHandle(_load(args.infile, VerblunskySeq), depth)
         evaluate = lambda p: f_value(handle, p)  # noqa: E731
     for p in points:
         try:

@@ -32,7 +32,6 @@ choice.  Both paths check the same perturbation specs, and
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import partial
 
 from ._value import Value, _unchecked
@@ -87,7 +86,18 @@ def max_deviation(got, want) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Perturbation descriptions
+# Perturbation specs: each class is one kind of the registry SPECS
+#
+# ``read`` builds the spec from a file entry through serialize's readers.
+# ``apply`` maps each side the kind applies to ("line", "circle") to
+# ``f(data, spec) -> perturbed data``.  ``paths`` maps a side to
+# ``f(data, spec) -> (order, run)``, where ``run(path=...)`` computes the
+# family through CLOSED_FORM or ORACLE on the unperturbed data, or to a
+# string saying why the side has no such pair.
+
+
+def _co_window(rc: RealRecurrence, k: int) -> int:
+    return min(len(rc), max(k + 2, 8))
 
 
 class CoDilated(Value):
@@ -106,6 +116,10 @@ class CoDilated(Value):
             raise ValueError("co-dilation factor must be positive")
 
     kind = "co_dilated"
+    read = staticmethod(lambda obj: CoDilated(_integer(obj["k"]), _real(obj["lambda"])))
+    apply = {"line": lambda rc, spec: coprl_apply(rc, [spec])}
+    paths = {"line": lambda rc, spec: (spec.k, partial(
+        coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}
 
 
 class CoRecursive(Value):
@@ -121,6 +135,10 @@ class CoRecursive(Value):
             raise ValueError("co-recursion index must be >= 0")
 
     kind = "co_recursive"
+    read = staticmethod(lambda obj: CoRecursive(_integer(obj["k"]), _real(obj["tau"])))
+    apply = {"line": lambda rc, spec: coprl_apply(rc, [spec])}
+    paths = {"line": lambda rc, spec: (spec.k, partial(
+        coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}
 
 
 class KModification(Value):
@@ -138,6 +156,9 @@ class KModification(Value):
             raise InvalidEta(f"|eta| = {abs(self.eta)} >= 1")
 
     kind = "k_modification"
+    read = staticmethod(lambda obj: KModification(_integer(obj["k"]), _complex(obj["eta"])))
+    apply = {"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)}
+    paths = {}
 
 
 class Associated(Value):
@@ -152,6 +173,32 @@ class Associated(Value):
             raise ValueError("association order must be >= 0")
 
     kind = "associated"
+    read = staticmethod(lambda obj: Associated(_integer(obj["k"])))
+    apply = {"line": lambda rc, spec: shift_coefficients(rc, spec.k),
+             "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)}
+    paths = {"line": lambda rc, spec: (spec.k, partial(
+                 assoc_oprl_to_verblunsky, rc, spec.k, min(len(rc) - spec.k, 8))),
+             "circle": lambda vs, spec: (spec.k, partial(
+                 assoc_opuc_to_recurrence, vs, spec.k, max((len(vs) - spec.k) // 2 - 1, 1)))}
+
+
+def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
+    if spec.xi or not spec.pre_b:
+        raise WrongSide("anti_associated on the line side needs pre_b/pre_d")
+    return prepend_coefficients(rc, spec.pre_b, spec.pre_d)
+
+
+def _antiassoc_circle(vs: VerblunskySeq, spec: AntiAssociated) -> VerblunskySeq:
+    if spec.pre_b or (not spec.xi and spec.pre_d):
+        raise WrongSide("anti_associated on the circle side needs xi")
+    return prepend_verblunsky(vs, spec.xi)
+
+
+def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
+    if any(x.imag != 0.0 for x in spec.xi):
+        return "complex prepend has no line-side closed form"
+    return len(spec.xi), partial(antiassoc_opuc_to_recurrence, vs, [x.real for x in spec.xi],
+                                 max(len(vs) // 2 - 1, 1))
 
 
 class AntiAssociated(Value):
@@ -167,6 +214,20 @@ class AntiAssociated(Value):
 
     kind = "anti_associated"
 
+    @staticmethod
+    def read(obj: dict) -> AntiAssociated:
+        if "xi" not in obj:
+            return AntiAssociated(pre_b=_list(obj.get("pre_b", []), _real),
+                                  pre_d=_list(obj.get("pre_d", []), _real))
+        if "pre_b" in obj or "pre_d" in obj:
+            raise TypeError("xi cannot be given with pre_b/pre_d")
+        return AntiAssociated(xi=_list(obj["xi"], _complex))
+
+    apply = {"line": _antiassoc_line, "circle": _antiassoc_circle}
+    paths = {"line": lambda rc, spec: (len(spec.pre_b), partial(
+                 antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
+             "circle": _antiassoc_circle_paths}
+
 
 class Sieve(Value):
     """Spread circle coefficients: original entry m-1 lands at index m*ell - 1,
@@ -181,6 +242,13 @@ class Sieve(Value):
             raise ValueError("sieve stride must be >= 1")
 
     kind = "sieve"
+    read = staticmethod(lambda obj: Sieve(_integer(obj["ell"])))
+    apply = {"circle": lambda vs, spec: sieve(vs, spec.ell)}
+    paths = {}
+
+
+SPECS = {cls.kind: cls for cls in (CoDilated, CoRecursive, KModification, Associated,
+                                   AntiAssociated, Sieve)}
 
 
 # ---------------------------------------------------------------------------
@@ -610,94 +678,3 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     shift = 4.0 * (lam - 1.0) * rc.d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
     head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
     return _symmetric_from(rc.d, head, n)
-
-
-# ---------------------------------------------------------------------------
-# Spec registry: one entry per perturbation kind
-
-
-class SpecKind(Value):
-    """How one perturbation kind is read and applied.
-
-    ``apply`` maps each side the kind applies to ("line", "circle") to
-    ``f(data, spec) -> perturbed data``.  ``paths`` maps a side to
-    ``f(data, spec) -> (order, run)``, where ``run(path=...)`` computes the
-    family through CLOSED_FORM or ORACLE on the unperturbed data, or to a
-    string saying why the side has no such pair.
-    """
-
-    __slots__ = ("read", "apply", "paths")
-    read: Callable[[dict], object]
-    apply: dict[str, Callable]
-    paths: dict[str, Callable]
-
-    def __init__(self, read, apply, paths):
-        Value.__init__(self, read, apply, paths)
-
-
-def _co_window(rc: RealRecurrence, k: int) -> int:
-    return min(len(rc), max(k + 2, 8))
-
-
-def _antiassoc_from_obj(obj: dict) -> AntiAssociated:
-    if "xi" not in obj:
-        return AntiAssociated(pre_b=_list(obj.get("pre_b", []), _real),
-                              pre_d=_list(obj.get("pre_d", []), _real))
-    if "pre_b" in obj or "pre_d" in obj:
-        raise TypeError("xi cannot be given with pre_b/pre_d")
-    return AntiAssociated(xi=_list(obj["xi"], _complex))
-
-
-def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
-    if spec.xi or not spec.pre_b:
-        raise WrongSide("anti_associated on the line side needs pre_b/pre_d")
-    return prepend_coefficients(rc, spec.pre_b, spec.pre_d)
-
-
-def _antiassoc_circle(vs: VerblunskySeq, spec: AntiAssociated) -> VerblunskySeq:
-    if spec.pre_b or (not spec.xi and spec.pre_d):
-        raise WrongSide("anti_associated on the circle side needs xi")
-    return prepend_verblunsky(vs, spec.xi)
-
-
-def _antiassoc_circle_paths(vs: VerblunskySeq, spec: AntiAssociated):
-    if any(x.imag != 0.0 for x in spec.xi):
-        return "complex prepend has no line-side closed form"
-    return len(spec.xi), partial(antiassoc_opuc_to_recurrence, vs, [x.real for x in spec.xi],
-                                 max(len(vs) // 2 - 1, 1))
-
-
-SPECS: dict[str, SpecKind] = {
-    CoDilated.kind: SpecKind(
-        read=lambda obj: CoDilated(_integer(obj["k"]), _real(obj["lambda"])),
-        apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
-        paths={"line": lambda rc, spec: (spec.k, partial(
-            coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}),
-    CoRecursive.kind: SpecKind(
-        read=lambda obj: CoRecursive(_integer(obj["k"]), _real(obj["tau"])),
-        apply={"line": lambda rc, spec: coprl_apply(rc, [spec])},
-        paths={"line": lambda rc, spec: (spec.k, partial(
-            coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}),
-    KModification.kind: SpecKind(
-        read=lambda obj: KModification(_integer(obj["k"]), _complex(obj["eta"])),
-        apply={"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)},
-        paths={}),
-    Associated.kind: SpecKind(
-        read=lambda obj: Associated(_integer(obj["k"])),
-        apply={"line": lambda rc, spec: shift_coefficients(rc, spec.k),
-               "circle": lambda vs, spec: shift_verblunsky(vs, spec.k)},
-        paths={"line": lambda rc, spec: (spec.k, partial(
-                   assoc_oprl_to_verblunsky, rc, spec.k, min(len(rc) - spec.k, 8))),
-               "circle": lambda vs, spec: (spec.k, partial(
-                   assoc_opuc_to_recurrence, vs, spec.k, max((len(vs) - spec.k) // 2 - 1, 1)))}),
-    AntiAssociated.kind: SpecKind(
-        read=_antiassoc_from_obj,
-        apply={"line": _antiassoc_line, "circle": _antiassoc_circle},
-        paths={"line": lambda rc, spec: (len(spec.pre_b), partial(
-                   antiassoc_oprl_to_verblunsky, rc, spec.pre_b, spec.pre_d, min(len(rc), 8))),
-               "circle": _antiassoc_circle_paths}),
-    Sieve.kind: SpecKind(
-        read=lambda obj: Sieve(_integer(obj["ell"])),
-        apply={"circle": lambda vs, spec: sieve(vs, spec.ell)},
-        paths={}),
-}

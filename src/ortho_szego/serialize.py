@@ -10,7 +10,8 @@ keeps files diffable; the key tells the two kinds apart:
 
 Perturbation files are read only: a tagged object, e.g.
 { "kind": "co_dilated", "k": 1, "lambda": 0.5 }, or a list of them, each
-read by its kind's ``perturb.SPECS`` entry through the readers below.
+read by the ``read`` of its kind's spec class (``perturb.SPECS`` maps each
+kind to its class) through the readers below.
 
 Every JSON number of either file goes through ``_real``, which refuses a
 bool, a string, NaN, an infinity and an integer past the float range with

@@ -101,6 +101,23 @@ MUTANTS = [
            "        head.append(0.0)\n        head.append(g)\n",
            "        head.append(g)\n        head.append(0.0)\n",
            ("tests/test_kernel_reference.py::test_symmetric_from",)),
+    # the spec classes as the registry, and the one coefficient loader
+    Mutant("sieve-applies-on-the-line", "perturb.py",
+           '    apply = {"circle": lambda vs, spec: sieve(vs, spec.ell)}\n',
+           '    apply = {"line": lambda vs, spec: sieve(vs, spec.ell)}\n',
+           ("tests/test_perturb.py::TestRegistry::test_entry_is_its_spec_class",)),
+    Mutant("codilated-reads-tau", "perturb.py",
+           'CoDilated(_integer(obj["k"]), _real(obj["lambda"]))',
+           'CoDilated(_integer(obj["k"]), _real(obj["tau"]))',
+           ("tests/test_perturb.py::TestRegistry::test_entry_is_its_spec_class",)),
+    Mutant("associated-line-window-7", "perturb.py",
+           "min(len(rc) - spec.k, 8)",
+           "min(len(rc) - spec.k, 7)",
+           ("tests/test_perturb.py::TestRegistry::test_both_paths_window",)),
+    Mutant("loader-messages-swapped", "cli.py",
+           '"line-side b/d file" if cls is RealRecurrence else "circle-side alpha file"',
+           '"circle-side alpha file" if cls is RealRecurrence else "line-side b/d file"',
+           ("tests/test_cli.py::test_other_kind_of_file_exit1",)),
     # the peel's continuation behind the LU shortcut
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",

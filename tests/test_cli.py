@@ -125,6 +125,29 @@ def zfile(tmp_path):
     return str(path)
 
 
+LINE_FILE_EXPECTED = ": expected a line-side b/d file\n"
+CIRCLE_FILE_EXPECTED = ": expected a circle-side alpha file\n"
+
+
+@pytest.mark.parametrize("argv, given, message", [
+    (["geronimus", "--direction", "inv"], "zfile", LINE_FILE_EXPECTED),
+    (["geronimus", "--direction", "fwd"], "tfile", CIRCLE_FILE_EXPECTED),
+    (["eval", "--side", "line", "--points", "2.0"], "zfile", LINE_FILE_EXPECTED),
+    (["eval", "--side", "circle", "--points", "0.5"], "tfile", CIRCLE_FILE_EXPECTED),
+    (["perturb", "--side", "line"], "zfile", LINE_FILE_EXPECTED),
+    (["perturb", "--side", "circle"], "tfile", CIRCLE_FILE_EXPECTED),
+], ids=["geronimus-inv", "geronimus-fwd", "eval-line", "eval-circle", "perturb-line",
+        "perturb-circle"])
+def test_other_kind_of_file_exit1(tfile, zfile, tmp_path, capsys, argv, given, message):
+    path = {"tfile": tfile, "zfile": zfile}[given]
+    if argv[0] == "perturb":
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "associated", "k": 1}]')
+        argv = argv + ["--spec", str(spec)]
+    assert main(argv + ["--in", path]) == 1
+    assert capsys.readouterr() == ("", path + message)
+
+
 class TestGeronimusCommand:
     def test_forward_zeros(self, zfile, tmp_path, capsys):
         out = tmp_path / "out.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ortho_szego._value import _unchecked
+from ortho_szego._value import Value, _unchecked
 from ortho_szego.errors import (
     AlphaOutOfRange,
     ComplexAlpha,
@@ -23,6 +23,7 @@ from ortho_szego.perturb import (
     CLOSED_FORM,
     DEFAULT,
     MAX_SIEVE_LENGTH,
+    SPECS,
     AntiAssociated,
     Associated,
     CoDilated,
@@ -82,6 +83,52 @@ class TestSpecValidation:
         Associated(0), AntiAssociated(xi=(0.1,)), Sieve(2), CoRecursive(0, 0.3)
         with pytest.raises(ValueError):
             Sieve(0)
+
+
+# kind -> (a minimal valid file entry, the sides of apply, the sides of paths)
+REGISTRY = {
+    "co_dilated": ({"k": 1, "lambda": 0.5}, {"line"}, {"line"}),
+    "co_recursive": ({"k": 0, "tau": 0.3}, {"line"}, {"line"}),
+    "k_modification": ({"k": 0, "eta": 0.3}, {"circle"}, set()),
+    "associated": ({"k": 1}, {"line", "circle"}, {"line", "circle"}),
+    "anti_associated": ({"xi": [0.2]}, {"line", "circle"}, {"line", "circle"}),
+    "sieve": ({"ell": 2}, {"circle"}, set()),
+}
+
+
+class TestRegistry:
+    def test_every_kind_is_registered(self):
+        assert set(SPECS) == set(REGISTRY)
+
+    @pytest.mark.parametrize("kind", sorted(REGISTRY))
+    def test_entry_is_its_spec_class(self, kind):
+        cls = SPECS[kind]
+        entry, apply_sides, path_sides = REGISTRY[kind]
+        assert cls.kind == kind and issubclass(cls, Value)
+        assert type(cls.read({"kind": kind, **entry})) is cls
+        assert set(cls.apply) == apply_sides
+        assert set(cls.paths) == path_sides
+
+    @pytest.mark.parametrize("kind, side, entry, pairs", [
+        ("co_dilated", "line", {"k": 1, "lambda": 0.5}, 8),
+        ("co_recursive", "line", {"k": 9, "tau": 0.1}, 11),
+        ("associated", "line", {"k": 2}, 8),
+        ("associated", "line", {"k": 20}, 4),
+        ("anti_associated", "line", {"pre_b": [0.0], "pre_d": [0.25]}, 8),
+        ("associated", "circle", {"k": 3}, 7),
+        ("anti_associated", "circle", {"xi": [0.2]}, 9),
+    ])
+    def test_both_paths_window(self, kind, side, entry, pairs):
+        # 24 line pairs or 20 circle coefficients; pairs is the output length
+        # of both routes, in line pairs or circle pairs
+        data = chebyshev_u(24) if side == "line" else VerblunskySeq((0.0,) * 20)
+        cls = SPECS[kind]
+        spec = cls.read({"kind": kind, **entry})
+        order, run = cls.paths[side](data, spec)
+        assert order == (1 if kind == "anti_associated" else spec.k)
+        for path in (CLOSED_FORM, ORACLE):
+            out = run(path=path)
+            assert (len(out) if side == "circle" else len(out.alpha) // 2) == pairs
 
 
 class TestCoprlApply:
