@@ -183,13 +183,13 @@ class Associated(Value):
 
 
 def _antiassoc_line(rc: RealRecurrence, spec: AntiAssociated) -> RealRecurrence:
-    if spec.xi or not spec.pre_b:
+    if spec.xi:
         raise WrongSide("anti_associated on the line side needs pre_b/pre_d")
     return prepend_coefficients(rc, spec.pre_b, spec.pre_d)
 
 
 def _antiassoc_circle(vs: VerblunskySeq, spec: AntiAssociated) -> VerblunskySeq:
-    if spec.pre_b or (not spec.xi and spec.pre_d):
+    if spec.pre_b or spec.pre_d:
         raise WrongSide("anti_associated on the circle side needs xi")
     return prepend_verblunsky(vs, spec.xi)
 

@@ -4,12 +4,20 @@ Each suite exercises one block of cross-validation properties on the
 fixed Chebyshev fixtures plus seeded random admissible inputs, and
 reports one line per property with the worst residual seen.  Results are
 deterministic for a fixed seed.
+
+`run_suite` owns the report, the seed and the tolerance: it builds the
+`SuiteReport` and the `random.Random(seed)` and resolves the tolerance,
+then hands all three to the suite.  A property on random inputs is a
+function that draws once from that generator and returns one residual;
+`SuiteReport.record_kept` runs it, redraws an inadmissible draw and keeps
+the worst residual.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 from .errors import SupportViolation
 from .oprl import (
@@ -107,65 +115,51 @@ def _rand_rc(rng: random.Random, pairs: int, bound: float = 0.9):
 IDENTITY_BOUND = 0.35
 
 
-def suite_roundtrip(seed: int, tol: float) -> SuiteReport:
+def suite_roundtrip(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     from .perturb import max_deviation
 
-    rep = SuiteReport("roundtrip")
-    rng = random.Random(seed)
     depth = 20
 
     worst = max_deviation(geronimus_inverse(chebyshev_t(), 12),
                           VerblunskySeq((0.0,) * 24))
     rep.record("chebyshev_t_fixture", worst, tol)
 
-    worst = 0.0
-    for _ in range(100):
+    def inverse_of_forward():
         vs = _rand_alpha(rng, 2 * depth, IDENTITY_BOUND)
-        back = geronimus_inverse(geronimus_forward(vs, depth), depth)
-        worst = max_residual(worst, max_deviation(vs, back))
-    rep.record("inverse_of_forward", worst, tol)
+        return max_deviation(vs, geronimus_inverse(geronimus_forward(vs, depth), depth))
 
-    def run_forward_of_inverse():
+    def forward_of_inverse():
         rc = _rand_rc(rng, depth)
         return max_deviation(rc, geronimus_forward(geronimus_inverse(rc, depth), depth))
 
-    rep.record_kept("forward_of_inverse", run_forward_of_inverse, 100, tol)
-
-    worst = 0.0
-    for _ in range(100):
+    def alpha_of_v_of_alpha():
         vs = _rand_alpha(rng, 2 * depth, IDENTITY_BOUND)
-        back = alpha_from_v(v_from_alpha(vs))
-        worst = max_residual(worst, max_deviation(vs, back))
-    rep.record("alpha_of_v_of_alpha", worst, tol)
-    return rep
+        return max_deviation(vs, alpha_from_v(v_from_alpha(vs)))
+
+    for run in (inverse_of_forward, forward_of_inverse, alpha_of_v_of_alpha):
+        rep.record_kept(run.__name__, run, 100, tol)
 
 
-def suite_rel(seed: int, tol: float) -> SuiteReport:
-    rep = SuiteReport("rel")
-    rng = random.Random(seed)
-
+def suite_rel(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     rc, vs = chebyshev_t(), geronimus_inverse(chebyshev_t(), 12)
     fixture = max_residual(check_rel(rc, vs, 1, math.pi / 3), check_rel(rc, vs, 0, 0.9))
     rcu, vsu = chebyshev_u(), geronimus_inverse(chebyshev_u(), 12)
     fixture = max_residual(fixture, check_rel(rcu, vsu, 2, 1.1))
     rep.record("chebyshev_fixtures", fixture, tol)
 
-    worst = 0.0
-    for _ in range(50):
+    def random_triples():
         rc = _rand_rc(rng, 8)
         vs = geronimus_inverse(rc, 8)
         n = rng.randint(0, 6)
         theta = rng.uniform(0.05, math.pi - 0.05)
-        worst = max_residual(worst, check_rel(rc, vs, n, theta))
-    rep.record("random_triples", worst, tol)
-    return rep
+        return check_rel(rc, vs, n, theta)
+
+    rep.record_kept("random_triples", random_triples, 50, tol)
 
 
-def suite_bridge(seed: int, tol: float) -> SuiteReport:
+def suite_bridge(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     from .spectral import fs_bridge_check
 
-    rep = SuiteReport("bridge")
-    rng = random.Random(seed)
     depth = 40
     xs = (1.5, -1.5, 2.0, -2.0, 3.0)
 
@@ -173,14 +167,12 @@ def suite_bridge(seed: int, tol: float) -> SuiteReport:
     fixture = max_residual(fixture, *(fs_bridge_check(chebyshev_u(), x, depth) for x in xs))
     rep.record("chebyshev_fixtures", fixture, tol)
 
-    worst = 0.0
-    for _ in range(20):
+    def random_pairs():
         vs = _rand_alpha(rng, 2 * depth + 8, bound=0.7)
         rc = geronimus_forward(vs, depth + 4)
-        for x in xs:
-            worst = max_residual(worst, fs_bridge_check(rc, x, depth, vs=vs))
-    rep.record("random_pairs", worst, tol)
-    return rep
+        return max_residual(*(fs_bridge_check(rc, x, depth, vs=vs) for x in xs))
+
+    rep.record_kept("random_pairs", random_pairs, 20, tol)
 
 
 def _worst_rel(m, value, h0, h1, points) -> float:
@@ -194,7 +186,7 @@ def _worst_rel(m, value, h0, h1, points) -> float:
     return max_residual(0.0, *map(rel, points))
 
 
-def suite_transfer(seed: int, tol: float) -> SuiteReport:
+def suite_transfer(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     """Order-k transfer matrices at matched depths, where the identities
     are exact but for rounding, so points near the support are checked too:
     the original at D maps to the shifted data at D - k (both sides) and
@@ -204,63 +196,45 @@ def suite_transfer(seed: int, tol: float) -> SuiteReport:
                            matrix_B_assoc, matrix_Upsilon_antiassoc, matrix_Upsilon_assoc,
                            s_value)
 
-    rep = SuiteReport("transfer")
-    rng = random.Random(seed)
     depth = 12
     xs = (1.8, -2.1, 2.6, 1.05, -1.02)
     zs = (0.45, -0.38, 0.3 + 0.25j, 0.95, -0.97, 0.9j)
 
-    for k in (1, 2, 3):
-        worst = 0.0
-        for _ in range(20):
-            rc = _rand_rc(rng, depth + 2, bound=0.7)
-            worst = max_residual(worst, _worst_rel(
-                matrix_B_assoc(rc, k), s_value, SFunctionHandle(rc, depth),
-                SFunctionHandle(shift_coefficients(rc, k), depth - k), xs))
-        rep.record(f"line_assoc_k{k}", worst, tol)
+    def line_assoc(k):
+        rc = _rand_rc(rng, depth + 2, bound=0.7)
+        return _worst_rel(matrix_B_assoc(rc, k), s_value, SFunctionHandle(rc, depth),
+                          SFunctionHandle(shift_coefficients(rc, k), depth - k), xs)
 
-    for k in (1, 2, 3):
-        worst = 0.0
-        for _ in range(20):
-            # prepend pairs of an admissible draw, so the measure stays on [-1, 1]
-            full = _rand_rc(rng, depth + 2 + k, bound=0.7)
-            rc, pb, pd = shift_coefficients(full, k), full.b[:k], full.d[:k]
-            worst = max_residual(worst, _worst_rel(
-                matrix_B_antiassoc(rc, pb, pd), s_value, SFunctionHandle(rc, depth - k),
-                SFunctionHandle(prepend_coefficients(rc, pb, pd), depth), xs))
-        rep.record(f"line_antiassoc_k{k}", worst, tol)
+    def line_antiassoc(k):
+        # prepend pairs of an admissible draw, so the measure stays on [-1, 1]
+        full = _rand_rc(rng, depth + 2 + k, bound=0.7)
+        rc, pb, pd = shift_coefficients(full, k), full.b[:k], full.d[:k]
+        return _worst_rel(matrix_B_antiassoc(rc, pb, pd), s_value, SFunctionHandle(rc, depth - k),
+                          SFunctionHandle(prepend_coefficients(rc, pb, pd), depth), xs)
 
-    for k in (1, 2, 3):
-        worst = 0.0
-        for _ in range(20):
-            vs = _rand_alpha(rng, depth + 2, bound=0.7)
-            worst = max_residual(worst, _worst_rel(
-                matrix_Upsilon_assoc(vs, k), f_value, CFunctionHandle(vs, depth),
-                CFunctionHandle(shift_verblunsky(vs, k), depth - k), zs))
-        rep.record(f"circle_assoc_k{k}", worst, tol)
+    def circle_assoc(k):
+        vs = _rand_alpha(rng, depth + 2, bound=0.7)
+        return _worst_rel(matrix_Upsilon_assoc(vs, k), f_value, CFunctionHandle(vs, depth),
+                          CFunctionHandle(shift_verblunsky(vs, k), depth - k), zs)
 
-    for k in (1, 2, 3):
-        worst = 0.0
-        for _ in range(20):
-            vs = _rand_alpha(rng, depth + 2, bound=0.7)
-            xi = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
-                       for _ in range(k))
-            worst = max_residual(worst, _worst_rel(
-                matrix_Upsilon_antiassoc(vs, xi), f_value, CFunctionHandle(vs, depth),
-                CFunctionHandle(prepend_verblunsky(vs, xi), depth + k), zs))
-        rep.record(f"circle_antiassoc_k{k}", worst, tol)
-    return rep
+    def circle_antiassoc(k):
+        vs = _rand_alpha(rng, depth + 2, bound=0.7)
+        xi = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4)) for _ in range(k))
+        return _worst_rel(matrix_Upsilon_antiassoc(vs, xi), f_value, CFunctionHandle(vs, depth),
+                          CFunctionHandle(prepend_verblunsky(vs, xi), depth + k), zs)
+
+    for family in (line_assoc, line_antiassoc, circle_assoc, circle_antiassoc):
+        for k in (1, 2, 3):
+            rep.record_kept(f"{family.__name__}_k{k}", partial(family, k), 20, tol)
 
 
-def suite_conjugation(seed: int, tol: float) -> SuiteReport:
+def suite_conjugation(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     from .polyhom import homography_apply
     from .spectral import (CFunctionHandle, SFunctionHandle, assoc_order1_cfun,
                            assoc_order2_sfun_matrix, f_value, matrix_B_assoc,
                            matrix_Upsilon_antiassoc, matrix_Upsilon_assoc, s_value,
                            szego_conjugate_check)
 
-    rep = SuiteReport("conjugation")
-    rng = random.Random(seed)
     depth = 40
 
     rc_t = chebyshev_t()
@@ -273,23 +247,21 @@ def suite_conjugation(seed: int, tol: float) -> SuiteReport:
         mu, vs_u, shift_verblunsky(vs_u, 2), map_x_to_z(2.0), side="circle", depth=depth))
     rep.record("chebyshev_fixtures", fixture, tol)
 
-    worst = 0.0
-    for _ in range(10):
+    def random_matrices():
         vs = _rand_alpha(rng, 2 * depth + 12, bound=0.6)
         rc = geronimus_forward(vs, depth + 6)
         k = rng.randint(1, 3)
         z = rng.uniform(0.1, 0.45)
-        m = matrix_B_assoc(rc, k)
-        worst = max_residual(worst, szego_conjugate_check(
-            m, rc, shift_coefficients(rc, k), z, side="line", depth=depth))
-        mu = matrix_Upsilon_assoc(vs, k)
-        worst = max_residual(worst, szego_conjugate_check(
-            mu, vs, shift_verblunsky(vs, k), z, side="circle", depth=depth))
+        line = szego_conjugate_check(matrix_B_assoc(rc, k), rc, shift_coefficients(rc, k), z,
+                                     side="line", depth=depth)
+        circle = szego_conjugate_check(matrix_Upsilon_assoc(vs, k), vs, shift_verblunsky(vs, k),
+                                       z, side="circle", depth=depth)
         xi = tuple(rng.uniform(-0.4, 0.4) for _ in range(k))
-        ma = matrix_Upsilon_antiassoc(vs, xi)
-        worst = max_residual(worst, szego_conjugate_check(
-            ma, vs, prepend_verblunsky(vs, xi), z, side="circle", depth=depth))
-    rep.record("random_matrices", worst, tol)
+        return max_residual(line, circle, szego_conjugate_check(
+            matrix_Upsilon_antiassoc(vs, xi), vs, prepend_verblunsky(vs, xi), z,
+            side="circle", depth=depth))
+
+    rep.record_kept("random_matrices", random_matrices, 10, tol)
 
     worst = 0.0
     vs_u41 = geronimus_inverse(chebyshev_u(), depth + 1)
@@ -308,23 +280,20 @@ def suite_conjugation(seed: int, tol: float) -> SuiteReport:
     want = 1.0 / (2.0 - tail / 3.0)
     got = homography_apply(m2, s_u, 2.0)
     rep.record("corollary_assoc_order2_x2", abs(got - want), max(tol, COROLLARY_TOL_FLOOR))
-    return rep
 
 
-def suite_theorems(seed: int, tol: float) -> SuiteReport:
+def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     from .perturb import (CLOSED_FORM, ORACLE, assoc_opuc_to_recurrence, coprl_verblunsky,
                           max_deviation, sieve2_recurrence, sieved_kmod_recurrence,
                           symmetric_codilated_verblunsky)
 
-    rep = SuiteReport("theorems")
-    rng = random.Random(seed)
     depth = 12
 
     got = assoc_opuc_to_recurrence(geronimus_inverse(chebyshev_u(), 14), 1, 3)
     spot = max_residual(abs(got.d[0] - 3 / 8), abs(got.d[1] - 2 / 9), abs(got.b[1] - 1 / 12))
     rep.record("circle_assoc_odd_spot_values", spot, EXACT_TOL)
 
-    def run_coprl():
+    def coprl_closed_form_vs_oracle():
         rc = _rand_rc(rng, depth + 4)
         k = rng.randint(1, 4)
         lam, tau = rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)
@@ -332,26 +301,20 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
         br = coprl_verblunsky(rc, k, lam, tau, depth, path=ORACLE)
         return max_deviation(th, br)
 
-    rep.record_kept("coprl_closed_form_vs_oracle", run_coprl, 50, tol)
-
-    def run_assoc_circle():
+    def circle_assoc_closed_form_vs_oracle():
         vs = _rand_alpha(rng, 2 * depth + 8)
         k = rng.randint(0, 5)
         return max_deviation(assoc_opuc_to_recurrence(vs, k, depth, path=CLOSED_FORM),
                              assoc_opuc_to_recurrence(vs, k, depth, path=ORACLE))
 
-    rep.record_kept("circle_assoc_closed_form_vs_oracle", run_assoc_circle, 50, tol)
-
-    def run_symmetric():
+    def symmetric_closed_form_vs_oracle():
         d = tuple(rng.uniform(0.05, 0.45) for _ in range(depth))
         k = rng.randint(1, 5)
         lam = rng.uniform(0.6, 1.4)
         return max_deviation(symmetric_codilated_verblunsky(d, k, lam, path=CLOSED_FORM),
                              symmetric_codilated_verblunsky(d, k, lam, path=ORACLE))
 
-    rep.record_kept("symmetric_closed_form_vs_oracle", run_symmetric, 50, tol)
-
-    def run_sieved():
+    def sieved_closed_form_vs_oracle():
         vs = _rand_alpha(rng, depth)
         err = max_deviation(sieve2_recurrence(vs, depth, path=CLOSED_FORM),
                             sieve2_recurrence(vs, depth, path=ORACLE))
@@ -362,15 +325,13 @@ def suite_theorems(seed: int, tol: float) -> SuiteReport:
             sieved_kmod_recurrence(vs, k, eta, depth, path=ORACLE)))
         return err
 
-    rep.record_kept("sieved_closed_form_vs_oracle", run_sieved, 50, tol)
-    return rep
+    for run in (coprl_closed_form_vs_oracle, circle_assoc_closed_form_vs_oracle,
+                symmetric_closed_form_vs_oracle, sieved_closed_form_vs_oracle):
+        rep.record_kept(run.__name__, run, 50, tol)
 
 
-def suite_lu(seed: int, tol: float) -> SuiteReport:
+def suite_lu(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     from .perturb import SHORTCUT, coprl_verblunsky, max_deviation, perturbed_alpha_lu
-
-    rep = SuiteReport("lu")
-    rng = random.Random(seed)
 
     worst = 0.0
     for n in range(2, 9):
@@ -381,56 +342,51 @@ def suite_lu(seed: int, tol: float) -> SuiteReport:
     worst = max_residual(worst, lu_check(rc_t, v_from_recurrence(rc_t, 16), 8).max_abs_error)
     rep.record("factorization_entrywise", worst, CHECK_TOL)
 
-    worst = 0.0
-    for _ in range(30):
+    def v_path_independence():
         vs = _rand_alpha(rng, 24, IDENTITY_BOUND)
         rc = geronimus_forward(vs, 12)
         via_cf = v_from_recurrence(rc, 24)
         via_alpha = v_from_alpha(vs)
-        worst = max_residual(worst, *(abs(x - y) for x, y in zip(via_cf, via_alpha)))
-    rep.record("v_path_independence", worst, tol)
+        return max_residual(*(abs(x - y) for x, y in zip(via_cf, via_alpha)))
 
-    def run_shortcut():
+    def lu_shortcut_agrees_at_lam1():
         rc = _rand_rc(rng, 12, IDENTITY_BOUND)
         k = rng.randint(0, 3)
         tau = rng.uniform(-0.2, 0.2)
         return max_deviation(perturbed_alpha_lu(rc, k, 1.0, tau, 10, path=SHORTCUT),
                              coprl_verblunsky(rc, k, 1.0, tau, 10))
 
-    rep.record_kept("lu_shortcut_agrees_at_lam1", run_shortcut, 30, tol)
-    return rep
+    for run in (v_path_independence, lu_shortcut_agrees_at_lam1):
+        rep.record_kept(run.__name__, run, 30, tol)
 
 
-def suite_discrepancy(seed: int, tol: float) -> SuiteReport:
-    """Expected to *find* the shortcut mismatch for lam != 1 and report it."""
+def suite_discrepancy(rep: SuiteReport, rng: random.Random, tol: float) -> None:
+    """Expected to *find* the shortcut mismatch for lam != 1 and report it.
+    Each random draw scores 0.0 when its paths behave as expected, 1.0
+    when not, against tol 0.5."""
     from .perturb import path_discrepancy_report
 
-    rep = SuiteReport("discrepancy")
     report = path_discrepancy_report(chebyshev_t(), 1, 0.5, 0.0, 6, tol)
     if report is None:
         rep.record("fixture_mismatch_found", 1.0, 0.5)
-        return rep
+        return
     rep.note("NOTE " + report.describe())
     ok = report.index == 1 and abs(report.shortcut_value - 0.5) < EXACT_TOL \
         and abs(report.default_value - 0.25) < EXACT_TOL
     rep.record("fixture_mismatch_found", 0.0 if ok else 1.0, 0.5)
 
-    rng = random.Random(seed)
-    found = 0
-    for _ in range(10):
+    def random_lam_mismatches_found():
         rc = _rand_rc(rng, 8, bound=0.5)
         lam = rng.choice((0.5, 0.8, 1.25, 1.5))
-        if path_discrepancy_report(rc, 1, lam, 0.0, 8, tol) is not None:
-            found += 1
-    rep.record("random_lam_mismatches_found", 0.0 if found == 10 else 1.0, 0.5)
+        return 0.0 if path_discrepancy_report(rc, 1, lam, 0.0, 8, tol) is not None else 1.0
 
-    agree = 0
-    for _ in range(10):
+    def pure_corecursive_paths_agree():
         rc = _rand_rc(rng, 8, bound=0.5)
-        if path_discrepancy_report(rc, 2, 1.0, rng.uniform(-0.2, 0.2), 8, tol) is None:
-            agree += 1
-    rep.record("pure_corecursive_paths_agree", 0.0 if agree == 10 else 1.0, 0.5)
-    return rep
+        return 0.0 if path_discrepancy_report(rc, 2, 1.0, rng.uniform(-0.2, 0.2), 8, tol) is None \
+            else 1.0
+
+    for run in (random_lam_mismatches_found, pure_corecursive_paths_agree):
+        rep.record_kept(run.__name__, run, 10, 0.5)
 
 
 _RUNNERS = {
@@ -447,9 +403,9 @@ _RUNNERS = {
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> SuiteReport:
     check_suite(name)
-    if tol is None:
-        tol = DEFAULT_TOLS[name]
-    return _RUNNERS[name](seed, tol)
+    rep = SuiteReport(name)
+    _RUNNERS[name](rep, random.Random(seed), DEFAULT_TOLS[name] if tol is None else tol)
+    return rep
 
 
 def suite_names() -> tuple[str, ...]:

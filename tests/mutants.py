@@ -118,6 +118,27 @@ MUTANTS = [
            '"line-side b/d file" if cls is RealRecurrence else "circle-side alpha file"',
            '"circle-side alpha file" if cls is RealRecurrence else "line-side b/d file"',
            ("tests/test_cli.py::test_other_kind_of_file_exit1",)),
+    # the one draw loop behind every verify property on random inputs
+    Mutant("record-kept-bare-max", "suites.py",
+           "            worst = max_residual(worst, err)\n",
+           "            worst = max(worst, err)\n",
+           ("tests/test_suites.py::test_a_nan_residual_fails_its_property",)),
+    Mutant("record-kept-redraws-any-error", "suites.py",
+           "            except SupportViolation:\n",
+           "            except SupportViolation.__mro__[1]:  # OrthoError\n",
+           ("tests/test_suites.py::test_record_kept_redraws_only_inadmissible_draws",)),
+    Mutant("run-suite-ignores-tol", "suites.py",
+           "DEFAULT_TOLS[name] if tol is None else tol",
+           "DEFAULT_TOLS[name]",
+           ("tests/test_cli.py::TestVerifyCommand::test_zero_and_infinite_tolerance_run",)),
+    Mutant("transfer-skips-order-3", "suites.py",
+           "        for k in (1, 2, 3):\n",
+           "        for k in (1, 2):\n",
+           ("tests/test_suites.py::test_suite_output_is_pinned",)),
+    Mutant("antiassoc-circle-takes-bare-pre-d", "perturb.py",
+           "    if spec.pre_b or spec.pre_d:\n",
+           "    if spec.pre_b:\n",
+           ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
     # the peel's continuation behind the LU shortcut
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",

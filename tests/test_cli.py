@@ -632,6 +632,10 @@ PERTURB_PINS = [
     ('line', '{"kind": "anti_associated", "pre_b": [0.1, -0.05], "pre_d": [0.3, 0.2]}',
      0, 'both-paths anti_associated k=2: max deviation 0.000e+00\n',
      '106fb694bc2a3c57d0edcdd9deb98547fb84f2095d93f685d55f70b28c557937'),
+    # nothing to prepend is the identity on either side, as associated k=0 is
+    ('line', '{"kind": "anti_associated"}',
+     0, 'both-paths anti_associated k=0: max deviation 0.000e+00\n',
+     '5c7a63a980b1880c479aff56afa610be25389530cafd99df59354553923a59eb'),
     ('circle', '{"kind": "associated", "k": 3}',
      0, 'both-paths associated k=3: max deviation 1.665e-16\n',
      'dfbd33e6495aa99b1ccf1231df099c2522cf8714ee3378c81424405cb13642e9'),
@@ -670,6 +674,12 @@ PERTURB_PINS = [
      None),
     ('circle', '{"kind": "anti_associated", "pre_b": [0.1], "pre_d": [0.3]}',
      3, 'anti_associated on the circle side needs xi\n',
+     None),
+    ('circle', '{"kind": "anti_associated", "pre_d": [0.3]}',
+     3, 'anti_associated on the circle side needs xi\n',
+     None),
+    ('line', '{"kind": "anti_associated", "pre_d": [0.3]}',
+     3, 'invalid perturbation for side line: prepended b and d lists must have equal length\n',
      None),
     ('line', '{"kind": "co_dilated", "k": 12, "lambda": 0.5}',
      3, 'invalid perturbation for side line: need n >= k + 1 output pairs to cover the perturbed entries\n',

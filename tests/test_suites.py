@@ -10,6 +10,7 @@ import pytest
 
 from ortho_szego import perturb, spectral, suites
 from ortho_szego.cli import main
+from ortho_szego.errors import DivisionDegenerate, SupportViolation
 from ortho_szego.oprl import shift_coefficients
 from ortho_szego.polyhom import homography_apply
 from ortho_szego.spectral import SFunctionHandle, matrix_B_assoc, s_value
@@ -59,29 +60,71 @@ def test_closed_form_vs_oracle_residuals_are_nonzero():
         assert all(r > 0.0 for r in residuals.values()), (seed, residuals)
 
 
-def _nan_on_call(func, call):
-    """func, except that its call-th call returns NaN."""
+def _on_call(func, call, instead):
+    """func, except that its call-th call returns instead() in its place."""
     calls = 0
 
     def patched(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return math.nan if calls == call else func(*args, **kwargs)
+        return instead() if calls == call else func(*args, **kwargs)
     return patched
+
+
+def _nan():
+    return math.nan
 
 
 def test_a_nan_residual_fails_its_property(monkeypatch, capsys):
     # the third max_deviation call is the third kept co-recursive draw; max
     # keeps a NaN only when it comes first, so it used to read PASS
     original = perturb.max_deviation
-    monkeypatch.setattr(perturb, "max_deviation", _nan_on_call(original, 3))
+    monkeypatch.setattr(perturb, "max_deviation", _on_call(original, 3, _nan))
     report = run_suite("theorems", 0)
     assert not report.ok
     assert [line.split()[:3] for line in report.lines if not line.startswith("PASS")] == [
         ["FAIL", "theorems.coprl_closed_form_vs_oracle", "max_residual"]]
-    monkeypatch.setattr(perturb, "max_deviation", _nan_on_call(original, 3))
+    monkeypatch.setattr(perturb, "max_deviation", _on_call(original, 3, _nan))
     assert main(["verify", "--suite", "theorems", "--seed", "0"]) == 5
     assert "FAIL theorems.coprl_closed_form_vs_oracle max_residual nan" in capsys.readouterr().out
+
+
+def _property_names(report):
+    return [line.split()[1] for line in report.lines if line.split()[0] in ("PASS", "FAIL")]
+
+
+# The _rand_alpha call to refuse, one that falls inside a property on
+# random inputs.  lu's first seven calls belong to the factorization sweep,
+# whose forward-image draws cannot be refused; its call 9 is the second
+# v_path_independence draw.
+REFUSED_CALL = {"lu": 9}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_an_inadmissible_draw_is_redrawn_in_every_suite(monkeypatch, name):
+    # a property that draws its inputs redraws a refused draw instead of
+    # ending verify with the SupportViolation
+    names = _property_names(run_suite(name, 0))
+    refused = []
+
+    def refuse():
+        refused.append(True)
+        raise SupportViolation(0, 1.5)
+    monkeypatch.setattr(suites, "_rand_alpha",
+                        _on_call(suites._rand_alpha, REFUSED_CALL.get(name, 1), refuse))
+    report = run_suite(name, 0)
+    assert refused
+    assert report.ok, report.lines
+    assert _property_names(report) == names
+
+
+def test_record_kept_redraws_only_inadmissible_draws():
+    def degenerate():
+        raise DivisionDegenerate("pivot v_2 vanished")
+
+    rep = suites.SuiteReport("demo")
+    with pytest.raises(DivisionDegenerate):
+        rep.record_kept("prop", degenerate, 2, 1e-10)
 
 
 def test_max_residual_keeps_a_nan_wherever_it_comes():
