@@ -32,7 +32,7 @@ choice.  Both paths check the same perturbation specs, and
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 
 from ._value import Value, _unchecked
 from .errors import (
@@ -90,7 +90,9 @@ def max_deviation(got, want) -> float:
 #
 # ``read`` builds the spec from a file entry through serialize's readers.
 # ``apply`` maps each side the kind applies to ("line", "circle") to
-# ``f(data, spec) -> perturbed data``.  ``paths`` maps a side to
+# ``f(data, spec) -> perturbed data``, which looks its map up when called, so
+# that a wrapper patched onto the module (perfbench's layer tracer) sees the
+# call.  ``paths`` maps a side to
 # ``f(data, spec) -> (order, run)``, where ``run(path=...)`` computes the
 # family through CLOSED_FORM or ORACLE on the unperturbed data, or to a
 # string saying why the side has no such pair.
@@ -117,7 +119,7 @@ class CoDilated(Value):
 
     kind = "co_dilated"
     read = staticmethod(lambda obj: CoDilated(_integer(obj["k"]), _real(obj["lambda"])))
-    apply = {"line": lambda rc, spec: coprl_apply(rc, [spec])}
+    apply = {"line": lambda rc, spec: coprl_apply(rc, spec)}
     paths = {"line": lambda rc, spec: (spec.k, partial(
         coprl_verblunsky, rc, spec.k, spec.lam, 0.0, _co_window(rc, spec.k)))}
 
@@ -136,7 +138,7 @@ class CoRecursive(Value):
 
     kind = "co_recursive"
     read = staticmethod(lambda obj: CoRecursive(_integer(obj["k"]), _real(obj["tau"])))
-    apply = {"line": lambda rc, spec: coprl_apply(rc, [spec])}
+    apply = {"line": lambda rc, spec: coprl_apply(rc, spec)}
     paths = {"line": lambda rc, spec: (spec.k, partial(
         coprl_verblunsky, rc, spec.k, 1.0, spec.tau, _co_window(rc, spec.k)))}
 
@@ -157,7 +159,7 @@ class KModification(Value):
 
     kind = "k_modification"
     read = staticmethod(lambda obj: KModification(_integer(obj["k"]), _complex(obj["eta"])))
-    apply = {"circle": lambda vs, spec: copuc_apply(vs, spec.k, spec.eta)}
+    apply = {"circle": lambda vs, spec: copuc_apply(vs, spec)}
     paths = {}
 
 
@@ -252,47 +254,53 @@ SPECS = {cls.kind: cls for cls in (CoDilated, CoRecursive, KModification, Associ
 
 
 # ---------------------------------------------------------------------------
-# Direct coefficient transforms
+# Direct coefficient transforms: each applies one spec that its constructor
+# has checked.  A list of specs folds in order, as the ``perturb`` command
+# applies a spec file, so a repeated index composes.
 
 
-def coprl_apply(rc: RealRecurrence, specs) -> RealRecurrence:
-    """Apply co-dilations/co-recursions: d_k -> lam * d_k, b_{k+1} -> b_{k+1} + tau.
+def coprl_apply(rc: RealRecurrence, spec) -> RealRecurrence:
+    """Apply one co-dilation (d_k -> lam * d_k) or co-recursion
+    (b_{k+1} -> b_{k+1} + tau)."""
+    # rc was checked when built: only the changed entry is coerced, and
+    # zero-checked after a dilation, as the constructor would
+    if isinstance(spec, CoDilated):
+        rc.require(0, spec.k)
+        d = list(rc.d)
+        d[spec.k - 1] = float(d[spec.k - 1] * spec.lam)
+        if d[spec.k - 1] == 0.0:
+            raise NonPositiveD(f"d_{spec.k} = 0 is not allowed")
+        return _unchecked(RealRecurrence, rc.b, tuple(d))
+    if isinstance(spec, CoRecursive):
+        rc.require(spec.k + 1, 0)
+        b = list(rc.b)
+        b[spec.k] = float(b[spec.k] + spec.tau)
+        return _unchecked(RealRecurrence, tuple(b), rc.d)
+    raise ValueError(f"not a line-side single-entry perturbation: {spec!r}")
 
-    At most one spec of each kind per index; order is immaterial because the
-    touched entries are disjoint per spec.
-    """
-    b = list(rc.b)
-    d = list(rc.d)
-    seen = set()
-    for spec in specs:
-        key = (type(spec), spec.k)
-        if key in seen:
-            raise ValueError(f"duplicate perturbation for index {spec.k}")
-        seen.add(key)
-        if isinstance(spec, CoDilated):
-            rc.require(0, spec.k)
-            d[spec.k - 1] *= spec.lam
-        elif isinstance(spec, CoRecursive):
-            rc.require(spec.k + 1, 0)
-            b[spec.k] += spec.tau
-        else:
-            raise ValueError(f"not a line-side single-entry perturbation: {spec!r}")
-    # rc was checked when built: only the touched entries are coerced and
-    # zero-checked, in the constructor's order (every b, every d, a zero d)
-    touched = sorted((issubclass(kind, CoDilated), k) for kind, k in seen)
-    for dilated, k in touched:
-        seq, i = (d, k - 1) if dilated else (b, k)
-        seq[i] = float(seq[i])
-    zeros = [k for dilated, k in touched if dilated and d[k - 1] == 0.0]
-    if zeros:
-        raise NonPositiveD(f"d_{zeros[0]} = 0 is not allowed")
-    return _unchecked(RealRecurrence, tuple(b), tuple(d))
+
+def copuc_apply(vs: VerblunskySeq, spec: KModification) -> VerblunskySeq:
+    """Replace the coefficient at index k by eta (overwrite semantics:
+    eta == alpha_k is allowed and is the identity)."""
+    vs.require(spec.k + 1)
+    alpha = list(vs.alpha)
+    alpha[spec.k] = spec.eta
+    alpha = _stored(alpha)
+    # vs was checked when built and KModification read eta itself; a type
+    # that reaches modulus 1 only as a complex is caught here
+    _check_moduli(alpha[spec.k:spec.k + 1], spec.k)
+    return _unchecked(VerblunskySeq, alpha)
+
+
+# ---------------------------------------------------------------------------
+# Single-entry line perturbations seen from the circle
 
 
 def _co_specs(k: int, lam: float, tau: float) -> list:
     """The specs of d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau, checked by
-    their constructors; an identity part (lam = 1, tau = 0) adds none, but
-    k < 0 is refused whatever lam and tau are."""
+    their constructors, for coprl_apply to fold in order; an identity part
+    (lam = 1, tau = 0) adds none, but k < 0 is refused whatever lam and tau
+    are."""
     if k < 0:
         raise ValueError("perturbation index must be >= 0")
     specs = []
@@ -301,27 +309,6 @@ def _co_specs(k: int, lam: float, tau: float) -> list:
     if tau != 0.0:
         specs.append(CoRecursive(k, tau))
     return specs
-
-
-def copuc_apply(vs: VerblunskySeq, k: int, eta: complex) -> VerblunskySeq:
-    """Replace the coefficient at index k by eta (overwrite semantics:
-    eta == alpha_k is allowed and is the identity)."""
-    if k < 0:
-        raise ValueError("modification index must be >= 0")
-    if not abs(eta) < 1.0:
-        raise InvalidEta(f"|eta| = {abs(eta)} >= 1")
-    vs.require(k + 1)
-    alpha = list(vs.alpha)
-    alpha[k] = eta
-    alpha = _stored(alpha)
-    # vs was checked when built and the eta guard read eta itself; a type
-    # that reaches modulus 1 only as a complex is caught here
-    _check_moduli(alpha[k:k + 1], k)
-    return _unchecked(VerblunskySeq, alpha)
-
-
-# ---------------------------------------------------------------------------
-# Single-entry line perturbations seen from the circle
 
 
 def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
@@ -344,7 +331,7 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
         raise ValueError("need n >= k + 1 output pairs to cover the perturbed entries")
     specs = _co_specs(k, lam, tau)
     if path == ORACLE:
-        return geronimus_inverse(coprl_apply(rc, specs), n)
+        return geronimus_inverse(reduce(coprl_apply, specs, rc), n)
 
     rc.require(n, n)
     alpha = geronimus_inverse(rc, k + 1).real_view()  # the head reads up to a_{2k}
@@ -511,7 +498,7 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
         raise ValueError(f"path must be {DEFAULT!r} or {SHORTCUT!r}, got {path!r}")
     specs = _co_specs(k, lam, tau)
     if path == DEFAULT or n <= 0:
-        return v_from_recurrence(coprl_apply(rc, specs), n)
+        return v_from_recurrence(reduce(coprl_apply, specs, rc), n)
     head = list(v_from_recurrence(rc, 2 * k + 1))
     if 2 * k < n:  # float(): a complex tau is a TypeError, not a complex pivot
         head[2 * k] = float(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
@@ -596,10 +583,9 @@ def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
     _check_path(path)
     if not -1.0 < eta < 1.0:
         raise InvalidEta(f"eta = {eta} outside (-1, 1)")
+    spec = KModification(k, eta)
     if path == ORACLE:
-        return geronimus_forward(sieve(copuc_apply(vs, k, eta), 2), n)
-    if k < 0:
-        raise ValueError("modification index must be >= 0")
+        return geronimus_forward(sieve(copuc_apply(vs, spec), 2), n)
     vs.require(k + 1)
     base = sieve2_recurrence(vs, n, CLOSED_FORM)
     ak = vs.real_view()[k]
@@ -671,7 +657,7 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     rc = _symmetric_line(d)
     n = len(rc.d)
     if path == ORACLE:
-        return geronimus_inverse(coprl_apply(rc, [spec]), n)
+        return geronimus_inverse(coprl_apply(rc, spec), n)
     rc.require(0, k)
     gamma = _symmetric_from(rc.d, [], k).alpha  # the head reads up to g_{2k-1}
     head = list(gamma[: 2 * k - 1])

@@ -139,6 +139,24 @@ MUTANTS = [
            "    if spec.pre_b or spec.pre_d:\n",
            "    if spec.pre_b:\n",
            ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
+    # the single-entry maps, each on one checked spec, and a fold of two specs
+    Mutant("coprl-apply-no-zero-check", "perturb.py",
+           "        if d[spec.k - 1] == 0.0:\n",
+           "        if False:\n",
+           ("tests/test_unchecked.py::test_coprl_apply_refuses_what_the_constructor_refuses",
+            "tests/test_unchecked.py::test_coprl_apply_errors")),
+    Mutant("corecursive-shifts-the-next-b", "perturb.py",
+           "        b[spec.k] = float(b[spec.k] + spec.tau)\n",
+           "        b[spec.k + 1] = float(b[spec.k + 1] + spec.tau)\n",
+           ("tests/test_perturb.py::TestCoprlApply::test_corecursive_shifts_one_b",)),
+    Mutant("copuc-apply-no-moduli-check", "perturb.py",
+           "    _check_moduli(alpha[spec.k:spec.k + 1], spec.k)\n",
+           "",
+           ("tests/test_perturb.py::TestCopucApply::test_rejects_eta_of_modulus_one_once_stored",)),
+    Mutant("coprl-oracle-first-spec-only", "perturb.py",
+           "geronimus_inverse(reduce(coprl_apply, specs, rc), n)",
+           "geronimus_inverse(reduce(coprl_apply, specs[:1], rc), n)",
+           ("tests/test_perturb.py::TestCoprlVerblunsky::test_theorem_matches_oracle",)),
     # the peel's continuation behind the LU shortcut
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",

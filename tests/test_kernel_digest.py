@@ -14,7 +14,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from ortho_szego import perturb
 from ortho_szego.oprl import RealRecurrence
@@ -30,7 +30,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "76ef3b243b15fc58725cb6993bc8114a6695be7e5e04709d6e623beeefb35640"
+DIGEST = "ef91486d27367a9341bb54cff861b1c9d166291bc778b720d0d39925a30978e2"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)
@@ -146,10 +146,15 @@ def _prepend(rng):
     return partial(_with_kinds, prepend_verblunsky), (_circle_data(rng), xi)
 
 
+def _modify(vs, k, eta):
+    """copuc_apply on a spec built here, so that the constructor's refusal
+    is a case too."""
+    return perturb.copuc_apply(vs, perturb.KModification(k, eta))
+
+
 def _copuc(rng):
     vs = _circle_data(rng)
-    return (partial(_with_kinds, perturb.copuc_apply),
-            (vs, rng.randint(-1, len(vs)), _circle_entry(rng)))
+    return partial(_with_kinds, _modify), (vs, rng.randint(-1, len(vs)), _circle_entry(rng))
 
 
 def _symmetric(rng):
@@ -184,9 +189,9 @@ def _with_entry_types(func, *args):
 
 
 def _apply_specs(rc, raw):
-    """coprl_apply on specs built here, so that a spec constructor's
-    refusal is a case too."""
-    return perturb.coprl_apply(rc, [cls(k, x) for cls, k, x in raw])
+    """coprl_apply folded over specs built here, so that a spec
+    constructor's refusal is a case too."""
+    return reduce(perturb.coprl_apply, [cls(k, x) for cls, k, x in raw], rc)
 
 
 def _coprl_apply(rng):

@@ -14,7 +14,7 @@ from ortho_szego.opuc import (
     second_kind,
     shift_verblunsky,
 )
-from ortho_szego.perturb import ORACLE, copuc_apply, coprl_verblunsky, sieve
+from ortho_szego.perturb import ORACLE, KModification, copuc_apply, coprl_verblunsky, sieve
 from ortho_szego.szego import (
     alpha_from_v,
     geronimus_forward,
@@ -66,7 +66,7 @@ _RC = geronimus_forward(_REAL, 2)
     lambda: coprl_verblunsky(_RC, 1, 0.9, 0.05, 2, path=ORACLE),
     lambda: sieve(_REAL, 2),
     lambda: prepend_verblunsky(_REAL, (0.1, -0.2)),
-    lambda: copuc_apply(_REAL, 1, 0.5),
+    lambda: copuc_apply(_REAL, KModification(1, 0.5)),
     lambda: shift_verblunsky(_REAL, 1),
     lambda: second_kind(_REAL),
 ], ids=["geronimus_inverse", "invert_from", "alpha_from_v", "coprl_closed_form",
@@ -85,7 +85,7 @@ def test_real_data_stays_float_stored(build):
     lambda: sieve(VerblunskySeq((0.5 + 0j,)), 2),
     lambda: prepend_verblunsky(_REAL, (0.1j,)),
     lambda: prepend_verblunsky(_REAL, (0,)),
-    lambda: copuc_apply(_REAL, 1, 0.5 + 0j),
+    lambda: copuc_apply(_REAL, KModification(1, 0.5 + 0j)),
 ], ids=["int", "complex", "sieve", "prepend_verblunsky", "prepend_int", "copuc_apply"])
 def test_mixed_input_is_complex_stored(build):
     assert all(type(a) is complex for a in build().alpha)

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from ortho_szego._value import Value, _unchecked
+from ortho_szego.cli import main
 from ortho_szego.errors import (
     AlphaOutOfRange,
     ComplexAlpha,
@@ -48,6 +50,7 @@ from ortho_szego.perturb import (
     symmetric_codilated_verblunsky,
     symmetric_verblunsky,
 )
+from ortho_szego.serialize import dumps_recurrence
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
 
 from conftest import random_admissible_rc, random_alpha
@@ -133,17 +136,31 @@ class TestRegistry:
 
 class TestCoprlApply:
     def test_dilation_turns_t_into_u(self):
-        out = coprl_apply(chebyshev_t(32), [CoDilated(1, 0.5)])
+        out = coprl_apply(chebyshev_t(32), CoDilated(1, 0.5))
         assert out.d == (0.25,) * 32 and out.b == (0.0,) * 32
 
     def test_corecursive_shifts_one_b(self):
-        out = coprl_apply(chebyshev_t(32), [CoRecursive(0, 0.3)])
+        out = coprl_apply(chebyshev_t(32), CoRecursive(0, 0.3))
         assert out.b[0] == 0.3 and out.b[1:] == (0.0,) * 31
         assert out.d == chebyshev_t(32).d
 
     def test_identity_specs(self):
         rc = chebyshev_u()
-        assert coprl_apply(rc, [CoDilated(2, 1.0), CoRecursive(1, 0.0)]) == rc
+        for spec in (CoDilated(2, 1.0), CoRecursive(1, 0.0)):
+            assert coprl_apply(rc, spec) == rc
+
+    def test_a_repeated_index_composes_as_perturb_does(self, tmp_path):
+        # a spec list folds in order, in the library as in a spec file
+        rc = chebyshev_u(8)
+        out = reduce(coprl_apply, [CoDilated(1, 0.5), CoDilated(1, 3.0)], rc)
+        assert out.d == (1.5 * rc.d[0],) + rc.d[1:] and out.b == rc.b
+        src, spec, dest = (tmp_path / name for name in ("u.json", "spec.json", "out.json"))
+        src.write_text(dumps_recurrence(rc))
+        spec.write_text('[{"kind": "co_dilated", "k": 1, "lambda": 0.5},'
+                        ' {"kind": "co_dilated", "k": 1, "lambda": 3.0}]')
+        assert main(["perturb", "--in", str(src), "--spec", str(spec),
+                     "--side", "line", "--out", str(dest)]) == 0
+        assert dest.read_text() == dumps_recurrence(out)
 
 
 class TestCoprlVerblunsky:
@@ -208,30 +225,30 @@ class TestCoprlVerblunsky:
 class TestCopucApply:
     def test_overwrite_semantics(self):
         vs = random_alpha(random.Random(5), 8)
-        same = copuc_apply(vs, 3, vs.at(3))
+        same = copuc_apply(vs, KModification(3, vs.at(3)))
         assert same == vs
-        changed = copuc_apply(vs, 3, 0.77)
-        assert copuc_apply(changed, 3, vs.at(3)) == vs
+        changed = copuc_apply(vs, KModification(3, 0.77))
+        assert copuc_apply(changed, KModification(3, vs.at(3))) == vs
 
     def test_single_entry_changes(self):
         vs = VerblunskySeq((0.0,) * 6)
-        out = copuc_apply(vs, 0, 0.3)
+        out = copuc_apply(vs, KModification(0, 0.3))
         assert out.alpha == (0.3, 0, 0, 0, 0, 0)
 
     def test_rejects_large_eta(self):
         with pytest.raises(InvalidEta):
-            copuc_apply(VerblunskySeq((0.0,)), 0, 1.0)
+            copuc_apply(VerblunskySeq((0.0,)), KModification(0, 1.0))
 
     def test_rejects_negative_index(self):
         # a negative k must not overwrite an entry counted from the end
         with pytest.raises(ValueError, match="^modification index must be >= 0$"):
-            copuc_apply(VerblunskySeq((0.1, 0.2)), -1, 0.3)
+            copuc_apply(VerblunskySeq((0.1, 0.2)), KModification(-1, 0.3))
 
     def test_rejects_eta_of_modulus_one_once_stored(self):
         # |eta| < 1 as a Fraction, but 1.0 once stored as a complex
         eta = Fraction(10**20 - 1, 10**20)
         with pytest.raises(AlphaOutOfRange) as info:
-            copuc_apply(VerblunskySeq((0.1, -0.2, 0.3)), 1, eta)
+            copuc_apply(VerblunskySeq((0.1, -0.2, 0.3)), KModification(1, eta))
         assert str(info.value) == "|alpha_1| = 1.0 >= 1"
 
 

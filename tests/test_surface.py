@@ -52,13 +52,13 @@ UNCHECKED_SITES = frozenset({
     # check_xi reads each xi_i, vs was checked when built, and
     # _check_moduli re-reads the prepended entries as stored
     "opuc.prepend_verblunsky",
-    # the eta guard reads eta, vs was checked when built, and
+    # KModification's eta guard read eta, vs was checked when built, and
     # _check_moduli re-reads entry k as stored
     "perturb.copuc_apply",
     # the zeros and the checked entries of vs, in its storage kind
     "perturb.sieve",
-    # rc was checked when built; the touched entries are coerced to float
-    # and zero-checked, in the constructor's order
+    # rc was checked when built; the one changed entry is coerced to float,
+    # and zero-checked after a dilation
     "perturb.coprl_apply",
     # floats from real_view and the bridge kernels; each d-hat joins at most
     # three factors in [2^-160, 2], so it is positive and finite; the copy
