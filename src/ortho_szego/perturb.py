@@ -7,21 +7,20 @@ Every family takes a ``path`` argument:
   generic bridge direction (brute force).
 
 Where the stated formula differs from the bridge recursion (the
-co-dilation head, the symmetric families, the circle-side associated
-map, sieving and k-modification) the two paths are independent code,
-and the verification suites and the test suite check that they agree.
-The symmetric closed forms run the paper's one-term odd recursion
+co-dilation head, the symmetric families, the circle-side associated map
+at odd k, sieving and k-modification) the two paths are independent
+code, and the verification suites and the test suite check that they
+agree.  The symmetric closed forms run the paper's one-term odd recursion
 g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even entry 0; on
-b == 0 data that is the inversion bit for bit.  Three maps have no
-separate closed form: both paths run one kernel, so their deviation
-(``perturb --both-paths``) is 0 by construction.  Two are line-side: the
-associated and anti-associated families (``assoc_oprl_to_verblunsky``,
-``antiassoc_oprl_to_verblunsky``) are the bridge recursion
-``szego.invert_from`` itself, fed shifted or prepended data.  The third
-is the circle-side anti-associated family
-(``antiassoc_opuc_to_recurrence``): the paper's four-branch table is the
-forward relations on the prepended coefficients, so both paths run
-``szego.geronimus_forward``.  The single documented exception is the LU
+b == 0 data that is the inversion bit for bit.  Three maps, and the
+circle-side associated map at even k, have no separate closed form: both
+paths run one kernel, so their deviation (``perturb --both-paths``) is 0
+by construction.  The line-side associated and anti-associated families
+(``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``) are
+``szego.invert_from`` fed shifted or prepended data.  The circle-side
+anti-associated family's four-branch table, and the even-k associated
+formula, are ``szego.geronimus_forward`` on the prepended or shifted
+coefficients.  The single documented exception is the LU
 shortcut for a dilation (``perturbed_v``): its stated prefix-preservation
 clashes with the genuinely perturbed LU data when the dilation factor
 differs from 1, so the pivot update has a "default" (consistent) path and
@@ -116,6 +115,8 @@ class CoDilated(Value):
             raise ValueError("co-dilation index must be >= 1")
         if not self.lam > 0:
             raise ValueError("co-dilation factor must be positive")
+        if self.lam - self.lam != 0:  # inf; a Fraction or a complex keeps its own error
+            raise ValueError("co-dilation factor must be finite")
 
     kind = "co_dilated"
     read = staticmethod(lambda obj: CoDilated(_integer(obj["k"]), _real(obj["lambda"])))
@@ -135,6 +136,8 @@ class CoRecursive(Value):
         Value.__init__(self, k, tau)
         if self.k < 0:
             raise ValueError("co-recursion index must be >= 0")
+        if self.tau - self.tau != 0:  # NaN or inf; a Fraction or a complex keeps its own error
+            raise ValueError("co-recursion shift must be finite")
 
     kind = "co_recursive"
     read = staticmethod(lambda obj: CoRecursive(_integer(obj["k"]), _real(obj["tau"])))
@@ -397,48 +400,32 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
 
         d-hat_1 = lam d_{m+1},  d-hat_{n+1} = d_{n+m+1}
         b-hat_1 = a_{2m},       b-hat_{n+1} = b_{n+m+1}.
+
+    Cancelled, lam d_{m+1} = (1/2)(1 - a_{2m}^2)(1 + a_{2m+1}): even k is the
+    forward map on shift_verblunsky(vs, k) on both paths.  Odd k reads the same
+    tail, through the window (0, a_k, ...) whose zero stands at a_{k-1}.
     """
     _check_path(path)
-    if path == ORACLE or n <= 0:  # no pairs to build: the oracle's checks alone
-        return geronimus_forward(shift_verblunsky(vs, k), n)
-    if k < 0:
-        raise ValueError("shift order must be >= 0")
-    first = k if k % 2 else k - 1  # the rows read a_k on, and lam (even k) reads a_{k-1}
-    if first > 0 and vs.alpha:
-        # zeros of the storage kind in place of the entries before a_first keep
-        # every index; they enter only pairs and pivots below the rows read
-        lead = min(first, len(vs))
-        zero = 0.0 if type(vs.alpha[0]) is float else 0j
-        vs = _unchecked(VerblunskySeq, (zero,) * lead + vs.alpha[lead:])
-    alpha = vs.real_view()
-    need = 2 * n + k
-    if len(alpha) < need:
-        raise OrthoError(f"need {need} circle coefficients, have {len(alpha)}")
-
-    rc = geronimus_forward(vs, (len(alpha)) // 2)
+    tail = shift_verblunsky(vs, k)
+    if path == ORACLE or n <= 0 or k % 2 == 0:  # n <= 0: the oracle's checks alone
+        return geronimus_forward(tail, n)
+    alpha = tail.real_view()
+    if len(alpha) < 2 * n:
+        raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")
+    window = _unchecked(VerblunskySeq, (0.0,) + alpha)
+    v = v_from_alpha(window)
+    # Row n-1 reads window v_{2n+1}, v_{2(n+m)-1} of vs (k = 2m - 1), which an
+    # input of exactly 2n + k coefficients lacks; the message counts entries of vs.
+    if 2 * n + 2 > len(v):
+        raise InsufficientCoefficients(2 * n + k + 1, len(alpha) + k, "v entries")
+    rc = geronimus_forward(window, n + 1)
     b, d = rc.b, rc.d
-    if k % 2 == 1:
-        v = v_from_alpha(vs)
-        m = (k + 1) // 2
-        # Row n-1 reads v_{2(n+m)-1} (row 0 reads v_{2m+1}), which an input
-        # of exactly 2n + k coefficients lacks.  No earlier row can fail, so
-        # raising before them gives the error the row-by-row loop gave.
-        if 2 * (n + m) > len(v):
-            raise InsufficientCoefficients(2 * (n + m), len(v), "v entries")
-        d_out = [(1.0 + alpha[2 * m - 1]) / v[2 * m + 1] * rc.d_at(m + 1)]
-        b_out = [alpha[2 * m - 1]]
-        rows = range(m + 1, n + m)  # i = j + m for output rows j = 1..n-1
-        d_out += [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows]
-        b_out += [b[i] + v[2 * i - 2] - v[2 * i] for i in rows]
-    else:
-        m = k // 2
-        lam = 2.0 / (1.0 - _alpha_conv(alpha, 2 * m - 1))
-        d_out = [lam * rc.d_at(m + 1)]
-        b_out = [alpha[2 * m] if k > 0 else rc.b_at(1)]
-        if n > 1:
-            d_out += d[m + 1:n + m]
-            b_out += b[m + 1:n + m]
-    # floats; a d-hat is d, or joins three of 2, 1 -/+ a, v, d (in [2^-160, 2]): > 0, finite
+    d_out = [(1.0 + alpha[0]) / v[3] * d[1]]
+    b_out = [alpha[0]]
+    rows = range(2, n + 1)  # i = j + 1 for output rows j = 1..n-1
+    d_out += [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows]
+    b_out += [b[i] + v[2 * i - 2] - v[2 * i] for i in rows]
+    # floats; a d-hat joins three of 1 + a, v, d (in [2^-160, 2]): > 0, finite
     return _unchecked(RealRecurrence, tuple(b_out), tuple(d_out))
 
 

@@ -157,6 +157,27 @@ MUTANTS = [
            "geronimus_inverse(reduce(coprl_apply, specs, rc), n)",
            "geronimus_inverse(reduce(coprl_apply, specs[:1], rc), n)",
            ("tests/test_perturb.py::TestCoprlVerblunsky::test_theorem_matches_oracle",)),
+    # the circle associated map reads its oracle's tail; finite co-perturbations
+    Mutant("assoc-circle-even-k-runs-odd-formula", "perturb.py",
+           "if path == ORACLE or n <= 0 or k % 2 == 0:",
+           "if path == ORACLE or n <= 0 or k == 0:",
+           ("tests/test_perturb.py::TestAssociatedCircle::test_theorem_matches_oracle",
+            "tests/test_perturb.py::TestAssociatedCircle::"
+            "test_even_k_statement_is_the_shifted_forward_map_exactly")),
+    Mutant("assoc-circle-odd-window-reads-v2", "perturb.py",
+           "d_out = [(1.0 + alpha[0]) / v[3] * d[1]]",
+           "d_out = [(1.0 + alpha[0]) / v[2] * d[1]]",
+           ("tests/test_perturb.py::TestAssociatedCircle::test_odd_k_spot_values",
+            "tests/test_perturb.py::TestAssociatedCircle::test_theorem_matches_oracle")),
+    Mutant("assoc-circle-tail-check-off-by-one", "perturb.py",
+           "    if len(alpha) < 2 * n:\n",
+           "    if len(alpha) < 2 * n - 1:\n",
+           ("tests/test_perturb.py::TestAssociatedCircle::test_paths_give_one_answer_on_drawn_input",)),
+    Mutant("corecursive-no-finite-check", "perturb.py",
+           "        if self.tau - self.tau != 0:",
+           "        if False:",
+           ("tests/test_perturb.py::TestSpecValidation::"
+            "test_non_finite_parameters_are_refused_on_every_path",)),
     # the peel's continuation behind the LU shortcut
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",

@@ -640,7 +640,7 @@ PERTURB_PINS = [
      0, 'both-paths associated k=3: max deviation 1.665e-16\n',
      'dfbd33e6495aa99b1ccf1231df099c2522cf8714ee3378c81424405cb13642e9'),
     ('circle', '{"kind": "associated", "k": 4}',
-     0, 'both-paths associated k=4: max deviation 5.551e-17\n',
+     0, 'both-paths associated k=4: max deviation 0.000e+00\n',
      '3c79a4b51e664ebf3b748b6c53b017fb83dec73aa0353fc8ff0f206a6216d7bb'),
     ('circle', '{"kind": "anti_associated", "xi": [0.2, -0.3, 0.1]}',
      0, 'both-paths anti_associated k=3: max deviation 0.000e+00\n',
@@ -700,7 +700,7 @@ PERTURB_PINS = [
      3, 'invalid perturbation for side line: prepended b and d lists must have equal length\n',
      None),
     ('circle', '{"kind": "associated", "k": 23}',
-     1, 'need 25 circle coefficients, have 24\n',
+     1, 'need 2 alpha coefficients, have 1\n',
      None),
     ('circle', '{"kind": "anti_associated", "xi": [1.5]}',
      3, 'invalid perturbation for side circle: |xi_0| = 1.5 >= 1\n',

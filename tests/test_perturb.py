@@ -78,6 +78,31 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CoDilated(1, 0.0)
 
+    @pytest.mark.parametrize("lam, tau, message", [
+        (math.inf, 0.0, "co-dilation factor must be finite"),
+        (1.0, math.nan, "co-recursion shift must be finite"),
+        (1.0, math.inf, "co-recursion shift must be finite"),
+        (1.0, -math.inf, "co-recursion shift must be finite"),
+    ])
+    def test_non_finite_parameters_are_refused_on_every_path(self, lam, tau, message):
+        # the families once reported these as properties of the data: a
+        # SupportViolation at index 2, or a pivot v_0 that vanished
+        rc = chebyshev_u(8)
+        runs = [lambda p=p: perturbed_v(rc, 1, lam, tau, 4, p) for p in (DEFAULT, SHORTCUT)]
+        runs += [lambda p=p: coprl_verblunsky(rc, 1, lam, tau, 4, p) for p in (CLOSED_FORM, ORACLE)]
+        runs.append(lambda: CoDilated(1, lam) if lam != 1.0 else CoRecursive(1, tau))
+        for run in runs:
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_exact_and_complex_parameters_keep_their_errors(self):
+        assert CoDilated(1, Fraction(1, 3)).lam == Fraction(1, 3)
+        assert CoRecursive(1, Fraction(-1, 5)).tau == Fraction(-1, 5)
+        assert CoRecursive(1, 0.5j).tau == 0.5j
+        with pytest.raises(TypeError):
+            CoDilated(1, 0.5j)
+
     def test_kmod_rejects_large_eta(self):
         with pytest.raises(InvalidEta):
             KModification(0, 1.2)
@@ -348,25 +373,86 @@ class TestAssociatedCircle:
         vs = VerblunskySeq((0.5j, 0.1, 0.2, 0.3, 0.1))
         assert assoc_opuc_to_recurrence(vs, 1, 1, path=path) == RealRecurrence((0.1,), (0.594,))
 
-    def test_even_k_reads_lams_entry(self):
-        # k = 2 reads a_1 on, through lam = 2 / (1 - a_1), which the oracle
-        # does not read; a complex a_0 still passes
-        vs = VerblunskySeq((0.5j, 0.4, 0.2, 0.3, 0.1, -0.2))
-        th = assoc_opuc_to_recurrence(vs, 2, 2, path=CLOSED_FORM)
-        assert_rc_close(th, assoc_opuc_to_recurrence(vs, 2, 2, path=ORACLE), 1e-15)
-        vs = VerblunskySeq((0.1, 0.4j, 0.2, 0.3, 0.1, -0.2))
-        with pytest.raises(ComplexAlpha, match=r"^alpha_1 = 0\.4j has"):
-            assoc_opuc_to_recurrence(vs, 2, 2, path=CLOSED_FORM)
+    @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
+    def test_even_k_reads_nothing_before_a_k(self, path):
+        # k = 2 reads a_2 on, as the forward map on the shifted data does: a
+        # complex a_0, or a complex a_1 (which lam = 2 / (1 - a_1) read
+        # before it cancelled), is no reason to refuse
+        for vs in (VerblunskySeq((0.5j, 0.4, 0.2, 0.3, 0.1, -0.2)),
+                   VerblunskySeq((0.1, 0.4j, 0.2, 0.3, 0.1, -0.2))):
+            got = assoc_opuc_to_recurrence(vs, 2, 2, path=path)
+            assert got == geronimus_forward(VerblunskySeq((0.2, 0.3, 0.1, -0.2)), 2)
 
     def test_entries_before_the_rows_reach_no_output(self, rng):
         for _ in range(40):
             alpha = random_alpha(rng, 20, 0.6).alpha
-            k = rng.randint(1, 6)
-            first = k if k % 2 else k - 1
+            k = rng.randint(0, 7)
             junk = tuple(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-                         for _ in range(first))
-            got = assoc_opuc_to_recurrence(VerblunskySeq(junk + alpha[first:]), k, 6)
-            assert got == assoc_opuc_to_recurrence(VerblunskySeq(alpha), k, 6)
+                         for _ in range(k))
+            for path in (CLOSED_FORM, ORACLE):
+                got = assoc_opuc_to_recurrence(VerblunskySeq(junk + alpha[k:]), k, 6, path)
+                assert got == assoc_opuc_to_recurrence(VerblunskySeq(alpha), k, 6, path)
+
+    def test_paths_give_one_answer_on_drawn_input(self):
+        # short data, complex entries and storage, negative k and n: both
+        # paths raise the same error or agree to 1e-10, except odd k on
+        # exactly 2n + k coefficients (test_odd_k_on_exactly_2n_plus_k_entries)
+        rng = random.Random(3030)
+        excepted = 0
+        for _ in range(3000):
+            alpha = [rng.uniform(-0.9, 0.9) for _ in range(rng.randint(0, 40))]
+            if alpha and rng.random() < 0.3:
+                alpha = [complex(a, rng.choice((0.0, 0.0, 0.3))) for a in alpha]
+            vs, k, n = VerblunskySeq(alpha), rng.randint(-1, 9), rng.randint(-1, 20)
+            outs = []
+            for path in (CLOSED_FORM, ORACLE):
+                try:
+                    outs.append(assoc_opuc_to_recurrence(vs, k, n, path))
+                except Exception as exc:
+                    outs.append((type(exc), str(exc)))
+            th, br = outs
+            if k % 2 and n > 0 and len(alpha) == 2 * n + k and isinstance(br, RealRecurrence):
+                excepted += 1
+                assert th == (InsufficientCoefficients,
+                              f"need {2 * n + k + 1} v entries, have {2 * n + k}")
+            elif isinstance(br, RealRecurrence):
+                assert isinstance(th, RealRecurrence) and len(th) == len(br) == max(n, 0)
+                assert_rc_close(th, br, 1e-10)
+            else:
+                assert th == br
+        assert excepted > 0
+
+    def test_odd_k_on_exactly_2n_plus_k_entries(self):
+        # the last row reads v_{2n+k} and d_{n+m} (k = 2m - 1), whose
+        # (1 + a_{2n+k}) factors cancel: the closed form needs a_{2n+k},
+        # which the oracle does not read
+        vs = VerblunskySeq((0.1, -0.2, 0.3, 0.15, -0.1))
+        with pytest.raises(InsufficientCoefficients, match=r"^need 6 v entries, have 5$"):
+            assoc_opuc_to_recurrence(vs, 1, 2, CLOSED_FORM)
+        assert assoc_opuc_to_recurrence(vs, 1, 2, ORACLE) == geronimus_forward(
+            VerblunskySeq((-0.2, 0.3, 0.15, -0.1)), 2)
+        th = assoc_opuc_to_recurrence(VerblunskySeq(vs.alpha + (0.5,)), 1, 2, CLOSED_FORM)
+        assert_rc_close(th, assoc_opuc_to_recurrence(vs, 1, 2, ORACLE), 1e-15)
+
+    def test_even_k_statement_is_the_shifted_forward_map_exactly(self):
+        # the paper's even-k statement, k = 2m, in exact arithmetic: d-hat_1 =
+        # lam d_{m+1} with lam = 2 / (1 - a_{2m-1}), b-hat_1 = a_{2m}, and every
+        # later pair is (b_{j+m+1}, d_{j+m+1}); the forward relations on the
+        # shifted data give each of these, and so do both float paths
+        rng = random.Random(3031)
+        for _ in range(30):
+            m, n = rng.randint(0, 4), rng.randint(1, 6)
+            a = [Fraction(rng.randint(-95, 95), 100) for _ in range(2 * (n + m))]
+            b, d = _forward(a, n + m)
+            b_hat, d_hat = _forward(a[2 * m:], n)
+            lam = Fraction(2) / (1 - (a[2 * m - 1] if m else -1))
+            assert d_hat[0] == lam * d[m] and b_hat[0] == a[2 * m]
+            assert d_hat[1:] == d[m + 1:] and b_hat[1:] == b[m + 1:]
+            vs = VerblunskySeq(tuple(map(float, a)))
+            want = _forward(vs.alpha[2 * m:], n)
+            for path in (CLOSED_FORM, ORACLE):
+                got = assoc_opuc_to_recurrence(vs, 2 * m, n, path)
+                assert (list(got.b), list(got.d)) == want
 
 
 def _forward(a, n):

@@ -60,9 +60,9 @@ UNCHECKED_SITES = frozenset({
     # rc was checked when built; the one changed entry is coerced to float,
     # and zero-checked after a dilation
     "perturb.coprl_apply",
-    # floats from real_view and the bridge kernels; each d-hat joins at most
-    # three factors in [2^-160, 2], so it is positive and finite; the copy
-    # of vs holds zeros and checked entries of vs, in its storage kind
+    # odd k only: floats from real_view and the bridge kernels; each d-hat
+    # joins three factors in [2^-160, 2], so it is positive and finite; the
+    # window is 0.0 and the floats in (-1, 1) that real_view gave
     "perturb.assoc_opuc_to_recurrence",
     # the support guard on every odd entry; the even ones are 0.0
     "perturb._symmetric_from",
