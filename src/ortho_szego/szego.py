@@ -46,8 +46,8 @@ def _emit_checked(value: float, index: int) -> float:
 
 # The loops below read the coefficient tuples directly and carry the
 # previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
-# each per-step guard is written `not lo < x < hi` (or, for a divisor,
-# `not (x >= bound or x <= -bound)`) so that a NaN, which fails every
+# each per-step guard is written `not lo < x < hi` (or `not x >= bound` for a
+# divisor positive by construction) so that a NaN, which fails every
 # comparison, fails it at the first coefficient it reaches; a square is a * a.
 
 
@@ -97,15 +97,15 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
     m = j // 2
     am2, am1 = (alpha[2 * m - 2], alpha[2 * m - 1]) if m else (0.0, -1.0)
-    # Only a prefix can make 1 - a_{2m-1} vanish: a computed a_{2m-1} passed
-    # the support guard, so 1 - a_{2m-1} > SUPPORT_TOL > PIVOT_TOL.
+    # Every a_j is in (-1, 1), so each divisor is positive; only a prefix can
+    # make 1 - a_{2m-1} vanish (a computed one is > SUPPORT_TOL > PIVOT_TOL).
     if m < n:
-        if not abs(1.0 - am1) >= PIVOT_TOL:
+        if not 1.0 - am1 >= PIVOT_TOL:
             raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
         if j % 2:  # the prefix ends after a_{2m}: finish pair m
             am2 = alpha[-1]
             den2 = (1.0 - am1) * (1.0 - am2 * am2)
-            if not abs(den2) >= PIVOT_TOL:
+            if not den2 >= PIVOT_TOL:
                 raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
             am1 = -1.0 + 4.0 * rc.d[m] / den2
             if not lo < am1 < hi:
@@ -119,7 +119,7 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         if not lo < a_even < hi:
             raise SupportViolation(len(alpha), a_even)
         den2 = den * (1.0 - a_even * a_even)
-        if not (den2 >= PIVOT_TOL or den2 <= -PIVOT_TOL):
+        if not den2 >= PIVOT_TOL:
             raise DivisionDegenerate(f"(1 - a_{len(alpha) - 1})(1 - a_{len(alpha)}^2) vanished")
         a_odd = -1.0 + 4.0 * dm / den2
         if not lo < a_odd < hi:

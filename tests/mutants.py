@@ -83,24 +83,39 @@ MUTANTS = [
            "            am1 = -1.0 + 4.0 * rc.d[m] / den2\n",
            "            am1 = -1.0 + 4.0 / (1 + 1e-9) * rc.d[m] / den2\n",
            ("tests/test_acceptance.py::test_criterion_08_lu_suite",)),
-    # the kernel loops, against their reference copies
-    Mutant("inverse-divisor-guard-and", "szego.py",
-           "if not (den2 >= PIVOT_TOL or den2 <= -PIVOT_TOL):",
-           "if not (den2 >= PIVOT_TOL and den2 <= -PIVOT_TOL):",
-           ("tests/test_kernel_reference.py::test_den2_edges_sit_on_the_bound",
-            "tests/test_kernel_reference.py::test_invert_from")),
+    # the kernel loops: guards at their bounds, signed zeros, exact products
+    Mutant("inverse-divisor-guard-strict", "szego.py",
+           "\n        if not den2 >= PIVOT_TOL:\n",
+           "\n        if not den2 > PIVOT_TOL:\n",
+           ("tests/test_szego.py::test_divisor_guards_at_the_bound",)),
+    Mutant("inverse-divisor-guard-dropped", "szego.py",
+           "\n        if not den2 >= PIVOT_TOL:\n",
+           "\n        if False:\n",
+           ("tests/test_szego.py::TestLoopErrors::test_index_after_each_prefix",)),
+    Mutant("inverse-odd-prefix-guard-strict", "szego.py",
+           "            if not den2 >= PIVOT_TOL:\n",
+           "            if not den2 > PIVOT_TOL:\n",
+           ("tests/test_szego.py::test_divisor_guards_at_the_bound",)),
     Mutant("oprl-eval-d0-as-dk", "oprl.py",
            "(d[k - 1] if k else 1.0)",
            "(d[k - 1] if k else d[k])",
-           ("tests/test_kernel_reference.py::test_oprl_eval",)),
+           ("tests/test_oprl.py::test_eval_keeps_the_sign_of_a_zero",)),
+    Mutant("oprl-eval-d0-as-d-last", "oprl.py",
+           "(d[k - 1] if k else 1.0)",
+           "d[k - 1]",
+           ("tests/test_oprl.py::test_eval_keeps_the_sign_of_a_zero",)),
     Mutant("opuc-eval-no-conjugate", "opuc.py",
            "p, s = z * p - a.conjugate() * s, s - a * z * p",
            "p, s = z * p - a * s, s - a * z * p",
-           ("tests/test_kernel_reference.py::test_opuc_eval",)),
+           ("tests/test_opuc.py::test_determinant_identity",)),
+    Mutant("opuc-eval-product-reordered", "opuc.py",
+           "s - a * z * p",
+           "s - a * (z * p)",
+           ("tests/test_suites.py::test_suite_output_is_pinned",)),
     Mutant("symmetric-appends-swapped", "perturb.py",
            "        head.append(0.0)\n        head.append(g)\n",
            "        head.append(g)\n        head.append(0.0)\n",
-           ("tests/test_kernel_reference.py::test_symmetric_from",)),
+           ("tests/test_perturb.py::TestSymmetric::test_single_step",)),
     # the spec classes as the registry, and the one coefficient loader
     Mutant("sieve-applies-on-the-line", "perturb.py",
            '    apply = {"circle": lambda vs, spec: sieve(vs, spec.ell)}\n',
@@ -178,20 +193,73 @@ MUTANTS = [
            "        if False:",
            ("tests/test_perturb.py::TestSpecValidation::"
             "test_non_finite_parameters_are_refused_on_every_path",)),
-    # the peel's continuation behind the LU shortcut
+    # the peel, and its continuation behind the LU shortcut
+    Mutant("peel-loop-guard-and", "szego.py",
+           "# d may be negative\n        if not (v_even >= tol or v_even <= -tol):",
+           "# d may be negative\n        if not (v_even >= tol and v_even <= -tol):",
+           ("tests/test_szego.py::TestVSequence::test_v_from_recurrence_chebyshev",)),
+    Mutant("peel-pivot-bound-strict", "szego.py",
+           "# d may be negative\n        if not (v_even >= tol or v_even <= -tol):",
+           "# d may be negative\n        if not (v_even > tol or v_even < -tol):",
+           ("tests/test_szego.py::TestVSequence::test_v_from_recurrence_pivot_bound",)),
+    Mutant("peel-pivot-bound-signed-d", "szego.py",
+           "(1.0 + (dk if dk >= 0.0 else -dk))  # d may be negative",
+           "(1.0 + dk)  # d may be negative",
+           ("tests/test_szego.py::TestVSequence::test_v_from_recurrence_pivot_bound",)),
+    Mutant("peel-insufficient-b-count", "szego.py",
+           "InsufficientCoefficients(pairs + 1, len(b), \"b coefficients\")",
+           "InsufficientCoefficients(pairs, len(b), \"b coefficients\")",
+           ("tests/test_kernel_digest.py::test_kernel_digest_is_pinned",)),
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",
            "            pass\n",
-           ("tests/test_kernel_reference.py::"
-            "test_perturbed_v_shortcut_finishes_the_pair_at_the_pivot_bound",)),
+           ("tests/test_perturb.py::TestPerturbedV::"
+            "test_shortcut_finishes_the_pair_at_the_pivot_bound",)),
+    Mutant("peel-finish-bound-signed-d", "szego.py",
+           "(1.0 + (dk if dk >= 0.0 else -dk))\n",
+           "(1.0 + dk)\n",
+           ("tests/test_perturb.py::TestPerturbedV::"
+            "test_shortcut_finishes_the_pair_at_the_pivot_bound",)),
+    Mutant("peel-finish-start-strict", "szego.py",
+           "        if start >= len(d):\n",
+           "        if start > len(d):\n",
+           ("tests/test_perturb.py::TestPerturbedV::test_short_d_names_the_count",)),
+    Mutant("peel-finish-appends-even", "szego.py",
+           "        out.append(v_odd)\n        start += 1\n",
+           "        out.append(v_even)\n        start += 1\n",
+           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
     Mutant("peel-finish-no-start-step", "szego.py",
            "        start += 1\n",
            "",
-           ("tests/test_kernel_reference.py::test_perturbed_v_shortcut",)),
+           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
     Mutant("peel-head-bound-strict", "szego.py",
            "    if len(head) >= n:\n",
            "    if len(head) > n:\n",
-           ("tests/test_kernel_reference.py::test_perturbed_v_shortcut",)),
+           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
+    Mutant("shortcut-update-at-2k-le-n", "perturb.py",
+           "    if 2 * k < n:  # float()",
+           "    if 2 * k <= n:  # float()",
+           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_refuses_a_complex_tau",)),
+    Mutant("shortcut-update-without-float", "perturb.py",
+           "float(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)",
+           "head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau",
+           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_refuses_a_complex_tau",)),
+    # refusals of short data: counts, and a check made before the data is read
+    Mutant("forward-insufficient-count-off-by-one", "szego.py",
+           "(2 * n, len(alpha), \"alpha coefficients\")\n    b, d",
+           "(2 * n - 1, len(alpha), \"alpha coefficients\")\n    b, d",
+           ("tests/test_cli.py::TestPerturbCommand::test_both_paths_empty_circle_file_exit1",)),
+    Mutant("coprl-apply-indexes-before-require", "perturb.py",
+           "        rc.require(0, spec.k)\n        d = list(rc.d)\n"
+           "        d[spec.k - 1] = float(d[spec.k - 1] * spec.lam)\n",
+           "        d = list(rc.d)\n        d[spec.k - 1] = float(d[spec.k - 1] * spec.lam)\n"
+           "        rc.require(0, spec.k)\n",
+           ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
+    Mutant("sieve2-closed-form-no-length-check", "perturb.py",
+           "    if len(alpha) < n:\n"
+           "        raise OrthoError(f\"need {n} circle coefficients, have {len(alpha)}\")\n",
+           "",
+           ("tests/test_perturb.py::TestSieve2Recurrence::test_short_data_refusals",)),
 ]
 
 

@@ -40,6 +40,13 @@ def test_eval_initial_condition():
     assert oprl_eval(rc, 0, 1.7) == [1]
 
 
+def test_eval_keeps_the_sign_of_a_zero():
+    # the k = 0 step multiplies the zero P_{-1} by d_0 = 1, so at x = -0.0
+    # P_1 = -0.0; a d_0 read from the data (-0.5 here) would give +0.0
+    p1 = oprl_eval(RealRecurrence((0.0,), (-0.5,)), 1, -0.0)[1]
+    assert p1 == 0 and math.copysign(1.0, p1.real) == -1.0
+
+
 def test_eval_chebyshev_t():
     vals = oprl_eval(chebyshev_t(), 2, 2.0)
     assert vals == [1, 2, 3.5]  # P_2 = x^2 - 1/2

@@ -52,6 +52,7 @@ from ortho_szego.perturb import (
 )
 from ortho_szego.serialize import dumps_recurrence
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
+from ortho_szego.tolerances import PIVOT_TOL
 
 from conftest import random_admissible_rc, random_alpha
 from test_opuc import u_pattern
@@ -627,9 +628,10 @@ def test_max_deviation_keeps_a_nan_wherever_it_comes():
 class TestPerturbedV:
     def test_pure_corecursive_both_paths_agree(self):
         # T with tau = 0.1 at k = 1: v~_2 = 0.6, v~_3 = (1/4)/0.6 = 5/12;
-        # for n <= 0 neither path gives an entry
+        # for n <= 0 neither path gives an entry, and n = 2k, 2k + 1, 2k + 2
+        # end the shortcut before, on and just past its updated v~_{2k}
         rc = chebyshev_t()
-        for n in (-3, -1, 0, 8):
+        for n in (-3, -1, 0, 2, 3, 4, 8):
             dv = perturbed_v(rc, 1, 1.0, 0.1, n)
             pv = perturbed_v(rc, 1, 1.0, 0.1, n, path=SHORTCUT)
             assert len(dv) == len(pv) == max(n, 0)
@@ -680,6 +682,34 @@ class TestPerturbedV:
         # T with tau = -1/2 at k = 1: the pivot v~_2 = 1/2 - 1/2 is 0
         with pytest.raises(DivisionDegenerate, match="^pivot v_2 vanished$"):
             run(path)
+
+    def test_shortcut_finishes_the_pair_at_the_pivot_bound(self):
+        # b = (0, -1) gives the head (1, d_1, -d_1) at k = 1, so the guard of
+        # the continuation decides v_3, at PIVOT_TOL (1 + |d_2|) and one float in
+        for d2 in (-3.0, 2.0):
+            tol = PIVOT_TOL * (1.0 + abs(d2))
+            for d1 in (tol, -tol):
+                rc = RealRecurrence((0.0, -1.0), (d1, d2))
+                assert perturbed_v(rc, 1, 1.0, 0.0, 4, SHORTCUT) == (1.0, d1, -d1, d2 / -d1)
+                rc = RealRecurrence((0.0, -1.0), (math.nextafter(d1, 0.0), d2))
+                with pytest.raises(DivisionDegenerate, match="^pivot v_2 vanished$"):
+                    perturbed_v(rc, 1, 1.0, 0.0, 4, SHORTCUT)
+
+    @pytest.mark.parametrize("path", [DEFAULT, SHORTCUT])
+    def test_short_d_names_the_count(self, path):
+        # two b's and one d: pair 1 (v_2, v_3) has no d_2
+        with pytest.raises(InsufficientCoefficients, match="^need 2 d coefficients, have 1$"):
+            perturbed_v(RealRecurrence((0.0, 0.0), (0.25,)), 1, 1.0, 0.1, 4, path)
+
+    def test_shortcut_refuses_a_complex_tau(self):
+        # float() on v~_{2k} refuses a complex tau where it enters, whatever the
+        # data past it hold (n = 8 needs a b_4); at n = 2k there is no update
+        rc = RealRecurrence((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
+        message = r"^float\(\) argument must be a string or a real number, not 'complex'$"
+        for n in (3, 6, 8):
+            with pytest.raises(TypeError, match=message):
+                perturbed_v(rc, 1, 1.0, 0.1j, n, SHORTCUT)
+        assert perturbed_v(rc, 2, 1.0, 0.1j, 4, SHORTCUT) == (1.0, 0.5, 0.5, 0.5)
 
     @pytest.mark.parametrize("func", [perturbed_v, perturbed_alpha_lu])
     @pytest.mark.parametrize("k, lam, tau", [
@@ -787,6 +817,19 @@ class TestSieve2Recurrence:
             th = sieve2_recurrence(vs, 12, path=CLOSED_FORM)
             br = sieve2_recurrence(vs, 12, path=ORACLE)
             assert_rc_close(th, br, 1e-11)
+
+    def test_short_data_refusals(self):
+        # pinned as they stand: the closed form counts circle coefficients,
+        # the oracle the sieved ones that geronimus_forward reads
+        vs = VerblunskySeq((0.1, -0.2, 0.3, -0.1))
+        for path, exc, message in ((CLOSED_FORM, OrthoError, "need 5 circle coefficients, have 4"),
+                                   (ORACLE, InsufficientCoefficients,
+                                    "need 10 alpha coefficients, have 8")):
+            for run in (lambda: sieve2_recurrence(vs, 5, path),
+                        lambda: sieved_kmod_recurrence(vs, 1, 0.2, 5, path)):
+                with pytest.raises(OrthoError) as info:
+                    run()
+                assert type(info.value) is exc and str(info.value) == message
 
 
 class TestSievedKMod:

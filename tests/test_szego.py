@@ -235,11 +235,24 @@ class TestVSequence:
         with pytest.raises(DivisionDegenerate):
             v_from_recurrence(rc, 2)
 
+    def test_v_from_recurrence_pivot_bound(self):
+        # b = (0, -1) gives v_0 = 1, v_1 = d_1 and v_2 = -d_1 exactly.  At the
+        # bound PIVOT_TOL (1 + |d_2|) the pivot v_2 passes, one float nearer
+        # 0 it has vanished; a negative d_2 scales the bound as a positive one
+        for d2 in (-3.0, 2.0, -1.0):
+            tol = PIVOT_TOL * (1.0 + abs(d2))
+            for d1 in (tol, -tol):
+                rc = RealRecurrence((0.0, -1.0), (d1, d2))
+                assert v_from_recurrence(rc, 4) == (1.0, d1, -d1, d2 / -d1)
+                rc = RealRecurrence((0.0, -1.0), (math.nextafter(d1, 0.0), d2))
+                with pytest.raises(DivisionDegenerate, match="^pivot v_2 vanished$"):
+                    v_from_recurrence(rc, 4)
+
 
 class TestNanInput:
     """A NaN fails the first guard it reaches instead of flowing through:
-    each guard is written `not lo < x < hi` or `not abs(x) >= bound`, which
-    NaN does not pass."""
+    each guard is written `not lo < x < hi` or `not x >= bound`, which NaN
+    does not pass."""
 
     NAN_PAIRS = RealRecurrence((math.nan,) * 3, (0.25,) * 3)
 
@@ -308,6 +321,23 @@ class TestPrefixPivotGuard:
         assert invert_from(rc, (0.1, self.NEAR_ONE), 1).real_view() == (0.1, self.NEAR_ONE)
 
 
+def test_divisor_guards_at_the_bound():
+    # a_1 = 1 - 2^-43 and the b_2 below put the loop's divisor (1 - a_1)(1 - a_2^2)
+    # on PIVOT_TOL exactly, and so does a prefix ending at the a_2 below for
+    # the step that finishes it.  There the guard passes, and a_3 = -1 + d_2 /
+    # PIVOT_TOL leaves (-1, 1); two floats up the divisor has vanished
+    a1, b2, a2 = 1.0 - 2.0 ** -43, 1.9723167208764e-14, 0.3469736269217013
+    for a in (2.0 * b2 / (1.0 - a1), a2):  # the loop's a_2, then the prefix's
+        assert (1.0 - a1) * (1.0 - a * a) == PIVOT_TOL
+    d = (0.25, 0.25)
+    for run, x in ((lambda x: invert_from(RealRecurrence((0.0, x), d), (0.0, a1), 2), b2),
+                   (lambda x: invert_from(RealRecurrence((0.0, 0.0), d), (0.0, a1, x), 2), a2)):
+        with pytest.raises(SupportViolation, match=r"^coefficient at index 3 left"):
+            run(x)
+        with pytest.raises(DivisionDegenerate, match=r"^\(1 - a_1\)\(1 - a_2\^2\) vanished$"):
+            run(math.nextafter(math.nextafter(x, 1.0), 1.0))
+
+
 class TestPrefixCheck:
     """A prefix is read once, first, as VerblunskySeq(prefix).real_view()
     reads it: AlphaOutOfRange names the first entry of modulus >= 1 (or
@@ -338,8 +368,9 @@ class TestPrefixCheck:
     @pytest.mark.parametrize("prefix, exc, message", [
         ((0.0, 1.5), AlphaOutOfRange, "|alpha_1| = 1.5 >= 1"),
         ((0.5j,), ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
+        ((0.5j, 0.1), ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
         ((0.1, 0.2 + 1e-300j), ComplexAlpha, "alpha_1 = (0.2+1e-300j) has nonzero imaginary part"),
-    ], ids=["out_of_range", "complex", "barely_complex"])
+    ], ids=["out_of_range", "complex", "complex_first", "barely_complex"])
     def test_the_error_does_not_depend_on_n(self, prefix, exc, message):
         # the loop would meet a_3 = -3.0 at n = 3, and n = 5 is beyond the data
         rc = RealRecurrence((0.1, 0.0, 0.05), (0.25, 0.25, 0.2))
