@@ -7,26 +7,27 @@ Every family takes a ``path`` argument:
   generic bridge direction (brute force).
 
 Where the stated formula differs from the bridge recursion (the
-co-dilation head, the symmetric families, the circle-side associated map
-at odd k, sieving and k-modification) the two paths are independent
-code, and the verification suites and the test suite check that they
-agree.  The symmetric closed forms run the paper's one-term odd recursion
+symmetric families, the circle-side associated map at odd k, sieving and
+k-modification) the two paths are independent code, and the verification
+suites and the test suite check that they agree.  The symmetric closed
+forms run the paper's one-term odd recursion
 g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even entry 0; on
-b == 0 data that is the inversion bit for bit.  Three maps, and the
+b == 0 data that is the inversion bit for bit.  Four maps, and the
 circle-side associated map at even k, have no separate closed form: both
 paths run one kernel, so their deviation (``perturb --both-paths``) is 0
-by construction.  The line-side associated and anti-associated families
-(``assoc_oprl_to_verblunsky``, ``antiassoc_oprl_to_verblunsky``) are
-``szego.invert_from`` fed shifted or prepended data.  The circle-side
-anti-associated family's four-branch table, and the even-k associated
-formula, are ``szego.geronimus_forward`` on the prepended or shifted
-coefficients.  The single documented exception is the LU
-shortcut for a dilation (``perturbed_v``): its stated prefix-preservation
-clashes with the genuinely perturbed LU data when the dilation factor
-differs from 1, so the pivot update has a "default" (consistent) path and
-a "shortcut" path plus a structured discrepancy report instead of a silent
-choice.  Both paths check the same perturbation specs, and
-``perturbed_alpha_lu`` is ``szego.alpha_from_v`` of either pivot sequence.
+by construction.  ``coprl_verblunsky``, whose paper shift cancels to the
+inversion's own steps, and the line-side associated and anti-associated
+families are ``szego.invert_from`` fed perturbed, shifted or prepended
+data.  The circle-side anti-associated family's four-branch table, and
+the even-k associated formula, are ``szego.geronimus_forward`` on the
+prepended or shifted coefficients.  The single documented exception is
+the LU shortcut for a dilation (``perturbed_v``): its stated
+prefix-preservation clashes with the genuinely perturbed LU data when the
+dilation factor differs from 1, so the pivot update has a "default"
+(consistent) path and a "shortcut" path plus a structured discrepancy
+report instead of a silent choice.  Both paths check the same
+perturbation specs, and ``perturbed_alpha_lu`` is ``szego.alpha_from_v``
+of either pivot sequence.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     InsufficientCoefficients,
     InvalidEta,
     NonPositiveD,
-    OrthoError,
     SupportViolation,
     WrongSide,
 )
@@ -46,14 +46,11 @@ from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
 from .serialize import _complex, _integer, _list, _real
 from .szego import (
-    _alpha_conv,
-    _emit_checked,
     _peel_error,
     _peel_from,
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
-    invert_from,
     v_from_alpha,
     v_from_recurrence,
 )
@@ -319,37 +316,24 @@ def coprl_verblunsky(rc: RealRecurrence, k: int, lam: float, tau: float,
     """Circle coefficients a-hat_0 .. a-hat_{2n-1} of the measure with
     d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau.
 
-    The closed form keeps a_j for j < 2k-1, shifts a_{2k-1} by
+    The paper keeps a_j for j < 2k-1, shifts a_{2k-1} by
 
         M = 4 (lam - 1) d_k / ((1 - a_{2k-3}) (1 - a_{2k-2}^2)),
 
-    recombines a_{2k} from (a_{2k}, tau, M), and continues with the generic
-    inversion on the untouched tail.  It inverts only the head a_0 .. a_{2k+1}
-    of the unperturbed data and reads it up to a_{2k}, so an unperturbed
-    coefficient past a_{2k+1} that leaves (-1, 1) does not stop it.  k = 0
-    is the pure co-recursive case and requires lam = 1.
+    recombines a-hat_{2k} = ((1 - a_{2k-1}) a_{2k} + 2 tau + M a_{2k-2})
+    / (1 - a_{2k-1} - M) and continues the inversion on the untouched tail.
+    Cancelled, a_{2k-1} + M is the inversion's odd step on lam d_k, and
+    a-hat_{2k} its even step on b_{k+1} + tau.  So both paths invert the
+    perturbed data, and neither reads an unperturbed a_{2k-1} or a_{2k},
+    which can leave (-1, 1) while the perturbed measure is admissible.
+    tests/test_perturb.py checks the statement in exact arithmetic, and
+    ``verify theorems`` the formula against this map.  k = 0 is the pure
+    co-recursive case and requires lam = 1.
     """
     _check_path(path)
     if n < k + 1:
         raise ValueError("need n >= k + 1 output pairs to cover the perturbed entries")
-    specs = _co_specs(k, lam, tau)
-    if path == ORACLE:
-        return geronimus_inverse(reduce(coprl_apply, specs, rc), n)
-
-    rc.require(n, n)
-    alpha = geronimus_inverse(rc, k + 1).real_view()  # the head reads up to a_{2k}
-    am2, am1 = _alpha_conv(alpha, 2 * k - 2), _alpha_conv(alpha, 2 * k - 1)
-    if k == 0:
-        m_shift = 0.0
-    else:
-        m_shift = 4.0 * (lam - 1.0) * rc.d_at(k) / ((1.0 - _alpha_conv(alpha, 2 * k - 3)) * (1.0 - am2 * am2))
-
-    head = list(alpha[: max(2 * k - 1, 0)])
-    if k > 0:
-        head.append(_emit_checked(am1 + m_shift, 2 * k - 1))
-    num = (1.0 - am1) * alpha[2 * k] + 2.0 * tau + m_shift * am2
-    head.append(_emit_checked(num / (1.0 - am1 - m_shift), 2 * k))
-    return invert_from(rc, head, n)
+    return geronimus_inverse(reduce(coprl_apply, _co_specs(k, lam, tau), rc), n)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +539,8 @@ def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> Rea
     if path == ORACLE:
         return geronimus_forward(sieve(vs, 2), n)
     alpha = vs.real_view()
-    if len(alpha) < n:
-        raise OrthoError(f"need {n} circle coefficients, have {len(alpha)}")
+    if len(alpha) < n:  # the oracle's count: 2n entries of the sieved sequence
+        raise InsufficientCoefficients(2 * n, 2 * len(alpha), "alpha coefficients")
     d = [0.25 * (1.0 - prev) * (1.0 + a) for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]
     # real_view gives floats in (-1, 1), so both factors of d are >= 2^-53 and d > 0
     return _unchecked(RealRecurrence, (0.0,) * n, tuple(d))
@@ -635,19 +619,15 @@ def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
 def symmetric_codilated_verblunsky(d, k: int, lam: float,
                                    path: str = CLOSED_FORM) -> VerblunskySeq:
     """Symmetric family after d_k -> lam d_k, as 2 len(d) circle
-    coefficients: odd entries below 2k-1 are kept, g_{2k-1} shifts by
-    4 (lam - 1) d_k / (1 - g_{2k-3}), and every later odd entry follows the
-    symmetric recursion.  The closed form reads only the head g_0 .. g_{2k-1}
-    of the unperturbed symmetric sequence."""
+    coefficients.  The paper keeps the odd entries below 2k-1, shifts
+    g_{2k-1} by 4 (lam - 1) d_k / (1 - g_{2k-3}), and runs the symmetric
+    recursion on every later odd entry.  Cancelled, the shifted entry is
+    -1 + 4 lam d_k / (1 - g_{2k-3}), the recursion's own step on the
+    co-dilated d: so the closed form runs the odd recursion on the
+    co-dilated d, and the oracle the full inversion."""
     _check_path(path)
     spec = CoDilated(k, lam)
-    rc = _symmetric_line(d)
-    n = len(rc.d)
+    rc = coprl_apply(_symmetric_line(d), spec)
     if path == ORACLE:
-        return geronimus_inverse(coprl_apply(rc, spec), n)
-    rc.require(0, k)
-    gamma = _symmetric_from(rc.d, [], k).alpha  # the head reads up to g_{2k-1}
-    head = list(gamma[: 2 * k - 1])
-    shift = 4.0 * (lam - 1.0) * rc.d[k - 1] / (1.0 - _alpha_conv(gamma, 2 * k - 3))
-    head.append(_emit_checked(gamma[2 * k - 1] + shift, 2 * k - 1))
-    return _symmetric_from(rc.d, head, n)
+        return geronimus_inverse(rc, len(rc.d))
+    return _symmetric_from(rc.d, [], len(rc.d))

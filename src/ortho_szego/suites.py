@@ -283,9 +283,12 @@ def suite_conjugation(rep: SuiteReport, rng: random.Random, tol: float) -> None:
 
 
 def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
+    """The co-dilation properties compare each map with the paper's shift
+    formula, evaluated on the unperturbed head; a head that leaves (-1, 1)
+    is outside the formula's domain, not the map's, and is redrawn."""
     from .perturb import (CLOSED_FORM, ORACLE, assoc_opuc_to_recurrence, coprl_verblunsky,
                           max_deviation, sieve2_recurrence, sieved_kmod_recurrence,
-                          symmetric_codilated_verblunsky)
+                          symmetric_codilated_verblunsky, symmetric_verblunsky)
 
     depth = 12
 
@@ -297,9 +300,12 @@ def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
         rc = _rand_rc(rng, depth + 4)
         k = rng.randint(1, 4)
         lam, tau = rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)
-        th = coprl_verblunsky(rc, k, lam, tau, depth, path=CLOSED_FORM)
-        br = coprl_verblunsky(rc, k, lam, tau, depth, path=ORACLE)
-        return max_deviation(th, br)
+        got = coprl_verblunsky(rc, k, lam, tau, depth)
+        a = geronimus_inverse(rc, k + 1).alpha  # the formula reads up to a_{2k}
+        am3, am2, am1 = a[2 * k - 3] if k > 1 else -1.0, a[2 * k - 2], a[2 * k - 1]
+        shift = 4.0 * (lam - 1.0) * rc.d[k - 1] / ((1.0 - am3) * (1.0 - am2 * am2))
+        even = ((1.0 - am1) * a[2 * k] + 2.0 * tau + shift * am2) / (1.0 - am1 - shift)
+        return max_deviation(got, VerblunskySeq(a[:2 * k - 1] + (am1 + shift, even)))
 
     def circle_assoc_closed_form_vs_oracle():
         vs = _rand_alpha(rng, 2 * depth + 8)
@@ -311,8 +317,10 @@ def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
         d = tuple(rng.uniform(0.05, 0.45) for _ in range(depth))
         k = rng.randint(1, 5)
         lam = rng.uniform(0.6, 1.4)
-        return max_deviation(symmetric_codilated_verblunsky(d, k, lam, path=CLOSED_FORM),
-                             symmetric_codilated_verblunsky(d, k, lam, path=ORACLE))
+        got = symmetric_codilated_verblunsky(d, k, lam)
+        g = symmetric_verblunsky(d[:k]).alpha
+        shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - (g[2 * k - 3] if k > 1 else -1.0))
+        return max_deviation(got, VerblunskySeq(g[:-1] + (g[-1] + shift,)))
 
     def sieved_closed_form_vs_oracle():
         vs = _rand_alpha(rng, depth)

@@ -38,12 +38,6 @@ def _alpha_conv(alpha, n: int) -> float:
     return alpha[n]
 
 
-def _emit_checked(value: float, index: int) -> float:
-    if not abs(value) < 1.0 - SUPPORT_TOL:  # written so that NaN fails too
-        raise SupportViolation(index, value)
-    return value
-
-
 # The loops below read the coefficient tuples directly and carry the
 # previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
 # each per-step guard is written `not lo < x < hi` (or `not x >= bound` for a

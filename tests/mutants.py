@@ -82,7 +82,8 @@ MUTANTS = [
     Mutant("prefix-odd-factor-same-way", "szego.py",
            "            am1 = -1.0 + 4.0 * rc.d[m] / den2\n",
            "            am1 = -1.0 + 4.0 / (1 + 1e-9) * rc.d[m] / den2\n",
-           ("tests/test_acceptance.py::test_criterion_08_lu_suite",)),
+           ("tests/test_acceptance.py::test_criterion_08_lu_suite",
+            "tests/test_szego.py::TestLoopErrors::test_index_after_each_prefix")),
     # the kernel loops: guards at their bounds, signed zeros, exact products
     Mutant("inverse-divisor-guard-strict", "szego.py",
            "\n        if not den2 >= PIVOT_TOL:\n",
@@ -169,9 +170,10 @@ MUTANTS = [
            "",
            ("tests/test_perturb.py::TestCopucApply::test_rejects_eta_of_modulus_one_once_stored",)),
     Mutant("coprl-oracle-first-spec-only", "perturb.py",
-           "geronimus_inverse(reduce(coprl_apply, specs, rc), n)",
-           "geronimus_inverse(reduce(coprl_apply, specs[:1], rc), n)",
-           ("tests/test_perturb.py::TestCoprlVerblunsky::test_theorem_matches_oracle",)),
+           "reduce(coprl_apply, _co_specs(k, lam, tau), rc)",
+           "reduce(coprl_apply, _co_specs(k, lam, tau)[:1], rc)",
+           ("tests/test_perturb.py::TestCoprlVerblunsky::"
+            "test_statement_is_the_inversion_on_the_perturbed_data_exactly",)),
     # the circle associated map reads its oracle's tail; finite co-perturbations
     Mutant("assoc-circle-even-k-runs-odd-formula", "perturb.py",
            "if path == ORACLE or n <= 0 or k % 2 == 0:",
@@ -209,7 +211,8 @@ MUTANTS = [
     Mutant("peel-insufficient-b-count", "szego.py",
            "InsufficientCoefficients(pairs + 1, len(b), \"b coefficients\")",
            "InsufficientCoefficients(pairs, len(b), \"b coefficients\")",
-           ("tests/test_kernel_digest.py::test_kernel_digest_is_pinned",)),
+           ("tests/test_kernel_digest.py::test_kernel_digest_is_pinned",
+            "tests/test_szego.py::TestVSequence::test_short_b_names_the_count")),
     Mutant("peel-finish-no-pivot-guard", "szego.py",
            "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",
            "            pass\n",
@@ -256,10 +259,27 @@ MUTANTS = [
            "        rc.require(0, spec.k)\n",
            ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
     Mutant("sieve2-closed-form-no-length-check", "perturb.py",
-           "    if len(alpha) < n:\n"
-           "        raise OrthoError(f\"need {n} circle coefficients, have {len(alpha)}\")\n",
+           "    if len(alpha) < n:  # the oracle's count: "
+           "2n entries of the sieved sequence\n"
+           "        raise InsufficientCoefficients(2 * n, 2 * len(alpha), \"alpha coefficients\")\n",
            "",
            ("tests/test_perturb.py::TestSieve2Recurrence::test_short_data_refusals",)),
+    # one route for the co-dilation head: the paper's shift is a check, not code
+    Mutant("theorems-coprl-shift-sign-flipped", "suites.py",
+           "shift = 4.0 * (lam - 1.0) * rc.d[k - 1]",
+           "shift = 4.0 * (1.0 - lam) * rc.d[k - 1]",
+           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+    Mutant("symmetric-codilated-closed-path-unperturbed-d", "perturb.py",
+           "    rc = coprl_apply(_symmetric_line(d), spec)\n"
+           "    if path == ORACLE:\n"
+           "        return geronimus_inverse(rc, len(rc.d))\n"
+           "    return _symmetric_from(rc.d, [], len(rc.d))\n",
+           "    rc = coprl_apply(_symmetric_line(d), spec)\n"
+           "    if path == ORACLE:\n"
+           "        return geronimus_inverse(rc, len(rc.d))\n"
+           "    return _symmetric_from(_symmetric_line(d).d, [], len(rc.d))\n",
+           ("tests/test_perturb.py::TestSymmetricCoDilated::test_symmetric_statement_exactly",
+            "tests/test_perturb.py::TestSymmetricCoDilated::test_t_to_u_fixture")),
 ]
 
 

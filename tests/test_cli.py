@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from ortho_szego import suites
 from ortho_szego.cli import main
 from ortho_szego.errors import OrthoError, SupportViolation, UnknownSuite
-from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
+from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u, shift_coefficients
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.serialize import (
     dumps_recurrence,
@@ -20,6 +21,7 @@ from ortho_szego.serialize import (
     specs_from_text,
 )
 from ortho_szego.perturb import CoDilated, KModification
+from ortho_szego.szego import geronimus_forward
 from ortho_szego.tolerances import DEFAULT_TOLS
 
 
@@ -221,6 +223,49 @@ class TestGeronimusCommand:
         assert not out.exists()
 
 
+def _both_paths(tmp_path, capsys, side, data, spec):
+    """Exit code and stderr of `perturb --both-paths` with one spec."""
+    src, spec_file = tmp_path / "in.json", tmp_path / "spec.json"
+    src.write_text(dumps_recurrence(data) if side == "line" else dumps_verblunsky(data))
+    spec_file.write_text(json.dumps([spec]))
+    code = main(["perturb", "--in", str(src), "--spec", str(spec_file), "--side", side,
+                 "--out", str(tmp_path / "out.json"), "--both-paths"])
+    return code, capsys.readouterr().err
+
+
+def _drawn_line(rng, pairs=12):
+    alpha = VerblunskySeq(tuple(rng.uniform(-0.3, 0.3) for _ in range(2 * pairs)))
+    return geronimus_forward(alpha, pairs)
+
+
+def _drawn_circle(rng):
+    return VerblunskySeq(tuple(rng.uniform(-0.5, 0.5) for _ in range(24)))
+
+
+def _drawn_prepend(rng):
+    # the head of an admissible draw prepended to its tail stays admissible
+    full, k = _drawn_line(rng, 14), rng.randint(1, 3)
+    return shift_coefficients(full, k), {"kind": "anti_associated",
+                                         "pre_b": full.b[:k], "pre_d": full.d[:k]}
+
+
+# side and a draw of (data, spec) for every kind whose two paths run one kernel
+ONE_KERNEL_DRAWS = {
+    "co_dilated": ("line", lambda rng: (_drawn_line(rng), {
+        "kind": "co_dilated", "k": rng.randint(1, 4), "lambda": rng.uniform(0.7, 1.3)})),
+    "co_recursive": ("line", lambda rng: (_drawn_line(rng), {
+        "kind": "co_recursive", "k": rng.randint(0, 4), "tau": rng.uniform(-0.05, 0.05)})),
+    "line_associated": ("line", lambda rng: (_drawn_line(rng), {
+        "kind": "associated", "k": rng.randint(0, 4)})),
+    "line_anti_associated": ("line", _drawn_prepend),
+    "circle_anti_associated": ("circle", lambda rng: (_drawn_circle(rng), {
+        "kind": "anti_associated",
+        "xi": [rng.uniform(-0.5, 0.5) for _ in range(rng.randint(1, 3))]})),
+    "circle_associated_even_k": ("circle", lambda rng: (_drawn_circle(rng), {
+        "kind": "associated", "k": rng.choice((0, 2, 4))})),
+}
+
+
 class TestPerturbCommand:
     def test_co_dilated_t_to_u(self, tfile, tmp_path):
         spec = tmp_path / "spec.json"
@@ -297,7 +342,8 @@ class TestPerturbCommand:
 
     def test_both_paths_codilation_past_an_inadmissible_tail(self, tmp_path, capsys):
         # the unperturbed a_6 leaves (-1, 1) and the perturbed one does not:
-        # this exited 2 with --both-paths and 0 without it
+        # this exited 2 with --both-paths and 0 without it; both paths now
+        # invert the perturbed data, so the deviation is 0 by construction
         src = tmp_path / "line.json"
         src.write_text(dumps_recurrence(RealRecurrence(
             (0.42473098610721627, -0.43896276684019947, 0.301601330614018, -0.1442824515915935),
@@ -307,7 +353,45 @@ class TestPerturbCommand:
         out = tmp_path / "out.json"
         assert main(["perturb", "--in", str(src), "--spec", str(spec), "--side", "line",
                      "--out", str(out), "--both-paths"]) == 0
-        assert capsys.readouterr().err == "both-paths co_dilated k=1: max deviation 2.220e-16\n"
+        assert capsys.readouterr().err == "both-paths co_dilated k=1: max deviation 0.000e+00\n"
+
+    def test_both_paths_codilation_past_an_inadmissible_head(self, tmp_path, capsys):
+        # the unperturbed a_3 leaves (-1, 1); the closed form inverted the
+        # unperturbed head through a_3 and exited 2 with --both-paths
+        rc = RealRecurrence((0.1514132535793945, -0.056042321104388226),
+                            (0.37656216793403885, 0.6794148608516632))
+        spec = {"kind": "co_dilated", "k": 1, "lambda": 0.5813601832105961}
+        assert _both_paths(tmp_path, capsys, "line", rc, spec) == (
+            0, "both-paths co_dilated k=1: max deviation 0.000e+00\n")
+
+    @pytest.mark.parametrize("name", sorted(ONE_KERNEL_DRAWS))
+    def test_both_paths_is_zero_where_one_kernel_runs(self, tmp_path, capsys, name):
+        # both paths of these kinds run one kernel, so the printed deviation
+        # is exactly 0 on any accepted file (README's --both-paths list)
+        side, draw = ONE_KERNEL_DRAWS[name]
+        rng = random.Random(f"both-paths:{name}")
+        kept = 0
+        for _ in range(10):
+            data, spec = draw(rng)
+            code, err = _both_paths(tmp_path, capsys, side, data, spec)
+            if code == 2 and err.startswith("support violation"):
+                continue  # the perturbed data are not admissible
+            assert code == 0 and err.startswith(f"both-paths {spec['kind']} k=") \
+                and err.endswith(": max deviation 0.000e+00\n") and err.count("\n") == 1, err
+            kept += 1
+        assert kept >= 5
+
+    def test_both_paths_circle_associated_odd_k_compares_two_routes(self, tmp_path, capsys):
+        # odd k runs the pivot formula against the forward map: some draw
+        # shows their rounding
+        rng = random.Random("both-paths:circle_associated_odd_k")
+        devs = []
+        for _ in range(10):
+            code, err = _both_paths(tmp_path, capsys, "circle", _drawn_circle(rng),
+                                    {"kind": "associated", "k": rng.choice((1, 3, 5))})
+            assert code == 0
+            devs.append(float(err.rsplit(" ", 1)[1]))
+        assert max(devs) > 0.0 and max(devs) < 1e-12
 
     def test_integral_float_index_reads_as_int(self, tfile, tmp_path):
         outs = []
@@ -618,7 +702,7 @@ CIRCLE_24 = '{"alpha": [' + ", ".join(f"[{x}, 0]" for x in (
 # none is written) for `perturb --both-paths` on the fixtures.
 PERTURB_PINS = [
     ('line', '{"kind": "co_dilated", "k": 2, "lambda": 0.75}',
-     0, 'both-paths co_dilated k=2: max deviation 1.110e-16\n',
+     0, 'both-paths co_dilated k=2: max deviation 0.000e+00\n',
      'a8aec1ecfb0efd084212286eeef882acd821f3fc8dfc1d6e02277b0fb2cb9423'),
     ('line', '{"kind": "co_recursive", "k": 1, "tau": 0.05}',
      0, 'both-paths co_recursive k=1: max deviation 0.000e+00\n',

@@ -30,7 +30,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "cc248d50260d4d4230d7e879b3d4f0117462e540e6080b902e22abe3e08a6189"
+DIGEST = "056fc7994ab3228438e6647a6d56482c722f45229371e498b30402e80e1a3717"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -213,17 +213,50 @@ class TestCoprlVerblunsky:
         assert got.alpha[2 * 4 - 1] != base.alpha[2 * 4 - 1]
 
     def test_theorem_matches_oracle(self, rng):
+        # the paper's shifted head, evaluated on the unperturbed head, against
+        # the map; a head that leaves (-1, 1) is outside the formula's domain
+        checked = 0
         for _ in range(50):
             rc = random_admissible_rc(rng, 14)
             k = rng.randint(1, 4)
             lam = rng.uniform(0.6, 1.4)
             tau = rng.uniform(-0.2, 0.2)
             try:
-                th = coprl_verblunsky(rc, k, lam, tau, 12, path=CLOSED_FORM)
-                br = coprl_verblunsky(rc, k, lam, tau, 12, path=ORACLE)
+                got = coprl_verblunsky(rc, k, lam, tau, 12)
+                a = geronimus_inverse(rc, k + 1).alpha
             except SupportViolation:
                 continue
-            assert_vs_close(th, br, 1e-10)
+            want = _co_shifted_head(a, rc.d[k - 1], k, lam, tau)
+            assert list(got.alpha[:2 * k + 1]) == pytest.approx(want, abs=1e-10)
+            checked += 1
+        assert checked >= 10
+
+    def test_statement_is_the_inversion_on_the_perturbed_data_exactly(self):
+        # the paper's statement in exact arithmetic: the forward relations on
+        # the shifted head a-hat_0 .. a-hat_{2k} give every pair up to b_{k+1}
+        # back, with d_k -> lam d_k and b_{k+1} -> b_{k+1} + tau; so the map,
+        # which inverts the perturbed data, gives that head too
+        rng = random.Random(3032)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            k = rng.randint(0, n - 1)
+            a = [Fraction(rng.randint(-90, 90), 100) for _ in range(2 * n)]
+            lam = 1 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 70), 100) if k else 1
+            tau = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), 100)
+            b, d = _forward(a, n)
+            head = _co_shifted_head(a, d[k - 1] if k else 0, k, lam, tau)
+            b_hat, d_hat = _forward(head + [0], k + 1)  # d_{k+1} reads the padding
+            assert b_hat == b[:k] + [b[k] + tau]
+            assert d_hat[:k] == [lam * x if j == k - 1 else x for j, x in enumerate(d[:k])]
+            rc = geronimus_forward(VerblunskySeq(tuple(map(float, a))), n)
+            try:
+                got = coprl_verblunsky(rc, k, float(lam), float(tau), n)
+            except SupportViolation:
+                continue
+            assert list(got.alpha[:2 * k + 1]) == pytest.approx(list(map(float, head)), abs=1e-9)
+            checked += 1
+        assert checked >= 20
 
     def test_closed_form_ignores_the_unperturbed_tail(self):
         # the unperturbed a_6 leaves (-1, 1), the perturbed one does not;
@@ -469,6 +502,19 @@ def _forward(a, n):
         b.append((a0 * (1 - am1) - am2 * (1 + am1)) / 2)
         am2, am1 = a0, a1
     return b, d
+
+
+def _co_shifted_head(a, d_k, k, lam, tau):
+    """The paper's co-polynomial head a-hat_0 .. a-hat_{2k} from the
+    unperturbed a_0 .. a_{2k}: a_j kept for j < 2k-1, a_{2k-1} shifted by
+    M = 4 (lam - 1) d_k / ((1 - a_{2k-3})(1 - a_{2k-2}^2)) and a_{2k}
+    recombined, with a_{-1} = -1 and a_{-2} = 0 (k = 0 needs lam = 1).  Int
+    constants, as in _forward."""
+    am3 = a[2 * k - 3] if k > 1 else -1
+    am2, am1 = (a[2 * k - 2], a[2 * k - 1]) if k else (0, -1)
+    shift = 4 * (lam - 1) * d_k / ((1 - am3) * (1 - am2 ** 2)) if k else 0
+    even = ((1 - am1) * a[2 * k] + 2 * tau + shift * am2) / (1 - am1 - shift)
+    return list(a[:max(2 * k - 1, 0)]) + ([am1 + shift] if k else []) + [even]
 
 
 def _antiassoc_table(xi, a, n):
@@ -819,17 +865,15 @@ class TestSieve2Recurrence:
             assert_rc_close(th, br, 1e-11)
 
     def test_short_data_refusals(self):
-        # pinned as they stand: the closed form counts circle coefficients,
-        # the oracle the sieved ones that geronimus_forward reads
+        # both paths count the sieved coefficients that geronimus_forward reads
         vs = VerblunskySeq((0.1, -0.2, 0.3, -0.1))
-        for path, exc, message in ((CLOSED_FORM, OrthoError, "need 5 circle coefficients, have 4"),
-                                   (ORACLE, InsufficientCoefficients,
-                                    "need 10 alpha coefficients, have 8")):
+        for path in (CLOSED_FORM, ORACLE):
             for run in (lambda: sieve2_recurrence(vs, 5, path),
                         lambda: sieved_kmod_recurrence(vs, 1, 0.2, 5, path)):
                 with pytest.raises(OrthoError) as info:
                     run()
-                assert type(info.value) is exc and str(info.value) == message
+                assert type(info.value) is InsufficientCoefficients
+                assert str(info.value) == "need 10 alpha coefficients, have 8"
 
 
 class TestSievedKMod:
@@ -968,6 +1012,44 @@ class TestSymmetricCoDilated:
             except SupportViolation:
                 continue
             assert_vs_close(th, br, 1e-11)
+
+    def test_symmetric_statement_exactly(self):
+        # the symmetric shift g_{2k-1} + 4 (lam - 1) d_k / (1 - g_{2k-3}) is the
+        # co-polynomial head with a_{2k-2} = 0 and tau = 0; in exact arithmetic
+        # its forward image is b == 0 and d with d_k -> lam d_k, and the map,
+        # which runs the odd recursion on the co-dilated d, gives it too
+        rng = random.Random(3033)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, n)
+            g = [Fraction(rng.randint(-90, 90), 100) if j % 2 else 0 for j in range(2 * n)]
+            lam = 1 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 70), 100)
+            _, d = _forward(g, n)
+            gm3 = g[2 * k - 3] if k > 1 else -1
+            head = g[:2 * k - 1] + [g[2 * k - 1] + 4 * (lam - 1) * d[k - 1] / (1 - gm3)]
+            if k < n:
+                assert _co_shifted_head(g, d[k - 1], k, lam, 0) == head + [0]
+            b_hat, d_hat = _forward(head, k)
+            assert b_hat == [0] * k and d_hat == d[:k - 1] + [lam * d[k - 1]]
+            try:
+                got = symmetric_codilated_verblunsky(tuple(map(float, d[:k])), k, float(lam))
+            except SupportViolation:
+                continue
+            assert list(got.alpha) == pytest.approx(list(map(float, head)), abs=1e-12)
+            checked += 1
+        assert checked >= 20
+
+    def test_closed_form_reads_no_unperturbed_head(self):
+        # unperturbed, g_3 = 8/7 leaves (-1, 1); after d_2 -> 0.4 d_2 it is
+        # -1/7, and the closed form used to refuse at index 3
+        d = (0.3, 0.75, 0.2, 0.2)
+        with pytest.raises(SupportViolation) as info:
+            symmetric_verblunsky(d)
+        assert info.value.index == 3
+        th = symmetric_codilated_verblunsky(d, 2, 0.4, path=CLOSED_FORM)
+        assert th == symmetric_codilated_verblunsky(d, 2, 0.4, path=ORACLE)
+        assert th.alpha[3] == pytest.approx(-1 / 7, rel=1e-14)
 
     def test_closed_form_ignores_the_unperturbed_tail(self):
         # unperturbed, g_5 = 1.7; after d_2 -> 0.2 d_2 it is 13/14

@@ -23,10 +23,10 @@ SUITE_DIGESTS = {
     "bridge": "0fe2e8776c766bc8808e0eb01a37aa4c4cfe5cb32439e68c0d9c299325c4ce08",
     "conjugation": "bd1cccf0a2b91fa35fd8a5efbf70fc03248d19241b7feb87c2ac45ecfbc1a86d",
     "discrepancy": "dc30615d13082f9d3247d3e984c5f707d13f4e78794e084275408a800e50b9b3",
-    "lu": "a01aa42e6caeb5504dd3c9f7d9430b43a9568b13860de6d266037c4077ade320",
+    "lu": "1c1d1425aa778bd22bfe7c84cf5ef1dbadcedbfd815237c5b1612817d972e97b",
     "rel": "c09a654044c51fa0582b6038faffe8c62b926af86cb6c0607e2ae5048a9ae609",
     "roundtrip": "7c024602a3670696bfccdb93cd358925078536b6473bd17fd048e362a5b980ec",
-    "theorems": "bd493782166b39eb6139a00fc05347e32ade82860758c52084a8af8ac7dfe87e",
+    "theorems": "c0cfebed35eab63fe86957274fea9511ed87c6e82dac2bc1451ef7b1a8375947",
     "transfer": "c04ab9269731015b6687ddd0226e24d85d00ad7fa9fcfd80499f9bf96bf832c7",
 }
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ortho_szego.errors import AlphaOutOfRange, ComplexAlpha, DivisionDegenerate, SupportViolation
+from ortho_szego.errors import (
+    AlphaOutOfRange,
+    ComplexAlpha,
+    DivisionDegenerate,
+    InsufficientCoefficients,
+    SupportViolation,
+)
 from ortho_szego.oprl import RealRecurrence, chebyshev_t, chebyshev_u
 from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.szego import (
@@ -229,6 +235,11 @@ class TestVSequence:
             via_cf = v_from_recurrence(rc, 12)
             via_alpha = v_from_alpha(vs)
             assert via_cf == pytest.approx(via_alpha, rel=1e-11, abs=1e-11)
+
+    def test_short_b_names_the_count(self):
+        # v_2 = b_2 + 1 - v_1 needs b_2, which one pair lacks
+        with pytest.raises(InsufficientCoefficients, match=r"^need 2 b coefficients, have 1$"):
+            v_from_recurrence(RealRecurrence((0.0,), (0.25,)), 3)
 
     def test_division_degenerate(self):
         rc = RealRecurrence((-1.0, 0.0), (0.25, 0.25))  # b_1 + 1 = 0 pivot
