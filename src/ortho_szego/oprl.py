@@ -36,12 +36,6 @@ class RealRecurrence(Value):
     def __len__(self) -> int:
         return min(len(self.b), len(self.d))
 
-    def b_at(self, n: int) -> float:
-        """b_n, 1-based."""
-        if not 1 <= n <= len(self.b):
-            raise InsufficientCoefficients(n, len(self.b), "b coefficients")
-        return self.b[n - 1]
-
     def d_at(self, n: int) -> float:
         """d_n, 1-based; d_0 = 1 by convention."""
         if n == 0:

@@ -17,11 +17,11 @@ circle-side associated map at even k, have no separate closed form: both
 paths run one kernel, so their deviation (``perturb --both-paths``) is 0
 by construction.  ``coprl_verblunsky``, whose paper shift cancels to the
 inversion's own steps, and the line-side associated and anti-associated
-families are ``szego.invert_from`` fed perturbed, shifted or prepended
-data.  The circle-side anti-associated family's four-branch table, and
-the even-k associated formula, are ``szego.geronimus_forward`` on the
-prepended or shifted coefficients.  The single documented exception is
-the LU shortcut for a dilation (``perturbed_v``): its stated
+families are ``szego.geronimus_inverse`` fed perturbed, shifted or
+prepended data.  The circle-side anti-associated family's four-branch
+table, and the even-k associated formula, are ``szego.geronimus_forward``
+on the prepended or shifted coefficients.  The single documented exception
+is the LU shortcut for a dilation (``perturbed_v``): its stated
 prefix-preservation clashes with the genuinely perturbed LU data when the
 dilation factor differs from 1, so the pivot update has a "default"
 (consistent) path and a "shortcut" path plus a structured discrepancy
@@ -345,8 +345,8 @@ def assoc_oprl_to_verblunsky(rc: RealRecurrence, k: int, n: int,
     """Circle coefficients of the order-k associated line family: the
     inversion recursion fed with b_{n+k}, d_{n+k}.
 
-    There is no separate closed form: both paths run szego.invert_from on
-    the shifted coefficients.
+    There is no separate closed form: both paths run szego.geronimus_inverse
+    on the shifted coefficients.
     """
     _check_path(path)
     return geronimus_inverse(shift_coefficients(rc, k), n)
@@ -358,8 +358,8 @@ def antiassoc_oprl_to_verblunsky(rc: RealRecurrence, pre_b, pre_d, n: int,
     (k = len(pre_b)): the inversion recursion fed with the prepended window
     for indices <= k and b_{n-k}, d_{n-k} beyond it.
 
-    There is no separate closed form: both paths run szego.invert_from on
-    the prepended coefficients.
+    There is no separate closed form: both paths run szego.geronimus_inverse
+    on the prepended coefficients.
     """
     _check_path(path)
     return geronimus_inverse(prepend_coefficients(rc, pre_b, pre_d), n)
@@ -575,14 +575,14 @@ def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
     with g_{-1} = -1.
 
     The closed form runs this one-term odd recursion; the oracle runs the
-    full two-coefficient inversion szego.invert_from on the b == 0 data.
-    The two give the same bits (see _symmetric_from).
+    full two-coefficient inversion szego.geronimus_inverse on the b == 0
+    data.  The two give the same bits (see _symmetric_from).
     """
     _check_path(path)
     rc = _symmetric_line(d)
     if path == ORACLE:
         return geronimus_inverse(rc, len(rc.d))
-    return _symmetric_from(rc.d, [], len(rc.d))
+    return _symmetric_from(rc.d)
 
 
 def _symmetric_line(d) -> RealRecurrence:
@@ -594,26 +594,25 @@ def _symmetric_line(d) -> RealRecurrence:
     return _unchecked(RealRecurrence, (0.0,) * len(d), d)
 
 
-def _symmetric_from(d, head: list, n: int) -> VerblunskySeq:
-    """Continue the symmetric sequence head = g_0 .. g_{2m-1} (a float list
-    inside (-1, 1)) up to g_{2n-1}: each later pair is 0.0 and
-    g_{2j+1} = -1 + 4 d_{j+1} / (1 - g_{2j-1}), with g_{-1} = -1.
+def _symmetric_from(d) -> VerblunskySeq:
+    """The symmetric sequence g_0 .. g_{2 len(d) - 1}: each even entry is
+    0.0 and g_{2j+1} = -1 + 4 d_{j+1} / (1 - g_{2j-1}), with g_{-1} = -1.
 
-    With b == 0 this is szego.invert_from bit for bit: its even entry is
-    exactly +0.0, so its divisor (1 - g_{2j-1})(1 - 0.0) is 1 - g_{2j-1},
+    With b == 0 this is szego.geronimus_inverse bit for bit: its even entry
+    is exactly +0.0, so its divisor (1 - g_{2j-1})(1 - 0.0) is 1 - g_{2j-1},
     which the support guard keeps above SUPPORT_TOL > PIVOT_TOL.
     """
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
-    m = len(head) // 2
-    g = head[-1] if head else -1.0
-    for dj in d[m:max(n, m)]:  # max(n, m): no slice from the end
+    g = -1.0
+    out = []
+    for dj in d:
         g = -1.0 + 4.0 * dj / (1.0 - g)
         if not lo < g < hi:
-            raise SupportViolation(len(head) + 1, g)
-        head.append(0.0)
-        head.append(g)
+            raise SupportViolation(len(out) + 1, g)
+        out.append(0.0)
+        out.append(g)
     # every entry is 0.0 or a float the support guard put inside (-1, 1)
-    return _unchecked(VerblunskySeq, tuple(head))
+    return _unchecked(VerblunskySeq, tuple(out))
 
 
 def symmetric_codilated_verblunsky(d, k: int, lam: float,
@@ -630,4 +629,4 @@ def symmetric_codilated_verblunsky(d, k: int, lam: float,
     rc = coprl_apply(_symmetric_line(d), spec)
     if path == ORACLE:
         return geronimus_inverse(rc, len(rc.d))
-    return _symmetric_from(rc.d, [], len(rc.d))
+    return _symmetric_from(rc.d)

@@ -29,15 +29,6 @@ from .tolerances import CHECK_TOL, PIVOT_TOL, SUPPORT_TOL, max_residual
 Scalar = complex
 
 
-def _alpha_conv(alpha, n: int) -> float:
-    """alpha_n with the bridge conventions at negative indices."""
-    if n == -1:
-        return -1.0
-    if n == -2:
-        return 0.0
-    return alpha[n]
-
-
 # The loops below read the coefficient tuples directly and carry the
 # previous coefficients in locals, seeded with a_{-2} = 0 and a_{-1} = -1;
 # each per-step guard is written `not lo < x < hi` (or `not x >= bound` for a
@@ -65,49 +56,23 @@ def geronimus_forward(vs: VerblunskySeq, n: int) -> RealRecurrence:
 
 
 def geronimus_inverse(rc: RealRecurrence, n: int) -> VerblunskySeq:
-    """Circle coefficients a_0 .. a_{2n-1} of the unfolded measure
-    (invert_from with an empty prefix)."""
-    return invert_from(rc, (), n)
+    """Circle coefficients a_0 .. a_{2n-1} of the unfolded measure.
 
-
-def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
-    """Continue the inversion from a_{len(prefix)} up to a_{2n-1}.
-
-    prefix holds a_0 .. a_{j-1} for any j <= 2n (odd j included).  Each
-    further coefficient solves the forward relations, with a_{-1} = -1 and
-    a_{-2} = 0:
+    Each pair solves the forward relations, with a_{-1} = -1 and a_{-2} = 0:
 
         a_{2m}   = (2 b_{m+1} + (1 + a_{2m-1}) a_{2m-2}) / (1 - a_{2m-1})
         a_{2m+1} = -1 + 4 d_{m+1} / ((1 - a_{2m-1}) (1 - a_{2m}^2))
 
-    The prefix is read first, as VerblunskySeq(prefix).real_view() reads it
-    (AlphaOutOfRange, ComplexAlpha).  Raises SupportViolation as soon as a
-    computed coefficient leaves (-1, 1): the line measure then cannot sit
-    inside [-1, 1].
+    Raises SupportViolation as soon as a computed coefficient leaves
+    (-1, 1): the line measure then cannot sit inside [-1, 1].
     """
-    alpha = list(VerblunskySeq(prefix).real_view()) if prefix else []
     rc.require(n, n)
-    j = len(alpha)
     lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
-    m = j // 2
-    am2, am1 = (alpha[2 * m - 2], alpha[2 * m - 1]) if m else (0.0, -1.0)
-    # Every a_j is in (-1, 1), so each divisor is positive; only a prefix can
-    # make 1 - a_{2m-1} vanish (a computed one is > SUPPORT_TOL > PIVOT_TOL).
-    if m < n:
-        if not 1.0 - am1 >= PIVOT_TOL:
-            raise DivisionDegenerate(f"1 - a_{2 * m - 1} vanished")
-        if j % 2:  # the prefix ends after a_{2m}: finish pair m
-            am2 = alpha[-1]
-            den2 = (1.0 - am1) * (1.0 - am2 * am2)
-            if not den2 >= PIVOT_TOL:
-                raise DivisionDegenerate(f"(1 - a_{2 * m - 1})(1 - a_{2 * m}^2) vanished")
-            am1 = -1.0 + 4.0 * rc.d[m] / den2
-            if not lo < am1 < hi:
-                raise SupportViolation(2 * m + 1, am1)
-            alpha.append(am1)
-            m += 1
-    # pair m starts at a_{2m} = a_{len(alpha)}; max(n, m): no slice from the end
-    for bm, dm in zip(rc.b[m:max(n, m)], rc.d[m:max(n, m)]):
+    alpha = []
+    am2, am1 = 0.0, -1.0  # a_{2m-2}, a_{2m-1}
+    # 1 - a_{2m-1} is 2, or > SUPPORT_TOL > PIVOT_TOL by the support guard;
+    # max(n, 0): no slice from the end
+    for bm, dm in zip(rc.b[:max(n, 0)], rc.d[:max(n, 0)]):
         den = 1.0 - am1
         a_even = (2.0 * bm + (1.0 + am1) * am2) / den
         if not lo < a_even < hi:
@@ -121,8 +86,7 @@ def invert_from(rc: RealRecurrence, prefix, n: int) -> VerblunskySeq:
         alpha.append(a_even)
         alpha.append(a_odd)
         am2, am1 = a_even, a_odd
-    # real_view gave the prefix as floats in (-1, 1); the support guard put
-    # every computed entry there
+    # the support guard put every entry inside (-1, 1)
     return _unchecked(VerblunskySeq, tuple(alpha))
 
 
@@ -291,7 +255,7 @@ def check_rel(rc: RealRecurrence, vs: VerblunskySeq, n: int, theta: float) -> fl
     z = cmath.exp(1j * theta)
     x = z.real  # cos(theta)
     lhs = orthonormal_scale(rc, n) * oprl_eval(rc, n, x)[n]
-    a_prev = _alpha_conv(alpha, 2 * n - 1)
+    a_prev = alpha[2 * n - 1] if n else -1.0
     factor = kappa(vs, 2 * n) / cmath.sqrt(2.0 * (1.0 - a_prev))
     phi_z, _ = opuc_eval(vs, 2 * n, z)
     phi_zinv, _ = opuc_eval(vs, 2 * n, 1.0 / z)

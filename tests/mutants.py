@@ -57,6 +57,13 @@ MUTANTS = [
            "        object.__setattr__(self, \"b\", tuple(map(float, b)))\n"
            "        object.__setattr__(self, \"d\", tuple(map(float, d)))\n",
            ("tests/test_surface.py::test_only_value_sets_slots",)),
+    # the program surface: a method only the tests reach is dead
+    Mutant("public-method-nobody-reads", "oprl.py",
+           "    def d_at(self, n: int) -> float:\n",
+           "    def b_at(self, n: int) -> float:\n"
+           "        return self.b[n - 1]\n\n"
+           "    def d_at(self, n: int) -> float:\n",
+           ("tests/test_surface.py::test_every_export_has_a_program_path",)),
     # start-up and the end of a run
     Mutant("serialize-imports-json-at-top", "serialize.py",
            "import math\n",
@@ -79,11 +86,6 @@ MUTANTS = [
            "        a_odd = -1.0 + 4.0 * dm / den2\n",
            "        a_odd = -1.0 + 4.0 / (1 + 1e-9) * dm / den2\n",
            ("tests/test_moments.py::test_geronimus_inverse",)),
-    Mutant("prefix-odd-factor-same-way", "szego.py",
-           "            am1 = -1.0 + 4.0 * rc.d[m] / den2\n",
-           "            am1 = -1.0 + 4.0 / (1 + 1e-9) * rc.d[m] / den2\n",
-           ("tests/test_acceptance.py::test_criterion_08_lu_suite",
-            "tests/test_szego.py::TestLoopErrors::test_index_after_each_prefix")),
     # the kernel loops: guards at their bounds, signed zeros, exact products
     Mutant("inverse-divisor-guard-strict", "szego.py",
            "\n        if not den2 >= PIVOT_TOL:\n",
@@ -92,11 +94,7 @@ MUTANTS = [
     Mutant("inverse-divisor-guard-dropped", "szego.py",
            "\n        if not den2 >= PIVOT_TOL:\n",
            "\n        if False:\n",
-           ("tests/test_szego.py::TestLoopErrors::test_index_after_each_prefix",)),
-    Mutant("inverse-odd-prefix-guard-strict", "szego.py",
-           "            if not den2 >= PIVOT_TOL:\n",
-           "            if not den2 > PIVOT_TOL:\n",
-           ("tests/test_szego.py::test_divisor_guards_at_the_bound",)),
+           ("tests/test_szego.py::TestLoopErrors::test_index_from_the_output_length",)),
     Mutant("oprl-eval-d0-as-dk", "oprl.py",
            "(d[k - 1] if k else 1.0)",
            "(d[k - 1] if k else d[k])",
@@ -114,8 +112,8 @@ MUTANTS = [
            "s - a * (z * p)",
            ("tests/test_suites.py::test_suite_output_is_pinned",)),
     Mutant("symmetric-appends-swapped", "perturb.py",
-           "        head.append(0.0)\n        head.append(g)\n",
-           "        head.append(g)\n        head.append(0.0)\n",
+           "        out.append(0.0)\n        out.append(g)\n",
+           "        out.append(g)\n        out.append(0.0)\n",
            ("tests/test_perturb.py::TestSymmetric::test_single_step",)),
     # the spec classes as the registry, and the one coefficient loader
     Mutant("sieve-applies-on-the-line", "perturb.py",
@@ -273,11 +271,11 @@ MUTANTS = [
            "    rc = coprl_apply(_symmetric_line(d), spec)\n"
            "    if path == ORACLE:\n"
            "        return geronimus_inverse(rc, len(rc.d))\n"
-           "    return _symmetric_from(rc.d, [], len(rc.d))\n",
+           "    return _symmetric_from(rc.d)\n",
            "    rc = coprl_apply(_symmetric_line(d), spec)\n"
            "    if path == ORACLE:\n"
            "        return geronimus_inverse(rc, len(rc.d))\n"
-           "    return _symmetric_from(_symmetric_line(d).d, [], len(rc.d))\n",
+           "    return _symmetric_from(_symmetric_line(d).d)\n",
            ("tests/test_perturb.py::TestSymmetricCoDilated::test_symmetric_statement_exactly",
             "tests/test_perturb.py::TestSymmetricCoDilated::test_t_to_u_fixture")),
 ]

@@ -19,7 +19,6 @@ from ortho_szego.szego import (
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
-    invert_from,
     v_from_alpha,
 )
 
@@ -60,7 +59,6 @@ _RC = geronimus_forward(_REAL, 2)
 
 @pytest.mark.parametrize("build", [
     lambda: geronimus_inverse(_RC, 2),
-    lambda: invert_from(_RC, (0.3,), 2),
     lambda: alpha_from_v(v_from_alpha(_REAL)),
     lambda: coprl_verblunsky(_RC, 1, 0.9, 0.05, 2),
     lambda: coprl_verblunsky(_RC, 1, 0.9, 0.05, 2, path=ORACLE),
@@ -69,9 +67,8 @@ _RC = geronimus_forward(_REAL, 2)
     lambda: copuc_apply(_REAL, KModification(1, 0.5)),
     lambda: shift_verblunsky(_REAL, 1),
     lambda: second_kind(_REAL),
-], ids=["geronimus_inverse", "invert_from", "alpha_from_v", "coprl_closed_form",
-        "coprl_oracle", "sieve", "prepend_verblunsky", "copuc_apply", "shift_verblunsky",
-        "second_kind"])
+], ids=["geronimus_inverse", "alpha_from_v", "coprl_closed_form", "coprl_oracle", "sieve",
+        "prepend_verblunsky", "copuc_apply", "shift_verblunsky", "second_kind"])
 def test_real_data_stays_float_stored(build):
     vs = build()
     assert len(vs) >= 3

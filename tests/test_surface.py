@@ -2,9 +2,10 @@
 
 Every public module-level function and class of the package (a ``def`` or
 ``class`` at the top of one of its modules, named without a leading
-underscore) must be read somewhere in the package's modules or in the
-benchmark harness, as a bare name or as an attribute.  A name that only
-the tests reach is surface to delete.  The two paper corollaries below
+underscore), and every public method of a package class, must be read
+somewhere in the package's modules or in the benchmark harness, as a bare
+name or as an attribute.  A name that only the tests reach is surface to
+delete.  The two paper corollaries below
 are the exception: they are reproduced formulas of the paper, which
 the test suite checks and no command needs.
 
@@ -44,7 +45,7 @@ FIXTURE_OPTIONS = {"oprl.chebyshev_t.n", "oprl.chebyshev_u.n"}
 # module.function of every caller of _value._unchecked
 UNCHECKED_SITES = frozenset({
     "szego.geronimus_forward",
-    "szego.invert_from",
+    "szego.geronimus_inverse",
     "szego.alpha_from_v",
     "oprl.shift_coefficients",
     "oprl.prepend_coefficients",
@@ -77,10 +78,15 @@ INPUT_MODULES = ("serialize", "cli")
 
 
 def _public_defs(paths) -> dict[str, str]:
-    """module.name -> name of every public module-level def and class."""
+    """module.name -> name of every public module-level def and class, and
+    module.Class.name -> name of every public method of a class."""
     defs = {}
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defs[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 defs[f"{path.stem}.{node.name}"] = node.name

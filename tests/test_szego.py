@@ -7,8 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ortho_szego.errors import (
-    AlphaOutOfRange,
-    ComplexAlpha,
     DivisionDegenerate,
     InsufficientCoefficients,
     SupportViolation,
@@ -20,7 +18,6 @@ from ortho_szego.szego import (
     check_rel,
     geronimus_forward,
     geronimus_inverse,
-    invert_from,
     lu_check,
     map_x_to_z,
     v_from_alpha,
@@ -133,15 +130,6 @@ class TestGeronimusInverse:
         for k in range(10):
             assert back[k] == fr[k]  # exact oracle is self-consistent
             assert vs.alpha[k].real == pytest.approx(float(fr[k]), abs=1e-12)
-
-    def test_invert_from_any_prefix_is_bit_identical(self, rng):
-        for n in (1, 4, 9):
-            rc = random_admissible_rc(rng, n)
-            full = geronimus_inverse(rc, n)
-            want = [a.real.hex() for a in full.alpha]
-            for j in range(2 * n + 1):
-                got = invert_from(rc, full.real_view()[:j], n)
-                assert [a.real.hex() for a in got.alpha] == want
 
 
 def _jitter_spread(rc: RealRecurrence, n: int, trials: int = 4) -> float:
@@ -272,14 +260,12 @@ class TestNanInput:
             geronimus_inverse(self.NAN_PAIRS, 3)
         assert exc.value.index == 0 and math.isnan(exc.value.value)
 
-    def test_invert_from_nan_d(self):
-        # each prefix length reaches d_2 on another path: the loop, or the
-        # step that finishes an odd prefix's last pair
+    def test_inverse_nan_d(self):
+        # a_2 = 0 is computed from b_2; the NaN d_2 then fails a_3's guard
         rc = RealRecurrence((0.0,) * 3, (0.25, math.nan, 0.25))
-        for prefix in ((0.0,), (0.0, 0.0), (0.0, 0.0, 0.0)):
-            with pytest.raises(SupportViolation) as exc:
-                invert_from(rc, prefix, 3)
-            assert exc.value.index == 3 and math.isnan(exc.value.value)
+        with pytest.raises(SupportViolation) as exc:
+            geronimus_inverse(rc, 3)
+        assert exc.value.index == 3 and math.isnan(exc.value.value)
 
     def test_pivot_peel_raises_at_first_pivot(self):
         # a NaN pivot is reported the way a vanished one is
@@ -292,114 +278,29 @@ class TestNanInput:
                 alpha_from_v(v)
             assert exc.value.index == index and math.isnan(exc.value.value)
 
-    @pytest.mark.parametrize("prefix, index", [((0.1, 0.2), 2), ((0.1, 0.2, 0.3), 4)])
-    def test_invert_from_nan_b(self, prefix, index):
-        # an odd prefix gives a_2, so b_2 is never read and b_3 is the first NaN reached
-        rc = RealRecurrence((0.0, math.nan, math.nan), (0.25,) * 3)
-        with pytest.raises(SupportViolation) as exc:
-            invert_from(rc, prefix, 3)
-        assert exc.value.index == index and math.isnan(exc.value.value)
-
 
 def test_pivot_tol_is_below_support_tol():
-    # invert_from checks 1 - a_{2m-1} only for a prefix entry, and
-    # alpha_from_v never: a computed a_{k-1} passed the support guard, so
-    # 1 - a_{k-1} > SUPPORT_TOL, and that guard could not fire
+    # geronimus_inverse and alpha_from_v never check 1 - a_{k-1}: every
+    # a_{k-1} they divide by passed the support guard, so 1 - a_{k-1} >
+    # SUPPORT_TOL, and that guard could not fire
     assert PIVOT_TOL < SUPPORT_TOL
 
 
-class TestPrefixPivotGuard:
-    """1 - a_{2m-1} is checked once, before the loop: only the last odd
-    entry of a prefix can make it vanish."""
-
-    NEAR_ONE = 1.0 - PIVOT_TOL / 2
-
-    @pytest.mark.parametrize("prefix, name", [
-        ((0.1, NEAR_ONE), "a_1"),
-        ((0.1, NEAR_ONE, 0.2), "a_1"),
-        ((0.1, 0.2, 0.3, NEAR_ONE), "a_3"),
-        ((0.1, 0.2, 0.3, NEAR_ONE, 0.4), "a_3"),
-    ])
-    def test_vanishing_divisor_raises(self, prefix, name):
-        rc = RealRecurrence((0.0,) * 3, (0.25,) * 3)
-        with pytest.raises(DivisionDegenerate) as exc:
-            invert_from(rc, prefix, 3)
-        assert str(exc.value) == f"1 - {name} vanished"
-
-    def test_not_checked_past_the_last_pair(self):
-        # nothing is left to compute, so nothing divides by 1 - a_1
-        rc = RealRecurrence((0.0,), (0.25,))
-        assert invert_from(rc, (0.1, self.NEAR_ONE), 1).real_view() == (0.1, self.NEAR_ONE)
-
-
 def test_divisor_guards_at_the_bound():
-    # a_1 = 1 - 2^-43 and the b_2 below put the loop's divisor (1 - a_1)(1 - a_2^2)
-    # on PIVOT_TOL exactly, and so does a prefix ending at the a_2 below for
-    # the step that finishes it.  There the guard passes, and a_3 = -1 + d_2 /
-    # PIVOT_TOL leaves (-1, 1); two floats up the divisor has vanished
-    a1, b2, a2 = 1.0 - 2.0 ** -43, 1.9723167208764e-14, 0.3469736269217013
-    for a in (2.0 * b2 / (1.0 - a1), a2):  # the loop's a_2, then the prefix's
-        assert (1.0 - a1) * (1.0 - a * a) == PIVOT_TOL
-    d = (0.25, 0.25)
-    for run, x in ((lambda x: invert_from(RealRecurrence((0.0, x), d), (0.0, a1), 2), b2),
-                   (lambda x: invert_from(RealRecurrence((0.0, 0.0), d), (0.0, a1, x), 2), a2)):
-        with pytest.raises(SupportViolation, match=r"^coefficient at index 3 left"):
-            run(x)
-        with pytest.raises(DivisionDegenerate, match=r"^\(1 - a_1\)\(1 - a_2\^2\) vanished$"):
-            run(math.nextafter(math.nextafter(x, 1.0), 1.0))
-
-
-class TestPrefixCheck:
-    """A prefix is read once, first, as VerblunskySeq(prefix).real_view()
-    reads it: AlphaOutOfRange names the first entry of modulus >= 1 (or
-    NaN) and ComplexAlpha the first with a nonzero imaginary part, whatever
-    n is and whatever the loop would have met.  An accepted prefix enters
-    the result as floats, whatever types its entries had."""
-
-    RC = RealRecurrence((0.0, 0.1, -0.05), (0.25, 0.2, 0.22))
-    NEAR_ONE = Fraction(10**20 - 1, 10**20)  # modulus 1.0 once stored as a complex
-
-    @pytest.mark.parametrize("prefix, n, exc, message", [
-        ((1.5, -0.5), 1, AlphaOutOfRange, "|alpha_0| = 1.5 >= 1"),
-        ((0.3, 1.2), 1, AlphaOutOfRange, "|alpha_1| = 1.2 >= 1"),
-        ((0.1, math.nan), 1, AlphaOutOfRange, "|alpha_1| = nan >= 1"),
-        ((0.1, -1.0), 1, AlphaOutOfRange, "|alpha_1| = 1.0 >= 1"),
-        ((0.1, 0.2, 0.3, 0.4, 1.0), 2, AlphaOutOfRange, "|alpha_4| = 1.0 >= 1"),
-        ((NEAR_ONE, 0.2), 1, AlphaOutOfRange, "|alpha_0| = 1.0 >= 1"),
-        ((0.1, 0.2, 1.5), 2, AlphaOutOfRange, "|alpha_2| = 1.5 >= 1"),
-        ((1.5, 0.2), 2, AlphaOutOfRange, "|alpha_0| = 1.5 >= 1"),
-        ((0.5, 0.2, 1.0), 2, AlphaOutOfRange, "|alpha_2| = 1.0 >= 1"),
-    ])
-    def test_bad_prefix(self, prefix, n, exc, message):
-        for given in (prefix, iter(prefix)):
-            with pytest.raises(exc) as info:
-                invert_from(self.RC, given, n)
-            assert type(info.value) is exc and str(info.value) == message
-
-    @pytest.mark.parametrize("prefix, exc, message", [
-        ((0.0, 1.5), AlphaOutOfRange, "|alpha_1| = 1.5 >= 1"),
-        ((0.5j,), ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
-        ((0.5j, 0.1), ComplexAlpha, "alpha_0 = 0.5j has nonzero imaginary part"),
-        ((0.1, 0.2 + 1e-300j), ComplexAlpha, "alpha_1 = (0.2+1e-300j) has nonzero imaginary part"),
-    ], ids=["out_of_range", "complex", "complex_first", "barely_complex"])
-    def test_the_error_does_not_depend_on_n(self, prefix, exc, message):
-        # the loop would meet a_3 = -3.0 at n = 3, and n = 5 is beyond the data
-        rc = RealRecurrence((0.1, 0.0, 0.05), (0.25, 0.25, 0.2))
-        for n in (-1, 0, 1, 2, 3, 5):
-            with pytest.raises(exc) as info:
-                invert_from(rc, prefix, n)
-            assert type(info.value) is exc and str(info.value) == message
-
-    def test_prefix_not_all_floats_gives_float_storage(self):
-        for prefix in ((0, 0.2), (0j, 0.2 + 0j), (Fraction(0), 0.2)):
-            got = invert_from(self.RC, prefix, 2)
-            assert got.alpha == (0.0, 0.2, 0.25, 0.06666666666666665)
-            assert list(map(type, got.alpha)) == [float] * 4
-
-    def test_float_prefix_gives_float_storage(self):
-        got = invert_from(self.RC, iter((0.0, 0.2)), 2)
-        assert got.alpha == (0.0, 0.2, 0.25, 0.06666666666666665)
-        assert list(map(type, got.alpha)) == [float] * 4
+    # d_1 gives a_1 just inside 1 - SUPPORT_TOL, and b_2 then gives the a_2
+    # below, which puts the divisor (1 - a_1)(1 - a_2^2) on PIVOT_TOL
+    # exactly.  There the guard passes, and a_3 = -1 + d_2 / PIVOT_TOL
+    # leaves (-1, 1); two floats up on b_2 the divisor has vanished
+    b2, d1 = 4.772767222327177e-13, 0.9999999999994971
+    a1, a2 = 0.9999999999989941, 0.9489904054745604
+    assert geronimus_inverse(RealRecurrence((0.0,), (d1,)), 1).real_view() == (0.0, a1)
+    assert a1 < 1.0 - SUPPORT_TOL and 2.0 * b2 / (1.0 - a1) == a2
+    assert (1.0 - a1) * (1.0 - a2 * a2) == PIVOT_TOL
+    with pytest.raises(SupportViolation, match=r"^coefficient at index 3 left"):
+        geronimus_inverse(RealRecurrence((0.0, b2), (d1, 0.25)), 2)
+    b2_up = math.nextafter(math.nextafter(b2, 1.0), 1.0)
+    with pytest.raises(DivisionDegenerate, match=r"^\(1 - a_1\)\(1 - a_2\^2\) vanished$"):
+        geronimus_inverse(RealRecurrence((0.0, b2_up), (d1, 0.25)), 2)
 
 
 class TestExactSquares:
@@ -502,9 +403,7 @@ class TestRelIdentity:
 class TestLoopErrors:
     """The inversion loop names an error's index from the length of its
     output so far.  On Chebyshev-T-like data every a_k is 0 up to the pair
-    that fails, pair 3 (a_6, a_7); it is reached from every prefix of those
-    zeros: through the loop alone from an even prefix, or through the step
-    that finishes an odd one and then the loop."""
+    that fails, pair 3 (a_6, a_7)."""
 
     # a_5 = 1 - 1e-11 once a_3 = a_4 = 0; then a_6 = 1 - 4e-12 makes
     # (1 - a_5)(1 - a_6^2) ~ 8e-23, below PIVOT_TOL
@@ -519,15 +418,12 @@ class TestLoopErrors:
         ((0.0, 0.0, 0.0, B4), (0.5, 0.25, D3, 0.25),
          DivisionDegenerate, "(1 - a_5)(1 - a_6^2) vanished"),
     ])
-    def test_index_after_each_prefix(self, b, d, exc, message):
-        rc = RealRecurrence(b, d)
-        a5 = -1.0 + 4.0 * d[2]  # the a_5 that a prefix of zeros up to a_4 gives
-        for prefix in [(0.0,) * j for j in range(6)] + [(0.0,) * 5 + (a5,)]:
-            with pytest.raises(exc) as info:
-                invert_from(rc, prefix, 4)
-            assert str(info.value) == message, prefix
-            if exc is SupportViolation:
-                assert info.value.index == int(message.split()[3])
+    def test_index_from_the_output_length(self, b, d, exc, message):
+        with pytest.raises(exc) as info:
+            geronimus_inverse(RealRecurrence(b, d), 4)
+        assert str(info.value) == message
+        if exc is SupportViolation:
+            assert info.value.index == int(message.split()[3])
 
     def test_alpha_from_v_index(self):
         # v_3 = 1 sends a_3 to 1 after a_0 = a_1 = a_2 = 0
@@ -537,15 +433,11 @@ class TestLoopErrors:
 
 
 class TestShortN:
-    """A negative n, or one below what a prefix already holds, computes no
-    entry and reads nothing from the end of the data: the NaN there would
-    raise if it were read."""
+    """An n <= 0 computes no entry and reads nothing from the end of the
+    data: the NaN there would raise if it were read."""
 
     RC = RealRecurrence((0.0, 0.0, math.nan), (0.25, 0.25, math.nan))
 
-    @pytest.mark.parametrize("prefix, n", [
-        ((), -1), ((), -2), ((), 0), ((0.1,), -1), ((0.1, 0.2), -1),
-        ((0.1, 0.2, 0.3), 1), ((0.1, 0.2, 0.3, 0.4), 1), ((0.1, 0.2, 0.3, 0.4, 0.5), 2),
-    ])
-    def test_invert_from(self, prefix, n):
-        assert invert_from(self.RC, prefix, n).alpha == prefix
+    @pytest.mark.parametrize("n", [-1, -2, 0])
+    def test_inverse(self, n):
+        assert geronimus_inverse(self.RC, n).alpha == ()

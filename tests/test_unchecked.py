@@ -23,7 +23,6 @@ from ortho_szego.szego import (
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
-    invert_from,
     v_from_alpha,
     v_from_recurrence,
 )
@@ -71,18 +70,6 @@ def _xi(rng):
     """Up to 3 prepended entries: zeros as ints, floats, and now and then a complex."""
     return tuple(rng.choice((0, rng.uniform(-0.9, 0.9), complex(rng.uniform(-0.5, 0.5), 0.3)))
                  for _ in range(rng.randint(0, 3)))
-
-
-def _invert_args(rng):
-    """Line data and a prefix of its own inversion, often empty, of floats
-    or (about one time in three) of complex numbers."""
-    rc = _line(rng)
-    n = _n(rng, 9)
-    alpha = geronimus_inverse(rc, len(rc)).alpha
-    prefix = alpha[:rng.choice((0, rng.randint(0, len(alpha))))]
-    if rng.random() < 0.3:
-        prefix = tuple(map(complex, prefix))
-    return rc, prefix, n
 
 
 def _pivots(rng):
@@ -169,9 +156,9 @@ SITES = {
     "szego.geronimus_forward": (
         lambda rng: (geronimus_forward, (_real_circle(rng), _n(rng, 8))),
         lambda out, args: _rebuilt(out)),
-    "szego.invert_from": (
-        lambda rng: (invert_from, _invert_args(rng)),
-        lambda out, args: _real_seq(out)),
+    "szego.geronimus_inverse": (
+        lambda rng: (geronimus_inverse, (_line(rng), _n(rng, 9))),
+        lambda out, args: _rebuilt(out)),
     "szego.alpha_from_v": (
         lambda rng: (alpha_from_v, (_pivots(rng),)),
         lambda out, args: _real_seq(out)),
