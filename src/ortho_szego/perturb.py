@@ -26,8 +26,10 @@ prefix-preservation clashes with the genuinely perturbed LU data when the
 dilation factor differs from 1, so the pivot update has a "default"
 (consistent) path and a "shortcut" path plus a structured discrepancy
 report instead of a silent choice.  Both paths check the same
-perturbation specs, and ``perturbed_alpha_lu`` is ``szego.alpha_from_v``
-of either pivot sequence.
+perturbation specs and run ``szego.v_from_recurrence`` on co-perturbed
+data (the shortcut's keeps d_k and shifts b_{k+1} by its update of
+v_{2k}), and ``perturbed_alpha_lu`` is ``szego.alpha_from_v`` of either
+pivot sequence.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shi
 from .serialize import _complex, _integer, _list, _real
 from .szego import (
     _peel_error,
-    _peel_from,
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
@@ -457,23 +458,20 @@ def perturbed_v(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
 
     "default" peels the continued fraction of the genuinely perturbed
     coefficients (always consistent with the LU factorization).  "shortcut"
-    applies the paper's pivot update to the unperturbed peel: it peels the
-    head v_0..v_{2k}, sets v~_{2k} = v_{2k} + (1 - lam) v_{2k-1} + tau and
-    continues the same peel (szego._peel_from) from there.  Both paths build
-    the same CoDilated/CoRecursive specs, so both refuse the same
-    (k, lam, tau), and for n <= 0 both give () after the default path's
-    data checks.  For lam != 1 the copied prefix disagrees with the
-    perturbed LU data at index 2k-1; see path_discrepancy_report.
+    is the paper's update v~_{2k} = v_{2k} + (1 - lam) v_{2k-1} + tau of
+    the unperturbed peel; as v_{2k} = b_{k+1} + 1 - v_{2k-1}, it peels the
+    data with d_k kept and b_{k+1} shifted by (1 - lam) v_{2k-1} + tau, so
+    at lam = 1 it is the default path.  Both check the specs of (k, lam,
+    tau) first and refuse the same ones, and for n <= 0 both give () after
+    the default path's data checks.  For lam != 1 the kept prefix disagrees
+    with the perturbed LU data at index 2k-1; see path_discrepancy_report.
     """
     if path not in (DEFAULT, SHORTCUT):
         raise ValueError(f"path must be {DEFAULT!r} or {SHORTCUT!r}, got {path!r}")
     specs = _co_specs(k, lam, tau)
-    if path == DEFAULT or n <= 0:
-        return v_from_recurrence(reduce(coprl_apply, specs, rc), n)
-    head = list(v_from_recurrence(rc, 2 * k + 1))
-    if 2 * k < n:  # float(): a complex tau is a TypeError, not a complex pivot
-        head[2 * k] = float(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)
-    return _peel_from(rc, head, n)
+    if path == SHORTCUT and lam != 1.0 and n > 0:  # k >= 1: CoDilated refuses k = 0
+        specs = _co_specs(k, 1.0, tau + (1.0 - lam) * v_from_recurrence(rc, 2 * k)[-1])
+    return v_from_recurrence(reduce(coprl_apply, specs, rc), n)
 
 
 def perturbed_alpha_lu(rc: RealRecurrence, k: int, lam: float, tau: float, n: int,
@@ -493,10 +491,11 @@ def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
                             n: int, tol: float = DISCREPANCY_TOL) -> PathDiscrepancy | None:
     """Compare the two pivot paths entrywise; None when they agree.
 
-    Entries agree when they differ by at most tol (1 + |v|) plus the
-    rounding both paths can carry (their running peel error bounds): a
-    near-zero pivot amplifies a 1-ulp difference far past tol without any
-    disagreement between the formulas.
+    At lam = 1 the paths are one computation.  Otherwise entries agree
+    when they differ by at most tol (1 + |v|) plus both paths' running peel
+    error bounds: v~_{2k} is (b_{k+1} + (tau + (1 - lam) v_{2k-1})) + 1
+    - v_{2k-1} on one, (b_{k+1} + tau) + 1 - v~_{2k-1} on the other, and a
+    near-zero pivot amplifies their 1-ulp difference far past tol.
     """
     dv = perturbed_v(rc, k, lam, tau, n, DEFAULT)
     pv = perturbed_v(rc, k, lam, tau, n, SHORTCUT)

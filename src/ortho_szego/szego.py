@@ -119,35 +119,12 @@ def v_from_recurrence(rc: RealRecurrence, n: int) -> tuple[float, ...]:
     DivisionDegenerate signals a vanishing pivot, i.e. J + I has no LU
     factorization and the support is not admissible.
     """
-    return _peel_from(rc, (), n)
-
-
-def _peel_from(rc: RealRecurrence, head, n: int) -> tuple[float, ...]:
-    """Continue the peel of v_from_recurrence from v_{len(head)} up to v_{n-1}.
-
-    head is empty or holds v_0 .. v_{2k}; an n within it gives its first n
-    entries.  Past it, v_{2k+1} comes first, under the loop's pivot guard,
-    and the loop runs on.
-    """
-    if len(head) >= n:
-        return tuple(head[:max(n, 0)])
     b, d = rc.b, rc.d
-    out = list(head)
-    start = len(out) // 2
+    out = []
     v_odd = 0.0  # v_{2k-1}
-    if out:  # the head ends at v_{2k}, k = start: finish pair k
-        if start >= len(d):
-            raise InsufficientCoefficients(start + 1, len(d), "d coefficients")
-        v_even, dk = out[-1], d[start]
-        tol = PIVOT_TOL * (1.0 + (dk if dk >= 0.0 else -dk))
-        if not (v_even >= tol or v_even <= -tol):
-            raise DivisionDegenerate(f"pivot v_{2 * start} vanished")
-        v_odd = dk / v_even
-        out.append(v_odd)
-        start += 1
     # pairs (v_{2k}, v_{2k+1}) that both n and the data cover
-    pairs = max(min(n // 2, len(b), len(d)), start)
-    for k in range(start, pairs):
+    pairs = max(min(n // 2, len(b), len(d)), 0)
+    for k in range(pairs):
         v_even = b[k] + 1.0 - v_odd
         dk = d[k]
         tol = PIVOT_TOL * (1.0 + (dk if dk >= 0.0 else -dk))  # d may be negative
@@ -245,10 +222,13 @@ def check_rel(rc: RealRecurrence, vs: VerblunskySeq, n: int, theta: float) -> fl
                                                      + z^n Phi_{2n}(1/z)).
 
     The pair (rc, vs) must describe the same measure (vs from
-    geronimus_inverse(rc)); a_{-1} = -1 covers the n = 0 case.
+    geronimus_inverse(rc)); a_{-1} = -1 covers the n = 0 case, and a
+    negative n is refused before either is read.
     """
     import cmath
 
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     alpha = vs.real_view()
     if len(alpha) < 2 * n:
         raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")

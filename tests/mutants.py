@@ -193,7 +193,7 @@ MUTANTS = [
            "        if False:",
            ("tests/test_perturb.py::TestSpecValidation::"
             "test_non_finite_parameters_are_refused_on_every_path",)),
-    # the peel, and its continuation behind the LU shortcut
+    # the one pivot peel
     Mutant("peel-loop-guard-and", "szego.py",
            "# d may be negative\n        if not (v_even >= tol or v_even <= -tol):",
            "# d may be negative\n        if not (v_even >= tol and v_even <= -tol):",
@@ -211,41 +211,33 @@ MUTANTS = [
            "InsufficientCoefficients(pairs, len(b), \"b coefficients\")",
            ("tests/test_kernel_digest.py::test_kernel_digest_is_pinned",
             "tests/test_szego.py::TestVSequence::test_short_b_names_the_count")),
-    Mutant("peel-finish-no-pivot-guard", "szego.py",
-           "            raise DivisionDegenerate(f\"pivot v_{2 * start} vanished\")\n",
-           "            pass\n",
+    # the LU shortcut as the peel of co-recursed data, and its rounding bound
+    Mutant("shortcut-shift-sign-flipped", "perturb.py",
+           "tau + (1.0 - lam) * v_from_recurrence(rc, 2 * k)[-1]",
+           "tau + (lam - 1.0) * v_from_recurrence(rc, 2 * k)[-1]",
+           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_keeps_the_prefix_and_shifts_b",)),
+    Mutant("shortcut-head-reads-v2k-minus-2", "perturb.py",
+           "v_from_recurrence(rc, 2 * k)[-1]",
+           "v_from_recurrence(rc, 2 * k)[-2]",
+           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_keeps_the_prefix_and_shifts_b",)),
+    Mutant("shortcut-shifts-at-lam-one", "perturb.py",
+           "    if path == SHORTCUT and lam != 1.0 and n > 0:",
+           "    if path == SHORTCUT and n > 0:",
+           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_is_the_default_path_at_lam_one",)),
+    Mutant("shortcut-peels-a-head-at-nonpositive-n", "perturb.py",
+           "    if path == SHORTCUT and lam != 1.0 and n > 0:",
+           "    if path == SHORTCUT and lam != 1.0:",
+           ("tests/test_perturb.py::TestPerturbedV::test_nonpositive_n_peels_no_head",)),
+    Mutant("discrepancy-drops-the-peel-bound", "perturb.py",
+           "tol * (1.0 + abs(dv[j])) + bound[j]:",
+           "tol * (1.0 + abs(dv[j])):",
            ("tests/test_perturb.py::TestPerturbedV::"
-            "test_shortcut_finishes_the_pair_at_the_pivot_bound",)),
-    Mutant("peel-finish-bound-signed-d", "szego.py",
-           "(1.0 + (dk if dk >= 0.0 else -dk))\n",
-           "(1.0 + dk)\n",
-           ("tests/test_perturb.py::TestPerturbedV::"
-            "test_shortcut_finishes_the_pair_at_the_pivot_bound",)),
-    Mutant("peel-finish-start-strict", "szego.py",
-           "        if start >= len(d):\n",
-           "        if start > len(d):\n",
-           ("tests/test_perturb.py::TestPerturbedV::test_short_d_names_the_count",)),
-    Mutant("peel-finish-appends-even", "szego.py",
-           "        out.append(v_odd)\n        start += 1\n",
-           "        out.append(v_even)\n        start += 1\n",
-           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
-    Mutant("peel-finish-no-start-step", "szego.py",
-           "        start += 1\n",
-           "",
-           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
-    Mutant("peel-head-bound-strict", "szego.py",
-           "    if len(head) >= n:\n",
-           "    if len(head) > n:\n",
-           ("tests/test_perturb.py::TestPerturbedV::test_pure_corecursive_both_paths_agree",)),
-    Mutant("shortcut-update-at-2k-le-n", "perturb.py",
-           "    if 2 * k < n:  # float()",
-           "    if 2 * k <= n:  # float()",
-           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_refuses_a_complex_tau",)),
-    Mutant("shortcut-update-without-float", "perturb.py",
-           "float(head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau)",
-           "head[2 * k] + (1.0 - lam) * (head[2 * k - 1] if k else 0.0) + tau",
-           ("tests/test_perturb.py::TestPerturbedV::test_shortcut_refuses_a_complex_tau",)),
+            "test_discrepancy_bound_holds_the_rounding_at_a_tiny_pivot",)),
     # refusals of short data: counts, and a check made before the data is read
+    Mutant("check-rel-reads-a-negative-degree", "szego.py",
+           "    if n < 0:\n        raise ValueError(\"degree must be >= 0\")\n",
+           "",
+           ("tests/test_szego.py::TestRelIdentity::test_negative_degree_is_refused_before_any_read",)),
     Mutant("forward-insufficient-count-off-by-one", "szego.py",
            "(2 * n, len(alpha), \"alpha coefficients\")\n    b, d",
            "(2 * n - 1, len(alpha), \"alpha coefficients\")\n    b, d",

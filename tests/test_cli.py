@@ -543,8 +543,10 @@ class TestVerifyCommand:
         assert "default 0.25 vs shortcut 0.5" in out
 
     def test_discrepancy_rounding_at_tiny_pivot_passes(self, capsys):
-        # seed 75382 draws a pure co-recursive case whose pivot v_6 ~ 1.4e-5
-        # amplifies a 1-ulp difference at v_4 to 3e-11 relative at v_7
+        # seed 75382 draws a pure co-recursive case with a pivot v_6 ~ 1.4e-5,
+        # which amplifies any 1-ulp difference at v_4 to ~3e-11 relative at
+        # v_7; at lam = 1 both paths are one computation (the rounding bound
+        # that covers lam != 1 is pinned in test_perturb.py)
         assert main(["verify", "--suite", "discrepancy", "--seed", "75382"]) == 0
         assert "PASS discrepancy.pure_corecursive_paths_agree" in capsys.readouterr().out
 

@@ -52,9 +52,10 @@ from ortho_szego.perturb import (
 )
 from ortho_szego.serialize import dumps_recurrence
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
-from ortho_szego.tolerances import PIVOT_TOL
+from ortho_szego.tolerances import DISCREPANCY_TOL, PIVOT_TOL
 
 from conftest import random_admissible_rc, random_alpha
+from test_kernel_digest import _line_data
 from test_opuc import u_pattern
 
 
@@ -675,13 +676,13 @@ class TestPerturbedV:
     def test_pure_corecursive_both_paths_agree(self):
         # T with tau = 0.1 at k = 1: v~_2 = 0.6, v~_3 = (1/4)/0.6 = 5/12;
         # for n <= 0 neither path gives an entry, and n = 2k, 2k + 1, 2k + 2
-        # end the shortcut before, on and just past its updated v~_{2k}
+        # end the peel before, on and just past v~_{2k}
         rc = chebyshev_t()
         for n in (-3, -1, 0, 2, 3, 4, 8):
             dv = perturbed_v(rc, 1, 1.0, 0.1, n)
             pv = perturbed_v(rc, 1, 1.0, 0.1, n, path=SHORTCUT)
             assert len(dv) == len(pv) == max(n, 0)
-            assert dv == pytest.approx(pv, rel=1e-12)
+            assert dv == pv
         assert dv[2] == pytest.approx(0.6, abs=1e-15)
         assert dv[3] == pytest.approx(float(Fraction(5, 12)), rel=1e-14)
 
@@ -700,6 +701,13 @@ class TestPerturbedV:
         with pytest.raises(InsufficientCoefficients, match="^need 3 b coefficients, have 1$"):
             perturbed_v(chebyshev_t(1), 2, 1.0, 0.1, 0, path)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_peels_no_head(self, n):
+        # at lam != 1 the shortcut reads v_{2k-1} only when it gives an
+        # entry: here b_1 = -1 makes the pivot v_0 vanish
+        rc = RealRecurrence((-1.0, 0.0, 0.0), (0.25,) * 3)
+        assert perturbed_v(rc, 2, 0.5, 0.1, n, SHORTCUT) == ()
+
     def test_default_path_dilation_fixture(self):
         # T, k=1, lam=1/2: the dilated matrix is the U one, whose pivots are
         # (1, 1/4, 3/4, 1/3, 2/3, 3/8)
@@ -714,6 +722,48 @@ class TestPerturbedV:
         assert rep is not None and rep.index == 1
         assert rep.default_value == pytest.approx(0.25)
         assert rep.shortcut_value == pytest.approx(0.5)
+
+    def test_shortcut_keeps_the_prefix_and_shifts_b(self):
+        # T, k = 1, lam = 1/2: the shortcut keeps v_1 = 1/2 and peels b_2
+        # shifted by (1 - lam) v_1 = 1/4, so from v~_2 on it gives the
+        # default path's U pivots, bit for bit
+        dv = perturbed_v(chebyshev_t(), 1, 0.5, 0.0, 6)
+        assert perturbed_v(chebyshev_t(), 1, 0.5, 0.0, 6, SHORTCUT) == (1.0, 0.5) + dv[2:]
+
+    def test_shortcut_is_the_default_path_at_lam_one(self, rng):
+        # at lam = 1 the update v~_{2k} = v_{2k} + tau is the peel of the
+        # co-recursed data: the same values, or the same refusal, on drawn
+        # admissible, corrupted and cut-short data and every n
+        def run(path, *args):
+            try:
+                return perturbed_v(*args, path)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        # n = 2 reads no pivot past v_1, so neither path may refuse this
+        # data for its vanishing pivot v_2 = -1/2 + 1 - 1/2
+        rc = RealRecurrence((0.0, -0.5, 0.0), (0.5, 0.25, 0.25))
+        assert run(SHORTCUT, rc, 2, 1.0, 0.1, 2) == run(DEFAULT, rc, 2, 1.0, 0.1, 2) == (1.0, 0.5)
+        outcomes = set()
+        for _ in range(400):
+            rc = _line_data(rng)
+            args = (rc, rng.randint(0, 4), 1.0, rng.choice((0.0, rng.uniform(-0.5, 0.5))),
+                    rng.randint(-1, 2 * len(rc) + 2))
+            got = run(SHORTCUT, *args)
+            assert got == run(DEFAULT, *args), args
+            outcomes.add(got[0] if got and isinstance(got[0], type) else tuple)
+        assert outcomes == {tuple, InsufficientCoefficients, DivisionDegenerate}
+
+    def test_discrepancy_bound_holds_the_rounding_at_a_tiny_pivot(self):
+        # d_1 = 1e-14 keeps the prefix difference (1 - lam) v_1 under tol;
+        # v_2 ~ 1e-9 turns the ulp by which (b_2 + (1 - lam) v_1) + 1 - v_1
+        # and b_2 + 1 - v~_1 round apart into a difference at v_3 past
+        # tol (1 + |v_3|), which only the paths' peel error bounds cover
+        rc = RealRecurrence((0.0, -1.0 + 1e-9, 0.0), (1e-14, 0.25, 0.25))
+        dv = perturbed_v(rc, 1, 0.5, 0.0, 6)
+        pv = perturbed_v(rc, 1, 0.5, 0.0, 6, SHORTCUT)
+        assert abs(dv[3] - pv[3]) > DISCREPANCY_TOL * (1.0 + abs(dv[3]))
+        assert path_discrepancy_report(rc, 1, 0.5, 0.0, 6) is None
 
     def test_no_discrepancy_for_pure_corecursive(self, rng):
         rc = random_admissible_rc(rng, 10)
@@ -730,8 +780,8 @@ class TestPerturbedV:
             run(path)
 
     def test_shortcut_finishes_the_pair_at_the_pivot_bound(self):
-        # b = (0, -1) gives the head (1, d_1, -d_1) at k = 1, so the guard of
-        # the continuation decides v_3, at PIVOT_TOL (1 + |d_2|) and one float in
+        # b = (0, -1) gives v_0 = 1, v_1 = d_1 and v_2 = -d_1 exactly, so the
+        # peel's pivot guard decides v_3, at PIVOT_TOL (1 + |d_2|) and one float in
         for d2 in (-3.0, 2.0):
             tol = PIVOT_TOL * (1.0 + abs(d2))
             for d1 in (tol, -tol):
@@ -748,14 +798,16 @@ class TestPerturbedV:
             perturbed_v(RealRecurrence((0.0, 0.0), (0.25,)), 1, 1.0, 0.1, 4, path)
 
     def test_shortcut_refuses_a_complex_tau(self):
-        # float() on v~_{2k} refuses a complex tau where it enters, whatever the
-        # data past it hold (n = 8 needs a b_4); at n = 2k there is no update
+        # both paths shift b_{k+1} through coprl_apply, whose float() refuses
+        # a complex tau at every n: also where no entry reads the shift
+        # (n <= 2k) and where the data end first (n = 8 needs a b_4)
         rc = RealRecurrence((0.0, 0.0, 0.0), (0.5, 0.25, 0.25))
         message = r"^float\(\) argument must be a string or a real number, not 'complex'$"
-        for n in (3, 6, 8):
-            with pytest.raises(TypeError, match=message):
-                perturbed_v(rc, 1, 1.0, 0.1j, n, SHORTCUT)
-        assert perturbed_v(rc, 2, 1.0, 0.1j, 4, SHORTCUT) == (1.0, 0.5, 0.5, 0.5)
+        for k, lam in ((1, 1.0), (2, 1.0), (2, 0.5)):
+            for n in range(1, 9):
+                for path in (DEFAULT, SHORTCUT):
+                    with pytest.raises(TypeError, match=message):
+                        perturbed_v(rc, k, lam, 0.1j, n, path)
 
     @pytest.mark.parametrize("func", [perturbed_v, perturbed_alpha_lu])
     @pytest.mark.parametrize("k, lam, tau", [

@@ -23,7 +23,7 @@ SUITE_DIGESTS = {
     "bridge": "0fe2e8776c766bc8808e0eb01a37aa4c4cfe5cb32439e68c0d9c299325c4ce08",
     "conjugation": "bd1cccf0a2b91fa35fd8a5efbf70fc03248d19241b7feb87c2ac45ecfbc1a86d",
     "discrepancy": "dc30615d13082f9d3247d3e984c5f707d13f4e78794e084275408a800e50b9b3",
-    "lu": "1c1d1425aa778bd22bfe7c84cf5ef1dbadcedbfd815237c5b1612817d972e97b",
+    "lu": "4e7122087cfabf20f68bd9b41654c2f05a128696e1d7b0a38903f0bb34baf8a2",
     "rel": "c09a654044c51fa0582b6038faffe8c62b926af86cb6c0607e2ae5048a9ae609",
     "roundtrip": "7c024602a3670696bfccdb93cd358925078536b6473bd17fd048e362a5b980ec",
     "theorems": "c0cfebed35eab63fe86957274fea9511ed87c6e82dac2bc1451ef7b1a8375947",

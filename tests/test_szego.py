@@ -399,6 +399,15 @@ class TestRelIdentity:
             theta = rng.uniform(0.05, math.pi - 0.05)
             assert check_rel(rc, vs, n, theta) < 1e-10
 
+    @pytest.mark.parametrize("n", [-1, -2, -5])
+    def test_negative_degree_is_refused_before_any_read(self, n):
+        # a negative index would read from the end; the complex sequence
+        # shows that the degree is checked before vs is read
+        rc = chebyshev_u()
+        for vs in (geronimus_inverse(rc, 12), VerblunskySeq((0.5j,))):
+            with pytest.raises(ValueError, match="^degree must be >= 0$"):
+                check_rel(rc, vs, n, 1.1)
+
 
 class TestLoopErrors:
     """The inversion loop names an error's index from the length of its
