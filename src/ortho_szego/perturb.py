@@ -7,20 +7,19 @@ Every family takes a ``path`` argument:
   generic bridge direction (brute force).
 
 Where the stated formula differs from the bridge recursion (the
-symmetric families, the circle-side associated map at odd k, sieving and
-k-modification) the two paths are independent code, and the verification
-suites and the test suite check that they agree.  The symmetric closed
-forms run the paper's one-term odd recursion
-g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even entry 0; on
-b == 0 data that is the inversion bit for bit.  Four maps, and the
-circle-side associated map at even k, have no separate closed form: both
-paths run one kernel, so their deviation (``perturb --both-paths``) is 0
-by construction.  ``coprl_verblunsky``, whose paper shift cancels to the
-inversion's own steps, and the line-side associated and anti-associated
-families are ``szego.geronimus_inverse`` fed perturbed, shifted or
-prepended data.  The circle-side anti-associated family's four-branch
-table, and the even-k associated formula, are ``szego.geronimus_forward``
-on the prepended or shifted coefficients.  The single documented exception
+symmetric families, sieving and k-modification) the two paths are
+independent code, and the verification suites and the test suite check
+that they agree.  The symmetric closed forms run the paper's one-term odd
+recursion g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even
+entry 0; on b == 0 data that is the inversion bit for bit.  Five maps have
+no separate closed form: both paths run one kernel, so their deviation
+(``perturb --both-paths``) is 0 by construction.  ``coprl_verblunsky``,
+whose paper shift cancels to the inversion's own steps, and the line-side
+associated and anti-associated families are ``szego.geronimus_inverse``
+fed perturbed, shifted or prepended data.  The circle-side
+anti-associated family's four-branch table, and the associated family's
+pivot and rescaling formulas, are ``szego.geronimus_forward`` on the
+prepended or shifted coefficients.  The single documented exception
 is the LU shortcut for a dilation (``perturbed_v``): its stated
 prefix-preservation clashes with the genuinely perturbed LU data when the
 dilation factor differs from 1, so the pivot update has a "default"
@@ -52,7 +51,6 @@ from .szego import (
     alpha_from_v,
     geronimus_forward,
     geronimus_inverse,
-    v_from_alpha,
     v_from_recurrence,
 )
 from .tolerances import DISCREPANCY_TOL, SUPPORT_TOL, max_residual
@@ -386,32 +384,18 @@ def assoc_opuc_to_recurrence(vs: VerblunskySeq, k: int, n: int,
         d-hat_1 = lam d_{m+1},  d-hat_{n+1} = d_{n+m+1}
         b-hat_1 = a_{2m},       b-hat_{n+1} = b_{n+m+1}.
 
-    Cancelled, lam d_{m+1} = (1/2)(1 - a_{2m}^2)(1 + a_{2m+1}): even k is the
-    forward map on shift_verblunsky(vs, k) on both paths.  Odd k reads the same
-    tail, through the window (0, a_k, ...) whose zero stands at a_{k-1}.
+    Cancelled, these are the forward relations on shift_verblunsky(vs, k):
+    lam d_{m+1} = (1/2)(1 - a_{2m}^2)(1 + a_{2m+1}), and with i = n + m
+
+        v_{2i-1} / v_{2i+1} * d_{i+1} = (1/4)(1 - a_{2i-2})(1 - a_{2i-1}^2)(1 + a_{2i})
+        b_{i+1} + v_{2i-2} - v_{2i}   = (1/2)[a_{2i-1}(1 - a_{2i-2}) - a_{2i-3}(1 + a_{2i-2})].
+
+    So both paths run geronimus_forward on the shifted data, which reads
+    nothing before a_k and no a_{2n+k}.  tests/test_perturb.py checks the
+    statement in exact arithmetic, and ``verify theorems`` the formulas.
     """
     _check_path(path)
-    tail = shift_verblunsky(vs, k)
-    if path == ORACLE or n <= 0 or k % 2 == 0:  # n <= 0: the oracle's checks alone
-        return geronimus_forward(tail, n)
-    alpha = tail.real_view()
-    if len(alpha) < 2 * n:
-        raise InsufficientCoefficients(2 * n, len(alpha), "alpha coefficients")
-    window = _unchecked(VerblunskySeq, (0.0,) + alpha)
-    v = v_from_alpha(window)
-    # Row n-1 reads window v_{2n+1}, v_{2(n+m)-1} of vs (k = 2m - 1), which an
-    # input of exactly 2n + k coefficients lacks; the message counts entries of vs.
-    if 2 * n + 2 > len(v):
-        raise InsufficientCoefficients(2 * n + k + 1, len(alpha) + k, "v entries")
-    rc = geronimus_forward(window, n + 1)
-    b, d = rc.b, rc.d
-    d_out = [(1.0 + alpha[0]) / v[3] * d[1]]
-    b_out = [alpha[0]]
-    rows = range(2, n + 1)  # i = j + 1 for output rows j = 1..n-1
-    d_out += [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows]
-    b_out += [b[i] + v[2 * i - 2] - v[2 * i] for i in rows]
-    # floats; a d-hat joins three of 1 + a, v, d (in [2^-160, 2]): > 0, finite
-    return _unchecked(RealRecurrence, tuple(b_out), tuple(d_out))
+    return geronimus_forward(shift_verblunsky(vs, k), n)
 
 
 def antiassoc_opuc_to_recurrence(vs: VerblunskySeq, xi, n: int,
@@ -491,13 +475,16 @@ def path_discrepancy_report(rc: RealRecurrence, k: int, lam: float, tau: float,
                             n: int, tol: float = DISCREPANCY_TOL) -> PathDiscrepancy | None:
     """Compare the two pivot paths entrywise; None when they agree.
 
-    At lam = 1 the paths are one computation.  Otherwise entries agree
-    when they differ by at most tol (1 + |v|) plus both paths' running peel
-    error bounds: v~_{2k} is (b_{k+1} + (tau + (1 - lam) v_{2k-1})) + 1
-    - v_{2k-1} on one, (b_{k+1} + tau) + 1 - v~_{2k-1} on the other, and a
-    near-zero pivot amplifies their 1-ulp difference far past tol.
+    At lam = 1 the paths are one computation, so the default path runs
+    alone, for its refusals.  Otherwise entries agree when they differ by
+    at most tol (1 + |v|) plus both paths' running peel error bounds:
+    v~_{2k} is (b_{k+1} + (tau + (1 - lam) v_{2k-1})) + 1 - v_{2k-1} on
+    one, (b_{k+1} + tau) + 1 - v~_{2k-1} on the other, and a near-zero
+    pivot amplifies their 1-ulp difference far past tol.
     """
     dv = perturbed_v(rc, k, lam, tau, n, DEFAULT)
+    if lam == 1.0:
+        return None
     pv = perturbed_v(rc, k, lam, tau, n, SHORTCUT)
     bound = [x + y for x, y in zip(_peel_error(rc.b, dv), _peel_error(rc.b, pv))]
     for j in range(n):

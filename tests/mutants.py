@@ -172,22 +172,13 @@ MUTANTS = [
            "reduce(coprl_apply, _co_specs(k, lam, tau)[:1], rc)",
            ("tests/test_perturb.py::TestCoprlVerblunsky::"
             "test_statement_is_the_inversion_on_the_perturbed_data_exactly",)),
-    # the circle associated map reads its oracle's tail; finite co-perturbations
-    Mutant("assoc-circle-even-k-runs-odd-formula", "perturb.py",
-           "if path == ORACLE or n <= 0 or k % 2 == 0:",
-           "if path == ORACLE or n <= 0 or k == 0:",
-           ("tests/test_perturb.py::TestAssociatedCircle::test_theorem_matches_oracle",
-            "tests/test_perturb.py::TestAssociatedCircle::"
-            "test_even_k_statement_is_the_shifted_forward_map_exactly")),
-    Mutant("assoc-circle-odd-window-reads-v2", "perturb.py",
-           "d_out = [(1.0 + alpha[0]) / v[3] * d[1]]",
-           "d_out = [(1.0 + alpha[0]) / v[2] * d[1]]",
-           ("tests/test_perturb.py::TestAssociatedCircle::test_odd_k_spot_values",
-            "tests/test_perturb.py::TestAssociatedCircle::test_theorem_matches_oracle")),
-    Mutant("assoc-circle-tail-check-off-by-one", "perturb.py",
-           "    if len(alpha) < 2 * n:\n",
-           "    if len(alpha) < 2 * n - 1:\n",
-           ("tests/test_perturb.py::TestAssociatedCircle::test_paths_give_one_answer_on_drawn_input",)),
+    # the circle associated map is the forward map on its shifted data
+    Mutant("assoc-circle-shifts-one-short", "perturb.py",
+           "geronimus_forward(shift_verblunsky(vs, k), n)",
+           "geronimus_forward(shift_verblunsky(vs, k - 1), n)",
+           ("tests/test_perturb.py::TestAssociatedCircle::"
+            "test_odd_k_statement_is_the_shifted_forward_map_exactly",)),
+    # finite co-perturbations
     Mutant("corecursive-no-finite-check", "perturb.py",
            "        if self.tau - self.tau != 0:",
            "        if False:",
@@ -228,6 +219,10 @@ MUTANTS = [
            "    if path == SHORTCUT and lam != 1.0 and n > 0:",
            "    if path == SHORTCUT and lam != 1.0:",
            ("tests/test_perturb.py::TestPerturbedV::test_nonpositive_n_peels_no_head",)),
+    Mutant("discrepancy-returns-early-at-any-lam", "perturb.py",
+           "    if lam == 1.0:\n        return None\n",
+           "    if True:\n        return None\n",
+           ("tests/test_perturb.py::TestPerturbedV::test_paper_path_fixture_and_discrepancy",)),
     Mutant("discrepancy-drops-the-peel-bound", "perturb.py",
            "tol * (1.0 + abs(dv[j])) + bound[j]:",
            "tol * (1.0 + abs(dv[j])):",
@@ -254,10 +249,19 @@ MUTANTS = [
            "        raise InsufficientCoefficients(2 * n, 2 * len(alpha), \"alpha coefficients\")\n",
            "",
            ("tests/test_perturb.py::TestSieve2Recurrence::test_short_data_refusals",)),
-    # one route for the co-dilation head: the paper's shift is a check, not code
+    # one route for the co-dilation head and the circle associated map: the
+    # paper's formulas are checks, not code
     Mutant("theorems-coprl-shift-sign-flipped", "suites.py",
            "shift = 4.0 * (lam - 1.0) * rc.d[k - 1]",
            "shift = 4.0 * (1.0 - lam) * rc.d[k - 1]",
+           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+    Mutant("theorems-circle-assoc-b-row-reads-v-odd", "suites.py",
+           "rc.b[i] + v[2 * i - 2] - v[2 * i]",
+           "rc.b[i] + v[2 * i - 1] - v[2 * i]",
+           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+    Mutant("theorems-circle-assoc-even-k-unscaled", "suites.py",
+           "d = [2.0 / (1.0 - (a[k - 1] if k else -1.0)) * rc.d[m]]",
+           "d = [rc.d[m]]",
            ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
     Mutant("symmetric-codilated-closed-path-unperturbed-d", "perturb.py",
            "    rc = coprl_apply(_symmetric_line(d), spec)\n"

@@ -76,7 +76,7 @@ from ortho_szego.szego import (
     v_from_recurrence,
 )
 
-from test_perturb import _antiassoc_table, _co_shifted_head
+from test_perturb import _antiassoc_table, _assoc_circle_rows, _co_shifted_head
 
 SEED = 20260810
 
@@ -244,11 +244,14 @@ def test_criterion_05_closed_form_vs_oracle():
 
     report(5, "line_anti_associated_theorem", sample(one_antiassoc_line), tol)
 
+    # The circle maps run the forward relations on both paths; the paper's
+    # rows (pivot ratios at odd k, a rescaled d at even k, the four-branch
+    # table), evaluated on the unshifted data, must give their output.
     def one_assoc_circle():
         vs = draw_alpha(rng, 2 * depth + 10, 0.9)
         k = rng.randint(0, 5)
-        return rc_err(assoc_opuc_to_recurrence(vs, k, depth, path=CLOSED_FORM),
-                      assoc_opuc_to_recurrence(vs, k, depth, path=ORACLE))
+        b, d = _assoc_circle_rows(vs.real_view(), k, depth)
+        return rc_err(assoc_opuc_to_recurrence(vs, k, depth), RealRecurrence(b, d))
 
     report(5, "circle_associated_theorem_odd_and_even", sample(one_assoc_circle), tol)
 

@@ -263,6 +263,8 @@ ONE_KERNEL_DRAWS = {
         "xi": [rng.uniform(-0.5, 0.5) for _ in range(rng.randint(1, 3))]})),
     "circle_associated_even_k": ("circle", lambda rng: (_drawn_circle(rng), {
         "kind": "associated", "k": rng.choice((0, 2, 4))})),
+    "circle_associated_odd_k": ("circle", lambda rng: (_drawn_circle(rng), {
+        "kind": "associated", "k": rng.choice((1, 3, 5))})),
 }
 
 
@@ -381,17 +383,12 @@ class TestPerturbCommand:
             kept += 1
         assert kept >= 5
 
-    def test_both_paths_circle_associated_odd_k_compares_two_routes(self, tmp_path, capsys):
-        # odd k runs the pivot formula against the forward map: some draw
-        # shows their rounding
-        rng = random.Random("both-paths:circle_associated_odd_k")
-        devs = []
-        for _ in range(10):
-            code, err = _both_paths(tmp_path, capsys, "circle", _drawn_circle(rng),
-                                    {"kind": "associated", "k": rng.choice((1, 3, 5))})
-            assert code == 0
-            devs.append(float(err.rsplit(" ", 1)[1]))
-        assert max(devs) > 0.0 and max(devs) < 1e-12
+    def test_both_paths_odd_k_on_exactly_2n_plus_k_entries(self, tmp_path, capsys):
+        # the window n = max((5 - 3) // 2 - 1, 1) = 1 reads a_3, a_4; the
+        # paper's pivot formula also reads a_5, which the file lacks
+        vs = VerblunskySeq((0.1, -0.2, 0.3, 0.15, -0.1))
+        assert _both_paths(tmp_path, capsys, "circle", vs, {"kind": "associated", "k": 3}) == (
+            0, "both-paths associated k=3: max deviation 0.000e+00\n")
 
     def test_integral_float_index_reads_as_int(self, tfile, tmp_path):
         outs = []
@@ -543,12 +540,15 @@ class TestVerifyCommand:
         assert "default 0.25 vs shortcut 0.5" in out
 
     def test_discrepancy_rounding_at_tiny_pivot_passes(self, capsys):
-        # seed 75382 draws a pure co-recursive case with a pivot v_6 ~ 1.4e-5,
-        # which amplifies any 1-ulp difference at v_4 to ~3e-11 relative at
-        # v_7; at lam = 1 both paths are one computation (the rounding bound
-        # that covers lam != 1 is pinned in test_perturb.py)
+        # the seed drew a pure co-recursive case with a pivot v_6 ~ 1.4e-5,
+        # which amplifies a 1-ulp difference at v_4 to ~3e-11 relative at
+        # v_7; at lam = 1 the paths are one computation, so the suite draws
+        # only lam != 1 now, whose rounding bound test_perturb.py pins
         assert main(["verify", "--suite", "discrepancy", "--seed", "75382"]) == 0
-        assert "PASS discrepancy.pure_corecursive_paths_agree" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("PASS ")] == [
+            "discrepancy.fixture_mismatch_found", "discrepancy.random_lam_mismatches_found"]
+        assert all(line.startswith(("PASS ", "NOTE ")) for line in lines)
 
     def test_unknown_suite_exit4(self, capsys):
         assert main(["verify", "--suite", "nosuch"]) == 4
@@ -723,7 +723,7 @@ PERTURB_PINS = [
      0, 'both-paths anti_associated k=0: max deviation 0.000e+00\n',
      '5c7a63a980b1880c479aff56afa610be25389530cafd99df59354553923a59eb'),
     ('circle', '{"kind": "associated", "k": 3}',
-     0, 'both-paths associated k=3: max deviation 1.665e-16\n',
+     0, 'both-paths associated k=3: max deviation 0.000e+00\n',
      'dfbd33e6495aa99b1ccf1231df099c2522cf8714ee3378c81424405cb13642e9'),
     ('circle', '{"kind": "associated", "k": 4}',
      0, 'both-paths associated k=4: max deviation 0.000e+00\n',

@@ -29,7 +29,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "a809ff7a36b590fc5f41ac894de8e4621611019f9a41a365ed893f683d87417a"
+DIGEST = "b01a2ac3d1ffcebc64025bf9263b909ae510844b54c2f9131f28f026035d0eec"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -394,12 +394,14 @@ class TestAssociatedCircle:
             assert got.d[1:] == (0.25,) * 5
 
     def test_theorem_matches_oracle(self, rng):
+        # the paper's rows, evaluated on the unshifted data, against the map
         for _ in range(50):
             vs = random_alpha(rng, 32)
             k = rng.randint(0, 5)
-            th = assoc_opuc_to_recurrence(vs, k, 12, path=CLOSED_FORM)
-            br = assoc_opuc_to_recurrence(vs, k, 12, path=ORACLE)
-            assert_rc_close(th, br, 1e-10)
+            b, d = _assoc_circle_rows(vs.alpha, k, 12)
+            for path in (CLOSED_FORM, ORACLE):
+                assert_rc_close(assoc_opuc_to_recurrence(vs, k, 12, path),
+                                RealRecurrence(b, d), 1e-10)
 
     @pytest.mark.parametrize("path", [CLOSED_FORM, ORACLE])
     def test_reads_nothing_before_the_rows(self, path):
@@ -429,11 +431,10 @@ class TestAssociatedCircle:
                 assert got == assoc_opuc_to_recurrence(VerblunskySeq(alpha), k, 6, path)
 
     def test_paths_give_one_answer_on_drawn_input(self):
-        # short data, complex entries and storage, negative k and n: both
-        # paths raise the same error or agree to 1e-10, except odd k on
-        # exactly 2n + k coefficients (test_odd_k_on_exactly_2n_plus_k_entries)
+        # short data (odd k on exactly 2n + k coefficients too), complex
+        # entries and storage, negative k and n: both paths give the same
+        # value or raise the same error
         rng = random.Random(3030)
-        excepted = 0
         for _ in range(3000):
             alpha = [rng.uniform(-0.9, 0.9) for _ in range(rng.randint(0, 40))]
             if alpha and rng.random() < 0.3:
@@ -445,29 +446,15 @@ class TestAssociatedCircle:
                     outs.append(assoc_opuc_to_recurrence(vs, k, n, path))
                 except Exception as exc:
                     outs.append((type(exc), str(exc)))
-            th, br = outs
-            if k % 2 and n > 0 and len(alpha) == 2 * n + k and isinstance(br, RealRecurrence):
-                excepted += 1
-                assert th == (InsufficientCoefficients,
-                              f"need {2 * n + k + 1} v entries, have {2 * n + k}")
-            elif isinstance(br, RealRecurrence):
-                assert isinstance(th, RealRecurrence) and len(th) == len(br) == max(n, 0)
-                assert_rc_close(th, br, 1e-10)
-            else:
-                assert th == br
-        assert excepted > 0
+            assert outs[0] == outs[1]
 
     def test_odd_k_on_exactly_2n_plus_k_entries(self):
-        # the last row reads v_{2n+k} and d_{n+m} (k = 2m - 1), whose
-        # (1 + a_{2n+k}) factors cancel: the closed form needs a_{2n+k},
-        # which the oracle does not read
+        # the paper's last row reads a_{2n+k} (k = 2m - 1) through v_{2n+k}
+        # and d_{n+m}, in factors that cancel; neither path reads it
         vs = VerblunskySeq((0.1, -0.2, 0.3, 0.15, -0.1))
-        with pytest.raises(InsufficientCoefficients, match=r"^need 6 v entries, have 5$"):
-            assoc_opuc_to_recurrence(vs, 1, 2, CLOSED_FORM)
-        assert assoc_opuc_to_recurrence(vs, 1, 2, ORACLE) == geronimus_forward(
-            VerblunskySeq((-0.2, 0.3, 0.15, -0.1)), 2)
-        th = assoc_opuc_to_recurrence(VerblunskySeq(vs.alpha + (0.5,)), 1, 2, CLOSED_FORM)
-        assert_rc_close(th, assoc_opuc_to_recurrence(vs, 1, 2, ORACLE), 1e-15)
+        want = geronimus_forward(VerblunskySeq((-0.2, 0.3, 0.15, -0.1)), 2)
+        for path in (CLOSED_FORM, ORACLE):
+            assert assoc_opuc_to_recurrence(vs, 1, 2, path) == want
 
     def test_even_k_statement_is_the_shifted_forward_map_exactly(self):
         # the paper's even-k statement, k = 2m, in exact arithmetic: d-hat_1 =
@@ -489,6 +476,23 @@ class TestAssociatedCircle:
                 got = assoc_opuc_to_recurrence(vs, 2 * m, n, path)
                 assert (list(got.b), list(got.d)) == want
 
+    def test_odd_k_statement_is_the_shifted_forward_map_exactly(self):
+        # the paper's odd-k statement, k = 2m - 1, in exact arithmetic: with
+        # i = j + m, d-hat_{j+1} = v_{2i-1} / v_{2i+1} d_{i+1} and b-hat_{j+1} =
+        # b_{i+1} + v_{2i-2} - v_{2i} (the first row (1 + a_k) / v_{k+2} d_{m+1}
+        # and a_k) are the forward relations on the shifted data, and so are
+        # both float paths
+        rng = random.Random(3035)
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            a = [Fraction(rng.randint(-95, 95), 100) for _ in range(2 * (n + m))]
+            assert _assoc_circle_rows(a, 2 * m - 1, n) == _forward(a[2 * m - 1:], n)
+            vs = VerblunskySeq(tuple(map(float, a)))
+            want = _forward(vs.alpha[2 * m - 1:], n)
+            for path in (CLOSED_FORM, ORACLE):
+                got = assoc_opuc_to_recurrence(vs, 2 * m - 1, n, path)
+                assert (list(got.b), list(got.d)) == want
+
 
 def _forward(a, n):
     """The forward relations (b_1..b_n, d_1..d_n), with a_{-1} = -1 and
@@ -503,6 +507,22 @@ def _forward(a, n):
         b.append((a0 * (1 - am1) - am2 * (1 + am1)) / 2)
         am2, am1 = a0, a1
     return b, d
+
+
+def _assoc_circle_rows(a, k, n):
+    """The paper's rows (b-hat_1..b-hat_n, d-hat_1..d-hat_n) of the order-k
+    associated circle family from the unshifted a_0 .. a_{2n+k}: the pivot
+    ratios at odd k = 2m - 1, and d_{m+1} rescaled by lam = 2 / (1 - a_{2m-1})
+    at even k = 2m, with a_{-1} = -1.  Int constants, as in _forward."""
+    m = (k + 1) // 2
+    b, d = _forward(a, n + m)
+    if k % 2 == 0:
+        lam = 2 / (1 - (a[k - 1] if k else -1))
+        return [a[k]] + b[m + 1:], [lam * d[m]] + d[m + 1:]
+    v = [(1 + x) * (1 - prev) / 2 for x, prev in zip(a, [-1] + list(a))]
+    rows = range(m + 1, n + m)  # i = j + m for rows j = 1 .. n-1
+    return ([a[k]] + [b[i] + v[2 * i - 2] - v[2 * i] for i in rows],
+            [(1 + a[k]) / v[k + 2] * d[m]] + [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows])
 
 
 def _co_shifted_head(a, d_k, k, lam, tau):

@@ -22,11 +22,11 @@ from ortho_szego.tolerances import max_residual
 SUITE_DIGESTS = {
     "bridge": "0fe2e8776c766bc8808e0eb01a37aa4c4cfe5cb32439e68c0d9c299325c4ce08",
     "conjugation": "bd1cccf0a2b91fa35fd8a5efbf70fc03248d19241b7feb87c2ac45ecfbc1a86d",
-    "discrepancy": "dc30615d13082f9d3247d3e984c5f707d13f4e78794e084275408a800e50b9b3",
+    "discrepancy": "5a8337c527e7f29dd963439878ef8b0c8cf06d59c9bc02b4258173013eaef3be",
     "lu": "4e7122087cfabf20f68bd9b41654c2f05a128696e1d7b0a38903f0bb34baf8a2",
     "rel": "c09a654044c51fa0582b6038faffe8c62b926af86cb6c0607e2ae5048a9ae609",
     "roundtrip": "7c024602a3670696bfccdb93cd358925078536b6473bd17fd048e362a5b980ec",
-    "theorems": "c0cfebed35eab63fe86957274fea9511ed87c6e82dac2bc1451ef7b1a8375947",
+    "theorems": "624443444037a6fd0ef56f7af99a4122152baa8413e87f63779dbbb27525381a",
     "transfer": "c04ab9269731015b6687ddd0226e24d85d00ad7fa9fcfd80499f9bf96bf832c7",
 }
 

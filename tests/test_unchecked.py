@@ -100,15 +100,6 @@ def _coprl_args(rng, taus=()):
     return rc, perturb.CoRecursive(k - 1, tau)
 
 
-def _assoc_args(rng):
-    """Real circle data stored either way, an order k of either parity and
-    an n >= 1 that the data covers (bar one v entry, now and then)."""
-    k = rng.randint(0, 5)
-    alpha = [rng.uniform(-0.9, 0.9) for _ in range(rng.randint(k + 2, 16))]
-    vs = VerblunskySeq(tuple(map(complex, alpha)) if rng.random() < 0.3 else tuple(alpha))
-    return vs, k, rng.randint(1, (len(alpha) - k) // 2)
-
-
 def _coprl_reference(rc, spec):
     """The perturbed entry through the public constructor."""
     b, d = list(rc.b), list(rc.d)
@@ -182,9 +173,6 @@ SITES = {
     "perturb.coprl_apply": (
         lambda rng: (perturb.coprl_apply, _coprl_args(rng)),
         lambda out, args: _coprl_reference(*args)),
-    "perturb.assoc_opuc_to_recurrence": (
-        lambda rng: (perturb.assoc_opuc_to_recurrence, _assoc_args(rng)),
-        lambda out, args: _rebuilt(out)),
     "perturb.sieve": (
         lambda rng: (perturb.sieve, (_circle(rng), rng.randint(1, 4))),
         lambda out, args: VerblunskySeq([args[0].alpha[(j + 1) // args[1] - 1]
