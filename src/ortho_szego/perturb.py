@@ -1,34 +1,37 @@
 """Perturbation families as coefficient-level transforms.
 
-Every family takes a ``path`` argument:
+Every map perturbs its data and runs one bridge kernel on the result:
+``szego.geronimus_inverse`` for line data seen from the circle, and
+``szego.geronimus_forward`` for circle data seen from the line.  Each of
+the paper's formulas is that kernel with a cancellation written out, so
+it is a check, not code:
 
-* the CLOSED_FORM path evaluates the stated formulas verbatim;
-* the ORACLE path perturbs the coefficients first and then runs the
-  generic bridge direction (brute force).
+* the co-polynomial shift of a_{2k-1} and a_{2k} (``coprl_verblunsky``):
+  an exact test in tests/test_perturb.py and ``verify theorems``;
+* the circle associated family's pivot ratios and rescaling, and the
+  anti-associated four-branch table: exact tests and acceptance
+  criterion 5, and ``verify theorems`` for the former;
+* the symmetric odd recursion g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1})
+  and its co-dilated shift: a bit-for-bit test, an exact test and
+  ``verify theorems``;
+* the stride-2 sieved row d_{n+1} = (1/4)(1 - a_{n-1})(1 + a_n) and the
+  k-modification factors (1 +- eta) / (1 +- a_k): an exact test,
+  ``verify theorems`` and acceptance criterion 5.
 
-Where the stated formula differs from the bridge recursion (the
-symmetric families, sieving and k-modification) the two paths are
-independent code, and the verification suites and the test suite check
-that they agree.  The symmetric closed forms run the paper's one-term odd
-recursion g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}) with every even
-entry 0; on b == 0 data that is the inversion bit for bit.  Five maps have
-no separate closed form: both paths run one kernel, so their deviation
-(``perturb --both-paths``) is 0 by construction.  ``coprl_verblunsky``,
-whose paper shift cancels to the inversion's own steps, and the line-side
-associated and anti-associated families are ``szego.geronimus_inverse``
-fed perturbed, shifted or prepended data.  The circle-side
-anti-associated family's four-branch table, and the associated family's
-pivot and rescaling formulas, are ``szego.geronimus_forward`` on the
-prepended or shifted coefficients.  The single documented exception
-is the LU shortcut for a dilation (``perturbed_v``): its stated
-prefix-preservation clashes with the genuinely perturbed LU data when the
-dilation factor differs from 1, so the pivot update has a "default"
-(consistent) path and a "shortcut" path plus a structured discrepancy
-report instead of a silent choice.  Both paths check the same
-perturbation specs and run ``szego.v_from_recurrence`` on co-perturbed
-data (the shortcut's keeps d_k and shifts b_{k+1} by its update of
-v_{2k}), and ``perturbed_alpha_lu`` is ``szego.alpha_from_v`` of either
-pivot sequence.
+The ``path`` argument (CLOSED_FORM or ORACLE) selects nothing: both
+values run the one kernel, and ``_check_path`` refuses any other.  It is
+kept because the benchmark's workloads pass it; so ``perturb
+--both-paths`` prints a deviation of 0 by construction.
+
+The single documented exception is the LU shortcut for a dilation
+(``perturbed_v``): its stated prefix-preservation clashes with the
+genuinely perturbed LU data when the dilation factor differs from 1, so
+the pivot update has a "default" (consistent) path and a "shortcut" path
+plus a structured discrepancy report instead of a silent choice.  Both
+paths check the same perturbation specs and run ``szego.v_from_recurrence``
+on co-perturbed data (the shortcut's keeps d_k and shifts b_{k+1} by its
+update of v_{2k}), and ``perturbed_alpha_lu`` is ``szego.alpha_from_v`` of
+either pivot sequence.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ from __future__ import annotations
 from functools import partial, reduce
 
 from ._value import Value, _unchecked
-from .errors import (
-    InsufficientCoefficients,
-    InvalidEta,
-    NonPositiveD,
-    SupportViolation,
-    WrongSide,
-)
+from .errors import InsufficientCoefficients, InvalidEta, NonPositiveD, WrongSide
 from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
 from .serialize import _complex, _integer, _list, _real
@@ -53,7 +50,7 @@ from .szego import (
     geronimus_inverse,
     v_from_recurrence,
 )
-from .tolerances import DISCREPANCY_TOL, SUPPORT_TOL, max_residual
+from .tolerances import DISCREPANCY_TOL, max_residual
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -519,56 +516,37 @@ def sieve(vs: VerblunskySeq, ell: int) -> VerblunskySeq:
 
 
 def sieve2_recurrence(vs: VerblunskySeq, n: int, path: str = CLOSED_FORM) -> RealRecurrence:
-    """Recurrence pairs of the stride-2 sieved family:
-    b == 0 and d_{n+1} = (1/4)(1 - a_{n-1})(1 + a_n) (so d_1 = (1+a_0)/2)."""
+    """Recurrence pairs of the stride-2 sieved family: geronimus_forward on
+    sieve(vs, 2), after vs.real_view() so that a complex entry is named by
+    its index in vs.  The paper's row b == 0, d_{n+1} = (1/4)(1 - a_{n-1})
+    (1 + a_n) (so d_1 = (1 + a_0)/2) is the forward relations with every
+    even entry 0; ``verify theorems`` and tests/test_perturb.py check it."""
     _check_path(path)
-    if path == ORACLE:
-        return geronimus_forward(sieve(vs, 2), n)
-    alpha = vs.real_view()
-    if len(alpha) < n:  # the oracle's count: 2n entries of the sieved sequence
-        raise InsufficientCoefficients(2 * n, 2 * len(alpha), "alpha coefficients")
-    d = [0.25 * (1.0 - prev) * (1.0 + a) for a, prev in zip(alpha[:max(n, 0)], (-1.0,) + alpha)]
-    # real_view gives floats in (-1, 1), so both factors of d are >= 2^-53 and d > 0
-    return _unchecked(RealRecurrence, (0.0,) * n, tuple(d))
+    vs.real_view()
+    return geronimus_forward(sieve(vs, 2), n)
 
 
 def sieved_kmod_recurrence(vs: VerblunskySeq, k: int, eta: float, n: int,
                            path: str = CLOSED_FORM) -> RealRecurrence:
-    """Stride-2 sieved family after replacing a_k by eta: exactly the two
-    entries d_{k+1} and d_{k+2} pick up the factors (1+eta)/(1+a_k) and
-    (1-eta)/(1-a_k)."""
+    """Stride-2 sieved family after replacing a_k by a real eta:
+    sieve2_recurrence of copuc_apply(vs, KModification(k, eta)).  The
+    paper's statement, that exactly d_{k+1} and d_{k+2} pick up the factors
+    (1 + eta)/(1 + a_k) and (1 - eta)/(1 - a_k), is checked by ``verify
+    theorems`` and tests/test_perturb.py."""
     _check_path(path)
     if not -1.0 < eta < 1.0:
         raise InvalidEta(f"eta = {eta} outside (-1, 1)")
-    spec = KModification(k, eta)
-    if path == ORACLE:
-        return geronimus_forward(sieve(copuc_apply(vs, spec), 2), n)
-    vs.require(k + 1)
-    base = sieve2_recurrence(vs, n, CLOSED_FORM)
-    ak = vs.real_view()[k]
-    d = list(base.d)
-    if k < n:
-        d[k] *= (1.0 + eta) / (1.0 + ak)
-    if k + 1 < n:
-        d[k + 1] *= (1.0 - eta) / (1.0 - ak)
-    # the eta guard keeps 1 -/+ eta >= 2^-53, so both factors are positive floats
-    return _unchecked(RealRecurrence, base.b, tuple(d))
+    return sieve2_recurrence(copuc_apply(vs, KModification(k, eta)), n)
 
 
 def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
     """Circle coefficients of a symmetric line family (b == 0):
-    even entries vanish and g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}),
-    with g_{-1} = -1.
-
-    The closed form runs this one-term odd recursion; the oracle runs the
-    full two-coefficient inversion szego.geronimus_inverse on the b == 0
-    data.  The two give the same bits (see _symmetric_from).
-    """
+    szego.geronimus_inverse on the b == 0 data.  Its even entries are
+    exactly 0.0, so each odd one is the paper's recursion
+    g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1}), with g_{-1} = -1."""
     _check_path(path)
     rc = _symmetric_line(d)
-    if path == ORACLE:
-        return geronimus_inverse(rc, len(rc.d))
-    return _symmetric_from(rc.d)
+    return geronimus_inverse(rc, len(rc.d))
 
 
 def _symmetric_line(d) -> RealRecurrence:
@@ -580,39 +558,16 @@ def _symmetric_line(d) -> RealRecurrence:
     return _unchecked(RealRecurrence, (0.0,) * len(d), d)
 
 
-def _symmetric_from(d) -> VerblunskySeq:
-    """The symmetric sequence g_0 .. g_{2 len(d) - 1}: each even entry is
-    0.0 and g_{2j+1} = -1 + 4 d_{j+1} / (1 - g_{2j-1}), with g_{-1} = -1.
-
-    With b == 0 this is szego.geronimus_inverse bit for bit: its even entry
-    is exactly +0.0, so its divisor (1 - g_{2j-1})(1 - 0.0) is 1 - g_{2j-1},
-    which the support guard keeps above SUPPORT_TOL > PIVOT_TOL.
-    """
-    lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
-    g = -1.0
-    out = []
-    for dj in d:
-        g = -1.0 + 4.0 * dj / (1.0 - g)
-        if not lo < g < hi:
-            raise SupportViolation(len(out) + 1, g)
-        out.append(0.0)
-        out.append(g)
-    # every entry is 0.0 or a float the support guard put inside (-1, 1)
-    return _unchecked(VerblunskySeq, tuple(out))
-
-
 def symmetric_codilated_verblunsky(d, k: int, lam: float,
                                    path: str = CLOSED_FORM) -> VerblunskySeq:
     """Symmetric family after d_k -> lam d_k, as 2 len(d) circle
-    coefficients.  The paper keeps the odd entries below 2k-1, shifts
-    g_{2k-1} by 4 (lam - 1) d_k / (1 - g_{2k-3}), and runs the symmetric
-    recursion on every later odd entry.  Cancelled, the shifted entry is
+    coefficients: szego.geronimus_inverse on the co-dilated b == 0 data.
+    The paper keeps the odd entries below 2k-1, shifts g_{2k-1} by
+    4 (lam - 1) d_k / (1 - g_{2k-3}), and runs the symmetric recursion on
+    every later odd entry.  Cancelled, the shifted entry is
     -1 + 4 lam d_k / (1 - g_{2k-3}), the recursion's own step on the
-    co-dilated d: so the closed form runs the odd recursion on the
-    co-dilated d, and the oracle the full inversion."""
+    co-dilated d; tests/test_perturb.py checks this in exact arithmetic."""
     _check_path(path)
     spec = CoDilated(k, lam)
     rc = coprl_apply(_symmetric_line(d), spec)
-    if path == ORACLE:
-        return geronimus_inverse(rc, len(rc.d))
-    return _symmetric_from(rc.d)
+    return geronimus_inverse(rc, len(rc.d))

@@ -284,12 +284,12 @@ def suite_conjugation(rep: SuiteReport, rng: random.Random, tol: float) -> None:
 
 
 def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
-    """The co-dilation and circle associated properties compare each map
-    with the paper's formula, evaluated on the unperturbed data; a
+    """Each closed_form_vs_oracle property compares a map with the paper's
+    formula, evaluated on the unperturbed (for sieving, unsieved) data; a
     co-dilation head that leaves (-1, 1) is outside the formula's domain,
     not the map's, and is redrawn."""
-    from .perturb import (CLOSED_FORM, ORACLE, assoc_opuc_to_recurrence, coprl_verblunsky,
-                          max_deviation, sieve2_recurrence, sieved_kmod_recurrence,
+    from .perturb import (assoc_opuc_to_recurrence, coprl_verblunsky, max_deviation,
+                          sieve2_recurrence, sieved_kmod_recurrence,
                           symmetric_codilated_verblunsky, symmetric_verblunsky)
 
     depth = 12
@@ -336,14 +336,15 @@ def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
 
     def sieved_closed_form_vs_oracle():
         vs = _rand_alpha(rng, depth)
-        err = max_deviation(sieve2_recurrence(vs, depth, path=CLOSED_FORM),
-                            sieve2_recurrence(vs, depth, path=ORACLE))
+        a, b = vs.real_view(), (0.0,) * depth
+        d = [0.25 * (1.0 - prev) * (1.0 + x) for x, prev in zip(a, (-1.0,) + a)]
+        err = max_deviation(sieve2_recurrence(vs, depth), RealRecurrence(b, d))
         k = rng.randint(0, depth - 2)
         eta = rng.uniform(-0.8, 0.8)
-        err = max_residual(err, max_deviation(
-            sieved_kmod_recurrence(vs, k, eta, depth, path=CLOSED_FORM),
-            sieved_kmod_recurrence(vs, k, eta, depth, path=ORACLE)))
-        return err
+        d[k] *= (1.0 + eta) / (1.0 + a[k])
+        d[k + 1] *= (1.0 - eta) / (1.0 - a[k])
+        return max_residual(err, max_deviation(sieved_kmod_recurrence(vs, k, eta, depth),
+                                               RealRecurrence(b, d)))
 
     for run in (coprl_closed_form_vs_oracle, circle_assoc_closed_form_vs_oracle,
                 symmetric_closed_form_vs_oracle, sieved_closed_form_vs_oracle):

@@ -111,10 +111,6 @@ MUTANTS = [
            "s - a * z * p",
            "s - a * (z * p)",
            ("tests/test_suites.py::test_suite_output_is_pinned",)),
-    Mutant("symmetric-appends-swapped", "perturb.py",
-           "        out.append(0.0)\n        out.append(g)\n",
-           "        out.append(g)\n        out.append(0.0)\n",
-           ("tests/test_perturb.py::TestSymmetric::test_single_step",)),
     # the spec classes as the registry, and the one coefficient loader
     Mutant("sieve-applies-on-the-line", "perturb.py",
            '    apply = {"circle": lambda vs, spec: sieve(vs, spec.ell)}\n',
@@ -243,12 +239,6 @@ MUTANTS = [
            "        d = list(rc.d)\n        d[spec.k - 1] = float(d[spec.k - 1] * spec.lam)\n"
            "        rc.require(0, spec.k)\n",
            ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
-    Mutant("sieve2-closed-form-no-length-check", "perturb.py",
-           "    if len(alpha) < n:  # the oracle's count: "
-           "2n entries of the sieved sequence\n"
-           "        raise InsufficientCoefficients(2 * n, 2 * len(alpha), \"alpha coefficients\")\n",
-           "",
-           ("tests/test_perturb.py::TestSieve2Recurrence::test_short_data_refusals",)),
     # one route for the co-dilation head and the circle associated map: the
     # paper's formulas are checks, not code
     Mutant("theorems-coprl-shift-sign-flipped", "suites.py",
@@ -264,16 +254,25 @@ MUTANTS = [
            "d = [rc.d[m]]",
            ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
     Mutant("symmetric-codilated-closed-path-unperturbed-d", "perturb.py",
-           "    rc = coprl_apply(_symmetric_line(d), spec)\n"
-           "    if path == ORACLE:\n"
-           "        return geronimus_inverse(rc, len(rc.d))\n"
-           "    return _symmetric_from(rc.d)\n",
-           "    rc = coprl_apply(_symmetric_line(d), spec)\n"
-           "    if path == ORACLE:\n"
-           "        return geronimus_inverse(rc, len(rc.d))\n"
-           "    return _symmetric_from(_symmetric_line(d).d)\n",
+           "    rc = coprl_apply(_symmetric_line(d), spec)\n",
+           "    rc = _symmetric_line(d)\n",
            ("tests/test_perturb.py::TestSymmetricCoDilated::test_symmetric_statement_exactly",
             "tests/test_perturb.py::TestSymmetricCoDilated::test_t_to_u_fixture")),
+    # one route for the sieved maps: the paper's rows are checks, not code
+    Mutant("sieve2-no-real-view", "perturb.py",
+           "    vs.real_view()\n",
+           "",
+           ("tests/test_perturb.py::TestSieve2Recurrence::"
+            "test_complex_entry_named_by_its_index_in_the_data",)),
+    Mutant("sieved-kmod-no-copuc-apply", "perturb.py",
+           "    return sieve2_recurrence(copuc_apply(vs, KModification(k, eta)), n)\n",
+           "    return sieve2_recurrence(vs, n)\n",
+           ("tests/test_perturb.py::TestSievedKMod::test_spec_arithmetic_fixture",
+            "tests/test_perturb.py::TestSievedKMod::test_theorem_matches_oracle")),
+    Mutant("theorems-sieved-kmod-eta-sign-flipped", "suites.py",
+           "d[k] *= (1.0 + eta) / (1.0 + a[k])",
+           "d[k] *= (1.0 - eta) / (1.0 + a[k])",
+           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
 ]
 
 

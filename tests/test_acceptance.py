@@ -34,9 +34,7 @@ from ortho_szego.oprl import (
 )
 from ortho_szego.opuc import VerblunskySeq, prepend_verblunsky, shift_verblunsky
 from ortho_szego.perturb import (
-    ORACLE,
     SHORTCUT,
-    CLOSED_FORM,
     antiassoc_oprl_to_verblunsky,
     antiassoc_opuc_to_recurrence,
     assoc_oprl_to_verblunsky,
@@ -76,7 +74,7 @@ from ortho_szego.szego import (
     v_from_recurrence,
 )
 
-from test_perturb import _antiassoc_table, _assoc_circle_rows, _co_shifted_head
+from test_perturb import _antiassoc_table, _assoc_circle_rows, _co_shifted_head, _sieved_rows
 
 SEED = 20260810
 
@@ -276,13 +274,15 @@ def test_criterion_05_closed_form_vs_oracle():
 
     report(5, "symmetric_formulas", sample(one_symmetric), tol)
 
+    # The sieved maps run the forward relations on the sieved data; the
+    # paper's rows, evaluated on the unsieved data, must give their output.
     def one_sieved():
         vs = draw_alpha(rng, depth, 0.9)
-        err = rc_err(sieve2_recurrence(vs, depth, path=CLOSED_FORM),
-                     sieve2_recurrence(vs, depth, path=ORACLE))
+        err = rc_err(sieve2_recurrence(vs, depth),
+                     RealRecurrence(*_sieved_rows(vs.real_view(), depth)))
         k, eta = rng.randint(0, depth - 2), rng.uniform(-0.8, 0.8)
-        return max(err, rc_err(sieved_kmod_recurrence(vs, k, eta, depth, path=CLOSED_FORM),
-                               sieved_kmod_recurrence(vs, k, eta, depth, path=ORACLE)))
+        return max(err, rc_err(sieved_kmod_recurrence(vs, k, eta, depth),
+                               RealRecurrence(*_sieved_rows(vs.real_view(), depth, k, eta))))
 
     report(5, "sieved_formulas", sample(one_sieved), tol)
 

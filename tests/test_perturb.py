@@ -14,6 +14,7 @@ from ortho_szego.errors import (
     InsufficientCoefficients,
     InvalidEta,
     InvalidXi,
+    NonPositiveD,
     OrthoError,
     SupportViolation,
 )
@@ -32,7 +33,6 @@ from ortho_szego.perturb import (
     CoRecursive,
     KModification,
     Sieve,
-    _symmetric_from,
     antiassoc_oprl_to_verblunsky,
     antiassoc_opuc_to_recurrence,
     assoc_oprl_to_verblunsky,
@@ -52,7 +52,7 @@ from ortho_szego.perturb import (
 )
 from ortho_szego.serialize import dumps_recurrence
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
-from ortho_szego.tolerances import DISCREPANCY_TOL, PIVOT_TOL
+from ortho_szego.tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL
 
 from conftest import random_admissible_rc, random_alpha
 from test_kernel_digest import _line_data
@@ -930,11 +930,36 @@ class TestSieve2Recurrence:
             assert dn == pytest.approx(0.25, rel=1e-14)
 
     def test_theorem_matches_oracle(self, rng):
+        # the paper's row, computed from the unsieved data, bit for bit:
+        # the forward relations' even factor 1 - 0.0 * 0.0 is exactly 1.0
         for _ in range(50):
             vs = random_alpha(rng, 12)
-            th = sieve2_recurrence(vs, 12, path=CLOSED_FORM)
-            br = sieve2_recurrence(vs, 12, path=ORACLE)
-            assert_rc_close(th, br, 1e-11)
+            b, d = _sieved_rows(vs.real_view(), 12)
+            assert sieve2_recurrence(vs, 12) == RealRecurrence(b, d)
+
+    def test_statement_exactly(self):
+        # the paper's rows, with and without a_k -> eta, are the forward
+        # relations on the sieved (and modified) data in exact arithmetic
+        rng = random.Random(3636)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            a = [Fraction(rng.randint(-90, 90), 100) for _ in range(n)]
+            sieved = [x for pair in zip([0] * n, a) for x in pair]
+            assert _sieved_rows(a, n) == _forward(sieved, n)
+            k = rng.randrange(n)
+            eta = Fraction(rng.randint(-90, 90), 100)
+            sieved[2 * k + 1] = eta
+            assert _sieved_rows(a, n, k, eta) == _forward(sieved, n)
+
+    def test_complex_entry_named_by_its_index_in_the_data(self):
+        # the sieved sequence holds a_j at index 2j+1; the error names j
+        vs = VerblunskySeq((0.1, 0.2j, 0.3, -0.1))
+        for path in (CLOSED_FORM, ORACLE):
+            for run in (lambda: sieve2_recurrence(vs, 3, path),
+                        lambda: sieved_kmod_recurrence(vs, 0, 0.5, 3, path)):
+                with pytest.raises(ComplexAlpha) as info:
+                    run()
+                assert str(info.value) == "alpha_1 = 0.2j has nonzero imaginary part"
 
     def test_short_data_refusals(self):
         # both paths count the sieved coefficients that geronimus_forward reads
@@ -972,13 +997,44 @@ class TestSievedKMod:
         assert diffs == [4, 5]
 
     def test_theorem_matches_oracle(self, rng):
+        # the paper's two factors, applied to the row of the unsieved data
         for _ in range(50):
             vs = random_alpha(rng, 12)
             k = rng.randint(0, 6)
             eta = rng.uniform(-0.8, 0.8)
-            th = sieved_kmod_recurrence(vs, k, eta, 12, path=CLOSED_FORM)
-            br = sieved_kmod_recurrence(vs, k, eta, 12, path=ORACLE)
-            assert_rc_close(th, br, 1e-10)
+            b, d = _sieved_rows(vs.real_view(), 12, k, eta)
+            assert_rc_close(sieved_kmod_recurrence(vs, k, eta, 12), RealRecurrence(b, d), 1e-10)
+
+    def test_eta_replaces_a_complex_entry(self):
+        # eta replaces the one complex entry, so the modified data are real
+        vs = VerblunskySeq((0.1 + 0.05j, 0.2))
+        for path in (CLOSED_FORM, ORACLE):
+            got = sieved_kmod_recurrence(vs, 0, 0.5, 2, path)
+            assert got == RealRecurrence((0.0, 0.0), (0.75, 0.15))
+
+
+def _sieved_rows(a, n, k=None, eta=None):
+    """The paper's rows of the stride-2 sieved family from the unsieved
+    a_0 .. a_{n-1}: b == 0 and d_{m+1} = (1/4)(1 - a_{m-1})(1 + a_m), with
+    a_{-1} = -1; given k and eta, d_{k+1} and d_{k+2} take the factors
+    (1 + eta)/(1 + a_k) and (1 - eta)/(1 - a_k).  Int constants, as in
+    _forward."""
+    d = [(1 - prev) * (1 + x) / 4 for x, prev in zip(a[:n], [-1] + list(a))]
+    if k is not None:
+        d[k] *= (1 + eta) / (1 + a[k])
+        if k + 1 < n:
+            d[k + 1] *= (1 - eta) / (1 - a[k])
+    return [0] * len(d), d
+
+
+def _odd_recursion(d):
+    """The paper's symmetric sequence: each even entry 0.0 and
+    g_{2j+1} = -1 + 4 d_{j+1} / (1 - g_{2j-1}), with g_{-1} = -1, unguarded."""
+    g, out = -1.0, []
+    for dj in d:
+        g = -1.0 + 4.0 * dj / (1.0 - g)
+        out += [0.0, g]
+    return out
 
 
 def _symmetric_draw(rng):
@@ -1008,48 +1064,46 @@ class TestSymmetric:
         assert got.alpha[1].real == pytest.approx(0.2, abs=1e-15)
 
     def test_theorem_matches_oracle(self, rng):
-        # the closed form runs the odd recursion and the oracle the full
-        # inversion; the forward relations must give back b == 0 and d
+        # the forward relations must give back b == 0 and d
         for _ in range(50):
             d = tuple(rng.uniform(0.05, 0.45) for _ in range(12))
-            for path in (CLOSED_FORM, ORACLE):
-                try:
-                    got = symmetric_verblunsky(d, path=path)
-                except SupportViolation:
-                    continue
-                assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, d), 1e-11)
+            try:
+                got = symmetric_verblunsky(d)
+            except SupportViolation:
+                continue
+            assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, d), 1e-11)
 
     def test_closed_form_is_the_oracle_bit_for_bit(self, rng):
         # with b == 0 the inversion's even entry is exactly +0.0 and its
-        # divisor exactly 1 - g_{2m-1}, so the two paths give the same
-        # entries, of the same type, or the same error
-        def run(d, path):
-            try:
-                vs = symmetric_verblunsky(d, path=path)
-            except OrthoError as exc:
-                return type(exc), str(exc)
-            return vs.alpha, tuple(map(type, vs.alpha))
-
+        # divisor exactly 1 - g_{2m-1}, so the map gives the paper's odd
+        # recursion bit for bit, as floats, or refuses at its first entry
+        # outside the support guard's interval, or a zero d
+        lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
         admissible = 0
         for _ in range(200):
             d = _symmetric_draw(rng)
-            got = run(d, CLOSED_FORM)
-            assert got == run(d, ORACLE)
-            admissible += type(got[0]) is tuple
+            try:
+                got = symmetric_verblunsky(d).alpha
+            except OrthoError as exc:
+                got = type(exc), str(exc)
+            want = _odd_recursion(d)
+            bad = [j for j, g in enumerate(want) if not lo < g < hi]
+            if 0.0 in d:
+                assert got == (NonPositiveD, f"d_{d.index(0.0) + 1} = 0 is not allowed")
+            elif bad:
+                assert got == (SupportViolation, str(SupportViolation(bad[0], want[bad[0]])))
+            else:
+                assert got == tuple(want) and {type(g) for g in got} <= {float}
+                admissible += 1
         assert 50 <= admissible <= 150
 
-
-class TestSymmetricFrom:
-    """The odd recursion names an error's index from the length of its
-    output so far, and an empty d computes nothing."""
-
     def test_empty_d_computes_nothing(self):
-        assert _symmetric_from(()).alpha == ()
+        assert symmetric_verblunsky(()).alpha == ()
 
     def test_index_from_the_output_length(self):
         # g_1 = g_3 = 0 on T-like d, and d_3 = 0.6 sends g_5 to 1.4
         with pytest.raises(SupportViolation) as info:
-            _symmetric_from((0.5, 0.25, 0.6))
+            symmetric_verblunsky((0.5, 0.25, 0.6))
         assert str(info.value) == "coefficient at index 5 left (-1, 1): 1.4"
         assert info.value.index == 5
 
@@ -1067,16 +1121,21 @@ class TestSymmetricCoDilated:
             assert got.alpha[2 * m + 1].real == pytest.approx(-1.0 / (m + 2), rel=1e-13)
 
     def test_theorem_matches_oracle(self, rng):
+        # the paper's shift of g_{2k-1}, from the unperturbed head, and the
+        # co-dilated d given back by the forward relations
         for _ in range(50):
             d = tuple(rng.uniform(0.05, 0.45) for _ in range(12))
             k = rng.randint(1, 5)
             lam = rng.uniform(0.6, 1.4)
             try:
-                th = symmetric_codilated_verblunsky(d, k, lam, path=CLOSED_FORM)
-                br = symmetric_codilated_verblunsky(d, k, lam, path=ORACLE)
+                got = symmetric_codilated_verblunsky(d, k, lam)
+                g = symmetric_verblunsky(d[:k]).alpha
             except SupportViolation:
                 continue
-            assert_vs_close(th, br, 1e-11)
+            shift = 4 * (lam - 1) * d[k - 1] / (1 - (g[2 * k - 3] if k > 1 else -1))
+            assert_vs_close(got, VerblunskySeq(g[:-1] + (g[-1] + shift,)), 1e-11)
+            want = d[:k - 1] + (lam * d[k - 1],) + d[k:]
+            assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, want), 1e-11)
 
     def test_symmetric_statement_exactly(self):
         # the symmetric shift g_{2k-1} + 4 (lam - 1) d_k / (1 - g_{2k-3}) is the
@@ -1112,8 +1171,7 @@ class TestSymmetricCoDilated:
         with pytest.raises(SupportViolation) as info:
             symmetric_verblunsky(d)
         assert info.value.index == 3
-        th = symmetric_codilated_verblunsky(d, 2, 0.4, path=CLOSED_FORM)
-        assert th == symmetric_codilated_verblunsky(d, 2, 0.4, path=ORACLE)
+        th = symmetric_codilated_verblunsky(d, 2, 0.4)
         assert th.alpha[3] == pytest.approx(-1 / 7, rel=1e-14)
 
     def test_closed_form_ignores_the_unperturbed_tail(self):
@@ -1121,10 +1179,8 @@ class TestSymmetricCoDilated:
         d = (0.25, 0.25, 0.9)
         with pytest.raises(SupportViolation):
             symmetric_verblunsky(d)
-        th = symmetric_codilated_verblunsky(d, 2, 0.2, path=CLOSED_FORM)
-        br = symmetric_codilated_verblunsky(d, 2, 0.2, path=ORACLE)
-        assert len(th) == len(br) == 6
-        assert_vs_close(th, br, 1e-15)
+        th = symmetric_codilated_verblunsky(d, 2, 0.2)
+        assert len(th) == 6
         assert th.alpha[5] == pytest.approx(13 / 14, rel=1e-15)
 
 

@@ -61,12 +61,8 @@ UNCHECKED_SITES = frozenset({
     # rc was checked when built; the one changed entry is coerced to float,
     # and zero-checked after a dilation
     "perturb.coprl_apply",
-    # the support guard on every odd entry; the even ones are 0.0
-    "perturb._symmetric_from",
     # the zeros are floats; d is coerced and zero-checked as the constructor does
     "perturb._symmetric_line",
-    "perturb.sieve2_recurrence",
-    "perturb.sieved_kmod_recurrence",
 })
 
 # The readers of outside input: every JSON number passes through serialize.

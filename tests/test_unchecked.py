@@ -110,18 +110,6 @@ def _coprl_reference(rc, spec):
     return RealRecurrence(b, d)
 
 
-def _symmetric(rng):
-    """One of the symmetric closed forms on the b == 0 pairs of a real
-    draw whose even entries are 0.0."""
-    pairs = rng.randint(1, 8)
-    gamma = tuple(rng.uniform(-0.9, 0.9) if j % 2 else 0.0 for j in range(2 * pairs))
-    d = geronimus_forward(VerblunskySeq(gamma), pairs).d
-    if rng.random() < 0.5:
-        return perturb.symmetric_verblunsky, (d,)
-    return perturb.symmetric_codilated_verblunsky, (d, rng.randint(1, pairs),
-                                                     rng.uniform(0.6, 1.4))
-
-
 def _symmetric_d(rng, odd=()):
     """d entries as ints, Fractions and floats, now and then a zero (0,
     0.0 or -0.0) or an entry from odd."""
@@ -178,19 +166,9 @@ SITES = {
         lambda out, args: VerblunskySeq([args[0].alpha[(j + 1) // args[1] - 1]
                                          if (j + 1) % args[1] == 0 else 0.0
                                          for j in range(len(args[0]) * args[1])])),
-    "perturb._symmetric_from": (
-        _symmetric,
-        lambda out, args: _rebuilt(out)),
     "perturb._symmetric_line": (
         lambda rng: (perturb._symmetric_line, (_symmetric_d(rng),)),
         lambda out, args: RealRecurrence([0.0] * len(args[0]), list(args[0]))),
-    "perturb.sieve2_recurrence": (
-        lambda rng: (perturb.sieve2_recurrence, (_real_circle(rng), _n(rng, 8))),
-        lambda out, args: _rebuilt(out)),
-    "perturb.sieved_kmod_recurrence": (
-        lambda rng: (perturb.sieved_kmod_recurrence,
-                     (_real_circle(rng), rng.randint(0, 3), rng.uniform(-0.9, 0.9), _n(rng, 8))),
-        lambda out, args: _rebuilt(out)),
 }
 
 
