@@ -1,6 +1,7 @@
 """Orthogonal-polynomial coefficient transforms on the real line and the
-unit circle, linked by the Szego map, with every perturbation family
-cross-validated against a brute-force route.
+unit circle, linked by the Szego map.  Every perturbation family runs one
+bridge kernel on its perturbed data, and the paper's formula for it is a
+check on that map (``verify theorems``).
 
 Import each name from its module, e.g.
 ``from ortho_szego.szego import geronimus_forward``.  ``import ortho_szego``

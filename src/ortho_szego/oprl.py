@@ -32,6 +32,8 @@ class RealRecurrence(Value):
         Value.__init__(self, tuple(map(float, b)), tuple(map(float, d)))
         if 0.0 in self.d:
             raise NonPositiveD(f"d_{self.d.index(0.0) + 1} = 0 is not allowed")
+        _check_finite(self.b, "b")
+        _check_finite(self.d, "d")
 
     def __len__(self) -> int:
         return min(len(self.b), len(self.d))
@@ -49,6 +51,17 @@ class RealRecurrence(Value):
             raise InsufficientCoefficients(nb, len(self.b), "b coefficients")
         if len(self.d) < nd:
             raise InsufficientCoefficients(nd, len(self.d), "d coefficients")
+
+
+def _check_finite(xs, name: str, start: int = 1) -> None:
+    """Raise ValueError at the first NaN or infinite entry of xs, naming it
+    as {name}_{start + its position}.  The x - x != 0 test passes a Fraction."""
+    # a finite sum means finite entries; one that overflows is not refused by itself
+    total = sum(xs)
+    if total - total != 0:
+        for n, x in enumerate(xs, start):
+            if x - x != 0:
+                raise ValueError(f"{name}_{n} = {x} is not finite")
 
 
 def chebyshev_t(n: int = 64) -> "RealRecurrence":
@@ -95,10 +108,13 @@ def prepend_coefficients(rc: RealRecurrence, pre_b, pre_d) -> RealRecurrence:
     pre_d = tuple(float(x) for x in pre_d)
     if len(pre_b) != len(pre_d):
         raise InvalidPrepend("prepended b and d lists must have equal length")
+    _check_finite(pre_b, "b")
+    _check_finite(pre_d, "d")
     for dn in pre_d:
         if dn == 0.0:
             raise InvalidPrepend("prepended d entries must be nonzero")
-    # float tuples: the new d entries were just checked nonzero, rc's were on construction
+    # float tuples: the new entries were just checked finite and each d nonzero,
+    # rc's on construction
     return _unchecked(RealRecurrence, pre_b + rc.b, pre_d + rc.d)
 
 

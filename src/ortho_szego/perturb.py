@@ -4,19 +4,21 @@ Every map perturbs its data and runs one bridge kernel on the result:
 ``szego.geronimus_inverse`` for line data seen from the circle, and
 ``szego.geronimus_forward`` for circle data seen from the line.  Each of
 the paper's formulas is that kernel with a cancellation written out, so
-it is a check, not code:
+it is a check, not code, written once in ``suites``, where the exact tests
+in tests/test_perturb.py run it on rationals and ``verify theorems`` on
+floats:
 
-* the co-polynomial shift of a_{2k-1} and a_{2k} (``coprl_verblunsky``):
-  an exact test in tests/test_perturb.py and ``verify theorems``;
-* the circle associated family's pivot ratios and rescaling, and the
-  anti-associated four-branch table: exact tests and acceptance
-  criterion 5, and ``verify theorems`` for the former;
-* the symmetric odd recursion g_{2n+1} = -1 + 4 d_{n+1} / (1 - g_{2n-1})
-  and its co-dilated shift: a bit-for-bit test, an exact test and
-  ``verify theorems``;
+* the co-polynomial shift of a_{2k-1} and a_{2k} (``coprl_verblunsky``),
+  and the co-dilated symmetric shift, its case a_{2k-2} = a_{2k} = 0:
+  ``suites.co_shifted_head``;
+* the circle associated family's pivot ratios and rescaling:
+  ``suites.assoc_circle_rows``;
 * the stride-2 sieved row d_{n+1} = (1/4)(1 - a_{n-1})(1 + a_n) and the
-  k-modification factors (1 +- eta) / (1 +- a_k): an exact test,
-  ``verify theorems`` and acceptance criterion 5.
+  k-modification factors (1 +- eta) / (1 +- a_k): ``suites.sieved_rows``.
+
+The anti-associated four-branch table has an exact test and acceptance
+criterion 5, and the symmetric odd recursion g_{2n+1} = -1 + 4 d_{n+1} /
+(1 - g_{2n-1}) a bit-for-bit test, each in tests/test_perturb.py.
 
 The ``path`` argument (CLOSED_FORM or ORACLE) selects nothing: both
 values run the one kernel, and ``_check_path`` refuses any other.  It is
@@ -40,7 +42,7 @@ from functools import partial, reduce
 
 from ._value import Value, _unchecked
 from .errors import InsufficientCoefficients, InvalidEta, NonPositiveD, WrongSide
-from .oprl import RealRecurrence, prepend_coefficients, shift_coefficients
+from .oprl import RealRecurrence, _check_finite, prepend_coefficients, shift_coefficients
 from .opuc import VerblunskySeq, _check_moduli, _stored, prepend_verblunsky, shift_verblunsky
 from .serialize import _complex, _integer, _list, _real
 from .szego import (
@@ -258,19 +260,21 @@ SPECS = {cls.kind: cls for cls in (CoDilated, CoRecursive, KModification, Associ
 def coprl_apply(rc: RealRecurrence, spec) -> RealRecurrence:
     """Apply one co-dilation (d_k -> lam * d_k) or co-recursion
     (b_{k+1} -> b_{k+1} + tau)."""
-    # rc was checked when built: only the changed entry is coerced, and
-    # zero-checked after a dilation, as the constructor would
+    # rc was checked when built: only the changed entry is coerced, zero-checked
+    # after a dilation and checked finite (it may overflow), as the constructor would
     if isinstance(spec, CoDilated):
         rc.require(0, spec.k)
         d = list(rc.d)
         d[spec.k - 1] = float(d[spec.k - 1] * spec.lam)
         if d[spec.k - 1] == 0.0:
             raise NonPositiveD(f"d_{spec.k} = 0 is not allowed")
+        _check_finite(d[spec.k - 1:spec.k], "d", spec.k)
         return _unchecked(RealRecurrence, rc.b, tuple(d))
     if isinstance(spec, CoRecursive):
         rc.require(spec.k + 1, 0)
         b = list(rc.b)
         b[spec.k] = float(b[spec.k] + spec.tau)
+        _check_finite(b[spec.k:spec.k + 1], "b", spec.k + 1)
         return _unchecked(RealRecurrence, tuple(b), rc.d)
     raise ValueError(f"not a line-side single-entry perturbation: {spec!r}")
 
@@ -551,10 +555,11 @@ def symmetric_verblunsky(d, path: str = CLOSED_FORM) -> VerblunskySeq:
 
 def _symmetric_line(d) -> RealRecurrence:
     """RealRecurrence((0.0,) * len(d), d) with only d coerced: the zeros
-    are floats already, so d is the one field to coerce and zero-check."""
+    are floats already, so d is the one field to coerce and check."""
     d = tuple(map(float, d))
     if 0.0 in d:
         raise NonPositiveD(f"d_{d.index(0.0) + 1} = 0 is not allowed")
+    _check_finite(d, "d")
     return _unchecked(RealRecurrence, (0.0,) * len(d), d)
 
 

@@ -283,6 +283,47 @@ def suite_conjugation(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     rep.record("corollary_assoc_order2_x2", abs(got - want), max(tol, COROLLARY_TOL_FLOOR))
 
 
+# The paper's perturbation formulas, with int constants: exact on Fraction
+# input (tests/test_perturb.py), and what the theorems suite runs on floats.
+def co_shifted_head(a, d_k, k, lam, tau):
+    """The co-polynomial head a-hat_0 .. a-hat_{2k} from the unperturbed
+    a_0 .. a_{2k}: a_j kept for j < 2k-1, a_{2k-1} shifted by
+    M = 4 (lam - 1) d_k / ((1 - a_{2k-3})(1 - a_{2k-2}^2)) and a_{2k}
+    recombined, with a_{-1} = -1 and a_{-2} = 0 (k = 0 needs lam = 1)."""
+    am3 = a[2 * k - 3] if k > 1 else -1
+    am2, am1 = (a[2 * k - 2], a[2 * k - 1]) if k else (0, -1)
+    shift = 4 * (lam - 1) * d_k / ((1 - am3) * (1 - am2 * am2)) if k else 0
+    even = ((1 - am1) * a[2 * k] + 2 * tau + shift * am2) / (1 - am1 - shift)
+    return list(a[:max(2 * k - 1, 0)]) + ([am1 + shift] if k else []) + [even]
+
+
+def assoc_circle_rows(a, b, d, k, n):
+    """The rows (b-hat_1..b-hat_n, d-hat_1..d-hat_n) of the order-k
+    associated circle family from the unshifted a_0 .. a_{2n+k} and their
+    n + m forward pairs (b, d): the pivot ratios at odd k = 2m - 1, and
+    d_{m+1} rescaled by lam = 2 / (1 - a_{2m-1}) at even k = 2m."""
+    m = (k + 1) // 2
+    rows = range(m + 1, n + m)  # i = j + m for rows j = 1 .. n-1
+    if k % 2 == 0:
+        lam = 2 / (1 - a[k - 1]) if k else 1
+        return [a[k]] + [b[i] for i in rows], [lam * d[m]] + [d[i] for i in rows]
+    v = [(1 + x) * (1 - prev) / 2 for x, prev in zip(a, [-1] + list(a))]
+    return ([a[k]] + [b[i] + v[2 * i - 2] - v[2 * i] for i in rows],
+            [(1 + a[k]) / v[k + 2] * d[m]] + [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows])
+
+
+def sieved_rows(a, n, k=None, eta=None):
+    """The stride-2 sieved rows from the unsieved a_0 .. a_{n-1}: b == 0 and
+    d_{m+1} = (1/4)(1 - a_{m-1})(1 + a_m), a_{-1} = -1; given k and eta,
+    d_{k+1} and d_{k+2} take the factors (1 + eta)/(1 + a_k), (1 - eta)/(1 - a_k)."""
+    d = [(1 - prev) * (1 + x) / 4 for x, prev in zip(a[:n], [-1] + list(a))]
+    if k is not None:
+        d[k] *= (1 + eta) / (1 + a[k])
+        if k + 1 < n:
+            d[k + 1] *= (1 - eta) / (1 - a[k])
+    return [0] * len(d), d
+
+
 def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
     """Each closed_form_vs_oracle property compares a map with the paper's
     formula, evaluated on the unperturbed (for sieving, unsieved) data; a
@@ -304,25 +345,13 @@ def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
         lam, tau = rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)
         got = coprl_verblunsky(rc, k, lam, tau, depth)
         a = geronimus_inverse(rc, k + 1).alpha  # the formula reads up to a_{2k}
-        am3, am2, am1 = a[2 * k - 3] if k > 1 else -1.0, a[2 * k - 2], a[2 * k - 1]
-        shift = 4.0 * (lam - 1.0) * rc.d[k - 1] / ((1.0 - am3) * (1.0 - am2 * am2))
-        even = ((1.0 - am1) * a[2 * k] + 2.0 * tau + shift * am2) / (1.0 - am1 - shift)
-        return max_deviation(got, VerblunskySeq(a[:2 * k - 1] + (am1 + shift, even)))
+        return max_deviation(got, VerblunskySeq(co_shifted_head(a, rc.d[k - 1], k, lam, tau)))
 
     def circle_assoc_closed_form_vs_oracle():
         vs = _rand_alpha(rng, 2 * depth + 8)
         k = rng.randint(0, 5)
-        m, a = (k + 1) // 2, vs.real_view()
-        rc = geronimus_forward(vs, depth + m)
-        rows = range(m + 1, depth + m)  # i = j + m for output rows j = 1..depth-1
-        if k % 2:  # k = 2m - 1: the pivot ratios
-            v = v_from_alpha(vs)
-            d = [(1.0 + a[k]) / v[k + 2] * rc.d[m]]
-            d += [v[2 * i - 1] / v[2 * i + 1] * rc.d[i] for i in rows]
-            b = [a[k]] + [rc.b[i] + v[2 * i - 2] - v[2 * i] for i in rows]
-        else:  # k = 2m: d_{m+1} rescaled by lam = 2 / (1 - a_{2m-1})
-            d = [2.0 / (1.0 - (a[k - 1] if k else -1.0)) * rc.d[m]] + list(rc.d[m + 1:])
-            b = [a[k]] + list(rc.b[m + 1:])
+        rc = geronimus_forward(vs, depth + (k + 1) // 2)
+        b, d = assoc_circle_rows(vs.real_view(), rc.b, rc.d, k, depth)
         return max_deviation(assoc_opuc_to_recurrence(vs, k, depth), RealRecurrence(b, d))
 
     def symmetric_closed_form_vs_oracle():
@@ -330,21 +359,17 @@ def suite_theorems(rep: SuiteReport, rng: random.Random, tol: float) -> None:
         k = rng.randint(1, 5)
         lam = rng.uniform(0.6, 1.4)
         got = symmetric_codilated_verblunsky(d, k, lam)
-        g = symmetric_verblunsky(d[:k]).alpha
-        shift = 4.0 * (lam - 1.0) * d[k - 1] / (1.0 - (g[2 * k - 3] if k > 1 else -1.0))
-        return max_deviation(got, VerblunskySeq(g[:-1] + (g[-1] + shift,)))
+        g = symmetric_verblunsky(d[:k]).alpha + (0.0,)  # the co-polynomial head, a_{2k} = 0
+        return max_deviation(got, VerblunskySeq(co_shifted_head(g, d[k - 1], k, lam, 0.0)))
 
     def sieved_closed_form_vs_oracle():
         vs = _rand_alpha(rng, depth)
-        a, b = vs.real_view(), (0.0,) * depth
-        d = [0.25 * (1.0 - prev) * (1.0 + x) for x, prev in zip(a, (-1.0,) + a)]
-        err = max_deviation(sieve2_recurrence(vs, depth), RealRecurrence(b, d))
+        a = vs.real_view()
+        err = max_deviation(sieve2_recurrence(vs, depth), RealRecurrence(*sieved_rows(a, depth)))
         k = rng.randint(0, depth - 2)
         eta = rng.uniform(-0.8, 0.8)
-        d[k] *= (1.0 + eta) / (1.0 + a[k])
-        d[k + 1] *= (1.0 - eta) / (1.0 - a[k])
         return max_residual(err, max_deviation(sieved_kmod_recurrence(vs, k, eta, depth),
-                                               RealRecurrence(b, d)))
+                                               RealRecurrence(*sieved_rows(a, depth, k, eta))))
 
     for run in (coprl_closed_form_vs_oracle, circle_assoc_closed_form_vs_oracle,
                 symmetric_closed_form_vs_oracle, sieved_closed_form_vs_oracle):

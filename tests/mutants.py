@@ -174,12 +174,20 @@ MUTANTS = [
            "geronimus_forward(shift_verblunsky(vs, k - 1), n)",
            ("tests/test_perturb.py::TestAssociatedCircle::"
             "test_odd_k_statement_is_the_shifted_forward_map_exactly",)),
-    # finite co-perturbations
+    # finite co-perturbations, and finite line data
     Mutant("corecursive-no-finite-check", "perturb.py",
            "        if self.tau - self.tau != 0:",
            "        if False:",
            ("tests/test_perturb.py::TestSpecValidation::"
             "test_non_finite_parameters_are_refused_on_every_path",)),
+    Mutant("coprl-apply-writes-an-overflowed-d", "perturb.py",
+           '        _check_finite(d[spec.k - 1:spec.k], "d", spec.k)\n',
+           "",
+           ("tests/test_cli.py::TestPerturbCommand::test_overflowing_entry_exit3_and_no_file",)),
+    Mutant("recurrence-keeps-a-non-finite-d", "oprl.py",
+           '        _check_finite(self.d, "d")\n',
+           "",
+           ("tests/test_oprl.py::test_non_finite_entries_are_refused_by_name",)),
     # the one pivot peel
     Mutant("peel-loop-guard-and", "szego.py",
            "# d may be negative\n        if not (v_even >= tol or v_even <= -tol):",
@@ -240,19 +248,32 @@ MUTANTS = [
            "        rc.require(0, spec.k)\n",
            ("tests/test_cli.py::TestPinnedBytes::test_perturb_both_paths",)),
     # one route for the co-dilation head and the circle associated map: the
-    # paper's formulas are checks, not code
+    # paper's formulas are checks, not code, each written once in suites, where
+    # the exact statement tests and the theorems suite run it
     Mutant("theorems-coprl-shift-sign-flipped", "suites.py",
-           "shift = 4.0 * (lam - 1.0) * rc.d[k - 1]",
-           "shift = 4.0 * (1.0 - lam) * rc.d[k - 1]",
-           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+           "shift = 4 * (lam - 1) * d_k",
+           "shift = 4 * (1 - lam) * d_k",
+           ("tests/test_perturb.py::TestCoprlVerblunsky::"
+            "test_statement_is_the_inversion_on_the_perturbed_data_exactly",
+            "tests/test_acceptance.py::test_full_verify_battery_runtime")),
+    Mutant("theorems-coprl-tau-unscaled", "suites.py",
+           "a[2 * k] + 2 * tau + shift",
+           "a[2 * k] + tau + shift",
+           ("tests/test_perturb.py::TestCoprlVerblunsky::"
+            "test_statement_is_the_inversion_on_the_perturbed_data_exactly",
+            "tests/test_acceptance.py::test_full_verify_battery_runtime")),
     Mutant("theorems-circle-assoc-b-row-reads-v-odd", "suites.py",
-           "rc.b[i] + v[2 * i - 2] - v[2 * i]",
-           "rc.b[i] + v[2 * i - 1] - v[2 * i]",
-           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+           "b[i] + v[2 * i - 2] - v[2 * i]",
+           "b[i] + v[2 * i - 1] - v[2 * i]",
+           ("tests/test_perturb.py::TestAssociatedCircle::"
+            "test_odd_k_statement_is_the_shifted_forward_map_exactly",
+            "tests/test_acceptance.py::test_full_verify_battery_runtime")),
     Mutant("theorems-circle-assoc-even-k-unscaled", "suites.py",
-           "d = [2.0 / (1.0 - (a[k - 1] if k else -1.0)) * rc.d[m]]",
-           "d = [rc.d[m]]",
-           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+           "[lam * d[m]]",
+           "[d[m]]",
+           ("tests/test_perturb.py::TestAssociatedCircle::"
+            "test_even_k_statement_is_the_shifted_forward_map_exactly",
+            "tests/test_acceptance.py::test_full_verify_battery_runtime")),
     Mutant("symmetric-codilated-closed-path-unperturbed-d", "perturb.py",
            "    rc = coprl_apply(_symmetric_line(d), spec)\n",
            "    rc = _symmetric_line(d)\n",
@@ -270,9 +291,10 @@ MUTANTS = [
            ("tests/test_perturb.py::TestSievedKMod::test_spec_arithmetic_fixture",
             "tests/test_perturb.py::TestSievedKMod::test_theorem_matches_oracle")),
     Mutant("theorems-sieved-kmod-eta-sign-flipped", "suites.py",
-           "d[k] *= (1.0 + eta) / (1.0 + a[k])",
-           "d[k] *= (1.0 - eta) / (1.0 + a[k])",
-           ("tests/test_acceptance.py::test_full_verify_battery_runtime",)),
+           "d[k] *= (1 + eta) / (1 + a[k])",
+           "d[k] *= (1 - eta) / (1 + a[k])",
+           ("tests/test_perturb.py::TestSieve2Recurrence::test_statement_exactly",
+            "tests/test_acceptance.py::test_full_verify_battery_runtime")),
 ]
 
 

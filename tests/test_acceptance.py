@@ -62,7 +62,12 @@ from ortho_szego.spectral import (
     matrix_Upsilon_assoc,
     s_value,
 )
-from ortho_szego.suites import MAX_DISCARDS_PER_KEPT
+from ortho_szego.suites import (
+    MAX_DISCARDS_PER_KEPT,
+    assoc_circle_rows,
+    co_shifted_head,
+    sieved_rows,
+)
 from ortho_szego.szego import (
     SupportViolation,
     alpha_from_v,
@@ -74,7 +79,8 @@ from ortho_szego.szego import (
     v_from_recurrence,
 )
 
-from test_perturb import _antiassoc_table, _assoc_circle_rows, _co_shifted_head, _sieved_rows
+from conftest import _forward
+from test_perturb import _antiassoc_table
 
 SEED = 20260810
 
@@ -218,7 +224,7 @@ def test_criterion_05_closed_form_vs_oracle():
         k = rng.randint(1, 4)
         lam, tau = rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)
         got = coprl_verblunsky(rc, k, lam, tau, depth)
-        want = _co_shifted_head(geronimus_inverse(rc, k + 1).alpha, rc.d[k - 1], k, lam, tau)
+        want = co_shifted_head(geronimus_inverse(rc, k + 1).alpha, rc.d[k - 1], k, lam, tau)
         return max(abs(x - y) for x, y in zip(got.alpha, want))
 
     report(5, "co_polynomial_theorem", sample(one_coprl), tol)
@@ -248,7 +254,8 @@ def test_criterion_05_closed_form_vs_oracle():
     def one_assoc_circle():
         vs = draw_alpha(rng, 2 * depth + 10, 0.9)
         k = rng.randint(0, 5)
-        b, d = _assoc_circle_rows(vs.real_view(), k, depth)
+        a = vs.real_view()
+        b, d = assoc_circle_rows(a, *_forward(a, depth + (k + 1) // 2), k, depth)
         return rc_err(assoc_opuc_to_recurrence(vs, k, depth), RealRecurrence(b, d))
 
     report(5, "circle_associated_theorem_odd_and_even", sample(one_assoc_circle), tol)
@@ -268,9 +275,8 @@ def test_criterion_05_closed_form_vs_oracle():
                      RealRecurrence((0.0,) * depth, d))
         k, lam = rng.randint(1, 5), rng.uniform(0.6, 1.4)
         got = symmetric_codilated_verblunsky(d, k, lam)
-        g = symmetric_verblunsky(d[:k]).alpha
-        shifted = g[-1] + 4 * (lam - 1) * d[k - 1] / (1 - (g[2 * k - 3] if k > 1 else -1))
-        return max(err, *(abs(x - y) for x, y in zip(got.alpha, g[:-1] + (shifted,))))
+        want = co_shifted_head(symmetric_verblunsky(d[:k]).alpha + (0.0,), d[k - 1], k, lam, 0.0)
+        return max(err, *(abs(x - y) for x, y in zip(got.alpha, want)))
 
     report(5, "symmetric_formulas", sample(one_symmetric), tol)
 
@@ -279,10 +285,10 @@ def test_criterion_05_closed_form_vs_oracle():
     def one_sieved():
         vs = draw_alpha(rng, depth, 0.9)
         err = rc_err(sieve2_recurrence(vs, depth),
-                     RealRecurrence(*_sieved_rows(vs.real_view(), depth)))
+                     RealRecurrence(*sieved_rows(vs.real_view(), depth)))
         k, eta = rng.randint(0, depth - 2), rng.uniform(-0.8, 0.8)
         return max(err, rc_err(sieved_kmod_recurrence(vs, k, eta, depth),
-                               RealRecurrence(*_sieved_rows(vs.real_view(), depth, k, eta))))
+                               RealRecurrence(*sieved_rows(vs.real_view(), depth, k, eta))))
 
     report(5, "sieved_formulas", sample(one_sieved), tol)
 

@@ -290,6 +290,25 @@ class TestPerturbCommand:
         assert main(["perturb", "--in", zfile, "--spec", str(spec),
                      "--side", "circle"]) == 3
 
+    @pytest.mark.parametrize("both_paths", [[], ["--both-paths"]])
+    @pytest.mark.parametrize("line, spec, message", [
+        ('{"b": [0.0, 0.0], "d": [2.0, 0.25]}', '{"kind": "co_dilated", "k": 1, "lambda": 1e308}',
+         "d_1 = inf is not finite"),
+        ('{"b": [1e308, 0.0], "d": [0.5, 0.25]}', '{"kind": "co_recursive", "k": 0, "tau": 1e308}',
+         "b_1 = inf is not finite"),
+    ], ids=["co_dilated", "co_recursive"])
+    def test_overflowing_entry_exit3_and_no_file(self, tmp_path, capsys, line, spec, message,
+                                                 both_paths):
+        # the perturbed entry overflowed to inf: written out, it made a file
+        # that no command reads back (with --both-paths, exit 2)
+        src, spec_file, out = tmp_path / "line.json", tmp_path / "spec.json", tmp_path / "out.json"
+        src.write_text(line)
+        spec_file.write_text(spec)
+        assert main(["perturb", "--in", str(src), "--spec", str(spec_file), "--side", "line",
+                     "--out", str(out), *both_paths]) == 3
+        assert capsys.readouterr().err == f"invalid perturbation for side line: {message}\n"
+        assert not out.exists()
+
     def test_circle_modification(self, zfile, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text('[{"kind": "k_modification", "k": 0, "eta": 0.3}]')

@@ -10,9 +10,10 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ortho_szego.cli import main
@@ -224,11 +225,24 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+# a co-perturbation whose entry overflows to inf: exit 0 wrote a file that
+# no command reads back
+OVERFLOWS = [
+    ('{"b": [0.0, 0.0], "d": [2.0, 0.25]}', '{"kind": "co_dilated", "k": 1, "lambda": 1e308}'),
+    ('{"b": [1e308, 0.0], "d": [0.5, 0.25]}', '{"kind": "co_recursive", "k": 0, "tau": 1e308}'),
+]
+
+
 @FUZZ
 @given(argv=cli_argv(), line=LINE_FILES, circle=CIRCLE_FILES, spec=SPEC_FILES)
+@example(argv=["perturb", "--in", "@line", "--spec", "@spec", "--side", "line", "--out", "@out"],
+         line=OVERFLOWS[0][0], circle="", spec=OVERFLOWS[0][1])
+@example(argv=["perturb", "--in", "@line", "--spec", "@spec", "--side", "line", "--out", "@out"],
+         line=OVERFLOWS[1][0], circle="", spec=OVERFLOWS[1][1])
 def test_cli_exits_with_a_documented_code(fuzz_dir, argv, line, circle, spec):
     for name, text in (("line", line), ("circle", circle), ("spec", spec)):
         (fuzz_dir / FILES[name]).write_text(text)
+    (fuzz_dir / FILES["out"]).unlink(missing_ok=True)
     argv = [str(fuzz_dir / FILES[a[1:]]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     # a usage error returns 1 like any input error, so no SystemExit
@@ -239,6 +253,10 @@ def test_cli_exits_with_a_documented_code(fuzz_dir, argv, line, circle, spec):
     assert "Traceback" not in err.getvalue()
     if code not in (0, 5):  # every error says what went wrong; 5 prints FAIL lines
         assert err.getvalue()
+    if code == 0 and argv[0] in ("geronimus", "perturb"):
+        # what a run writes, to its last --out or to stdout, reads back
+        outs = [path for flag, path in zip(argv, argv[1:]) if flag == "--out"]
+        loads_coefficients(Path(outs[-1]).read_text() if outs else out.getvalue())
 
 
 def _scaled(low: int, high: int):

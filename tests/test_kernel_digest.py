@@ -29,7 +29,7 @@ from ortho_szego.szego import (
 )
 
 CASES = 2000
-DIGEST = "b01a2ac3d1ffcebc64025bf9263b909ae510844b54c2f9131f28f026035d0eec"
+DIGEST = "e29becd6b2a53cab1bfc8230fa163d5d1537368bcf064b0221eaeb8eace7e376"
 
 LINE_POINTS = (2.0, -1.5, 3 + 1j, 0.2 + 0.5j, 1.0000001, 0.5, 1e3, 1e6 + 2j)
 CIRCLE_POINTS = (0j, 0.3, -0.5 + 0.2j, 0.9j, 0.9999999, -0.97)

@@ -25,7 +25,7 @@ from ortho_szego.opuc import VerblunskySeq
 from ortho_szego.perturb import sieve, sieve2_recurrence
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
 
-from test_perturb import _forward
+from conftest import _forward
 
 U = sys.float_info.epsilon / 2
 

@@ -6,6 +6,7 @@ import pytest
 from ortho_szego.errors import InsufficientCoefficients, InvalidPrepend, NonPositiveD
 from ortho_szego.oprl import (
     RealRecurrence,
+    _check_finite,
     chebyshev_t,
     chebyshev_u,
     oprl_eval,
@@ -110,6 +111,29 @@ def test_prepend_identity_and_layout():
 def test_prepend_rejects_zero_d():
     with pytest.raises(InvalidPrepend):
         prepend_coefficients(chebyshev_u(), (0.1,), (0.0,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RealRecurrence((0.1,), (math.inf,)), "d_1 = inf is not finite"),
+    (lambda: RealRecurrence((0.1, math.nan), (0.25, 0.25)), "b_2 = nan is not finite"),
+    (lambda: RealRecurrence((-math.inf, 0.0), (0.25, math.nan)), "b_1 = -inf is not finite"),
+    (lambda: prepend_coefficients(chebyshev_u(), (math.nan,), (0.5,)), "b_1 = nan is not finite"),
+    (lambda: prepend_coefficients(chebyshev_u(), (0.1, 0.2), (0.5, -math.inf)),
+     "d_2 = -inf is not finite"),
+])
+def test_non_finite_entries_are_refused_by_name(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_finite_entries_pass_the_finite_check():
+    # a sum that overflows is no refusal by itself; Fractions pass
+    rc = RealRecurrence((1e308, 1e308, -1e308), (1e308, 1e308, 0.25))
+    assert rc.b == (1e308, 1e308, -1e308) and rc.d == (1e308, 1e308, 0.25)
+    _check_finite((Fraction(1, 3), Fraction(-2, 7)), "d")
+    with pytest.raises(ValueError, match=r"^d_5 = inf is not finite$"):
+        _check_finite((Fraction(1, 3), math.inf), "d", 4)
 
 
 def test_shift_undoes_prepend(rng):

@@ -51,10 +51,11 @@ from ortho_szego.perturb import (
     symmetric_verblunsky,
 )
 from ortho_szego.serialize import dumps_recurrence
+from ortho_szego.suites import assoc_circle_rows, co_shifted_head, sieved_rows
 from ortho_szego.szego import geronimus_forward, geronimus_inverse
 from ortho_szego.tolerances import DISCREPANCY_TOL, PIVOT_TOL, SUPPORT_TOL
 
-from conftest import random_admissible_rc, random_alpha
+from conftest import _forward, random_admissible_rc, random_alpha
 from test_kernel_digest import _line_data
 from test_opuc import u_pattern
 
@@ -227,7 +228,7 @@ class TestCoprlVerblunsky:
                 a = geronimus_inverse(rc, k + 1).alpha
             except SupportViolation:
                 continue
-            want = _co_shifted_head(a, rc.d[k - 1], k, lam, tau)
+            want = co_shifted_head(a, rc.d[k - 1], k, lam, tau)
             assert list(got.alpha[:2 * k + 1]) == pytest.approx(want, abs=1e-10)
             checked += 1
         assert checked >= 10
@@ -246,7 +247,7 @@ class TestCoprlVerblunsky:
             lam = 1 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 70), 100) if k else 1
             tau = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), 100)
             b, d = _forward(a, n)
-            head = _co_shifted_head(a, d[k - 1] if k else 0, k, lam, tau)
+            head = co_shifted_head(a, d[k - 1] if k else 0, k, lam, tau)
             b_hat, d_hat = _forward(head + [0], k + 1)  # d_{k+1} reads the padding
             assert b_hat == b[:k] + [b[k] + tau]
             assert d_hat[:k] == [lam * x if j == k - 1 else x for j, x in enumerate(d[:k])]
@@ -398,7 +399,7 @@ class TestAssociatedCircle:
         for _ in range(50):
             vs = random_alpha(rng, 32)
             k = rng.randint(0, 5)
-            b, d = _assoc_circle_rows(vs.alpha, k, 12)
+            b, d = assoc_circle_rows(vs.alpha, *_forward(vs.alpha, 12 + (k + 1) // 2), k, 12)
             for path in (CLOSED_FORM, ORACLE):
                 assert_rc_close(assoc_opuc_to_recurrence(vs, k, 12, path),
                                 RealRecurrence(b, d), 1e-10)
@@ -465,11 +466,7 @@ class TestAssociatedCircle:
         for _ in range(30):
             m, n = rng.randint(0, 4), rng.randint(1, 6)
             a = [Fraction(rng.randint(-95, 95), 100) for _ in range(2 * (n + m))]
-            b, d = _forward(a, n + m)
-            b_hat, d_hat = _forward(a[2 * m:], n)
-            lam = Fraction(2) / (1 - (a[2 * m - 1] if m else -1))
-            assert d_hat[0] == lam * d[m] and b_hat[0] == a[2 * m]
-            assert d_hat[1:] == d[m + 1:] and b_hat[1:] == b[m + 1:]
+            assert assoc_circle_rows(a, *_forward(a, n + m), 2 * m, n) == _forward(a[2 * m:], n)
             vs = VerblunskySeq(tuple(map(float, a)))
             want = _forward(vs.alpha[2 * m:], n)
             for path in (CLOSED_FORM, ORACLE):
@@ -486,56 +483,13 @@ class TestAssociatedCircle:
         for _ in range(30):
             m, n = rng.randint(1, 4), rng.randint(1, 6)
             a = [Fraction(rng.randint(-95, 95), 100) for _ in range(2 * (n + m))]
-            assert _assoc_circle_rows(a, 2 * m - 1, n) == _forward(a[2 * m - 1:], n)
+            rows = assoc_circle_rows(a, *_forward(a, n + m), 2 * m - 1, n)
+            assert rows == _forward(a[2 * m - 1:], n)
             vs = VerblunskySeq(tuple(map(float, a)))
             want = _forward(vs.alpha[2 * m - 1:], n)
             for path in (CLOSED_FORM, ORACLE):
                 got = assoc_opuc_to_recurrence(vs, 2 * m - 1, n, path)
                 assert (list(got.b), list(got.d)) == want
-
-
-def _forward(a, n):
-    """The forward relations (b_1..b_n, d_1..d_n), with a_{-1} = -1 and
-    a_{-2} = 0, written with int constants: exact on Fraction input, and
-    on floats bit-identical to szego.geronimus_forward (scaling by a power
-    of two commutes with rounding)."""
-    b, d = [], []
-    am2, am1 = 0, -1
-    for m in range(n):
-        a0, a1 = a[2 * m], a[2 * m + 1]
-        d.append((1 - am1) * (1 - a0 ** 2) * (1 + a1) / 4)
-        b.append((a0 * (1 - am1) - am2 * (1 + am1)) / 2)
-        am2, am1 = a0, a1
-    return b, d
-
-
-def _assoc_circle_rows(a, k, n):
-    """The paper's rows (b-hat_1..b-hat_n, d-hat_1..d-hat_n) of the order-k
-    associated circle family from the unshifted a_0 .. a_{2n+k}: the pivot
-    ratios at odd k = 2m - 1, and d_{m+1} rescaled by lam = 2 / (1 - a_{2m-1})
-    at even k = 2m, with a_{-1} = -1.  Int constants, as in _forward."""
-    m = (k + 1) // 2
-    b, d = _forward(a, n + m)
-    if k % 2 == 0:
-        lam = 2 / (1 - (a[k - 1] if k else -1))
-        return [a[k]] + b[m + 1:], [lam * d[m]] + d[m + 1:]
-    v = [(1 + x) * (1 - prev) / 2 for x, prev in zip(a, [-1] + list(a))]
-    rows = range(m + 1, n + m)  # i = j + m for rows j = 1 .. n-1
-    return ([a[k]] + [b[i] + v[2 * i - 2] - v[2 * i] for i in rows],
-            [(1 + a[k]) / v[k + 2] * d[m]] + [v[2 * i - 1] / v[2 * i + 1] * d[i] for i in rows])
-
-
-def _co_shifted_head(a, d_k, k, lam, tau):
-    """The paper's co-polynomial head a-hat_0 .. a-hat_{2k} from the
-    unperturbed a_0 .. a_{2k}: a_j kept for j < 2k-1, a_{2k-1} shifted by
-    M = 4 (lam - 1) d_k / ((1 - a_{2k-3})(1 - a_{2k-2}^2)) and a_{2k}
-    recombined, with a_{-1} = -1 and a_{-2} = 0 (k = 0 needs lam = 1).  Int
-    constants, as in _forward."""
-    am3 = a[2 * k - 3] if k > 1 else -1
-    am2, am1 = (a[2 * k - 2], a[2 * k - 1]) if k else (0, -1)
-    shift = 4 * (lam - 1) * d_k / ((1 - am3) * (1 - am2 ** 2)) if k else 0
-    even = ((1 - am1) * a[2 * k] + 2 * tau + shift * am2) / (1 - am1 - shift)
-    return list(a[:max(2 * k - 1, 0)]) + ([am1 + shift] if k else []) + [even]
 
 
 def _antiassoc_table(xi, a, n):
@@ -934,7 +888,7 @@ class TestSieve2Recurrence:
         # the forward relations' even factor 1 - 0.0 * 0.0 is exactly 1.0
         for _ in range(50):
             vs = random_alpha(rng, 12)
-            b, d = _sieved_rows(vs.real_view(), 12)
+            b, d = sieved_rows(vs.real_view(), 12)
             assert sieve2_recurrence(vs, 12) == RealRecurrence(b, d)
 
     def test_statement_exactly(self):
@@ -945,11 +899,11 @@ class TestSieve2Recurrence:
             n = rng.randint(1, 8)
             a = [Fraction(rng.randint(-90, 90), 100) for _ in range(n)]
             sieved = [x for pair in zip([0] * n, a) for x in pair]
-            assert _sieved_rows(a, n) == _forward(sieved, n)
+            assert sieved_rows(a, n) == _forward(sieved, n)
             k = rng.randrange(n)
             eta = Fraction(rng.randint(-90, 90), 100)
             sieved[2 * k + 1] = eta
-            assert _sieved_rows(a, n, k, eta) == _forward(sieved, n)
+            assert sieved_rows(a, n, k, eta) == _forward(sieved, n)
 
     def test_complex_entry_named_by_its_index_in_the_data(self):
         # the sieved sequence holds a_j at index 2j+1; the error names j
@@ -1002,7 +956,7 @@ class TestSievedKMod:
             vs = random_alpha(rng, 12)
             k = rng.randint(0, 6)
             eta = rng.uniform(-0.8, 0.8)
-            b, d = _sieved_rows(vs.real_view(), 12, k, eta)
+            b, d = sieved_rows(vs.real_view(), 12, k, eta)
             assert_rc_close(sieved_kmod_recurrence(vs, k, eta, 12), RealRecurrence(b, d), 1e-10)
 
     def test_eta_replaces_a_complex_entry(self):
@@ -1011,20 +965,6 @@ class TestSievedKMod:
         for path in (CLOSED_FORM, ORACLE):
             got = sieved_kmod_recurrence(vs, 0, 0.5, 2, path)
             assert got == RealRecurrence((0.0, 0.0), (0.75, 0.15))
-
-
-def _sieved_rows(a, n, k=None, eta=None):
-    """The paper's rows of the stride-2 sieved family from the unsieved
-    a_0 .. a_{n-1}: b == 0 and d_{m+1} = (1/4)(1 - a_{m-1})(1 + a_m), with
-    a_{-1} = -1; given k and eta, d_{k+1} and d_{k+2} take the factors
-    (1 + eta)/(1 + a_k) and (1 - eta)/(1 - a_k).  Int constants, as in
-    _forward."""
-    d = [(1 - prev) * (1 + x) / 4 for x, prev in zip(a[:n], [-1] + list(a))]
-    if k is not None:
-        d[k] *= (1 + eta) / (1 + a[k])
-        if k + 1 < n:
-            d[k + 1] *= (1 - eta) / (1 - a[k])
-    return [0] * len(d), d
 
 
 def _odd_recursion(d):
@@ -1077,19 +1017,22 @@ class TestSymmetric:
         # with b == 0 the inversion's even entry is exactly +0.0 and its
         # divisor exactly 1 - g_{2m-1}, so the map gives the paper's odd
         # recursion bit for bit, as floats, or refuses at its first entry
-        # outside the support guard's interval, or a zero d
+        # outside the support guard's interval, or a zero or NaN d
         lo, hi = SUPPORT_TOL - 1.0, 1.0 - SUPPORT_TOL
         admissible = 0
         for _ in range(200):
             d = _symmetric_draw(rng)
             try:
                 got = symmetric_verblunsky(d).alpha
-            except OrthoError as exc:
+            except (OrthoError, ValueError) as exc:
                 got = type(exc), str(exc)
             want = _odd_recursion(d)
             bad = [j for j, g in enumerate(want) if not lo < g < hi]
+            nan = [j for j, x in enumerate(d, 1) if x != x]
             if 0.0 in d:
                 assert got == (NonPositiveD, f"d_{d.index(0.0) + 1} = 0 is not allowed")
+            elif nan:
+                assert got == (ValueError, f"d_{nan[0]} = nan is not finite")
             elif bad:
                 assert got == (SupportViolation, str(SupportViolation(bad[0], want[bad[0]])))
             else:
@@ -1132,16 +1075,17 @@ class TestSymmetricCoDilated:
                 g = symmetric_verblunsky(d[:k]).alpha
             except SupportViolation:
                 continue
-            shift = 4 * (lam - 1) * d[k - 1] / (1 - (g[2 * k - 3] if k > 1 else -1))
-            assert_vs_close(got, VerblunskySeq(g[:-1] + (g[-1] + shift,)), 1e-11)
+            want = co_shifted_head(g + (0.0,), d[k - 1], k, lam, 0.0)
+            assert_vs_close(got, VerblunskySeq(want), 1e-11)
             want = d[:k - 1] + (lam * d[k - 1],) + d[k:]
             assert_rc_close(geronimus_forward(got, 12), RealRecurrence((0.0,) * 12, want), 1e-11)
 
     def test_symmetric_statement_exactly(self):
         # the symmetric shift g_{2k-1} + 4 (lam - 1) d_k / (1 - g_{2k-3}) is the
-        # co-polynomial head with a_{2k-2} = 0 and tau = 0; in exact arithmetic
-        # its forward image is b == 0 and d with d_k -> lam d_k, and the map,
-        # which runs the odd recursion on the co-dilated d, gives it too
+        # co-polynomial head with a_{2k-2} = a_{2k} = 0 and tau = 0, whose even
+        # entry stays 0; in exact arithmetic its forward image is b == 0 and d
+        # with d_k -> lam d_k, and the map, which runs the odd recursion on the
+        # co-dilated d, gives it too
         rng = random.Random(3033)
         checked = 0
         for _ in range(40):
@@ -1150,10 +1094,8 @@ class TestSymmetricCoDilated:
             g = [Fraction(rng.randint(-90, 90), 100) if j % 2 else 0 for j in range(2 * n)]
             lam = 1 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 70), 100)
             _, d = _forward(g, n)
-            gm3 = g[2 * k - 3] if k > 1 else -1
-            head = g[:2 * k - 1] + [g[2 * k - 1] + 4 * (lam - 1) * d[k - 1] / (1 - gm3)]
-            if k < n:
-                assert _co_shifted_head(g, d[k - 1], k, lam, 0) == head + [0]
+            *head, even = co_shifted_head(g + [0], d[k - 1], k, lam, 0)
+            assert even == 0
             b_hat, d_hat = _forward(head, k)
             assert b_hat == [0] * k and d_hat == d[:k - 1] + [lam * d[k - 1]]
             try:

@@ -59,9 +59,9 @@ UNCHECKED_SITES = frozenset({
     # the zeros and the checked entries of vs, in its storage kind
     "perturb.sieve",
     # rc was checked when built; the one changed entry is coerced to float,
-    # and zero-checked after a dilation
+    # zero-checked after a dilation and checked finite
     "perturb.coprl_apply",
-    # the zeros are floats; d is coerced and zero-checked as the constructor does
+    # the zeros are floats; d is coerced and checked as the constructor does
     "perturb._symmetric_line",
 })
 

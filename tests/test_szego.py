@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ortho_szego._value import _unchecked
 from ortho_szego.errors import (
     DivisionDegenerate,
     InsufficientCoefficients,
@@ -25,7 +26,7 @@ from ortho_szego.szego import (
 )
 from ortho_szego.tolerances import PIVOT_TOL, SUPPORT_TOL
 
-from conftest import random_admissible_rc, random_alpha
+from conftest import _forward, random_admissible_rc, random_alpha
 from test_opuc import u_pattern
 
 
@@ -49,22 +50,6 @@ def exact_inverse(b: list[Fraction], d: list[Fraction]) -> list[Fraction]:
     return alpha
 
 
-def exact_forward(alpha: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    def a(j):
-        if j == -1:
-            return Fraction(-1)
-        if j == -2:
-            return Fraction(0)
-        return alpha[j]
-
-    n = len(alpha) // 2
-    d = [Fraction(1, 4) * (1 - a(2 * m - 1)) * (1 - a(2 * m) ** 2) * (1 + a(2 * m + 1))
-         for m in range(n)]
-    b = [Fraction(1, 2) * (a(2 * m) * (1 - a(2 * m - 1)) - a(2 * m - 2) * (1 + a(2 * m - 1)))
-         for m in range(n)]
-    return b, d
-
-
 class TestGeronimusForward:
     def test_zero_alpha_gives_chebyshev_t(self):
         rc = geronimus_forward(VerblunskySeq((0.0,) * 24), 12)
@@ -83,7 +68,7 @@ class TestGeronimusForward:
         fr = [Fraction(rng.randint(-8, 8), 10) for _ in range(12)]
         vs = VerblunskySeq(tuple(float(f) for f in fr))
         rc = geronimus_forward(vs, 6)
-        eb, ed = exact_forward(fr)
+        eb, ed = _forward(fr, 6)
         for m in range(6):
             assert rc.b[m] == pytest.approx(float(eb[m]), abs=1e-14)
             assert rc.d[m] == pytest.approx(float(ed[m]), abs=1e-14)
@@ -123,7 +108,7 @@ class TestGeronimusInverse:
 
     def test_matches_exact_arithmetic(self, rng):
         fr = [Fraction(rng.randint(-7, 7), 10) for _ in range(10)]
-        eb, ed = exact_forward(fr)
+        eb, ed = _forward(fr, 5)
         rc = RealRecurrence(tuple(float(x) for x in eb), tuple(float(x) for x in ed))
         vs = geronimus_inverse(rc, 5)
         back = exact_inverse(eb, ed)
@@ -251,9 +236,10 @@ class TestVSequence:
 class TestNanInput:
     """A NaN fails the first guard it reaches instead of flowing through:
     each guard is written `not lo < x < hi` or `not x >= bound`, which NaN
-    does not pass."""
+    does not pass.  The constructor refuses a NaN entry, so the data here
+    are built without it."""
 
-    NAN_PAIRS = RealRecurrence((math.nan,) * 3, (0.25,) * 3)
+    NAN_PAIRS = _unchecked(RealRecurrence, (math.nan,) * 3, (0.25,) * 3)
 
     def test_inverse_raises_at_first_coefficient(self):
         with pytest.raises(SupportViolation) as exc:
@@ -262,7 +248,7 @@ class TestNanInput:
 
     def test_inverse_nan_d(self):
         # a_2 = 0 is computed from b_2; the NaN d_2 then fails a_3's guard
-        rc = RealRecurrence((0.0,) * 3, (0.25, math.nan, 0.25))
+        rc = _unchecked(RealRecurrence, (0.0,) * 3, (0.25, math.nan, 0.25))
         with pytest.raises(SupportViolation) as exc:
             geronimus_inverse(rc, 3)
         assert exc.value.index == 3 and math.isnan(exc.value.value)
@@ -443,9 +429,10 @@ class TestLoopErrors:
 
 class TestShortN:
     """An n <= 0 computes no entry and reads nothing from the end of the
-    data: the NaN there would raise if it were read."""
+    data: the NaN there (built without the constructor, which refuses it)
+    would raise if it were read."""
 
-    RC = RealRecurrence((0.0, 0.0, math.nan), (0.25, 0.25, math.nan))
+    RC = _unchecked(RealRecurrence, (0.0, 0.0, math.nan), (0.25, 0.25, math.nan))
 
     @pytest.mark.parametrize("n", [-1, -2, 0])
     def test_inverse(self, n):

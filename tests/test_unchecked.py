@@ -252,12 +252,12 @@ def test_coprl_apply_refuses_what_the_constructor_refuses():
 
 
 def test_symmetric_line_refuses_what_the_constructor_refuses():
-    # _symmetric_line coerces and zero-checks only d; with complex, string
-    # and zero entries it must raise what the constructor raises on b == 0
+    # _symmetric_line coerces and checks only d; with complex, string, zero
+    # and non-finite entries it must raise what the constructor raises on b == 0
     rng = random.Random("unchecked:symmetric_line refusals")
     refused = set()
     for _ in range(CASES):
-        d = _symmetric_d(rng, odd=(0.5j, "0.25", "x", None))
+        d = _symmetric_d(rng, odd=(0.5j, "0.25", "x", None, math.nan, -math.inf))
         got = _outcome(perturb._symmetric_line, d)
         want = _outcome(RealRecurrence, [0.0] * len(d), d)
         if type(got) is tuple:
@@ -270,6 +270,8 @@ def test_symmetric_line_refuses_what_the_constructor_refuses():
 
 @pytest.mark.parametrize("specs, want", [
     ([("d", 2, 5e-324)], (NonPositiveD, "d_2 = 0 is not allowed")),
+    ([("d", 2, 1e308), ("d", 2, 10)], (ValueError, "d_2 = inf is not finite")),
+    ([("b", 0, 1e308), ("b", 0, 1e308)], (ValueError, "b_1 = inf is not finite")),
 ])
 def test_coprl_apply_errors(specs, want):
     rc = RealRecurrence((0.1, -0.2, 0.3), (0.25, 0.4, 0.2))
